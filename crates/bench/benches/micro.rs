@@ -160,10 +160,8 @@ fn bench_shard_router(c: &mut Criterion) {
         bench.iter(|| {
             let mut fanout = 0usize;
             for p in &d.profiles {
-                fanout += router
-                    .route_profile(black_box(p), &mut scratch)
-                    .by_shard
-                    .len();
+                let tokens = router.tokenize(black_box(p), &mut scratch);
+                fanout += router.route_ids(&tokens).len();
             }
             fanout
         })

@@ -34,7 +34,7 @@ use pier_matching::{JaccardMatcher, MatchFunction};
 use pier_observe::Observer;
 use pier_runtime::{Pipeline, RuntimeConfig};
 use pier_shard::{ProfileStore, ShardMerger, ShardRouter, ShardWorker, ShardedConfig};
-use pier_types::{Dataset, EntityProfile, ErKind, TokenId};
+use pier_types::{Dataset, EntityProfile, ErKind};
 
 const ID: &str = "shard_scaling";
 const SHARD_COUNTS: [u16; 4] = [1, 2, 4, 8];
@@ -101,34 +101,23 @@ fn critical_path_secs(increments: &[Vec<EntityProfile>], shards: u16) -> (f64, f
         // owned over a channel, so this clone is a harness artifact, not
         // pipeline work.
         let owned: Vec<EntityProfile> = inc.clone();
-        let meta: Vec<_> = owned.iter().map(|p| (p.id, p.source)).collect();
 
-        // Tokenizer-pool work: tokenize + intern + partition per profile.
+        // Tokenizer-pool work: tokenize + intern per profile.
         let t0 = Instant::now();
-        let routed: Vec<_> = owned
+        let tokens: Vec<_> = owned
             .iter()
-            .map(|p| router.route_profile(p, &mut scratch))
+            .map(|p| router.tokenize(p, &mut scratch))
             .collect();
         t_tokenize += t0.elapsed().as_secs_f64();
 
-        // Router-thread work: global store, ghost floors, skeleton fan-out.
+        // Router-thread work: global store, ghost floors, partition,
+        // skeleton fan-out — the runtime's own routing step.
         let t0 = Instant::now();
-        let mut per_shard: Vec<Vec<(EntityProfile, Vec<TokenId>, usize)>> =
-            (0..shards as usize).map(|_| Vec::new()).collect();
-        for (profile, routed) in owned.into_iter().zip(&routed) {
-            store
-                .insert(profile, &routed.tokens)
-                .expect("bench corpus has unique profile ids");
-        }
-        for (&(id, source), routed) in meta.iter().zip(routed) {
-            let floor = store.min_token_count(id).unwrap_or(1);
-            for (shard, tokens) in routed.by_shard {
-                per_shard[shard as usize].push((EntityProfile::new(id, source), tokens, floor));
-            }
-        }
+        let fan = store.fan_out(&router, owned.into_iter().zip(tokens));
         t_serial += t0.elapsed().as_secs_f64();
+        assert!(fan.errors.is_empty(), "bench corpus has unique profile ids");
 
-        for (s, batch) in per_shard.into_iter().enumerate() {
+        for (s, batch) in fan.per_shard.into_iter().enumerate() {
             if batch.is_empty() {
                 continue;
             }

@@ -16,8 +16,7 @@ use pier_types::{PierError, ProfileId};
 
 use crate::collection::BlockId;
 
-/// Applies block ghosting to the blocks of one profile — the single
-/// canonical implementation behind every historical entry point.
+/// Applies block ghosting to the blocks of one profile.
 ///
 /// `blocks` holds `(block id, current size)` pairs (from
 /// [`crate::BlockCollection::active_blocks_of`]); the survivors' ids are
@@ -68,57 +67,6 @@ pub fn ghost_blocks(
     Ok(kept)
 }
 
-/// Unobserved, floor-less [`ghost_blocks`].
-///
-/// # Errors
-/// Returns [`PierError::InvalidConfig`] if `beta` is outside `(0, 1]`.
-#[doc(hidden)]
-pub fn block_ghosting(blocks: &[(BlockId, usize)], beta: f64) -> Result<Vec<BlockId>, PierError> {
-    ghost_blocks(blocks, beta, None, ProfileId(0), &Observer::disabled())
-}
-
-/// Unobserved [`ghost_blocks`] with an explicit floor.
-///
-/// # Errors
-/// Returns [`PierError::InvalidConfig`] if `beta` is outside `(0, 1]`.
-#[doc(hidden)]
-pub fn block_ghosting_with_floor(
-    blocks: &[(BlockId, usize)],
-    beta: f64,
-    floor: Option<usize>,
-) -> Result<Vec<BlockId>, PierError> {
-    ghost_blocks(blocks, beta, floor, ProfileId(0), &Observer::disabled())
-}
-
-/// Floor-less observed [`ghost_blocks`].
-///
-/// # Errors
-/// Returns [`PierError::InvalidConfig`] if `beta` is outside `(0, 1]`.
-#[doc(hidden)]
-pub fn block_ghosting_observed(
-    blocks: &[(BlockId, usize)],
-    beta: f64,
-    profile: ProfileId,
-    observer: &Observer,
-) -> Result<Vec<BlockId>, PierError> {
-    ghost_blocks(blocks, beta, None, profile, observer)
-}
-
-/// Fully parameterised historical name for [`ghost_blocks`].
-///
-/// # Errors
-/// Returns [`PierError::InvalidConfig`] if `beta` is outside `(0, 1]`.
-#[doc(hidden)]
-pub fn block_ghosting_with_floor_observed(
-    blocks: &[(BlockId, usize)],
-    beta: f64,
-    floor: Option<usize>,
-    profile: ProfileId,
-    observer: &Observer,
-) -> Result<Vec<BlockId>, PierError> {
-    ghost_blocks(blocks, beta, floor, profile, observer)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,45 +75,54 @@ mod tests {
         BlockId(i)
     }
 
+    /// Unobserved [`ghost_blocks`].
+    fn ghost(
+        blocks: &[(BlockId, usize)],
+        beta: f64,
+        floor: Option<usize>,
+    ) -> Result<Vec<BlockId>, PierError> {
+        ghost_blocks(blocks, beta, floor, ProfileId(0), &Observer::disabled())
+    }
+
     #[test]
     fn keeps_blocks_up_to_threshold() {
         let blocks = vec![(b(1), 2), (b(2), 4), (b(3), 5), (b(4), 10)];
         // beta = 0.5 -> threshold = 2 / 0.5 = 4.
-        let kept = block_ghosting(&blocks, 0.5).unwrap();
+        let kept = ghost(&blocks, 0.5, None).unwrap();
         assert_eq!(kept, vec![b(1), b(2)]);
     }
 
     #[test]
     fn beta_one_keeps_only_minimum_sized() {
         let blocks = vec![(b(1), 2), (b(2), 2), (b(3), 3)];
-        let kept = block_ghosting(&blocks, 1.0).unwrap();
+        let kept = ghost(&blocks, 1.0, None).unwrap();
         assert_eq!(kept, vec![b(1), b(2)]);
     }
 
     #[test]
     fn small_beta_keeps_everything() {
         let blocks = vec![(b(1), 1), (b(2), 500)];
-        let kept = block_ghosting(&blocks, 0.001).unwrap();
+        let kept = ghost(&blocks, 0.001, None).unwrap();
         assert_eq!(kept.len(), 2);
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
-        assert!(block_ghosting(&[], 0.5).unwrap().is_empty());
+        assert!(ghost(&[], 0.5, None).unwrap().is_empty());
     }
 
     #[test]
     fn single_block_always_survives() {
-        let kept = block_ghosting(&[(b(9), 1000)], 1.0).unwrap();
+        let kept = ghost(&[(b(9), 1000)], 1.0, None).unwrap();
         assert_eq!(kept, vec![b(9)]);
     }
 
     #[test]
     fn invalid_beta_is_rejected() {
-        assert!(block_ghosting(&[(b(1), 1)], 0.0).is_err());
-        assert!(block_ghosting(&[(b(1), 1)], 1.5).is_err());
-        assert!(block_ghosting(&[(b(1), 1)], -0.5).is_err());
-        assert!(block_ghosting(&[(b(1), 1)], f64::NAN).is_err());
+        assert!(ghost(&[(b(1), 1)], 0.0, None).is_err());
+        assert!(ghost(&[(b(1), 1)], 1.5, None).is_err());
+        assert!(ghost(&[(b(1), 1)], -0.5, None).is_err());
+        assert!(ghost(&[(b(1), 1)], f64::NAN, None).is_err());
     }
 
     #[test]
@@ -174,21 +131,10 @@ mod tests {
         // 2 (the profile's smallest block lives on another shard) tightens
         // the threshold to 4.
         let blocks = vec![(b(1), 4), (b(2), 6), (b(3), 8)];
-        assert_eq!(
-            block_ghosting_with_floor(&blocks, 0.5, None).unwrap().len(),
-            3
-        );
-        assert_eq!(
-            block_ghosting_with_floor(&blocks, 0.5, Some(2)).unwrap(),
-            vec![b(1)]
-        );
+        assert_eq!(ghost(&blocks, 0.5, None).unwrap().len(), 3);
+        assert_eq!(ghost(&blocks, 0.5, Some(2)).unwrap(), vec![b(1)]);
         // A floor above the local minimum is ignored.
-        assert_eq!(
-            block_ghosting_with_floor(&blocks, 0.5, Some(100))
-                .unwrap()
-                .len(),
-            3
-        );
+        assert_eq!(ghost(&blocks, 0.5, Some(100)).unwrap().len(), 3);
     }
 
     #[test]
@@ -215,24 +161,10 @@ mod tests {
     }
 
     #[test]
-    fn wrappers_delegate_to_ghost_blocks() {
-        let blocks = vec![(b(1), 4), (b(2), 6), (b(3), 8)];
-        let canonical = ghost_blocks(&blocks, 0.5, Some(2), ProfileId(0), &Observer::disabled());
-        assert_eq!(
-            block_ghosting_with_floor(&blocks, 0.5, Some(2)).unwrap(),
-            canonical.unwrap()
-        );
-        assert_eq!(
-            block_ghosting(&blocks, 0.5).unwrap(),
-            block_ghosting_observed(&blocks, 0.5, ProfileId(0), &Observer::disabled()).unwrap()
-        );
-    }
-
-    #[test]
     fn threshold_is_inclusive() {
         // min = 3, beta = 0.75 -> threshold = 4.0; size-4 block survives.
         let blocks = vec![(b(1), 3), (b(2), 4), (b(3), 5)];
-        let kept = block_ghosting(&blocks, 0.75).unwrap();
+        let kept = ghost(&blocks, 0.75, None).unwrap();
         assert_eq!(kept, vec![b(1), b(2)]);
     }
 }

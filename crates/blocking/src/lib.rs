@@ -29,9 +29,6 @@ pub mod stats;
 pub use builder::IncrementalBlocker;
 pub use checkpoint::{load_checkpoint, save_checkpoint};
 pub use collection::{Block, BlockCollection, BlockId, Partners, SlabStats};
-pub use ghosting::{
-    block_ghosting, block_ghosting_observed, block_ghosting_with_floor,
-    block_ghosting_with_floor_observed, ghost_blocks,
-};
+pub use ghosting::ghost_blocks;
 pub use purging::PurgePolicy;
 pub use stats::{block_stats, BlockStats};

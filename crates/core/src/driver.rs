@@ -32,20 +32,20 @@ use std::time::Instant;
 use pier_blocking::{IncrementalBlocker, PurgePolicy};
 use pier_matching::{ClassifiedMatch, IncrementalClassifier, MatchFunction, MatchInput};
 use pier_observe::{Event, Observer, Phase};
-use pier_types::{EntityProfile, ErKind, Tokenizer};
+use pier_types::{Comparison, EntityProfile, ErKind, Tokenizer};
 
-use crate::framework::{ComparisonEmitter, PierConfig};
+use crate::framework::PierConfig;
 use crate::selector::Strategy;
+use crate::stage_a::{Ingested, StageA};
 
-/// The synchronous PIER pipeline.
+/// The synchronous PIER pipeline: the [`StageA`] step machine plus an
+/// incremental classifier, stepped on the caller's clock.
 pub struct PierPipeline<M: MatchFunction> {
-    blocker: IncrementalBlocker,
-    emitter: Box<dyn ComparisonEmitter>,
+    stage_a: StageA,
     classifier: IncrementalClassifier<M>,
     /// Comparisons pulled per round while draining.
     pub batch_size: usize,
     observer: Observer,
-    increments: u64,
 }
 
 impl<M: MatchFunction> PierPipeline<M> {
@@ -63,122 +63,104 @@ impl<M: MatchFunction> PierPipeline<M> {
         policy: PurgePolicy,
     ) -> Self {
         PierPipeline {
-            blocker: IncrementalBlocker::with_config(kind, Tokenizer::default(), policy),
-            emitter: strategy.build(config),
+            stage_a: StageA::new(
+                IncrementalBlocker::with_config(kind, Tokenizer::default(), policy),
+                strategy.build(config),
+            ),
             classifier: IncrementalClassifier::new(matcher),
             batch_size: 256,
             observer: Observer::disabled(),
-            increments: 0,
         }
     }
 
     /// Attaches a pipeline observer and propagates it to every component
     /// (blocker, emitter, classifier). The pipeline itself reports
-    /// [`Event::IncrementIngested`] and [`Event::PhaseTiming`].
+    /// [`Event::PhaseTiming`]; stage A reports [`Event::IncrementIngested`].
     pub fn set_observer(&mut self, observer: Observer) {
-        self.blocker.set_observer(observer.clone());
-        self.emitter.set_observer(observer.clone());
+        self.stage_a.set_observer(observer.clone());
         self.classifier.set_observer(observer.clone());
         self.observer = observer;
     }
 
-    /// Ingests one increment: blocking + prioritizer update. Returns the
-    /// assigned profile ids.
-    pub fn push_increment(&mut self, profiles: &[EntityProfile]) -> Vec<pier_types::ProfileId> {
+    /// Runs `step` and reports its wall time as `phase` when observed.
+    fn timed<T>(&mut self, phase: Phase, step: impl FnOnce(&mut Self) -> T) -> T {
         let t0 = self.observer.is_enabled().then(Instant::now);
-        let ids = self.blocker.process_increment(profiles);
+        let out = step(self);
         if let Some(t0) = t0 {
             self.observer.emit(|| Event::PhaseTiming {
-                phase: Phase::Block,
+                phase,
                 secs: t0.elapsed().as_secs_f64(),
             });
         }
-        let t1 = self.observer.is_enabled().then(Instant::now);
-        self.emitter.on_increment(&self.blocker, &ids);
-        if let Some(t1) = t1 {
-            self.observer.emit(|| Event::PhaseTiming {
-                phase: Phase::Weight,
-                secs: t1.elapsed().as_secs_f64(),
-            });
-        }
-        let seq = self.increments;
-        self.increments += 1;
-        self.observer.emit(|| Event::IncrementIngested {
-            seq,
-            profiles: profiles.len(),
+        out
+    }
+
+    /// Ingests one increment: blocking + prioritizer update. A profile
+    /// whose id was already ingested is skipped and reported in
+    /// [`Ingested::errors`]; the rest of the increment goes through.
+    pub fn push_increment(&mut self, profiles: &[EntityProfile]) -> Ingested {
+        let mut out = Ingested::default();
+        self.timed(Phase::Block, |pl| {
+            for profile in profiles {
+                out.record(pl.stage_a.block(profile.clone()));
+            }
         });
-        ids
+        out.ops = self.timed(Phase::Weight, |pl| pl.stage_a.weigh(&out.ids));
+        out
+    }
+
+    /// Classifies one pulled batch.
+    fn classify(&mut self, batch: Vec<Comparison>) {
+        self.timed(Phase::Classify, |pl| {
+            let blocker = pl.stage_a.blocker();
+            for cmp in batch {
+                let input = MatchInput {
+                    profile_a: blocker.profile(cmp.a),
+                    tokens_a: blocker.tokens_of(cmp.a),
+                    profile_b: blocker.profile(cmp.b),
+                    tokens_b: blocker.tokens_of(cmp.b),
+                };
+                pl.classifier.classify(cmp, input);
+            }
+        });
+    }
+
+    /// The shared body of [`PierPipeline::drain`] and
+    /// [`PierPipeline::drain_idle`]: pull with `pull` in rounds of at most
+    /// [`PierPipeline::batch_size`] until it comes up empty or
+    /// `max_comparisons` were executed; returns the new duplicates.
+    fn drain_with(
+        &mut self,
+        max_comparisons: usize,
+        pull: impl Fn(&mut StageA, usize) -> Vec<Comparison>,
+    ) -> Vec<ClassifiedMatch> {
+        let before = self.classifier.duplicates().len();
+        let mut executed = 0usize;
+        while executed < max_comparisons {
+            let want = self.batch_size.min(max_comparisons - executed);
+            let batch = self.timed(Phase::Prune, |pl| pull(&mut pl.stage_a, want));
+            if batch.is_empty() {
+                break;
+            }
+            executed += batch.len();
+            self.classify(batch);
+        }
+        self.classifier.duplicates()[before..].to_vec()
     }
 
     /// Executes up to `max_comparisons` of the best pending comparisons
     /// and returns the *new* duplicates found. Call between increments —
     /// this is the progressive work loop.
     pub fn drain(&mut self, max_comparisons: usize) -> Vec<ClassifiedMatch> {
-        let before = self.classifier.duplicates().len();
-        let mut executed = 0usize;
-        while executed < max_comparisons {
-            let want = self.batch_size.min(max_comparisons - executed);
-            let t0 = self.observer.is_enabled().then(Instant::now);
-            let batch = self.emitter.next_batch(&self.blocker, want);
-            if let Some(t0) = t0 {
-                self.observer.emit(|| Event::PhaseTiming {
-                    phase: Phase::Prune,
-                    secs: t0.elapsed().as_secs_f64(),
-                });
-            }
-            if batch.is_empty() {
-                break;
-            }
-            let t1 = self.observer.is_enabled().then(Instant::now);
-            for cmp in batch {
-                let input = MatchInput {
-                    profile_a: self.blocker.profile(cmp.a),
-                    tokens_a: self.blocker.tokens_of(cmp.a),
-                    profile_b: self.blocker.profile(cmp.b),
-                    tokens_b: self.blocker.tokens_of(cmp.b),
-                };
-                self.classifier.classify(cmp, input);
-                executed += 1;
-            }
-            if let Some(t1) = t1 {
-                self.observer.emit(|| Event::PhaseTiming {
-                    phase: Phase::Classify,
-                    secs: t1.elapsed().as_secs_f64(),
-                });
-            }
-        }
-        self.classifier.duplicates()[before..].to_vec()
+        self.drain_with(max_comparisons, |stage_a, k| stage_a.pull(k).0)
     }
 
     /// Like [`PierPipeline::drain`] but keeps sending idle ticks (the
     /// empty increments of §3.2) so the `GetComparisons` fallback can
     /// contribute — use when the input is known to be idle or finished.
+    /// Stops early only when stage A is fully drained.
     pub fn drain_idle(&mut self, max_comparisons: usize) -> Vec<ClassifiedMatch> {
-        let before = self.classifier.duplicates().len();
-        let mut executed = 0usize;
-        loop {
-            let room = max_comparisons - executed;
-            if room == 0 {
-                break;
-            }
-            let found_before = self.classifier.duplicates().len();
-            let drained = {
-                let start = self.classifier.comparisons();
-                self.drain(room);
-                (self.classifier.comparisons() - start) as usize
-            };
-            let _ = found_before;
-            executed += drained;
-            if drained == 0 {
-                // Idle tick; stop once it generates no further work.
-                let _ = self.emitter.drain_ops();
-                self.emitter.on_increment(&self.blocker, &[]);
-                if self.emitter.drain_ops() == 0 {
-                    break;
-                }
-            }
-        }
-        self.classifier.duplicates()[before..].to_vec()
+        self.drain_with(max_comparisons, StageA::pull_idle)
     }
 
     /// All duplicates found so far (`M_D`).
@@ -193,7 +175,7 @@ impl<M: MatchFunction> PierPipeline<M> {
 
     /// The underlying blocker (profiles, blocks, token dictionary).
     pub fn blocker(&self) -> &IncrementalBlocker {
-        &self.blocker
+        self.stage_a.blocker()
     }
 
     /// Total comparisons classified.
@@ -270,14 +252,28 @@ mod tests {
             p(1, "tok aa1 aa2 aa3"),
             p(2, "tok bb1 bb2"),
         ]);
-        let eager = pl.drain(1000).len();
-        let with_idle = pl.drain_idle(1000);
+        pl.drain(1000);
+        pl.drain_idle(1000);
         assert!(
             pl.comparisons() >= 3,
             "fallback should cover all in-block pairs (got {})",
             pl.comparisons()
         );
-        let _ = (eager, with_idle);
+    }
+
+    #[test]
+    fn a_replayed_id_is_skipped_and_reported() {
+        let mut pl = pipeline();
+        pl.push_increment(&[p(0, "alpha beta gamma"), p(1, "alpha beta gamma")]);
+        let replay = pl.push_increment(&[p(0, "delta epsilon"), p(2, "alpha beta gamma")]);
+        assert_eq!(replay.ids, vec![ProfileId(2)]);
+        assert!(matches!(
+            replay.errors[..],
+            [pier_types::PierError::DuplicateProfile(0)]
+        ));
+        // The original profile 0 is kept and still matches 1 and 2.
+        assert_eq!(pl.blocker().tokens_of(ProfileId(0)).len(), 3);
+        assert_eq!(pl.drain_idle(100).len(), 3);
     }
 
     #[test]

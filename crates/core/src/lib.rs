@@ -21,10 +21,12 @@
 //!   average weight. The paper's method of choice.
 //!
 //! Supporting modules: [`framework`] (the emitter abstraction shared with
-//! the baselines, plus common generation helpers), [`findk`] (the adaptive
-//! batch-size controller), [`selector`] (the data-driven strategy
-//! recommendation heuristic the paper lists as future work), and
-//! [`driver`] (a synchronous push/drain pipeline for library users).
+//! the baselines, plus common generation helpers), [`stage_a`] (the one
+//! step machine sequencing blocker and emitter behind every executor),
+//! [`findk`] (the adaptive batch-size controller), [`selector`] (the
+//! data-driven strategy recommendation heuristic the paper lists as future
+//! work), and [`driver`] (a synchronous push/drain pipeline for library
+//! users).
 
 #![warn(missing_docs)]
 
@@ -35,6 +37,7 @@ pub mod ipbs;
 pub mod ipcs;
 pub mod ipes;
 pub mod selector;
+pub mod stage_a;
 
 pub use driver::PierPipeline;
 pub use findk::AdaptiveK;
@@ -43,3 +46,4 @@ pub use ipbs::Ipbs;
 pub use ipcs::Ipcs;
 pub use ipes::Ipes;
 pub use selector::{recommend, Recommendation, Strategy};
+pub use stage_a::{Ingested, StageA, Tick};

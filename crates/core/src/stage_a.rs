@@ -1,0 +1,364 @@
+//! The stage-A step machine: the loop body of Algorithm 1, once.
+//!
+//! Every executor in the workspace runs the same steps — block the
+//! arriving profiles, update the prioritizer, pull the best `K`, send the
+//! empty-increment tick of §3.2 when the input is idle — and differs only
+//! in *when* it runs them: the synchronous [`crate::PierPipeline`] steps on
+//! the caller's clock, the simulator on a virtual clock that charges the
+//! ops each step returns, a shard worker on its command channel, and the
+//! threaded runtime behind one mutex. [`StageA`] owns the blocker and the
+//! emitter together and is the only code that sequences them, so the
+//! executors cannot drift apart. It is single-threaded and knows nothing
+//! about wall time, channels or fault injection; those stay in the callers,
+//! wrapped around the step calls.
+
+use std::ops::DerefMut;
+
+use pier_blocking::IncrementalBlocker;
+use pier_observe::{Event, Observer};
+use pier_types::{Comparison, EntityProfile, PierError, ProfileId, TokenId, WeightedComparison};
+
+use crate::framework::ComparisonEmitter;
+
+/// One lane of stage A: an [`IncrementalBlocker`] and the
+/// [`ComparisonEmitter`] prioritizing over it.
+///
+/// `E` is any handle that dereferences to an emitter: the boxed strategy
+/// ([`crate::Strategy::build`], the default) or a `&mut dyn
+/// ComparisonEmitter` borrowed for one run.
+pub struct StageA<E = Box<dyn ComparisonEmitter + Send>> {
+    blocker: IncrementalBlocker,
+    emitter: E,
+    observer: Observer,
+    increments: u64,
+}
+
+/// The outcome of blocking one increment's profiles.
+#[derive(Debug, Default)]
+pub struct Ingested {
+    /// The profiles the blocker accepted, in arrival order.
+    pub ids: Vec<ProfileId>,
+    /// One error per skipped profile (a repeated id is skipped and
+    /// reported, never fatal; the profile ingested first is kept).
+    pub errors: Vec<PierError>,
+    /// Abstract work the emitter spent on the increment.
+    pub ops: u64,
+}
+
+impl Ingested {
+    /// Files the result of one [`StageA::block`] call.
+    pub fn record(&mut self, blocked: Result<ProfileId, PierError>) {
+        match blocked {
+            Ok(id) => self.ids.push(id),
+            Err(e) => self.errors.push(e),
+        }
+    }
+}
+
+/// The outcome of one idle tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tick {
+    /// Abstract work the tick itself performed.
+    pub ops: u64,
+    /// Whether the tick did work or left schedulable comparisons behind:
+    /// `ops > 0 || emitter.has_pending()`. A `false` from an idle stage A
+    /// means it is fully drained.
+    pub made_work: bool,
+}
+
+impl<E> StageA<E>
+where
+    E: DerefMut,
+    E::Target: ComparisonEmitter,
+{
+    /// Joins a blocker and an emitter into one lane.
+    pub fn new(blocker: IncrementalBlocker, emitter: E) -> Self {
+        StageA {
+            blocker,
+            emitter,
+            observer: Observer::disabled(),
+            increments: 0,
+        }
+    }
+
+    /// Attaches `observer` to the blocker, the emitter and the machine's
+    /// own [`Event::IncrementIngested`] reports.
+    pub fn set_observer(&mut self, observer: Observer) {
+        self.blocker.set_observer(observer.clone());
+        self.emitter.set_observer(observer.clone());
+        self.observer = observer;
+    }
+
+    /// The blocker: profiles, token sets, block collection.
+    pub fn blocker(&self) -> &IncrementalBlocker {
+        &self.blocker
+    }
+
+    /// The emitter, for its read-only side (`name`, `has_pending`,
+    /// `scratch_stats`); stepping it is the machine's job.
+    pub fn emitter(&self) -> &E::Target {
+        &self.emitter
+    }
+
+    /// Blocks one arriving profile, tokenizing it with the blocker's own
+    /// tokenizer and dictionary.
+    ///
+    /// # Errors
+    /// [`PierError::DuplicateProfile`] if the id was already ingested; the
+    /// machine is left unchanged.
+    pub fn block(&mut self, profile: EntityProfile) -> Result<ProfileId, PierError> {
+        self.blocker.try_process_profile(profile)
+    }
+
+    /// Blocks one profile under token ids interned upstream. `ghost_floor`
+    /// is the profile's global minimum block size when this lane sees only
+    /// a token subspace (see [`IncrementalBlocker::set_ghost_floor`]).
+    ///
+    /// # Errors
+    /// As [`StageA::block`].
+    pub fn block_tokenized(
+        &mut self,
+        profile: EntityProfile,
+        tokens: &[TokenId],
+        ghost_floor: Option<usize>,
+    ) -> Result<ProfileId, PierError> {
+        let id = self
+            .blocker
+            .try_process_profile_with_token_ids(profile, tokens)?;
+        if let Some(floor) = ghost_floor {
+            self.blocker.set_ghost_floor(id, floor);
+        }
+        Ok(id)
+    }
+
+    /// Closes an increment: tells the emitter about the accepted `ids`,
+    /// reports [`Event::IncrementIngested`] (counting accepted profiles
+    /// only) and returns the ops spent.
+    pub fn weigh(&mut self, ids: &[ProfileId]) -> u64 {
+        self.emitter.on_increment(&self.blocker, ids);
+        let seq = self.increments;
+        self.increments += 1;
+        self.observer.emit(|| Event::IncrementIngested {
+            seq,
+            profiles: ids.len(),
+        });
+        self.emitter.drain_ops()
+    }
+
+    /// Ingests one increment of raw profiles: [`StageA::block`] each, then
+    /// [`StageA::weigh`].
+    pub fn ingest(&mut self, increment: &[EntityProfile]) -> Ingested {
+        let mut out = Ingested::default();
+        for profile in increment {
+            out.record(self.block(profile.clone()));
+        }
+        out.ops = self.weigh(&out.ids);
+        out
+    }
+
+    /// The best `k` pending comparisons, best first, and the ops spent.
+    pub fn pull(&mut self, k: usize) -> (Vec<Comparison>, u64) {
+        let batch = self.emitter.next_batch(&self.blocker, k);
+        (batch, self.emitter.drain_ops())
+    }
+
+    /// [`StageA::pull`] keeping each comparison's scheduling weight, for
+    /// k-way merging and weight-floor shedding. Emitters without weighted
+    /// batches fall back to `next_batch` plus recomputed CBS weights
+    /// (exact per lane: every common block of a pair lives in one lane).
+    pub fn pull_weighted(&mut self, k: usize) -> (Vec<WeightedComparison>, u64) {
+        if k == 0 {
+            return (Vec::new(), 0);
+        }
+        let batch = match self.emitter.next_weighted_batch(&self.blocker, k) {
+            Some(batch) => batch,
+            None => {
+                let collection = self.blocker.collection();
+                self.emitter
+                    .next_batch(&self.blocker, k)
+                    .into_iter()
+                    .map(|cmp| {
+                        WeightedComparison::new(cmp, collection.common_blocks(cmp.a, cmp.b) as f64)
+                    })
+                    .collect()
+            }
+        };
+        (batch, self.emitter.drain_ops())
+    }
+
+    /// The idle tick (the empty increment of §3.2): lets the emitter's
+    /// `GetComparisons` fallback refill from unconsumed blocks.
+    pub fn tick(&mut self) -> Tick {
+        self.emitter.on_increment(&self.blocker, &[]);
+        let ops = self.emitter.drain_ops();
+        Tick {
+            ops,
+            made_work: ops > 0 || self.emitter.has_pending(),
+        }
+    }
+
+    /// [`StageA::pull`] for an idle input: ticks while pulls come up empty
+    /// and returns an empty batch only once a tick finds nothing — stage A
+    /// is then fully drained.
+    pub fn pull_idle(&mut self, k: usize) -> Vec<Comparison> {
+        loop {
+            let (batch, _) = self.pull(k);
+            if !batch.is_empty() || !self.tick().made_work {
+                return batch;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Ipcs, PierConfig, Strategy};
+    use pier_observe::StatsObserver;
+    use pier_types::{ErKind, SourceId};
+    use std::sync::Arc;
+
+    fn p(id: u32, text: &str) -> EntityProfile {
+        EntityProfile::new(ProfileId(id), SourceId(0)).with("text", text)
+    }
+
+    fn machine(strategy: Strategy) -> StageA {
+        StageA::new(
+            IncrementalBlocker::new(ErKind::Dirty),
+            strategy.build(PierConfig::default()),
+        )
+    }
+
+    /// A weakly connected corpus: generation prunes some in-block pairs,
+    /// so only the idle-tick fallback reaches all of them.
+    fn corpus() -> Vec<EntityProfile> {
+        vec![
+            p(0, "tok aa1 aa2 aa3"),
+            p(1, "tok aa1 aa2 aa3"),
+            p(2, "tok bb1 bb2"),
+            p(3, "bb1 bb2 cc1"),
+            p(4, "cc1 aa3 tok"),
+        ]
+    }
+
+    #[test]
+    fn a_repeated_id_is_skipped_reported_and_not_counted() {
+        let stats = Arc::new(StatsObserver::new());
+        let mut m = machine(Strategy::Pcs);
+        m.set_observer(Observer::new(stats.clone()));
+        m.ingest(&[p(0, "alpha beta"), p(1, "alpha beta")]);
+        let replay = m.ingest(&[p(0, "gamma delta"), p(2, "alpha gamma")]);
+        assert_eq!(replay.ids, vec![ProfileId(2)]);
+        assert!(matches!(
+            replay.errors[..],
+            [PierError::DuplicateProfile(0)]
+        ));
+        // The profile ingested first is the one kept.
+        assert_eq!(m.blocker().profile(ProfileId(0)).id, ProfileId(0));
+        assert_eq!(m.blocker().tokens_of(ProfileId(0)).len(), 2);
+        // IncrementIngested counts accepted profiles, not submitted ones.
+        let snap = stats.snapshot();
+        assert_eq!(snap.increments, 2);
+        assert_eq!(snap.profiles, 3);
+    }
+
+    /// The weighted pull is what `ShardWorker::pull` returned before the
+    /// machine existed: the emitter's own weights when it has them...
+    #[test]
+    fn pull_weighted_prefers_the_emitters_weights() {
+        let mut m = machine(Strategy::Pcs);
+        m.ingest(&corpus());
+        let mut reference = Ipcs::new(PierConfig::default());
+        reference.on_increment(m.blocker(), &(0..5).map(ProfileId).collect::<Vec<_>>());
+        let want = reference.next_weighted_batch(m.blocker(), 8).unwrap();
+        assert!(!want.is_empty());
+        assert_eq!(m.pull_weighted(8).0, want);
+        assert!(m.pull_weighted(0).0.is_empty());
+    }
+
+    /// ...and `next_batch` order with recomputed CBS weights when it does
+    /// not (here: an emitter hiding its weighted batches).
+    #[test]
+    fn pull_weighted_falls_back_to_recomputed_cbs() {
+        struct Unweighted(Ipcs);
+        impl ComparisonEmitter for Unweighted {
+            fn on_increment(&mut self, b: &IncrementalBlocker, ids: &[ProfileId]) {
+                self.0.on_increment(b, ids)
+            }
+            fn next_batch(&mut self, b: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
+                self.0.next_batch(b, k)
+            }
+            fn drain_ops(&mut self) -> u64 {
+                self.0.drain_ops()
+            }
+            fn has_pending(&self) -> bool {
+                self.0.has_pending()
+            }
+            fn name(&self) -> String {
+                self.0.name()
+            }
+        }
+        let blocker = || IncrementalBlocker::new(ErKind::Dirty);
+        let mut hidden = Unweighted(Ipcs::new(PierConfig::default()));
+        let mut m = StageA::new(blocker(), &mut hidden as &mut dyn ComparisonEmitter);
+        m.ingest(&corpus());
+        let mut plain = StageA::new(blocker(), Strategy::Pcs.build(PierConfig::default()));
+        plain.ingest(&corpus());
+        let (got, _) = m.pull_weighted(64);
+        let (want, _) = plain.pull(64);
+        assert_eq!(got.iter().map(|wc| wc.cmp).collect::<Vec<_>>(), want);
+        for wc in got {
+            let cbs = m.blocker().collection().common_blocks(wc.cmp.a, wc.cmp.b);
+            assert_eq!(wc.weight, cbs as f64);
+        }
+    }
+
+    #[test]
+    fn tick_reports_its_own_ops_or_pending_work() {
+        let mut m = machine(Strategy::Pcs);
+        m.ingest(&corpus());
+        // With a non-empty index the tick does no work itself, yet must not
+        // report "drained": comparisons are still pending.
+        let idle = m.tick();
+        assert_eq!(idle.ops, 0);
+        assert!(idle.made_work);
+        while !m.pull(64).0.is_empty() {}
+        // The index is dry but blocks are unconsumed: the tick refills, and
+        // its ops are its own (the pulls above drained theirs).
+        let refill = m.tick();
+        assert!(refill.ops > 0 && refill.made_work);
+    }
+
+    #[test]
+    fn pull_idle_ends_only_when_a_tick_finds_nothing() {
+        for strategy in [Strategy::Pcs, Strategy::Pbs, Strategy::Pes] {
+            let mut m = machine(strategy);
+            m.ingest(&corpus());
+            let mut seen = std::collections::BTreeSet::new();
+            loop {
+                let batch = m.pull_idle(2);
+                if batch.is_empty() {
+                    break;
+                }
+                for cmp in batch {
+                    assert!(seen.insert(cmp), "{strategy:?}: {cmp} emitted twice");
+                }
+            }
+            // Drained means drained: nothing pending, ticks are no-ops, and
+            // every pair sharing a block was emitted.
+            assert!(!m.emitter().has_pending());
+            assert!(!m.tick().made_work);
+            let collection = m.blocker().collection();
+            for a in 0..5 {
+                for b in a + 1..5 {
+                    let cmp = Comparison::new(ProfileId(a), ProfileId(b));
+                    assert_eq!(
+                        seen.contains(&cmp),
+                        collection.common_blocks(cmp.a, cmp.b) > 0,
+                        "{strategy:?}: {cmp}"
+                    );
+                }
+            }
+        }
+    }
+}

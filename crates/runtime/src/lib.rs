@@ -24,23 +24,19 @@
 //! [`RuntimeConfig::telemetry`] is set and the `"entities"` cluster sink
 //! when [`RuntimeConfig::entities`] is set. An empty set costs nothing.
 //!
-//! Shared state uses `parking_lot` locks (blocker behind an `RwLock` —
-//! written by stage A, read by stage B — and the emitter behind a `Mutex`);
-//! threads communicate over `crossbeam` channels.
-//!
-//! The pre-`Pipeline` entry points (`run_streaming{,_observed}`,
-//! `run_streaming_sharded{,_observed}`) survive one release as deprecated
-//! delegating wrappers; see the README migration table.
+//! Stage A is the [`pier_core::StageA`] step machine in both topologies:
+//! the single topology shares one behind a `parking_lot` `Mutex` between
+//! its ingest and stage-B threads (every step needs blocker and emitter
+//! together; classification runs outside the lock on `Arc` handles), the
+//! sharded topology gives each shard worker thread its own. Threads
+//! communicate over `crossbeam` channels.
 
 #![warn(missing_docs)]
-#![deny(deprecated)]
 
 pub mod pipeline;
 pub mod pool;
 pub mod report;
-pub mod sharded;
 pub mod stages;
-pub mod streaming;
 pub mod supervisor;
 
 pub use pier_entity::{EntityIndex, EntityServer, EntitySummary};
@@ -49,9 +45,5 @@ pub use pier_observe::ObserverSet;
 pub use pipeline::{default_match_workers, Pipeline, PipelineBuilder, RuntimeConfig, ShedPolicy};
 pub use pool::chunk_ranges;
 pub use report::{DictionaryStats, MatchEvent, RuntimeReport};
-#[allow(deprecated)]
-pub use sharded::{run_streaming_sharded, run_streaming_sharded_observed};
 pub use stages::{tokenize_increment, IdleBackoff, TokenizedIncrement, TokenizedProfile};
-#[allow(deprecated)]
-pub use streaming::{run_streaming, run_streaming_observed};
 pub use supervisor::{DeadLetter, IngestJournal, JournalEntry, Supervisor};

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //!            ┌────────────────────── stage A ──────────────────────┐
-//! source ──▶ │ single:  tokenize ─▶ blocker + emitter              │ ─▶ stage B ─▶ collector
+//! source ──▶ │ single:  tokenize ─▶ one step machine               │ ─▶ stage B ─▶ collector
 //!            │ sharded: tokenizer pool 0..T ─▶ router ─▶ shards 0..N ─▶ merger │   (caller thread)
 //!            └─────────────────────────────────────────────────────┘
 //! ```
@@ -31,11 +31,16 @@
 //! pull/tick/backoff loop with its budget and shutdown/poison sequence
 //! ([`crate::stages`]), match collection, and final report assembly
 //! ([`crate::report`]) — exists once; a topology contributes only its
-//! channel wiring and its `pull`/`tick` closures.
+//! channel wiring and its `pull`/`tick` closures. Stage A itself is the
+//! [`pier_core::StageA`] step machine in both: one behind a mutex shared
+//! by the ingest and stage-B threads, or one per shard worker. This module
+//! adds clocks, phase timings and supervision *around* the machine's
+//! steps and never sequences a blocker and an emitter by hand.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
@@ -43,15 +48,15 @@ use parking_lot::{Mutex, RwLock};
 use pier_blocking::{IncrementalBlocker, PurgePolicy, SlabStats};
 use pier_chaos::{ChaosHandle, FaultKind, FaultPlan, FaultPoint};
 use pier_collections::ScratchStats;
-use pier_core::{AdaptiveK, ComparisonEmitter, PierConfig, Strategy};
+use pier_core::{AdaptiveK, ComparisonEmitter, PierConfig, StageA, Strategy};
 use pier_entity::{ClusterObserver, EntityIndex, EntityServer};
 use pier_matching::MatchFunction;
-use pier_metrics::Telemetry;
+use pier_metrics::{GaugedReceiver, GaugedSender, MetricsRegistry, Telemetry};
 use pier_observe::{Event, Observer, ObserverSet, Phase, PipelineObserver, WorkerRole};
 use pier_shard::{ProfileStore, ShardMerger, ShardRouter, ShardWorker, ShardedConfig};
 use pier_types::{
     Comparison, EntityProfile, ErKind, PierError, ProfileId, SharedTokenDictionary, SourceId,
-    TokenId, Tokenizer, WeightedComparison,
+    Tokenizer, WeightedComparison,
 };
 
 use crate::report::{DictionaryStats, MatchEvent, RunTotals, RuntimeReport, StageAStats};
@@ -188,7 +193,13 @@ impl RuntimeConfig {
     /// * `max_comparisons == 0` — the budget is exhausted before the
     ///   first comparison, so the run can never produce anything;
     /// * a broken adaptive-`K` triple (`min == 0`, `min > max`, or an
-    ///   initial value outside `[min, max]`).
+    ///   initial value outside `[min, max]`);
+    /// * `channel_capacity == 0` — a zero-capacity channel can never
+    ///   transfer anything;
+    /// * `journal_capacity == 0` — recovery needs at least one journaled
+    ///   profile;
+    /// * a broken [`ShedPolicy`] (non-finite `min_weight`,
+    ///   `trigger_full_pulls == 0`, or `max_pull == 0`).
     ///
     /// [`PipelineBuilder::build`] calls this automatically.
     pub fn validate(&self) -> Result<(), PierError> {
@@ -266,19 +277,18 @@ impl Shedder {
         }
     }
 
-    /// Bounds a pull request so overload stays observable (see
-    /// [`ShedPolicy::max_pull`]).
-    fn clamp(&self, k: usize) -> usize {
-        k.min(self.policy.max_pull)
-    }
-
-    fn apply(
+    /// Pulls up to `k` weighted comparisons through `pull_weighted` —
+    /// bounded by [`ShedPolicy::max_pull`] so overload stays observable —
+    /// and sheds the below-threshold ones while overloaded.
+    fn pull(
         &mut self,
         k: usize,
-        batch: Vec<WeightedComparison>,
+        pull_weighted: impl FnOnce(usize) -> Vec<WeightedComparison>,
         supervisor: &Supervisor,
         observer: &Observer,
     ) -> Vec<Comparison> {
+        let k = k.min(self.policy.max_pull);
+        let batch = pull_weighted(k);
         if batch.len() >= k {
             self.full_pulls = self.full_pulls.saturating_add(1);
         } else {
@@ -305,8 +315,8 @@ pub fn default_match_workers() -> usize {
 }
 
 /// The stage-A topology of a pipeline.
-enum StageA {
-    /// One shared blocker + one emitter (the `shards = 1` shape).
+enum Topology {
+    /// One step machine over one emitter (the `shards = 1` shape).
     Single {
         emitter: Box<dyn ComparisonEmitter + Send>,
     },
@@ -318,7 +328,7 @@ enum StageA {
 enum ShardMsg {
     /// Routed profiles (skeleton, this shard's token-id subset, ghost
     /// floor) to ingest.
-    Ingest(Vec<(EntityProfile, Vec<TokenId>, usize)>),
+    Ingest(Vec<JournalEntry>),
     /// Request for up to `k` weighted comparisons, best first.
     Pull { k: usize },
     /// The idle tick of §3.2; replies whether the shard did/has work.
@@ -339,7 +349,7 @@ enum ShardReply {
 pub struct PipelineBuilder {
     kind: ErKind,
     config: RuntimeConfig,
-    stage_a: StageA,
+    topology: Topology,
     observers: ObserverSet,
     entity_addr: Option<String>,
 }
@@ -354,14 +364,14 @@ impl PipelineBuilder {
     /// Single-blocker stage A driven by `emitter` (any
     /// [`ComparisonEmitter`]; see [`pier_core::Strategy::build`]).
     pub fn emitter(mut self, emitter: Box<dyn ComparisonEmitter + Send>) -> Self {
-        self.stage_a = StageA::Single { emitter };
+        self.topology = Topology::Single { emitter };
         self
     }
 
     /// Hash-partitioned stage A: one worker thread per shard plus a
     /// tokenizer pool, router, and k-way merger.
     pub fn sharded(mut self, config: ShardedConfig) -> Self {
-        self.stage_a = StageA::Sharded { config };
+        self.topology = Topology::Sharded { config };
         self
     }
 
@@ -399,7 +409,7 @@ impl PipelineBuilder {
     /// [`PierError::Io`] when the entity server cannot bind.
     pub fn build(self) -> Result<Pipeline, PierError> {
         self.config.validate()?;
-        if let StageA::Sharded { config } = &self.stage_a {
+        if let Topology::Sharded { config } = &self.topology {
             if config.shards == 0 {
                 return Err(PierError::InvalidConfig {
                     parameter: "shards",
@@ -438,7 +448,7 @@ impl PipelineBuilder {
         Ok(Pipeline {
             kind: self.kind,
             config: self.config,
-            stage_a: self.stage_a,
+            topology: self.topology,
             observers: self.observers,
             observer_labels,
             entity_server,
@@ -452,7 +462,7 @@ impl PipelineBuilder {
 pub struct Pipeline {
     kind: ErKind,
     config: RuntimeConfig,
-    stage_a: StageA,
+    topology: Topology,
     observers: ObserverSet,
     observer_labels: Vec<String>,
     entity_server: Option<EntityServer>,
@@ -465,7 +475,7 @@ impl Pipeline {
         PipelineBuilder {
             kind,
             config: RuntimeConfig::default(),
-            stage_a: StageA::Single {
+            topology: Topology::Single {
                 emitter: Strategy::Pes.build(PierConfig::default()),
             },
             observers: ObserverSet::new(),
@@ -504,23 +514,134 @@ impl Pipeline {
         self,
         increments: Vec<Vec<EntityProfile>>,
         matcher: Arc<dyn MatchFunction>,
-        on_match: impl FnMut(MatchEvent),
+        mut on_match: impl FnMut(MatchEvent),
     ) -> RuntimeReport {
         let Pipeline {
             kind,
             config,
-            stage_a,
+            topology,
             observers,
-            entity_server,
+            // The server (when still attached) outlives the run: queries
+            // keep being answered while the pipeline executes, and it shuts
+            // down when this binding drops with the returned report ready.
+            entity_server: _entity_server,
             ..
         } = self;
-        // The server (when still attached) outlives the run: queries keep
-        // being answered while the pipeline executes, and it shuts down
-        // when this binding drops with the returned report ready.
-        let _entity_server = entity_server;
-        execute(
-            kind, increments, stage_a, matcher, config, observers, on_match,
-        )
+        let start = Instant::now();
+        let total_profiles: usize = increments.iter().map(Vec::len).sum();
+        let telemetry = config.telemetry.clone();
+        let registry = telemetry.as_ref().map(|t| Arc::clone(t.registry()));
+        let entities = config.entities.clone();
+        // THE observer composition point: the caller's sinks in insertion
+        // order, then the metrics bridge, then the entity cluster sink. An
+        // empty set composes to the disabled observer (zero cost).
+        let observer = {
+            let mut set = observers;
+            if let Some(t) = &telemetry {
+                set.push("metrics", t.observer() as Arc<dyn PipelineObserver>);
+            }
+            if let Some(index) = &entities {
+                set.push(
+                    "entities",
+                    Arc::new(ClusterObserver::with_registry(
+                        Arc::clone(index),
+                        registry.as_deref(),
+                    )) as Arc<dyn PipelineObserver>,
+                );
+            }
+            set.compose()
+        };
+        // The fault-injection handle (unarmed unless a plan is configured —
+        // one branch per fault point) and the run-wide fault ledger.
+        let chaos = ChaosHandle::from_plan(config.fault_plan.clone());
+        let supervisor = Arc::new(Supervisor::new());
+        let dictionary = SharedTokenDictionary::new();
+        let (match_tx, match_rx) = pipeline_channel::<MatchEvent>(
+            registry.as_deref(),
+            &[("queue", "matches")],
+            Some(config.channel_capacity),
+        );
+        let ingest_done = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let executed_total = Arc::new(AtomicU64::new(0));
+        let ingest_errors = Mutex::new(Vec::<String>::new());
+        let match_workers = config.match_workers.max(1);
+        let worker_comparisons = Arc::new(Mutex::new(Vec::<u64>::new()));
+        let adaptive = {
+            let mut k = AdaptiveK::new(config.k.0, config.k.1, config.k.2);
+            k.set_observer(observer.clone());
+            Arc::new(Mutex::new(k))
+        };
+        let stage_b = StageB {
+            start,
+            deadline: config.deadline,
+            max_comparisons: config.max_comparisons,
+            match_workers,
+            matcher: Arc::clone(&matcher),
+            observer: observer.clone(),
+            match_tx,
+            registry: registry.clone(),
+            adaptive: Arc::clone(&adaptive),
+            ingest_done: Arc::clone(&ingest_done),
+            shutdown: Arc::clone(&shutdown),
+            executed_total: Arc::clone(&executed_total),
+            worker_comparisons: Arc::clone(&worker_comparisons),
+            chaos: chaos.clone(),
+            supervisor: Arc::clone(&supervisor),
+        };
+
+        let run = Run {
+            kind,
+            start,
+            config: &config,
+            registry: registry.as_deref(),
+            observer: &observer,
+            chaos: &chaos,
+            supervisor: &supervisor,
+            dictionary: &dictionary,
+            adaptive: &adaptive,
+            ingest_done: &ingest_done,
+            ingest_errors: &ingest_errors,
+        };
+        let (source, finish, matches) = std::thread::scope(|scope| {
+            // Only the topology differs: channel wiring, stage-A threads, and
+            // the two stage-B closures (pull up to k best pairs; idle tick).
+            let (send, finish) = match topology {
+                Topology::Single { emitter } => run.spawn_single(scope, emitter, stage_b),
+                Topology::Sharded { config: sharded } => run.spawn_sharded(scope, sharded, stage_b),
+            };
+            // Source: replay increments at the configured rate. Collector
+            // (this thread): stream matches to the caller.
+            let source = spawn_source(increments, config.interarrival, Arc::clone(&shutdown), send);
+            let matches = collect_matches(&match_rx, &mut on_match);
+            (source, finish, matches)
+        });
+        if source.join().is_err() {
+            ingest_errors
+                .lock()
+                .push(PierError::WorkerPanicked { worker: "source" }.to_string());
+        }
+        let (token_occurrences, stage_a_parts) = finish();
+
+        let totals = RunTotals {
+            start,
+            profiles: total_profiles,
+            matches,
+            comparisons: executed_total.load(Ordering::SeqCst),
+            dictionary: DictionaryStats {
+                distinct_tokens: dictionary.len(),
+                string_bytes: dictionary.string_bytes(),
+                token_occurrences,
+            },
+            ingest_errors: ingest_errors.into_inner(),
+            match_workers,
+            worker_comparisons: std::mem::take(&mut *worker_comparisons.lock()),
+            stage_a: aggregate_stage_a(&stage_a_parts),
+            dead_letters: supervisor.dead_letters(),
+            worker_restarts: supervisor.restarts(),
+            comparisons_shed: supervisor.comparisons_shed(),
+        };
+        totals.assemble(entities.as_ref(), telemetry.as_ref())
     }
 }
 
@@ -548,856 +669,577 @@ fn aggregate_stage_a(parts: &[(SlabStats, Option<ScratchStats>)]) -> Option<Stag
     Some(out)
 }
 
-/// Fires the `stage_a_ingest` fault point under an unwind guard. The trip
-/// happens before the increment mutates any state, so an injected panic is
-/// recovered by simply continuing (counted as a stage-A restart); a delay
-/// has already been served inside the trip; any other kind is returned for
-/// the ingest site to honor.
-fn trip_stage_a_ingest(
-    chaos: &ChaosHandle,
-    supervisor: &Supervisor,
-    observer: &Observer,
-) -> Option<FaultKind> {
-    let t0 = Instant::now();
-    match catch_unwind(AssertUnwindSafe(|| {
-        chaos.trip(FaultPoint::StageAIngest, None)
-    })) {
-        Ok(kind) => kind,
-        Err(_) => {
-            supervisor.worker_restarted(
+/// One shard worker thread's supervised state: the worker, the journal
+/// that can rebuild it, and where its faults are accounted. A panic in any
+/// worker step rebuilds the worker by replaying the journal instead of
+/// killing the run, and a profile that panics ingest repeatably is
+/// quarantined into the dead-letter queue.
+struct ShardLane<'a> {
+    shard: u16,
+    worker: ShardWorker,
+    journal: IngestJournal,
+    make_worker: &'a dyn Fn() -> ShardWorker,
+    supervisor: &'a Supervisor,
+    /// Shard-tagged.
+    observer: &'a Observer,
+    ingest_errors: &'a Mutex<Vec<String>>,
+}
+
+impl ShardLane<'_> {
+    /// Replaces the worker with a fresh one rebuilt by re-ingesting the
+    /// journal. Journal entries already survived one ingest, so errors
+    /// (duplicates rejected again by the fresh blocker) are expected and
+    /// dropped. Re-emitted comparisons are absorbed by the merger's CF
+    /// dedup, so recovery cannot double-schedule (or double-count) a pair.
+    fn rebuild(&mut self) {
+        self.worker = (self.make_worker)();
+        for entry in self.journal.entries() {
+            let _ = self.worker.ingest(std::slice::from_ref(entry));
+        }
+    }
+
+    /// Runs one worker step under an unwind guard. The dead worker may be
+    /// mid-mutation, so a panic rebuilds it from the journal, lets
+    /// `recover` act on the rebuilt lane, counts the restart and yields
+    /// `None`.
+    fn supervised<T>(
+        &mut self,
+        step: impl FnOnce(&mut ShardWorker) -> T,
+        recover: impl FnOnce(&mut Self),
+    ) -> Option<T> {
+        match catch_unwind(AssertUnwindSafe(|| step(&mut self.worker))) {
+            Ok(out) => Some(out),
+            Err(_) => {
+                let died_at = Instant::now();
+                self.rebuild();
+                recover(self);
+                self.supervisor.worker_restarted(
+                    WorkerRole::Shard,
+                    self.shard,
+                    died_at.elapsed().as_secs_f64(),
+                    self.observer,
+                );
+                None
+            }
+        }
+    }
+
+    /// Ingests a routed batch and journals it; a batch that kills the
+    /// worker is retried profile by profile to isolate the poison.
+    fn ingest(&mut self, batch: &[JournalEntry]) {
+        let ingested = self.supervised(
+            |worker| worker.ingest(batch),
+            |lane| lane.retry_individually(batch),
+        );
+        if let Some(errors) = ingested {
+            self.journal.record_batch(batch);
+            self.report(errors);
+        }
+    }
+
+    /// Re-ingests a batch that killed the worker one profile at a time: a
+    /// profile that panics again is quarantined into the dead-letter queue
+    /// (and the worker rebuilt once more, since the repeat panic may have
+    /// corrupted it too); every survivor lands in the journal as usual.
+    fn retry_individually(&mut self, batch: &[JournalEntry]) {
+        for entry in batch {
+            let id = entry.0.id.0;
+            if self.supervisor.is_quarantined(id) {
+                continue;
+            }
+            let one = std::slice::from_ref(entry);
+            match catch_unwind(AssertUnwindSafe(|| self.worker.ingest(one))) {
+                Ok(errors) => {
+                    self.journal.record(entry);
+                    self.report(errors);
+                }
+                Err(_) => {
+                    self.supervisor
+                        .quarantine_profile(id, Some(self.shard), self.observer);
+                    self.rebuild();
+                }
+            }
+        }
+    }
+
+    fn report(&self, errors: Vec<PierError>) {
+        let mut ingest_errors = self.ingest_errors.lock();
+        ingest_errors.extend(errors.iter().map(PierError::to_string));
+    }
+}
+
+/// One gauged channel per lane `0..lanes` of `queue`, labelled
+/// `{queue, <lane_label>=<index>}`.
+fn channel_lanes<T>(
+    registry: Option<&MetricsRegistry>,
+    queue: &str,
+    lane_label: &str,
+    lanes: usize,
+    capacity: Option<usize>,
+) -> (Vec<GaugedSender<T>>, Vec<GaugedReceiver<T>>) {
+    (0..lanes)
+        .map(|lane| {
+            let lane = lane.to_string();
+            pipeline_channel(
+                registry,
+                &[("queue", queue), (lane_label, lane.as_str())],
+                capacity,
+            )
+        })
+        .unzip()
+}
+
+/// Where the source thread sends increment `seq` (`false` once the
+/// pipeline has gone away).
+type SourceSend = Box<dyn FnMut(usize, Vec<EntityProfile>) -> bool + Send>;
+
+/// Reads a topology's token occurrences and per-lane occupancy once every
+/// one of its threads has finished.
+type Finish = Box<dyn FnOnce() -> (u64, StageAParts)>;
+
+/// What every thread of one run shares, by reference: the scoped threads
+/// of either topology copy this handle instead of cloning a dozen `Arc`s.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    kind: ErKind,
+    start: Instant,
+    config: &'a RuntimeConfig,
+    registry: Option<&'a MetricsRegistry>,
+    observer: &'a Observer,
+    chaos: &'a ChaosHandle,
+    supervisor: &'a Supervisor,
+    dictionary: &'a SharedTokenDictionary,
+    adaptive: &'a Mutex<AdaptiveK>,
+    ingest_done: &'a AtomicBool,
+    ingest_errors: &'a Mutex<Vec<String>>,
+}
+
+/// Reports `phase` as having run since `since` (`None` when unobserved).
+fn emit_phase(observer: &Observer, phase: Phase, since: Option<Instant>) {
+    if let Some(t0) = since {
+        observer.emit(|| Event::PhaseTiming {
+            phase,
+            secs: t0.elapsed().as_secs_f64(),
+        });
+    }
+}
+
+impl<'a> Run<'a> {
+    /// Feeds one increment's arrival time to the adaptive-`K` controller.
+    fn arrival(&self) {
+        let at = self.start.elapsed().as_secs_f64();
+        self.adaptive.lock().record_arrival(at);
+    }
+
+    /// Files a profile stage A skipped: duplicates go to the dead-letter
+    /// ledger, every error to the report's `ingest_errors`.
+    fn ingest_error(&self, error: PierError) {
+        if let PierError::DuplicateProfile(dup) = &error {
+            self.supervisor.duplicate_profile(*dup, self.observer);
+        }
+        self.ingest_errors.lock().push(error.to_string());
+    }
+
+    /// Fires the `stage_a_ingest` fault point for one arriving increment,
+    /// under an unwind guard. The trip happens before the increment
+    /// mutates any state, so an injected panic is recovered by simply
+    /// continuing (counted as a stage-A restart) and a delay has already
+    /// been served inside the trip. A malformed-profile fault appends the
+    /// injector's next poison profile, tokenized like any arriving profile
+    /// so it flows through blocking and weighting normally — and panics
+    /// (via the poison registry) the moment a supervised ingest touches it.
+    /// Its tokens are unique to the injection, so it shares no block with
+    /// any real profile and cannot change their ghost floors.
+    fn trip_stage_a_ingest(
+        &self,
+        tokenizer: &Tokenizer,
+        scratch: &mut String,
+        increment: &mut TokenizedIncrement,
+    ) {
+        if !self.chaos.is_armed() {
+            return;
+        }
+        let t0 = Instant::now();
+        match catch_unwind(AssertUnwindSafe(|| {
+            self.chaos.trip(FaultPoint::StageAIngest, None)
+        })) {
+            Ok(Some(FaultKind::MalformedProfile)) => {
+                if let Some((id, text)) = self.chaos.poison_payload() {
+                    let profile =
+                        EntityProfile::new(ProfileId(id), SourceId(0)).with("chaos", text);
+                    let tokens = self
+                        .dictionary
+                        .tokenize_and_intern(tokenizer, &profile, scratch);
+                    increment
+                        .profiles
+                        .push(TokenizedProfile { profile, tokens });
+                }
+            }
+            Ok(_) => {}
+            Err(_) => self.supervisor.worker_restarted(
                 WorkerRole::StageA,
                 0,
                 t0.elapsed().as_secs_f64(),
-                observer,
-            );
-            None
+                self.observer,
+            ),
         }
     }
-}
 
-/// Mints the injector's next malformed profile and tokenizes it like any
-/// arriving profile, so it flows through blocking and weighting normally —
-/// and panics (via the poison registry) the moment a supervised ingest
-/// touches it. Its tokens are unique to the injection, so it shares no
-/// block with any real profile and cannot change their ghost floors.
-fn poison_profile(
-    chaos: &ChaosHandle,
-    dictionary: &SharedTokenDictionary,
-    tokenizer: &Tokenizer,
-    scratch: &mut String,
-) -> Option<TokenizedProfile> {
-    let (id, text) = chaos.poison_payload()?;
-    let profile = EntityProfile::new(ProfileId(id), SourceId(0)).with("chaos", text);
-    let tokens = dictionary.tokenize_and_intern(tokenizer, &profile, scratch);
-    Some(TokenizedProfile { profile, tokens })
-}
-
-/// Rebuilds a fresh shard worker's state by re-ingesting the journal.
-/// Journal entries already survived one ingest, so errors (duplicates
-/// rejected again by the fresh blocker) are expected and dropped.
-fn replay_journal(worker: &mut ShardWorker, journal: &IngestJournal) {
-    for entry in journal.entries() {
-        let _ = worker.ingest(std::slice::from_ref(entry));
-    }
-}
-
-/// Re-ingests a batch that killed a shard worker one profile at a time,
-/// isolating the poison: a profile that panics again is quarantined into
-/// the dead-letter queue (and the worker rebuilt once more, since the
-/// repeat panic may have corrupted it too); every survivor lands in the
-/// journal as usual.
-#[allow(clippy::too_many_arguments)]
-fn retry_batch_individually(
-    worker: &mut ShardWorker,
-    journal: &mut IngestJournal,
-    batch: &[JournalEntry],
-    shard: u16,
-    fresh: &dyn Fn() -> ShardWorker,
-    supervisor: &Supervisor,
-    observer: &Observer,
-    ingest_errors: &Mutex<Vec<String>>,
-) {
-    for entry in batch {
-        if supervisor.is_quarantined(entry.0.id.0) {
-            continue;
-        }
-        match catch_unwind(AssertUnwindSafe(|| {
-            worker.ingest(std::slice::from_ref(entry))
-        })) {
-            Ok(errors) => {
-                journal.record(entry);
-                for e in errors {
-                    ingest_errors.lock().push(e.to_string());
-                }
-            }
-            Err(_) => {
-                supervisor.quarantine_profile(entry.0.id.0, Some(shard), observer);
-                *worker = fresh();
-                replay_journal(worker, journal);
-            }
-        }
-    }
-}
-
-/// The one executor behind every entry point.
-fn execute(
-    kind: ErKind,
-    increments: Vec<Vec<EntityProfile>>,
-    stage_a: StageA,
-    matcher: Arc<dyn MatchFunction>,
-    config: RuntimeConfig,
-    observers: ObserverSet,
-    mut on_match: impl FnMut(MatchEvent),
-) -> RuntimeReport {
-    let start = Instant::now();
-    let total_profiles: usize = increments.iter().map(Vec::len).sum();
-    let telemetry = config.telemetry.clone();
-    let registry = telemetry.as_ref().map(|t| Arc::clone(t.registry()));
-    let entities = config.entities.clone();
-    // THE observer composition point: the caller's sinks in insertion
-    // order, then the metrics bridge, then the entity cluster sink — the
-    // same delivery order the retired drivers produced by hand-teeing.
-    // An empty set composes to the disabled observer (zero cost).
-    let observer = {
-        let mut set = observers;
-        if let Some(t) = &telemetry {
-            set.push("metrics", t.observer() as Arc<dyn PipelineObserver>);
-        }
-        if let Some(index) = &entities {
-            set.push(
-                "entities",
-                Arc::new(ClusterObserver::with_registry(
-                    Arc::clone(index),
-                    registry.as_deref(),
-                )) as Arc<dyn PipelineObserver>,
-            );
-        }
-        set.compose()
-    };
-    // The fault-injection handle (unarmed unless a plan is configured —
-    // one branch per fault point) and the run-wide fault ledger.
-    let chaos = ChaosHandle::from_plan(config.fault_plan.clone());
-    let supervisor = Arc::new(Supervisor::new());
-    let dictionary = SharedTokenDictionary::new();
-    let (match_tx, match_rx) = pipeline_channel::<MatchEvent>(
-        registry.as_deref(),
-        &[("queue", "matches")],
-        Some(config.channel_capacity),
-    );
-    let ingest_done = Arc::new(AtomicBool::new(false));
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let executed_total = Arc::new(AtomicU64::new(0));
-    let ingest_errors = Arc::new(Mutex::new(Vec::<String>::new()));
-    let match_workers = config.match_workers.max(1);
-    let worker_comparisons = Arc::new(Mutex::new(Vec::<u64>::new()));
-    let adaptive = {
-        let mut k = AdaptiveK::new(config.k.0, config.k.1, config.k.2);
-        k.set_observer(observer.clone());
-        Arc::new(Mutex::new(k))
-    };
-    let stage_b = StageB {
-        start,
-        deadline: config.deadline,
-        max_comparisons: config.max_comparisons,
-        match_workers,
-        matcher: Arc::clone(&matcher),
-        observer: observer.clone(),
-        match_tx,
-        registry: registry.clone(),
-        adaptive: Arc::clone(&adaptive),
-        ingest_done: Arc::clone(&ingest_done),
-        shutdown: Arc::clone(&shutdown),
-        executed_total: Arc::clone(&executed_total),
-        worker_comparisons: Arc::clone(&worker_comparisons),
-        chaos: chaos.clone(),
-        supervisor: Arc::clone(&supervisor),
-    };
-
-    // Only the topology differs below: channel wiring, stage-A threads,
-    // and the two stage-B closures (pull up to k best pairs; idle tick).
-    let (matches, token_occurrences, stage_a_stats) = match stage_a {
-        StageA::Single { mut emitter } => {
-            let mut initial_blocker = IncrementalBlocker::with_shared_dictionary(
-                kind,
+    /// The single topology: one step machine behind one lock, an ingest
+    /// thread and the stage-B thread.
+    fn spawn_single<'scope>(
+        self,
+        scope: &'scope Scope<'scope, 'a>,
+        emitter: Box<dyn ComparisonEmitter + Send>,
+        stage_b: StageB,
+    ) -> (SourceSend, Finish) {
+        let observer = self.observer;
+        let mut machine = StageA::new(
+            IncrementalBlocker::with_shared_dictionary(
+                self.kind,
                 Tokenizer::default(),
-                config.purge_policy,
-                dictionary.clone(),
-            );
-            initial_blocker.set_observer(observer.clone());
-            emitter.set_observer(observer.clone());
-            let blocker = Arc::new(RwLock::new(initial_blocker));
-            let (inc_tx, inc_rx) = pipeline_channel::<Vec<EntityProfile>>(
-                registry.as_deref(),
-                &[("queue", "increments")],
-                Some(1024),
-            );
-            let token_occurrences = Arc::new(AtomicU64::new(0));
+                self.config.purge_policy,
+                self.dictionary.clone(),
+            ),
+            emitter,
+        );
+        machine.set_observer(observer.clone());
+        // One lock over blocker and emitter together: ingest, pull and
+        // tick each need both for their whole body, and classification
+        // runs outside it on `Arc` handles.
+        let stage_a = Arc::new(Mutex::new(machine));
+        let (inc_tx, inc_rx) = pipeline_channel::<Vec<EntityProfile>>(
+            self.registry,
+            &[("queue", "increments")],
+            Some(1024),
+        );
 
-            // Source: replay increments at the configured rate.
-            let source = spawn_source(
-                increments,
-                config.interarrival,
-                Arc::clone(&shutdown),
-                move |_seq, inc| inc_tx.send(inc).is_ok(),
-            );
-
-            // The emitter is owned by a dedicated mutex shared by stages
-            // A and B.
-            let emitter_slot: Arc<Mutex<&mut (dyn ComparisonEmitter + Send)>> =
-                Arc::new(Mutex::new(emitter.as_mut()));
-
-            let mut matches: Vec<MatchEvent> = Vec::new();
-            std::thread::scope(|scope| {
-                // Stage A: tokenize/intern outside the blocker lock, then
-                // block + update the prioritizer.
-                {
-                    let blocker = Arc::clone(&blocker);
-                    let emitter_slot = Arc::clone(&emitter_slot);
-                    let ingest_done = Arc::clone(&ingest_done);
-                    let adaptive = Arc::clone(&adaptive);
-                    let dictionary = dictionary.clone();
-                    let token_occurrences = Arc::clone(&token_occurrences);
-                    let ingest_errors = Arc::clone(&ingest_errors);
-                    let observer = observer.clone();
-                    let chaos = chaos.clone();
-                    let supervisor = Arc::clone(&supervisor);
-                    scope.spawn(move || {
-                        let tokenizer = Tokenizer::default();
-                        let mut scratch = String::new();
-                        let mut occurrences = 0u64;
-                        for (seq, inc) in inc_rx.iter().enumerate() {
-                            adaptive
-                                .lock()
-                                .record_arrival(start.elapsed().as_secs_f64());
-                            let t0 = observer.is_enabled().then(Instant::now);
-                            // Interning happens here, before the write
-                            // lock: stage B keeps reading the blocker while
-                            // token strings are hashed/allocated exactly
-                            // once for the whole pipeline.
-                            let mut tokenized = tokenize_increment(
-                                &dictionary,
-                                &tokenizer,
-                                seq as u64,
-                                inc,
-                                &mut scratch,
-                            );
-                            if chaos.is_armed() {
-                                if let Some(kind) =
-                                    trip_stage_a_ingest(&chaos, &supervisor, &observer)
-                                {
-                                    if kind == FaultKind::MalformedProfile {
-                                        if let Some(tp) = poison_profile(
-                                            &chaos,
-                                            &dictionary,
-                                            &tokenizer,
-                                            &mut scratch,
-                                        ) {
-                                            tokenized.profiles.push(tp);
-                                        }
-                                    }
-                                }
-                            }
-                            let mut ids = Vec::with_capacity(tokenized.len());
-                            let mut blocker = blocker.write();
-                            for tp in tokenized.profiles {
-                                let tokens_in_profile = tp.tokens.len() as u64;
-                                if chaos.is_armed() {
-                                    let profile_id = tp.profile.id.0;
-                                    if supervisor.is_quarantined(profile_id) {
-                                        continue;
-                                    }
-                                    // The poison trip fires before the
-                                    // blocker is touched, so a panicking
-                                    // profile can be quarantined and
-                                    // skipped without corrupting state.
-                                    let attempt = catch_unwind(AssertUnwindSafe(|| {
-                                        chaos.poison_trip(profile_id);
-                                        blocker.try_process_profile_with_token_ids(
-                                            tp.profile.clone(),
-                                            &tp.tokens,
-                                        )
-                                    }));
-                                    match attempt {
-                                        Ok(Ok(id)) => {
-                                            occurrences += tokens_in_profile;
-                                            ids.push(id);
-                                        }
-                                        Ok(Err(e)) => {
-                                            if let PierError::DuplicateProfile(dup) = &e {
-                                                supervisor.duplicate_profile(*dup, &observer);
-                                            }
-                                            ingest_errors.lock().push(e.to_string());
-                                        }
-                                        Err(_) => {
-                                            supervisor
-                                                .quarantine_profile(profile_id, None, &observer);
-                                        }
-                                    }
-                                    continue;
-                                }
-                                match blocker
-                                    .try_process_profile_with_token_ids(tp.profile, &tp.tokens)
-                                {
-                                    Ok(id) => {
-                                        occurrences += tokens_in_profile;
-                                        ids.push(id);
-                                    }
-                                    Err(e) => {
-                                        if let PierError::DuplicateProfile(dup) = &e {
-                                            supervisor.duplicate_profile(*dup, &observer);
-                                        }
-                                        ingest_errors.lock().push(e.to_string());
-                                    }
-                                }
-                            }
-                            if let Some(t0) = t0 {
-                                observer.emit(|| Event::PhaseTiming {
-                                    phase: Phase::Block,
-                                    secs: t0.elapsed().as_secs_f64(),
-                                });
-                            }
-                            let t1 = observer.is_enabled().then(Instant::now);
-                            let mut emitter = emitter_slot.lock();
-                            emitter.on_increment(&blocker, &ids);
-                            let _ = emitter.drain_ops();
-                            if let Some(t1) = t1 {
-                                observer.emit(|| Event::PhaseTiming {
-                                    phase: Phase::Weight,
-                                    secs: t1.elapsed().as_secs_f64(),
-                                });
-                            }
-                            observer.emit(|| Event::IncrementIngested {
-                                seq: tokenized.seq,
-                                profiles: ids.len(),
-                            });
+        // Stage A: tokenize/intern outside the lock (stage B keeps pulling
+        // while token strings are hashed/allocated exactly once for the
+        // whole pipeline), then block + update the prioritizer.
+        let ingest_lane = Arc::clone(&stage_a);
+        scope.spawn(move || {
+            let tokenizer = Tokenizer::default();
+            let mut scratch = String::new();
+            for (seq, inc) in inc_rx.iter().enumerate() {
+                self.arrival();
+                let t0 = observer.is_enabled().then(Instant::now);
+                let mut tokenized =
+                    tokenize_increment(self.dictionary, &tokenizer, seq as u64, inc, &mut scratch);
+                self.trip_stage_a_ingest(&tokenizer, &mut scratch, &mut tokenized);
+                let mut stage_a = ingest_lane.lock();
+                let mut ids = Vec::with_capacity(tokenized.len());
+                for tp in tokenized.profiles {
+                    let id = tp.profile.id.0;
+                    let blocked = if self.chaos.is_armed() {
+                        if self.supervisor.is_quarantined(id) {
+                            continue;
                         }
-                        token_occurrences.store(occurrences, Ordering::SeqCst);
-                        ingest_done.store(true, Ordering::SeqCst);
-                    });
-                }
-
-                // Stage B: the shared loop over this topology's closures.
-                {
-                    let blocker = Arc::clone(&blocker);
-                    let emitter_slot = Arc::clone(&emitter_slot);
-                    let observer = observer.clone();
-                    let supervisor = Arc::clone(&supervisor);
-                    let mut shedder = config.shed.map(Shedder::new);
-                    scope.spawn(move || {
-                        // Pull under locks, then materialize the pairs so
-                        // classification runs lock-free. Materializing is
-                        // four refcount bumps per pair, not a deep clone.
-                        let pull = |k: usize| -> Vec<MaterializedPair> {
-                            let blocker = blocker.read();
-                            let mut emitter = emitter_slot.lock();
-                            let t0 = observer.is_enabled().then(Instant::now);
-                            let cmps = match &mut shedder {
-                                None => emitter.next_batch(&blocker, k),
-                                // Shedding needs weights: prefer the
-                                // emitter's own weighted batch, fall back
-                                // to recomputed CBS weights (same dance as
-                                // a shard worker's pull).
-                                Some(shedder) => {
-                                    let k = shedder.clamp(k);
-                                    let weighted = match emitter.next_weighted_batch(&blocker, k) {
-                                        Some(batch) => batch,
-                                        None => {
-                                            let collection = blocker.collection();
-                                            emitter
-                                                .next_batch(&blocker, k)
-                                                .into_iter()
-                                                .map(|cmp| {
-                                                    WeightedComparison::new(
-                                                        cmp,
-                                                        collection.common_blocks(cmp.a, cmp.b)
-                                                            as f64,
-                                                    )
-                                                })
-                                                .collect()
-                                        }
-                                    };
-                                    shedder.apply(k, weighted, &supervisor, &observer)
-                                }
-                            };
-                            if let Some(t0) = t0 {
-                                observer.emit(|| Event::PhaseTiming {
-                                    phase: Phase::Prune,
-                                    secs: t0.elapsed().as_secs_f64(),
-                                });
+                        // The poison trip fires before the machine is
+                        // touched, so a panicking profile can be quarantined
+                        // and skipped without corrupting state.
+                        match catch_unwind(AssertUnwindSafe(|| {
+                            self.chaos.poison_trip(id);
+                            stage_a.block_tokenized(tp.profile, &tp.tokens, None)
+                        })) {
+                            Ok(blocked) => blocked,
+                            Err(_) => {
+                                self.supervisor.quarantine_profile(id, None, observer);
+                                continue;
                             }
-                            let _ = emitter.drain_ops();
-                            cmps.into_iter()
-                                .map(|c| MaterializedPair {
-                                    profile_a: blocker.profile_handle(c.a),
-                                    tokens_a: blocker.tokens_handle(c.a),
-                                    profile_b: blocker.profile_handle(c.b),
-                                    tokens_b: blocker.tokens_handle(c.b),
-                                })
-                                .collect()
-                        };
-                        // The idle tick (the empty increment of §3.2):
-                        // lets the GetComparisons fallback generate work
-                        // from older data while the input is quiet.
-                        let tick = || -> bool {
-                            let blocker = blocker.read();
-                            let mut emitter = emitter_slot.lock();
-                            emitter.on_increment(&blocker, &[]);
-                            emitter.drain_ops() > 0 || emitter.has_pending()
-                        };
-                        stage_b.run(pull, tick);
-                    });
+                        }
+                    } else {
+                        stage_a.block_tokenized(tp.profile, &tp.tokens, None)
+                    };
+                    match blocked {
+                        Ok(id) => ids.push(id),
+                        Err(e) => self.ingest_error(e),
+                    }
                 }
-
-                // Collector (this thread): stream matches to the caller.
-                matches = collect_matches(&match_rx, &mut on_match);
-            });
-            if source.join().is_err() {
-                ingest_errors
-                    .lock()
-                    .push(PierError::WorkerPanicked { worker: "source" }.to_string());
+                emit_phase(observer, Phase::Block, t0);
+                let t1 = observer.is_enabled().then(Instant::now);
+                stage_a.weigh(&ids);
+                emit_phase(observer, Phase::Weight, t1);
             }
-            let stage_a_stats = {
-                let slab = blocker.read().collection().slab_stats();
-                let scratch = emitter_slot.lock().scratch_stats();
-                aggregate_stage_a(&[(slab, scratch)])
+            self.ingest_done.store(true, Ordering::SeqCst);
+        });
+
+        // Stage B: the shared loop over this topology's closures.
+        let pull_lane = Arc::clone(&stage_a);
+        let mut shedder = self.config.shed.map(Shedder::new);
+        scope.spawn(move || {
+            // Pull under the lock, then materialize the pairs so
+            // classification runs lock-free. Materializing is four
+            // refcount bumps per pair, not a deep clone.
+            let pull = |k: usize| -> Vec<MaterializedPair> {
+                let mut stage_a = pull_lane.lock();
+                let t0 = observer.is_enabled().then(Instant::now);
+                let cmps = match &mut shedder {
+                    None => stage_a.pull(k).0,
+                    // Shedding needs weights.
+                    Some(shedder) => {
+                        shedder.pull(k, |k| stage_a.pull_weighted(k).0, self.supervisor, observer)
+                    }
+                };
+                emit_phase(observer, Phase::Prune, t0);
+                let blocker = stage_a.blocker();
+                cmps.into_iter()
+                    .map(|c| MaterializedPair {
+                        profile_a: blocker.profile_handle(c.a),
+                        tokens_a: blocker.tokens_handle(c.a),
+                        profile_b: blocker.profile_handle(c.b),
+                        tokens_b: blocker.tokens_handle(c.b),
+                    })
+                    .collect()
             };
-            (
-                matches,
-                token_occurrences.load(Ordering::SeqCst),
-                stage_a_stats,
-            )
-        }
+            // The idle tick (the empty increment of §3.2): lets the
+            // GetComparisons fallback generate work from older data while
+            // the input is quiet.
+            let tick = || pull_lane.lock().tick().made_work;
+            stage_b.run(pull, tick);
+        });
 
-        StageA::Sharded {
-            config: shard_config,
-        } => {
-            let shards = shard_config.shards as usize;
-            let router = ShardRouter::with_dictionary(
-                shard_config.shards,
-                Tokenizer::default(),
-                dictionary.clone(),
-            );
-            let store = Arc::new(RwLock::new(ProfileStore::new()));
+        (
+            Box::new(move |_seq, inc| inc_tx.send(inc).is_ok()),
+            Box::new(move || {
+                let stage_a = stage_a.lock();
+                let blocker = stage_a.blocker();
+                let token_occurrences = blocker
+                    .profiles()
+                    .map(|p| blocker.tokens_of(p.id).len() as u64)
+                    .sum();
+                let slab = blocker.collection().slab_stats();
+                (
+                    token_occurrences,
+                    vec![(slab, stage_a.emitter().scratch_stats())],
+                )
+            }),
+        )
+    }
 
-            // Per-shard command + reply channels.
-            let mut cmd_txs = Vec::with_capacity(shards);
-            let mut cmd_rxs = Vec::with_capacity(shards);
-            let mut reply_txs = Vec::with_capacity(shards);
-            let mut reply_rxs = Vec::with_capacity(shards);
-            for shard in 0..shards {
-                let label = shard.to_string();
-                let (tx, rx) = pipeline_channel::<ShardMsg>(
-                    registry.as_deref(),
-                    &[("queue", "shard_cmd"), ("shard", label.as_str())],
-                    Some(config.channel_capacity),
-                );
-                cmd_txs.push(tx);
-                cmd_rxs.push(rx);
-                let (tx, rx) = pipeline_channel::<ShardReply>(
-                    registry.as_deref(),
-                    &[("queue", "shard_reply"), ("shard", label.as_str())],
-                    Some(config.channel_capacity),
-                );
-                reply_txs.push(tx);
-                reply_rxs.push(rx);
-            }
+    /// The sharded topology: tokenizer pool → router → one supervised step
+    /// machine per shard → k-way merger on the stage-B thread.
+    fn spawn_sharded<'scope>(
+        self,
+        scope: &'scope Scope<'scope, 'a>,
+        shard_config: ShardedConfig,
+        stage_b: StageB,
+    ) -> (SourceSend, Finish) {
+        let observer = self.observer;
+        let shards = shard_config.shards as usize;
+        let router = ShardRouter::with_dictionary(
+            shard_config.shards,
+            Tokenizer::default(),
+            self.dictionary.clone(),
+        );
+        let store = Arc::new(RwLock::new(ProfileStore::new()));
 
-            // Tokenizer pool channels: the source dispatches increment
-            // `seq` to tokenizer `seq % T`; the router collects from
-            // tokenized channel `seq % T`, so increment order survives
-            // without `select`.
-            let pool = shards.max(1);
-            let mut tok_txs = Vec::with_capacity(pool);
-            let mut tok_rxs = Vec::with_capacity(pool);
-            let mut routed_txs = Vec::with_capacity(pool);
-            let mut routed_rxs = Vec::with_capacity(pool);
-            for lane in 0..pool {
-                let label = lane.to_string();
-                let (tx, rx) = pipeline_channel::<(u64, Vec<EntityProfile>)>(
-                    registry.as_deref(),
-                    &[("queue", "tokenizer"), ("lane", label.as_str())],
-                    Some(64),
-                );
-                tok_txs.push(tx);
-                tok_rxs.push(rx);
-                let (tx, rx) = pipeline_channel::<TokenizedIncrement>(
-                    registry.as_deref(),
-                    &[("queue", "routed"), ("lane", label.as_str())],
-                    Some(64),
-                );
-                routed_txs.push(tx);
-                routed_rxs.push(rx);
-            }
+        // Per-shard command + reply channels.
+        let capacity = Some(self.config.channel_capacity);
+        let (cmd_txs, cmd_rxs) =
+            channel_lanes::<ShardMsg>(self.registry, "shard_cmd", "shard", shards, capacity);
+        let (reply_txs, reply_rxs) =
+            channel_lanes::<ShardReply>(self.registry, "shard_reply", "shard", shards, capacity);
 
-            // Source: replay increments at the configured rate,
-            // round-robin over the tokenizer pool.
-            let source = spawn_source(
-                increments,
-                config.interarrival,
-                Arc::clone(&shutdown),
-                move |i, inc| tok_txs[i % tok_txs.len()].send((i as u64, inc)).is_ok(),
-            );
+        // Tokenizer pool channels: the source dispatches increment `seq`
+        // to tokenizer `seq % T`; the router collects from tokenized
+        // channel `seq % T`, so increment order survives without `select`.
+        let pool = shards.max(1);
+        let (tok_txs, tok_rxs) = channel_lanes::<(u64, Vec<EntityProfile>)>(
+            self.registry,
+            "tokenizer",
+            "lane",
+            pool,
+            Some(64),
+        );
+        let (routed_txs, routed_rxs) =
+            channel_lanes::<TokenizedIncrement>(self.registry, "routed", "lane", pool, Some(64));
 
-            let mut matches: Vec<MatchEvent> = Vec::new();
-            // Workers are consumed by their threads; each deposits its
-            // stage-A occupancy here when its command loop ends.
-            let stage_a_parts: Arc<Mutex<StageAParts>> =
-                Arc::new(Mutex::new(Vec::with_capacity(shards)));
-            std::thread::scope(|scope| {
-                // Shard workers: one thread per shard, each owning its
-                // blocker + emitter, exiting when every command sender is
-                // dropped. Each thread supervises its own worker: a panic
-                // during ingest/pull/tick rebuilds the worker by replaying
-                // the thread's ingest journal instead of killing the run,
-                // and a profile that panics ingest repeatably is
-                // quarantined into the dead-letter queue.
-                for (shard, (cmd_rx, reply_tx)) in cmd_rxs.into_iter().zip(reply_txs).enumerate() {
-                    let sid = shard as u16;
-                    let strategy = shard_config.strategy;
-                    let pier = shard_config.pier;
-                    let purge = shard_config.purge_policy;
-                    let base_observer = observer.clone();
-                    let observer = observer.for_shard(sid);
-                    let ingest_errors = Arc::clone(&ingest_errors);
-                    let stage_a_parts = Arc::clone(&stage_a_parts);
-                    let chaos = chaos.clone();
-                    let supervisor = Arc::clone(&supervisor);
-                    let journal_capacity = config.journal_capacity;
-                    scope.spawn(move || {
-                        let make_worker = || {
-                            let mut w =
-                                ShardWorker::new(sid, kind, strategy, pier, purge, &base_observer);
-                            w.set_chaos(chaos.clone());
-                            w
-                        };
-                        let mut worker = make_worker();
-                        let mut journal = IngestJournal::new(journal_capacity);
-                        // Rebuild-and-replay, shared by every recovery
-                        // path. Re-emitted comparisons are absorbed by the
-                        // merger's CF dedup, so recovery cannot
-                        // double-schedule (or double-count) a pair.
-                        let rebuild =
-                            |worker: &mut ShardWorker, journal: &IngestJournal| -> ShardWorker {
-                                let mut fresh = make_worker();
-                                replay_journal(&mut fresh, journal);
-                                std::mem::replace(worker, fresh)
-                            };
-                        for msg in cmd_rx.iter() {
-                            match msg {
-                                ShardMsg::Ingest(mut batch) => {
-                                    if supervisor.has_quarantined() {
-                                        batch
-                                            .retain(|(p, _, _)| !supervisor.is_quarantined(p.id.0));
-                                    }
-                                    if batch.is_empty() {
-                                        continue;
-                                    }
-                                    let t0 = observer.is_enabled().then(Instant::now);
-                                    match catch_unwind(AssertUnwindSafe(|| worker.ingest(&batch))) {
-                                        Ok(errors) => {
-                                            journal.record_batch(&batch);
-                                            for e in errors {
-                                                ingest_errors.lock().push(e.to_string());
-                                            }
-                                        }
-                                        Err(_) => {
-                                            // The dead worker may be
-                                            // mid-mutation: rebuild it from
-                                            // the journal, then isolate the
-                                            // poison by retrying the batch
-                                            // profile-by-profile.
-                                            let died_at = Instant::now();
-                                            let _ = rebuild(&mut worker, &journal);
-                                            retry_batch_individually(
-                                                &mut worker,
-                                                &mut journal,
-                                                &batch,
-                                                sid,
-                                                &make_worker,
-                                                &supervisor,
-                                                &observer,
-                                                &ingest_errors,
-                                            );
-                                            supervisor.worker_restarted(
-                                                WorkerRole::Shard,
-                                                sid,
-                                                died_at.elapsed().as_secs_f64(),
-                                                &observer,
-                                            );
-                                        }
-                                    }
-                                    if let Some(t0) = t0 {
-                                        observer.emit(|| Event::PhaseTiming {
-                                            phase: Phase::Weight,
-                                            secs: t0.elapsed().as_secs_f64(),
-                                        });
-                                    }
-                                }
-                                ShardMsg::Pull { k } => {
-                                    let batch = catch_unwind(AssertUnwindSafe(|| worker.pull(k)))
-                                        .unwrap_or_else(|_| {
-                                            let died_at = Instant::now();
-                                            let _ = rebuild(&mut worker, &journal);
-                                            supervisor.worker_restarted(
-                                                WorkerRole::Shard,
-                                                sid,
-                                                died_at.elapsed().as_secs_f64(),
-                                                &observer,
-                                            );
-                                            Vec::new()
-                                        });
-                                    let _ = reply_tx.send(ShardReply::Batch(batch));
-                                }
-                                ShardMsg::Tick => {
-                                    let made = catch_unwind(AssertUnwindSafe(|| worker.tick()))
-                                        .unwrap_or_else(|_| {
-                                            let died_at = Instant::now();
-                                            let _ = rebuild(&mut worker, &journal);
-                                            supervisor.worker_restarted(
-                                                WorkerRole::Shard,
-                                                sid,
-                                                died_at.elapsed().as_secs_f64(),
-                                                &observer,
-                                            );
-                                            true
-                                        });
-                                    let _ = reply_tx.send(ShardReply::Tick(made));
-                                }
+        // Workers are consumed by their threads; each deposits its stage-A
+        // occupancy here when its command loop ends.
+        let stage_a_parts: Arc<Mutex<StageAParts>> =
+            Arc::new(Mutex::new(Vec::with_capacity(shards)));
+
+        // Shard workers: one supervised thread per shard, each owning its
+        // step machine, exiting when every command sender is dropped.
+        for (shard, (cmd_rx, reply_tx)) in cmd_rxs.into_iter().zip(reply_txs).enumerate() {
+            let shard = shard as u16;
+            let stage_a_parts = Arc::clone(&stage_a_parts);
+            scope.spawn(move || {
+                let make_worker = || {
+                    let mut w = ShardWorker::new(
+                        shard,
+                        self.kind,
+                        shard_config.strategy,
+                        shard_config.pier,
+                        shard_config.purge_policy,
+                        observer,
+                    );
+                    w.set_chaos(self.chaos.clone());
+                    w
+                };
+                let observer = observer.for_shard(shard);
+                let mut lane = ShardLane {
+                    shard,
+                    worker: make_worker(),
+                    journal: IngestJournal::new(self.config.journal_capacity),
+                    make_worker: &make_worker,
+                    supervisor: self.supervisor,
+                    observer: &observer,
+                    ingest_errors: self.ingest_errors,
+                };
+                for msg in cmd_rx.iter() {
+                    match msg {
+                        ShardMsg::Ingest(mut batch) => {
+                            if self.supervisor.has_quarantined() {
+                                batch.retain(|(p, _, _)| !self.supervisor.is_quarantined(p.id.0));
                             }
-                        }
-                        stage_a_parts
-                            .lock()
-                            .push((worker.slab_stats(), worker.scratch_stats()));
-                    });
-                }
-
-                // Tokenizer pool: tokenize + intern increments in parallel
-                // against the one shared dictionary; the serial router
-                // downstream only hashes ids and touches the store.
-                for (tok_rx, routed_tx) in tok_rxs.into_iter().zip(routed_txs) {
-                    let dictionary = dictionary.clone();
-                    scope.spawn(move || {
-                        let tokenizer = Tokenizer::default();
-                        let mut scratch = String::new();
-                        for (seq, inc) in tok_rx.iter() {
-                            let tokenized =
-                                tokenize_increment(&dictionary, &tokenizer, seq, inc, &mut scratch);
-                            if routed_tx.send(tokenized).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-
-                // Router/ingest: store globally, compute ghost floors,
-                // fan out.
-                {
-                    let store = Arc::clone(&store);
-                    let ingest_done = Arc::clone(&ingest_done);
-                    let adaptive = Arc::clone(&adaptive);
-                    let cmd_txs = cmd_txs.clone();
-                    let router = router.clone();
-                    let ingest_errors = Arc::clone(&ingest_errors);
-                    let observer = observer.clone();
-                    let chaos = chaos.clone();
-                    let supervisor = Arc::clone(&supervisor);
-                    let dictionary = dictionary.clone();
-                    scope.spawn(move || {
-                        let tokenizer = Tokenizer::default();
-                        let mut scratch = String::new();
-                        let mut seq = 0usize;
-                        // Round-robin collection mirrors dispatch: a
-                        // disconnect on channel `seq % T` means no
-                        // increment >= seq was sent.
-                        while let Ok(mut tokenized) = routed_rxs[seq % routed_rxs.len()].recv() {
-                            adaptive
-                                .lock()
-                                .record_arrival(start.elapsed().as_secs_f64());
-                            if chaos.is_armed() {
-                                if let Some(FaultKind::MalformedProfile) =
-                                    trip_stage_a_ingest(&chaos, &supervisor, &observer)
-                                {
-                                    if let Some(poison) = poison_profile(
-                                        &chaos,
-                                        &dictionary,
-                                        &tokenizer,
-                                        &mut scratch,
-                                    ) {
-                                        tokenized.profiles.push(poison);
-                                    }
-                                }
+                            if batch.is_empty() {
+                                continue;
                             }
                             let t0 = observer.is_enabled().then(Instant::now);
-                            let mut per_shard: Vec<Vec<(EntityProfile, Vec<TokenId>, usize)>> =
-                                (0..cmd_txs.len()).map(|_| Vec::new()).collect();
-                            let mut accepted: Vec<TokenizedProfile> =
-                                Vec::with_capacity(tokenized.len());
-                            {
-                                let mut store = store.write();
-                                // The whole increment enters the store
-                                // before any floor is read, mirroring the
-                                // unsharded blocker which blocks a full
-                                // increment before generating. Duplicate
-                                // ids are skipped and reported, never
-                                // fanned out.
-                                for tp in tokenized.profiles {
-                                    match store.insert(tp.profile.clone(), &tp.tokens) {
-                                        Ok(()) => accepted.push(tp),
-                                        Err(e) => {
-                                            if let PierError::DuplicateProfile(dup) = &e {
-                                                supervisor.duplicate_profile(*dup, &observer);
-                                            }
-                                            ingest_errors.lock().push(e.to_string());
-                                        }
-                                    }
-                                }
-                                for tp in &accepted {
-                                    let floor = store.min_token_count(tp.profile.id).unwrap_or(1);
-                                    // Shards block and weight only — ship
-                                    // them an attribute-less skeleton, not
-                                    // a full clone.
-                                    for (shard, tokens) in router.route_ids(&tp.tokens) {
-                                        per_shard[shard as usize].push((
-                                            EntityProfile::new(tp.profile.id, tp.profile.source),
-                                            tokens,
-                                            floor,
-                                        ));
-                                    }
-                                }
-                            }
-                            for (shard, batch) in per_shard.into_iter().enumerate() {
-                                if !batch.is_empty() {
-                                    let _ = cmd_txs[shard].send(ShardMsg::Ingest(batch));
-                                }
-                            }
-                            if let Some(t0) = t0 {
-                                observer.emit(|| Event::PhaseTiming {
-                                    phase: Phase::Block,
-                                    secs: t0.elapsed().as_secs_f64(),
-                                });
-                            }
-                            let profiles = accepted.len();
-                            observer.emit(|| Event::IncrementIngested {
-                                seq: seq as u64,
-                                profiles,
-                            });
-                            seq += 1;
+                            lane.ingest(&batch);
+                            emit_phase(&observer, Phase::Weight, t0);
                         }
-                        // All `Ingest` messages are enqueued before this
-                        // store, so any thread that *observes* `true` and
-                        // then sends `Tick` knows the ticks queue behind
-                        // every ingest.
-                        ingest_done.store(true, Ordering::SeqCst);
-                    });
+                        ShardMsg::Pull { k } => {
+                            let batch = lane.supervised(|w| w.pull(k), |_| {});
+                            let _ = reply_tx.send(ShardReply::Batch(batch.unwrap_or_default()));
+                        }
+                        ShardMsg::Tick => {
+                            let made = lane.supervised(ShardWorker::tick, |_| {});
+                            let _ = reply_tx.send(ShardReply::Tick(made.unwrap_or(true)));
+                        }
+                    }
                 }
-
-                // Stage B: the shared loop over this topology's closures.
-                {
-                    let store = Arc::clone(&store);
-                    let observer = observer.clone();
-                    let supervisor = Arc::clone(&supervisor);
-                    let mut shedder = config.shed.map(Shedder::new);
-                    let mut merger = ShardMerger::new(shards);
-                    merger.set_observer(observer.clone());
-                    scope.spawn(move || {
-                        // Pull: k-way merge across the shards (each shard
-                        // is asked for its best `n` on demand), then
-                        // materialize from the global store.
-                        let pull = |k: usize| -> Vec<MaterializedPair> {
-                            let t0 = observer.is_enabled().then(Instant::now);
-                            let mut refill = |s: usize, n: usize| {
-                                if cmd_txs[s].send(ShardMsg::Pull { k: n }).is_err() {
-                                    return Vec::new();
-                                }
-                                match reply_rxs[s].recv() {
-                                    Ok(ShardReply::Batch(batch)) => batch,
-                                    _ => Vec::new(),
-                                }
-                            };
-                            let cmps = match &mut shedder {
-                                None => merger.next_batch_with(k, &mut refill),
-                                Some(shedder) => {
-                                    let k = shedder.clamp(k);
-                                    shedder.apply(
-                                        k,
-                                        merger.next_weighted_batch_with(k, &mut refill),
-                                        &supervisor,
-                                        &observer,
-                                    )
-                                }
-                            };
-                            if let Some(t0) = t0 {
-                                observer.emit(|| Event::PhaseTiming {
-                                    phase: Phase::Prune,
-                                    secs: t0.elapsed().as_secs_f64(),
-                                });
-                            }
-                            if cmps.is_empty() {
-                                return Vec::new();
-                            }
-                            let store = store.read();
-                            cmps.into_iter()
-                                .map(|c| MaterializedPair {
-                                    profile_a: store.profile_handle(c.a),
-                                    tokens_a: store.tokens_handle(c.a),
-                                    profile_b: store.profile_handle(c.b),
-                                    tokens_b: store.tokens_handle(c.b),
-                                })
-                                .collect()
-                        };
-                        // Tick every shard; any shard reporting work keeps
-                        // the loop hot.
-                        let tick = || -> bool {
-                            let mut made_work = false;
-                            for tx in &cmd_txs {
-                                let _ = tx.send(ShardMsg::Tick);
-                            }
-                            for rx in &reply_rxs {
-                                if let Ok(ShardReply::Tick(m)) = rx.recv() {
-                                    made_work |= m;
-                                }
-                            }
-                            made_work
-                        };
-                        stage_b.run(pull, tick);
-                        // Dropping this thread's `cmd_txs` clone (and the
-                        // classifier's match sender) lets the shard
-                        // workers and the collector exit once the router
-                        // thread is done too.
-                    });
-                }
-
-                // Collector (this thread): stream matches to the caller.
-                matches = collect_matches(&match_rx, &mut on_match);
+                let stats = (lane.worker.slab_stats(), lane.worker.scratch_stats());
+                stage_a_parts.lock().push(stats);
             });
-            if source.join().is_err() {
-                ingest_errors
-                    .lock()
-                    .push(PierError::WorkerPanicked { worker: "source" }.to_string());
-            }
-            let token_occurrences = store.read().token_occurrences();
-            let stage_a_stats = aggregate_stage_a(&stage_a_parts.lock());
-            (matches, token_occurrences, stage_a_stats)
         }
-    };
 
-    let totals = RunTotals {
-        start,
-        profiles: total_profiles,
-        matches,
-        comparisons: executed_total.load(Ordering::SeqCst),
-        dictionary: DictionaryStats {
-            distinct_tokens: dictionary.len(),
-            string_bytes: dictionary.string_bytes(),
-            token_occurrences,
-        },
-        ingest_errors: std::mem::take(&mut *ingest_errors.lock()),
-        match_workers,
-        worker_comparisons: std::mem::take(&mut *worker_comparisons.lock()),
-        stage_a: stage_a_stats,
-        dead_letters: supervisor.dead_letters(),
-        worker_restarts: supervisor.restarts(),
-        comparisons_shed: supervisor.comparisons_shed(),
-    };
-    totals.assemble(entities.as_ref(), telemetry.as_ref())
+        // Tokenizer pool: tokenize + intern increments in parallel against
+        // the one shared dictionary; the serial router downstream only
+        // hashes ids and touches the store.
+        for (tok_rx, routed_tx) in tok_rxs.into_iter().zip(routed_txs) {
+            scope.spawn(move || {
+                let tokenizer = Tokenizer::default();
+                let mut scratch = String::new();
+                for (seq, inc) in tok_rx.iter() {
+                    let tokenized =
+                        tokenize_increment(self.dictionary, &tokenizer, seq, inc, &mut scratch);
+                    if routed_tx.send(tokenized).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+
+        // Router/ingest: store globally, compute ghost floors, fan out.
+        let router_store = Arc::clone(&store);
+        let router_txs = cmd_txs.clone();
+        scope.spawn(move || {
+            let tokenizer = Tokenizer::default();
+            let mut scratch = String::new();
+            let mut seq = 0usize;
+            // Round-robin collection mirrors dispatch: a disconnect on
+            // channel `seq % T` means no increment >= seq was sent.
+            while let Ok(mut tokenized) = routed_rxs[seq % routed_rxs.len()].recv() {
+                self.arrival();
+                self.trip_stage_a_ingest(&tokenizer, &mut scratch, &mut tokenized);
+                let t0 = observer.is_enabled().then(Instant::now);
+                let arrivals = tokenized.profiles.into_iter();
+                let fan = router_store
+                    .write()
+                    .fan_out(&router, arrivals.map(|tp| (tp.profile, tp.tokens)));
+                for e in fan.errors {
+                    self.ingest_error(e);
+                }
+                for (tx, batch) in router_txs.iter().zip(fan.per_shard) {
+                    if !batch.is_empty() {
+                        let _ = tx.send(ShardMsg::Ingest(batch));
+                    }
+                }
+                emit_phase(observer, Phase::Block, t0);
+                observer.emit(|| Event::IncrementIngested {
+                    seq: seq as u64,
+                    profiles: fan.accepted,
+                });
+                seq += 1;
+            }
+            // All `Ingest` messages are enqueued before this store, so any
+            // thread that *observes* `true` and then sends `Tick` knows the
+            // ticks queue behind every ingest.
+            self.ingest_done.store(true, Ordering::SeqCst);
+        });
+
+        // Stage B: the shared loop over this topology's closures.
+        let pull_store = Arc::clone(&store);
+        let mut shedder = self.config.shed.map(Shedder::new);
+        let mut merger = ShardMerger::new(shards);
+        merger.set_observer(observer.clone());
+        scope.spawn(move || {
+            // Pull: k-way merge across the shards (each shard is asked for
+            // its best `n` on demand), then materialize from the global
+            // store.
+            let pull = |k: usize| -> Vec<MaterializedPair> {
+                let t0 = observer.is_enabled().then(Instant::now);
+                let mut refill = |s: usize, n: usize| {
+                    if cmd_txs[s].send(ShardMsg::Pull { k: n }).is_err() {
+                        return Vec::new();
+                    }
+                    match reply_rxs[s].recv() {
+                        Ok(ShardReply::Batch(batch)) => batch,
+                        _ => Vec::new(),
+                    }
+                };
+                let cmps = match &mut shedder {
+                    None => merger.next_batch_with(k, &mut refill),
+                    Some(shedder) => shedder.pull(
+                        k,
+                        |k| merger.next_weighted_batch_with(k, &mut refill),
+                        self.supervisor,
+                        observer,
+                    ),
+                };
+                emit_phase(observer, Phase::Prune, t0);
+                if cmps.is_empty() {
+                    return Vec::new();
+                }
+                let store = pull_store.read();
+                cmps.into_iter()
+                    .map(|c| MaterializedPair {
+                        profile_a: store.profile_handle(c.a),
+                        tokens_a: store.tokens_handle(c.a),
+                        profile_b: store.profile_handle(c.b),
+                        tokens_b: store.tokens_handle(c.b),
+                    })
+                    .collect()
+            };
+            // Tick every shard; any shard reporting work keeps the loop hot.
+            let tick = || -> bool {
+                let mut made_work = false;
+                for tx in &cmd_txs {
+                    let _ = tx.send(ShardMsg::Tick);
+                }
+                for rx in &reply_rxs {
+                    if let Ok(ShardReply::Tick(m)) = rx.recv() {
+                        made_work |= m;
+                    }
+                }
+                made_work
+            };
+            stage_b.run(pull, tick);
+            // Dropping this thread's `cmd_txs` (and the classifier's match
+            // sender) lets the shard workers and the collector exit once
+            // the router thread is done too.
+        });
+
+        (
+            // Round-robin over the tokenizer pool.
+            Box::new(move |i, inc| tok_txs[i % tok_txs.len()].send((i as u64, inc)).is_ok()),
+            Box::new(move || {
+                let parts = std::mem::take(&mut *stage_a_parts.lock());
+                (store.read().token_occurrences(), parts)
+            }),
+        )
+    }
 }

@@ -1,13 +1,13 @@
-//! Stage scaffolding shared by the streaming and sharded drivers.
+//! Stage scaffolding shared by both topologies of the [`crate::Pipeline`].
 //!
-//! Both `run_streaming` and `run_streaming_sharded` are the same pipeline
-//! with a different stage A in the middle: a source replays increments at a
+//! The single and the sharded topology are the same pipeline with a
+//! different stage A in the middle: a source replays increments at a
 //! configured rate, a tokenize stage interns each profile exactly once
 //! against a [`SharedTokenDictionary`] (producing one
 //! [`TokenizedIncrement`] per source increment), and a stage B pulls
 //! batches, materializes the profile pairs, and classifies them. This
-//! module holds those shared pieces so each driver only contributes its
-//! actual topology (single blocker vs. router + shard workers).
+//! module holds those shared pieces so each topology only contributes its
+//! wiring (one step machine vs. router + shard workers).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;

@@ -2,9 +2,7 @@
 //! the `{single, 4-shard} × {1, 4 match workers} × {observed, noop}`
 //! matrix reports the identical match set, pair completeness, and
 //! executed-comparison count — topology, stage-B parallelism, and
-//! observation may only change wall-clock behaviour — and the deprecated
-//! pre-`Pipeline` entry points pin bit-identical outputs to their
-//! `Pipeline` replacements.
+//! observation may only change wall-clock behaviour.
 //!
 //! Determinism setup (same as `tests/sharded_equivalence.rs`): CBS
 //! weighting, which is additive over hash-partitioned blocks, and purging
@@ -18,7 +16,7 @@ use pier_blocking::PurgePolicy;
 use pier_core::{PierConfig, Strategy};
 use pier_datagen::{generate_bibliographic, BibliographicConfig};
 use pier_matching::{JaccardMatcher, MatchFunction};
-use pier_observe::{Observer, StatsObserver};
+use pier_observe::StatsObserver;
 use pier_runtime::{Pipeline, RuntimeConfig, RuntimeReport};
 use pier_shard::ShardedConfig;
 use pier_types::{Comparison, Dataset};
@@ -143,84 +141,4 @@ fn topology_workers_and_observation_matrix_is_equivalent() {
             }
         }
     }
-}
-
-/// The deprecated wrappers pin bit-identical outputs to their `Pipeline`
-/// replacements — the one-release migration guarantee.
-#[test]
-#[allow(deprecated)]
-fn deprecated_entry_points_pin_pipeline_outputs() {
-    use pier_runtime::{
-        run_streaming, run_streaming_observed, run_streaming_sharded,
-        run_streaming_sharded_observed,
-    };
-    let dataset = corpus();
-    let increments = || -> Vec<_> {
-        dataset
-            .clone()
-            .into_increments(8)
-            .unwrap()
-            .into_iter()
-            .map(|i| i.profiles)
-            .collect()
-    };
-    let matcher: Arc<dyn MatchFunction> = Arc::new(JaccardMatcher::default());
-
-    let legacy = run_streaming(
-        dataset.kind,
-        increments(),
-        Strategy::Pcs.build(pier_config()),
-        Arc::clone(&matcher),
-        runtime_config(1),
-        |_| {},
-    );
-    let (pipeline, _) = run_cell(&dataset, None, 1, false);
-    assert_eq!(outcome(&dataset, &legacy), outcome(&dataset, &pipeline));
-
-    let legacy_sharded = run_streaming_sharded(
-        dataset.kind,
-        increments(),
-        sharded_config(4),
-        Arc::clone(&matcher),
-        runtime_config(4),
-        |_| {},
-    );
-    let (pipeline_sharded, _) = run_cell(&dataset, Some(4), 4, false);
-    assert_eq!(
-        outcome(&dataset, &legacy_sharded),
-        outcome(&dataset, &pipeline_sharded)
-    );
-
-    // The `_observed` variants delegate through the same ObserverSet path.
-    let stats = Arc::new(StatsObserver::new());
-    let observed = run_streaming_observed(
-        dataset.kind,
-        increments(),
-        Strategy::Pcs.build(pier_config()),
-        Arc::clone(&matcher),
-        runtime_config(1),
-        Observer::new(stats.clone()),
-        |_| {},
-    );
-    assert_eq!(outcome(&dataset, &observed), outcome(&dataset, &pipeline));
-    assert_eq!(
-        stats.snapshot().matches_confirmed as usize,
-        observed.matches.len()
-    );
-
-    let stats_sharded = Arc::new(StatsObserver::new());
-    let observed_sharded = run_streaming_sharded_observed(
-        dataset.kind,
-        increments(),
-        sharded_config(4),
-        matcher,
-        runtime_config(4),
-        Observer::new(stats_sharded.clone()),
-        |_| {},
-    );
-    assert_eq!(
-        outcome(&dataset, &observed_sharded),
-        outcome(&dataset, &pipeline_sharded)
-    );
-    assert!(!stats_sharded.snapshot().shards.is_empty());
 }

@@ -13,14 +13,16 @@
 //!
 //! * [`ShardRouter`] — assigns tokens to shards and fans each profile out
 //!   to every shard owning ≥ 1 of its tokens.
-//! * [`ShardWorker`] — one shard's blocker + unchanged I-PCS/I-PBS/I-PES
-//!   emitter over its token subspace, reporting through a shard-tagged
-//!   observer.
+//! * [`ShardWorker`] — one shard's [`pier_core::StageA`] step machine
+//!   (blocker + unchanged I-PCS/I-PBS/I-PES emitter) over its token
+//!   subspace, reporting through a shard-tagged observer.
 //! * [`ShardMerger`] — k-way merge over the per-shard streams: globally
 //!   top-`k` batches, with the shared scalable-Bloom `CF` deduplicating
 //!   pairs that co-occur in several shards' blocks.
 //! * [`ShardedStageA`] — the synchronous composition (router → workers →
 //!   merger) plus the global [`ProfileStore`] backing matcher lookups.
+//!   [`ProfileStore::fan_out`] is the one routing step (store, then ghost
+//!   floors, then per-shard skeletons) it shares with the threaded runtime.
 //!
 //! **Correctness.** With CBS weighting, a fully drained sharded run emits
 //! exactly the comparison set of the unsharded run (CBS is additive over
@@ -37,6 +39,6 @@ mod router;
 mod worker;
 
 pub use merger::ShardMerger;
-pub use pipeline::{ProfileStore, ShardedConfig, ShardedStageA};
-pub use router::{RoutedProfile, ShardRouter};
+pub use pipeline::{FanOut, ProfileStore, ShardedConfig, ShardedStageA};
+pub use router::ShardRouter;
 pub use worker::ShardWorker;

@@ -11,7 +11,7 @@ use pier_observe::{Event, Observer};
 use pier_types::{Comparison, EntityProfile, ErKind, PierError, ProfileId, TokenId, Tokenizer};
 
 use crate::merger::ShardMerger;
-use crate::router::{RoutedProfile, ShardRouter};
+use crate::router::ShardRouter;
 use crate::worker::ShardWorker;
 
 /// Configuration of the sharded stage A.
@@ -65,7 +65,7 @@ impl ProfileStore {
     }
 
     /// Stores a profile with its full sorted distinct token-id list (as
-    /// produced by [`crate::ShardRouter::route_profile`]).
+    /// produced by [`crate::ShardRouter::tokenize`]).
     ///
     /// # Errors
     /// Returns [`PierError::DuplicateProfile`] if the id was already
@@ -91,6 +91,44 @@ impl ProfileStore {
         self.token_sets[idx] = Some(Arc::from(ids));
         self.profiles[idx] = Some(Arc::new(profile));
         Ok(())
+    }
+
+    /// Stores one tokenized increment and fans it out: the routing step
+    /// shared by [`ShardedStageA`] and the threaded runtime's router.
+    ///
+    /// The whole increment enters the store before any ghost floor is
+    /// read, so the floors see the block sizes the unsharded pipeline
+    /// would at generation time (it too blocks a full increment before
+    /// generating). Profiles whose id is already stored are skipped and
+    /// reported, never fanned out. Shards only block and weight, so each
+    /// owning shard gets an attribute-less skeleton (id + source) with its
+    /// token-id subset and the floor, not a clone of the profile.
+    pub fn fan_out(
+        &mut self,
+        router: &ShardRouter,
+        increment: impl IntoIterator<Item = (EntityProfile, Vec<TokenId>)>,
+    ) -> FanOut {
+        let mut out = FanOut {
+            per_shard: vec![Vec::new(); router.shards() as usize],
+            accepted: 0,
+            errors: Vec::new(),
+        };
+        let mut accepted = Vec::new();
+        for (profile, tokens) in increment {
+            let (id, source) = (profile.id, profile.source);
+            match self.insert(profile, &tokens) {
+                Ok(()) => accepted.push((id, source, tokens)),
+                Err(e) => out.errors.push(e),
+            }
+        }
+        out.accepted = accepted.len();
+        for (id, source, tokens) in accepted {
+            let floor = self.min_token_count(id).unwrap_or(1);
+            for (shard, subset) in router.route_ids(&tokens) {
+                out.per_shard[shard as usize].push((EntityProfile::new(id, source), subset, floor));
+            }
+        }
+        out
     }
 
     /// Total token occurrences across all stored profiles (the Σ of every
@@ -158,6 +196,18 @@ impl ProfileStore {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// One increment after [`ProfileStore::fan_out`].
+#[derive(Debug)]
+pub struct FanOut {
+    /// Per shard (indexed by shard id), the [`ShardWorker::ingest`] batch:
+    /// profile skeleton, the shard's token-id subset, global ghost floor.
+    pub per_shard: Vec<Vec<(EntityProfile, Vec<TokenId>, usize)>>,
+    /// Profiles the store accepted.
+    pub accepted: usize,
+    /// One [`PierError::DuplicateProfile`] per skipped profile.
+    pub errors: Vec<PierError>,
 }
 
 /// Hash-partitioned parallel stage A, synchronous form.
@@ -240,45 +290,18 @@ impl ShardedStageA {
     /// [`PierError::DuplicateProfile`] errors returned (nothing panics);
     /// an empty vector means the whole increment was ingested.
     pub fn on_increment(&mut self, increment: &[EntityProfile]) -> Vec<PierError> {
-        let mut errors = Vec::new();
-        let mut per_shard: Vec<Vec<(EntityProfile, Vec<TokenId>, usize)>> =
-            (0..self.workers.len()).map(|_| Vec::new()).collect();
-        // Two passes: the whole increment enters the store first so the
-        // ghost floors below see the same block sizes the unsharded
-        // pipeline would at generation time (it too blocks a full
-        // increment before generating).
-        let routed: Vec<Option<RoutedProfile>> = increment
+        let (router, scratch) = (&self.router, &mut self.scratch);
+        let tokenized = increment
             .iter()
-            .map(|profile| {
-                let routed = self.router.route_profile(profile, &mut self.scratch);
-                match self.store.insert(profile.clone(), &routed.tokens) {
-                    Ok(()) => Some(routed),
-                    Err(e) => {
-                        errors.push(e);
-                        None
-                    }
-                }
-            })
-            .collect();
-        let mut accepted = 0usize;
-        for (profile, routed) in increment.iter().zip(routed) {
-            let Some(routed) = routed else { continue };
-            accepted += 1;
-            let floor = self.store.min_token_count(profile.id).unwrap_or(1);
-            // Shards only block and weight, so they get an attribute-less
-            // skeleton (id + source): cloning full profiles once per owning
-            // shard would dominate routing cost on wide corpora.
-            for (shard, tokens) in routed.by_shard {
-                per_shard[shard as usize].push((
-                    EntityProfile::new(profile.id, profile.source),
-                    tokens,
-                    floor,
-                ));
-            }
-        }
-        for (shard, batch) in per_shard.into_iter().enumerate() {
+            .map(|profile| (profile.clone(), router.tokenize(profile, scratch)));
+        let FanOut {
+            per_shard,
+            accepted,
+            mut errors,
+        } = self.store.fan_out(router, tokenized);
+        for (worker, batch) in self.workers.iter_mut().zip(per_shard) {
             if !batch.is_empty() {
-                errors.extend(self.workers[shard].ingest(&batch));
+                errors.extend(worker.ingest(&batch));
             }
         }
         let seq = self.increments;
@@ -318,7 +341,7 @@ impl ShardedStageA {
 mod tests {
     use super::*;
     use pier_blocking::IncrementalBlocker;
-    use pier_core::ComparisonEmitter;
+    use pier_core::StageA;
     use pier_types::SourceId;
     use std::collections::BTreeSet;
 
@@ -346,27 +369,6 @@ mod tests {
         out
     }
 
-    /// Drains an unsharded reference pipeline completely.
-    fn drain_unsharded(
-        blocker: &IncrementalBlocker,
-        emitter: &mut dyn ComparisonEmitter,
-    ) -> Vec<Comparison> {
-        let mut out = Vec::new();
-        loop {
-            let batch = emitter.next_batch(blocker, 64);
-            if !batch.is_empty() {
-                out.extend(batch);
-                continue;
-            }
-            emitter.drain_ops();
-            emitter.on_increment(blocker, &[]);
-            if emitter.drain_ops() == 0 && !emitter.has_pending() {
-                break;
-            }
-        }
-        out
-    }
-
     #[test]
     fn sharded_emits_the_unsharded_comparison_set() {
         let data = profiles(&[
@@ -376,14 +378,16 @@ mod tests {
             "epsilon zeta alpha",
             "zeta beta",
         ]);
-        // Unsharded reference.
-        let mut blocker = IncrementalBlocker::new(ErKind::Dirty);
-        let mut emitter = Strategy::Pcs.build(PierConfig::default());
-        let ids = blocker.process_increment(&data);
-        emitter.on_increment(&blocker, &ids);
-        let want: BTreeSet<Comparison> = drain_unsharded(&blocker, emitter.as_mut())
-            .into_iter()
-            .collect();
+        // Unsharded reference: one step machine, drained completely.
+        let mut reference = StageA::new(
+            IncrementalBlocker::new(ErKind::Dirty),
+            Strategy::Pcs.build(PierConfig::default()),
+        );
+        reference.ingest(&data);
+        let want: BTreeSet<Comparison> =
+            std::iter::from_fn(|| Some(reference.pull_idle(64)).filter(|b| !b.is_empty()))
+                .flatten()
+                .collect();
         assert!(!want.is_empty());
 
         for shards in [1u16, 2, 4] {

@@ -32,17 +32,6 @@ pub struct ShardRouter {
     dictionary: SharedTokenDictionary,
 }
 
-/// One profile's routing decision: its global token-id set plus the
-/// per-shard subsets (ascending id order is preserved in every subset).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutedProfile {
-    /// The profile's full sorted distinct token ids.
-    pub tokens: Vec<TokenId>,
-    /// `(shard, token-id subset)` for every shard owning ≥ 1 token,
-    /// ascending by shard id.
-    pub by_shard: Vec<(u16, Vec<TokenId>)>,
-}
-
 impl ShardRouter {
     /// Creates a router over `shards` shards with the default tokenizer and
     /// a fresh shared dictionary.
@@ -113,13 +102,11 @@ impl ShardRouter {
 
     /// Tokenizes `profile` once — interning against the shared dictionary
     /// through the reusable `scratch` buffer, so no per-token `String` is
-    /// allocated after the vocabulary saturates — and routes the id set.
-    pub fn route_profile(&self, profile: &EntityProfile, scratch: &mut String) -> RoutedProfile {
-        let tokens = self
-            .dictionary
-            .tokenize_and_intern(&self.tokenizer, profile, scratch);
-        let by_shard = self.route_ids(&tokens);
-        RoutedProfile { tokens, by_shard }
+    /// allocated after the vocabulary saturates — into its sorted distinct
+    /// token ids, ready for [`ShardRouter::route_ids`].
+    pub fn tokenize(&self, profile: &EntityProfile, scratch: &mut String) -> Vec<TokenId> {
+        self.dictionary
+            .tokenize_and_intern(&self.tokenizer, profile, scratch)
     }
 }
 
@@ -159,18 +146,18 @@ mod tests {
     }
 
     #[test]
-    fn route_profile_partitions_the_token_set() {
+    fn routing_partitions_the_token_set() {
         let r = ShardRouter::new(3);
         let p = EntityProfile::new(ProfileId(0), SourceId(0))
             .with("title", "progressive entity resolution")
             .with("venue", "edbt 2023");
         let mut scratch = String::new();
-        let routed = r.route_profile(&p, &mut scratch);
-        assert!(!routed.tokens.is_empty());
-        assert_eq!(routed.tokens.len(), r.dictionary().len());
+        let tokens = r.tokenize(&p, &mut scratch);
+        assert!(!tokens.is_empty());
+        assert_eq!(tokens.len(), r.dictionary().len());
+        let by_shard = r.route_ids(&tokens);
         // Subsets are disjoint, ordered, and union back to the global list.
-        let mut reunited: Vec<TokenId> = routed
-            .by_shard
+        let mut reunited: Vec<TokenId> = by_shard
             .iter()
             .flat_map(|(s, subset)| {
                 for &t in subset {
@@ -181,9 +168,9 @@ mod tests {
             })
             .collect();
         reunited.sort_unstable();
-        assert_eq!(reunited, routed.tokens);
+        assert_eq!(reunited, tokens);
         // Shards listed ascending.
-        assert!(routed.by_shard.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(by_shard.windows(2).all(|w| w[0].0 < w[1].0));
     }
 
     #[test]
@@ -193,12 +180,12 @@ mod tests {
         let mut scratch = String::new();
         let p0 = EntityProfile::new(ProfileId(0), SourceId(0)).with("t", "alpha beta");
         let p1 = EntityProfile::new(ProfileId(1), SourceId(0)).with("t", "beta gamma");
-        let a = r.route_profile(&p0, &mut scratch);
-        let b = clone.route_profile(&p1, &mut scratch);
+        let a = r.tokenize(&p0, &mut scratch);
+        let b = clone.tokenize(&p1, &mut scratch);
         // "beta" got one id, visible through both clones.
         let beta = r.dictionary().get("beta").unwrap();
-        assert!(a.tokens.contains(&beta));
-        assert!(b.tokens.contains(&beta));
+        assert!(a.contains(&beta));
+        assert!(b.contains(&beta));
         assert_eq!(r.dictionary().len(), 3);
     }
 

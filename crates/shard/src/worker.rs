@@ -3,21 +3,18 @@
 use pier_blocking::{IncrementalBlocker, PurgePolicy, SlabStats};
 use pier_chaos::{ChaosHandle, FaultPoint};
 use pier_collections::ScratchStats;
-use pier_core::{ComparisonEmitter, PierConfig, Strategy};
-use pier_observe::{Event, Observer};
+use pier_core::{Ingested, PierConfig, StageA, Strategy};
+use pier_observe::Observer;
 use pier_types::{EntityProfile, ErKind, PierError, TokenId, Tokenizer, WeightedComparison};
 
-/// A single shard of the partitioned stage A. It owns a full
-/// [`IncrementalBlocker`] and one of the unchanged I-PCS/I-PBS/I-PES
-/// emitters, both restricted to the tokens the router assigned to this
-/// shard, and reports through a shard-tagged [`Observer`].
+/// A single shard of the partitioned stage A: the [`StageA`] step machine
+/// over a full [`IncrementalBlocker`] and one of the unchanged
+/// I-PCS/I-PBS/I-PES emitters, both restricted to the tokens the router
+/// assigned to this shard, reporting through a shard-tagged [`Observer`].
 pub struct ShardWorker {
     shard: u16,
-    blocker: IncrementalBlocker,
-    emitter: Box<dyn ComparisonEmitter + Send>,
-    observer: Observer,
+    stage_a: StageA,
     chaos: ChaosHandle,
-    ingests: u64,
 }
 
 impl ShardWorker {
@@ -30,18 +27,15 @@ impl ShardWorker {
         purge_policy: PurgePolicy,
         observer: &Observer,
     ) -> Self {
-        let tagged = observer.for_shard(shard);
-        let mut blocker = IncrementalBlocker::with_config(kind, Tokenizer::default(), purge_policy);
-        blocker.set_observer(tagged.clone());
-        let mut emitter = strategy.build(config);
-        emitter.set_observer(tagged.clone());
+        let mut stage_a = StageA::new(
+            IncrementalBlocker::with_config(kind, Tokenizer::default(), purge_policy),
+            strategy.build(config),
+        );
+        stage_a.set_observer(observer.for_shard(shard));
         ShardWorker {
             shard,
-            blocker,
-            emitter,
-            observer: tagged,
+            stage_a,
             chaos: ChaosHandle::disabled(),
-            ingests: 0,
         }
     }
 
@@ -63,7 +57,7 @@ impl ShardWorker {
     /// The shard-local blocker (its collection covers only this shard's
     /// token subspace).
     pub fn blocker(&self) -> &IncrementalBlocker {
-        &self.blocker
+        self.stage_a.blocker()
     }
 
     /// Ingests routed profiles: each entry is a profile, the token-id
@@ -80,88 +74,57 @@ impl ShardWorker {
     /// Duplicate profile ids are skipped and returned as
     /// [`PierError::DuplicateProfile`] instead of panicking, so a bad
     /// increment cannot kill a worker thread mid-run; the successfully
-    /// ingested profiles still reach the emitter.
+    /// ingested profiles still reach the emitter. The shard-tagged
+    /// `IncrementIngested` this reports is per-shard fan-out accounting;
+    /// the driver reports the global increment.
     pub fn ingest(&mut self, batch: &[(EntityProfile, Vec<TokenId>, usize)]) -> Vec<PierError> {
         self.chaos.trip(FaultPoint::ShardWorker, Some(self.shard));
-        let mut ids = Vec::with_capacity(batch.len());
-        let mut errors = Vec::new();
+        let mut ingested = Ingested::default();
         for (profile, tokens, floor) in batch {
             // Fires (panics) before the blocker is touched, so a poison
             // profile leaves the worker exactly as it was.
             self.chaos.poison_trip(profile.id.0);
-            match self
-                .blocker
-                .try_process_profile_with_token_ids(profile.clone(), tokens)
-            {
-                Ok(id) => {
-                    self.blocker.set_ghost_floor(id, *floor);
-                    ids.push(id);
-                }
-                Err(e) => errors.push(e),
-            }
+            ingested.record(
+                self.stage_a
+                    .block_tokenized(profile.clone(), tokens, Some(*floor)),
+            );
         }
-        self.emitter.on_increment(&self.blocker, &ids);
-        // Shard-tagged fan-out accounting (per-shard `profiles` in
-        // `ShardSnapshot`); the driver reports the global increment.
-        let seq = self.ingests;
-        self.ingests += 1;
-        self.observer.emit(|| Event::IncrementIngested {
-            seq,
-            profiles: ids.len(),
-        });
-        errors
+        self.stage_a.weigh(&ingested.ids);
+        ingested.errors
     }
 
     /// The idle tick of Algorithm 2 lines 10–11: lets the emitter's
     /// `GetComparisons` fallback refill from unconsumed blocks. Returns
     /// whether the tick did (or left) any work.
     pub fn tick(&mut self) -> bool {
-        self.emitter.on_increment(&self.blocker, &[]);
-        self.emitter.drain_ops() > 0 || self.emitter.has_pending()
+        self.stage_a.tick().made_work
     }
 
-    /// Pulls up to `k` weighted comparisons, best first. Emitters without
-    /// weighted batches fall back to `next_batch` with recomputed
-    /// shard-local CBS weights (exact: every common block of a pair lives
-    /// in exactly one shard).
+    /// Pulls up to `k` weighted comparisons, best first (see
+    /// [`StageA::pull_weighted`] for emitters without weighted batches).
     pub fn pull(&mut self, k: usize) -> Vec<WeightedComparison> {
-        if k == 0 {
-            return Vec::new();
-        }
-        match self.emitter.next_weighted_batch(&self.blocker, k) {
-            Some(batch) => batch,
-            None => {
-                let collection = self.blocker.collection();
-                self.emitter
-                    .next_batch(&self.blocker, k)
-                    .into_iter()
-                    .map(|cmp| {
-                        WeightedComparison::new(cmp, collection.common_blocks(cmp.a, cmp.b) as f64)
-                    })
-                    .collect()
-            }
-        }
+        self.stage_a.pull_weighted(k).0
     }
 
     /// Whether the emitter still holds schedulable comparisons.
     pub fn has_pending(&self) -> bool {
-        self.emitter.has_pending()
+        self.stage_a.emitter().has_pending()
     }
 
     /// The emitter's display name (e.g. `"I-PCS"`).
     pub fn emitter_name(&self) -> String {
-        self.emitter.name()
+        self.stage_a.emitter().name()
     }
 
     /// Occupancy of this shard's dense block slab.
     pub fn slab_stats(&self) -> SlabStats {
-        self.blocker.collection().slab_stats()
+        self.blocker().collection().slab_stats()
     }
 
     /// Occupancy of the emitter's I-WNP scratch accumulator, if the
     /// strategy runs I-WNP (I-PBS doesn't).
     pub fn scratch_stats(&self) -> Option<ScratchStats> {
-        self.emitter.scratch_stats()
+        self.stage_a.emitter().scratch_stats()
     }
 }
 
@@ -231,7 +194,7 @@ mod tests {
         // Profiles the emitter was never told about: only the idle-tick
         // fallback can surface their pairs.
         for (p, tokens, _) in [profile(&dict, 0, "mm nn"), profile(&dict, 1, "mm nn")] {
-            w.blocker.process_profile_with_token_ids(p, &tokens);
+            w.stage_a.block_tokenized(p, &tokens, None).unwrap();
         }
         assert!(w.tick());
         assert_eq!(w.pull(4).len(), 1);

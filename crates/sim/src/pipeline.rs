@@ -1,10 +1,12 @@
 //! The two-resource discrete-event pipeline simulation.
 
 use pier_blocking::{IncrementalBlocker, PurgePolicy};
-use pier_core::{AdaptiveK, ComparisonEmitter};
+use pier_core::{AdaptiveK, ComparisonEmitter, StageA};
 use pier_matching::{MatchFunction, MatchInput};
 use pier_observe::{Event, Observer, Phase};
-use pier_types::{EntityProfile, ErKind, GroundTruth, MatchLedger, ProgressTrajectory, Tokenizer};
+use pier_types::{
+    EntityProfile, ErKind, GroundTruth, MatchLedger, PierError, ProgressTrajectory, Tokenizer,
+};
 
 use crate::cost::CostModel;
 
@@ -112,6 +114,9 @@ pub struct SimOutcome {
     /// to the match's emission — the paper's "early quality" measured per
     /// duplicate ("spot duplicates in a moment closest to arrival time").
     pub match_latencies: Vec<f64>,
+    /// One message per profile stage A skipped (a repeated id is skipped
+    /// and reported, not fatal) — as in the runtime's report.
+    pub ingest_errors: Vec<String>,
 }
 
 impl SimOutcome {
@@ -199,10 +204,13 @@ impl<'a> PipelineSim<'a> {
         let observer = self.observer.clone();
         let mut k_policy = self.config.k_policy.clone();
         k_policy.set_observer(observer.clone());
-        self.emitter.set_observer(observer.clone());
-        let mut blocker =
-            IncrementalBlocker::with_config(kind, Tokenizer::default(), self.config.purge_policy);
-        blocker.set_observer(observer.clone());
+        // The step machine on a virtual clock: every step returns the ops
+        // it spent and the cost model turns them into seconds.
+        let mut stage_a = StageA::new(
+            IncrementalBlocker::with_config(kind, Tokenizer::default(), self.config.purge_policy),
+            &mut *self.emitter,
+        );
+        stage_a.set_observer(observer.clone());
         let mut trajectory = ProgressTrajectory::for_ground_truth(ground_truth);
         let mut ledger = MatchLedger::new();
 
@@ -235,6 +243,7 @@ impl<'a> PipelineSim<'a> {
         // Arrival time per profile id (for match-latency accounting).
         let mut arrived_at: Vec<f64> = Vec::new();
         let mut match_latencies: Vec<f64> = Vec::new();
+        let mut ingest_errors: Vec<String> = Vec::new();
 
         'sim: loop {
             // Candidate start times for the two resources.
@@ -257,15 +266,15 @@ impl<'a> PipelineSim<'a> {
                 let (arrival_time, increment) = &arrivals[arr_idx];
                 k_policy.record_arrival(*arrival_time);
                 let blocking_ops: u64 = increment.iter().map(CostModel::blocking_ops).sum();
-                let ids = blocker.process_increment(increment);
-                for &id in &ids {
+                let ingested = stage_a.ingest(increment);
+                for &id in &ingested.ids {
                     if arrived_at.len() <= id.index() {
                         arrived_at.resize(id.index() + 1, 0.0);
                     }
                     arrived_at[id.index()] = *arrival_time;
                 }
-                self.emitter.on_increment(&blocker, &ids);
-                let update_ops = self.emitter.drain_ops();
+                ingest_errors.extend(ingested.errors.iter().map(PierError::to_string));
+                let update_ops = ingested.ops;
                 a_free = t0 + cost.stage_a_secs(blocking_ops + update_ops);
                 end_time = end_time.max(a_free.min(budget));
                 // Phase timings in *virtual* seconds, per the cost model.
@@ -276,11 +285,6 @@ impl<'a> PipelineSim<'a> {
                 observer.emit(|| Event::PhaseTiming {
                     phase: Phase::Weight,
                     secs: cost.stage_a_secs(update_ops),
-                });
-                let seq = arr_idx as u64;
-                observer.emit(|| Event::IncrementIngested {
-                    seq,
-                    profiles: increment.len(),
                 });
                 arr_idx += 1;
                 if arr_idx == arrivals.len() {
@@ -303,8 +307,7 @@ impl<'a> PipelineSim<'a> {
                 break 'sim;
             }
             let k = k_policy.k();
-            let batch = self.emitter.next_batch(&blocker, k);
-            let pull_ops = self.emitter.drain_ops();
+            let (batch, pull_ops) = stage_a.pull(k);
             if !batch.is_empty() {
                 observer.emit(|| Event::PhaseTiming {
                     phase: Phase::Prune,
@@ -312,7 +315,9 @@ impl<'a> PipelineSim<'a> {
                 });
             }
             if batch.is_empty() {
-                if consumed_at.is_none() && arr_idx == arrivals.len() && !self.emitter.has_pending()
+                if consumed_at.is_none()
+                    && arr_idx == arrivals.len()
+                    && !stage_a.emitter().has_pending()
                 {
                     // The stream is fully consumed: everything ingested and
                     // the emitter's backlog drained (the × marker).
@@ -326,11 +331,10 @@ impl<'a> PipelineSim<'a> {
                 let a_idle =
                     a_free <= t0 && (arr_idx == arrivals.len() || arrivals[arr_idx].0 > t0);
                 if a_idle {
-                    self.emitter.on_increment(&blocker, &[]);
-                    let tick_ops = self.emitter.drain_ops();
-                    if tick_ops > 0 {
+                    let tick = stage_a.tick();
+                    if tick.made_work {
                         // The tick occupies stage A, then the matcher retries.
-                        a_free = a_free.max(t0) + cost.stage_a_secs(tick_ops);
+                        a_free = a_free.max(t0) + cost.stage_a_secs(tick.ops);
                         b_free = b_free.max(a_free);
                         end_time = end_time.max(b_free.min(budget));
                         continue;
@@ -351,6 +355,7 @@ impl<'a> PipelineSim<'a> {
             }
             let mut t = t0 + cost.stage_a_secs(pull_ops);
             let classify_started = t;
+            let blocker = stage_a.blocker();
             for cmp in batch {
                 let (ops, similarity) = match self.config.matcher_mode {
                     MatcherMode::Real => {
@@ -365,8 +370,8 @@ impl<'a> PipelineSim<'a> {
                         (outcome.ops, outcome.similarity)
                     }
                     MatcherMode::CostOnly => {
-                        let sa = profile_size(&blocker, self.matcher, cmp.a);
-                        let sb = profile_size(&blocker, self.matcher, cmp.b);
+                        let sa = profile_size(blocker, self.matcher, cmp.a);
+                        let sb = profile_size(blocker, self.matcher, cmp.b);
                         // PC counts ground-truth hits among emissions, so a
                         // credited pair is reported with similarity 1.0.
                         (self.matcher.pair_ops(sa, sb), 1.0)
@@ -403,14 +408,18 @@ impl<'a> PipelineSim<'a> {
                 secs: classify_secs,
             });
             k_policy.record_batch(t - t0);
-            if consumed_at.is_none() && arr_idx == arrivals.len() && !self.emitter.has_pending() {
+            if consumed_at.is_none()
+                && arr_idx == arrivals.len()
+                && !stage_a.emitter().has_pending()
+            {
                 consumed_at = Some(t);
             }
         }
 
         trajectory.finish(end_time.min(budget));
         SimOutcome {
-            name: self.emitter.name(),
+            name: stage_a.emitter().name(),
+            ingest_errors,
             trajectory,
             all_ingested_at,
             consumed_at,
@@ -466,6 +475,26 @@ mod tests {
         assert!(out.consumed_at.is_some());
         assert_eq!(out.classified_matches, 2);
         assert_eq!(out.name, "I-PES");
+    }
+
+    #[test]
+    fn a_replayed_id_is_skipped_and_reported() {
+        let mut replay = dup_pair(0, "something else entirely");
+        replay.truncate(1);
+        let arrivals = vec![(0.0, dup_pair(0, "alpha beta gamma")), (1.0, replay)];
+        let gt = GroundTruth::from_pairs([(ProfileId(0), ProfileId(1))]);
+        let mut emitter = Ipes::new(PierConfig::default());
+        let matcher = JaccardMatcher::default();
+        let config = SimConfig {
+            matcher_mode: MatcherMode::Real,
+            ..SimConfig::default()
+        };
+        let out =
+            PipelineSim::new(&mut emitter, &matcher, config).run(ErKind::Dirty, &arrivals, &gt);
+        assert_eq!(out.ingest_errors, vec!["profile 0 ingested twice"]);
+        // The original profile 0 was kept: it still matches profile 1.
+        assert_eq!(out.classified_matches, 1);
+        assert!(out.consumed_at.is_some());
     }
 
     #[test]

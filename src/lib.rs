@@ -90,14 +90,14 @@ pub use pier_types as types;
 pub mod prelude {
     pub use pier_baselines::{BatchEr, GsPsn, IBase, LsPsn, Pbs, Pps, PpsScope};
     pub use pier_blocking::{
-        block_ghosting, block_stats, ghost_blocks, load_checkpoint, save_checkpoint,
-        BlockCollection, BlockId, BlockStats, IncrementalBlocker, PurgePolicy,
+        block_stats, ghost_blocks, load_checkpoint, save_checkpoint, BlockCollection, BlockId,
+        BlockStats, IncrementalBlocker, PurgePolicy,
     };
     pub use pier_chaos::{Fault, FaultKind, FaultPlan, FaultPoint};
     pub use pier_collections::{BoundedMaxHeap, LazyMinHeap, ScalableBloomFilter};
     pub use pier_core::{
         recommend, AdaptiveK, BlockCursor, ComparisonEmitter, Ipbs, Ipcs, Ipes, PierConfig,
-        PierPipeline, Recommendation, Strategy,
+        PierPipeline, Recommendation, StageA, Strategy,
     };
     pub use pier_datagen::{
         generate_bibliographic, generate_census, generate_dbpedia, generate_movies,
@@ -127,15 +127,8 @@ pub mod prelude {
         IdleBackoff, MatchEvent, Pipeline, PipelineBuilder, RuntimeConfig, RuntimeReport,
         ShedPolicy, TokenizedIncrement, TokenizedProfile,
     };
-    // The pre-`Pipeline` entry points stay importable for one release.
-    #[allow(deprecated)]
-    pub use pier_runtime::{
-        run_streaming, run_streaming_observed, run_streaming_sharded,
-        run_streaming_sharded_observed,
-    };
     pub use pier_shard::{
-        ProfileStore, RoutedProfile, ShardMerger, ShardRouter, ShardWorker, ShardedConfig,
-        ShardedStageA,
+        FanOut, ProfileStore, ShardMerger, ShardRouter, ShardWorker, ShardedConfig, ShardedStageA,
     };
     pub use pier_sim::{
         arrival_schedule, arrival_times, ArrivalPattern, CostModel, MatcherMode, Method,

@@ -58,26 +58,16 @@ fn reimported_dataset_yields_identical_er_results() {
 
     // Run the same ER pipeline on both and compare emissions.
     let run = |data: &Dataset| -> Vec<Comparison> {
-        let mut blocker = IncrementalBlocker::new(data.kind);
-        let mut e = Ipes::new(PierConfig::default());
+        let mut stage_a = StageA::new(
+            IncrementalBlocker::new(data.kind),
+            Strategy::Pes.build(PierConfig::default()),
+        );
         for inc in data.into_increments(5).unwrap() {
-            let ids = blocker.process_increment(&inc.profiles);
-            e.on_increment(&blocker, &ids);
+            stage_a.ingest(&inc.profiles);
         }
-        let mut out = Vec::new();
-        loop {
-            let batch = e.next_batch(&blocker, 32);
-            if !batch.is_empty() {
-                out.extend(batch);
-                continue;
-            }
-            e.drain_ops();
-            e.on_increment(&blocker, &[]);
-            if e.drain_ops() == 0 {
-                break;
-            }
-        }
-        out
+        std::iter::from_fn(|| Some(stage_a.pull_idle(32)).filter(|b| !b.is_empty()))
+            .flatten()
+            .collect()
     };
     assert_eq!(run(&d), run(&d2));
 }

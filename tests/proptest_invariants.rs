@@ -136,7 +136,8 @@ proptest! {
             .enumerate()
             .map(|(i, &s)| (pier::blocking::BlockId(i as u32), s))
             .collect();
-        let kept = block_ghosting(&blocks, beta).unwrap();
+        let kept =
+            ghost_blocks(&blocks, beta, None, ProfileId(0), &Observer::disabled()).unwrap();
         let min = *sizes.iter().min().unwrap();
         let threshold = min as f64 / beta;
         // Exactly the blocks within threshold survive.
