@@ -16,6 +16,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use pier_blocking::{BlockId, IncrementalBlocker};
+use pier_collections::EpochStamps;
 use pier_core::ComparisonEmitter;
 use pier_types::{Comparison, ProfileId, WeightedComparison};
 
@@ -30,6 +31,8 @@ pub struct Pbs {
     block_queue: VecDeque<BlockId>,
     /// CBS-ordered comparisons of the block currently being drained.
     buffer: VecDeque<Comparison>,
+    /// Reusable block-stamp scratch of the CBS kernel.
+    stamps: EpochStamps,
     rebuild_cost_multiplier: u64,
     ops: u64,
 }
@@ -47,6 +50,7 @@ impl Pbs {
             emitted: HashSet::new(),
             block_queue: VecDeque::new(),
             buffer: VecDeque::new(),
+            stamps: EpochStamps::new(),
             rebuild_cost_multiplier: 8,
             ops: 0,
         }
@@ -98,6 +102,7 @@ impl Pbs {
             let members: Vec<ProfileId> = block.members().collect();
             let mut in_block: Vec<WeightedComparison> = Vec::new();
             for (i, &x) in members.iter().enumerate() {
+                let cbs = collection.cbs_from(x, &mut self.stamps);
                 for &y in &members[i + 1..] {
                     self.ops += 1;
                     if kind == pier_types::ErKind::CleanClean
@@ -109,7 +114,7 @@ impl Pbs {
                     if self.emitted.contains(&cmp) {
                         continue;
                     }
-                    let w = collection.common_blocks(x, y) as f64;
+                    let w = cbs.with(y) as f64;
                     self.ops += 1;
                     in_block.push(WeightedComparison::new(cmp, w));
                 }

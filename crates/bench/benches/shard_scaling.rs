@@ -113,7 +113,7 @@ fn critical_path_secs(increments: &[Vec<EntityProfile>], shards: u16) -> (f64, f
         // Router-thread work: global store, ghost floors, partition,
         // skeleton fan-out — the runtime's own routing step.
         let t0 = Instant::now();
-        let fan = store.fan_out(&router, owned.into_iter().zip(tokens));
+        let fan = store.fan_out(&router, ErKind::CleanClean, owned.into_iter().zip(tokens));
         t_serial += t0.elapsed().as_secs_f64();
         assert!(fan.errors.is_empty(), "bench corpus has unique profile ids");
 

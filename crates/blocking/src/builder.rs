@@ -127,9 +127,9 @@ impl IncrementalBlocker {
     /// Ingests a single profile under its own id.
     ///
     /// # Panics
-    /// Panics if a profile with the same id was already ingested. Pipelines
-    /// that must survive duplicate ids use
-    /// [`IncrementalBlocker::try_process_profile`].
+    /// Panics if a profile with the same id was already ingested or its
+    /// source does not fit the ER kind. Pipelines that must survive such
+    /// input use [`IncrementalBlocker::try_process_profile`].
     pub fn process_profile(&mut self, profile: EntityProfile) -> ProfileId {
         match self.try_process_profile(profile) {
             Ok(id) => id,
@@ -142,8 +142,11 @@ impl IncrementalBlocker {
     ///
     /// # Errors
     /// Returns [`PierError::DuplicateProfile`] if a profile with the same
-    /// id was already ingested (the blocker is left unchanged).
+    /// id was already ingested, and [`PierError::InvalidConfig`] if its
+    /// source is not one this ER kind has ([`ErKind::check_source`]). The
+    /// blocker is left unchanged either way.
     pub fn try_process_profile(&mut self, profile: EntityProfile) -> Result<ProfileId, PierError> {
+        self.check_admissible(&profile)?;
         let ids = match &mut self.dictionary {
             DictHandle::Owned(d) => {
                 d.tokenize_and_intern(&self.tokenizer, &profile, &mut self.scratch)
@@ -152,7 +155,7 @@ impl IncrementalBlocker {
                 d.tokenize_and_intern(&self.tokenizer, &profile, &mut self.scratch)
             }
         };
-        self.store(profile, ids)
+        Ok(self.store(profile, ids))
     }
 
     /// Ingests a profile under externally interned token ids instead of
@@ -164,24 +167,24 @@ impl IncrementalBlocker {
     /// set is sorted by id.
     ///
     /// # Errors
-    /// Returns [`PierError::DuplicateProfile`] if a profile with the same
-    /// id was already ingested (the blocker is left unchanged).
+    /// As [`IncrementalBlocker::try_process_profile`].
     pub fn try_process_profile_with_token_ids(
         &mut self,
         profile: EntityProfile,
         tokens: &[TokenId],
     ) -> Result<ProfileId, PierError> {
+        self.check_admissible(&profile)?;
         let mut ids = tokens.to_vec();
         ids.sort_unstable();
         ids.dedup();
-        self.store(profile, ids)
+        Ok(self.store(profile, ids))
     }
 
     /// Panicking wrapper around
     /// [`IncrementalBlocker::try_process_profile_with_token_ids`].
     ///
     /// # Panics
-    /// Panics if a profile with the same id was already ingested.
+    /// As [`IncrementalBlocker::process_profile`].
     pub fn process_profile_with_token_ids(
         &mut self,
         profile: EntityProfile,
@@ -193,23 +196,31 @@ impl IncrementalBlocker {
         }
     }
 
-    /// Shared tail of the ingest entry points: stores the profile and its
-    /// sorted distinct token ids, updating the block collection.
-    fn store(&mut self, profile: EntityProfile, ids: Vec<TokenId>) -> Result<ProfileId, PierError> {
+    /// Shared head of the ingest entry points. Streamed profiles are
+    /// outside input: source and id are checked before any state — the
+    /// dictionary included — is touched.
+    fn check_admissible(&self, profile: &EntityProfile) -> Result<(), PierError> {
+        self.collection.kind().check_source(profile)?;
+        match self.profiles.get(profile.id.index()) {
+            Some(Some(_)) => Err(PierError::DuplicateProfile(profile.id.0)),
+            _ => Ok(()),
+        }
+    }
+
+    /// Shared tail of the ingest entry points: stores an admissible profile
+    /// and its sorted distinct token ids, updating the block collection.
+    fn store(&mut self, profile: EntityProfile, ids: Vec<TokenId>) -> ProfileId {
         let id = profile.id;
         if self.profiles.len() <= id.index() {
             self.profiles.resize(id.index() + 1, None);
             self.token_sets.resize(id.index() + 1, None);
-        }
-        if self.profiles[id.index()].is_some() {
-            return Err(PierError::DuplicateProfile(id.0));
         }
         self.collection.add_profile(id, profile.source, &ids);
         self.token_sets[id.index()] = Some(Arc::from(ids));
         self.profiles[id.index()] = Some(Arc::new(profile));
         self.arrival_order.push(id);
         self.profile_count += 1;
-        Ok(id)
+        id
     }
 
     /// Records the *global* minimum block size of a profile's blocks.
@@ -460,6 +471,36 @@ mod tests {
         // The failed ingest left the blocker untouched.
         assert_eq!(b.profile_count(), 1);
         assert_eq!(b.collection().block_count(), before_blocks);
+    }
+
+    #[test]
+    fn a_source_the_kind_lacks_is_a_typed_error() {
+        // Dirty ER has one source; Clean-Clean has two. Anything else would
+        // index past `Block.members` (panic) or sit in a member list the
+        // block cursor never enumerates.
+        for (kind, src) in [(ErKind::Dirty, 1), (ErKind::CleanClean, 2)] {
+            let mut b = IncrementalBlocker::new(kind);
+            b.process_profile(p(0, 0, "aa bb"));
+            let err = b.try_process_profile(p(1, src, "aa bb")).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PierError::InvalidConfig {
+                        parameter: "profiles",
+                        ..
+                    }
+                ),
+                "{kind:?}: {err}"
+            );
+            let err = b
+                .try_process_profile_with_token_ids(p(1, src, "ignored"), &[TokenId(0)])
+                .unwrap_err();
+            assert!(matches!(err, PierError::InvalidConfig { .. }), "{err}");
+            // Nothing was touched: the id is still free for a valid profile.
+            assert_eq!(b.profile_count(), 1);
+            assert_eq!(b.collection().block_count(), 2);
+            assert_eq!(b.try_process_profile(p(1, 0, "aa")).unwrap(), ProfileId(1));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The incrementally-maintained block collection.
 
-use pier_collections::NeighborAccumulator;
+use pier_collections::{EpochStamps, NeighborAccumulator};
 use pier_observe::{Event, Observer};
 use pier_types::{ErKind, ProfileId, SourceId, TokenId};
 
@@ -270,7 +270,9 @@ impl BlockCollection {
     /// once.
     ///
     /// # Panics
-    /// Panics if `id` was already inserted.
+    /// Panics if `id` was already inserted, or if `source` is neither 0
+    /// nor 1 (callers validate with [`ErKind::check_source`] first;
+    /// [`crate::IncrementalBlocker`] does).
     pub fn add_profile(&mut self, id: ProfileId, source: SourceId, tokens: &[TokenId]) {
         if self.profile_blocks.len() <= id.index() {
             self.profile_blocks.resize(id.index() + 1, None);
@@ -426,8 +428,34 @@ impl BlockCollection {
         out
     }
 
+    /// Prepares exact CBS weights of many pairs sharing the endpoint
+    /// `pivot`: stamps the pivot's non-purged blocks into `stamps`
+    /// (discarding its previous contents), after which
+    /// [`PivotCbs::with`] weighs a partner by one pass over the partner's
+    /// own block list. Every weight equals
+    /// [`common_blocks`](Self::common_blocks)`(pivot, partner)`.
+    ///
+    /// `stamps` is the caller's reusable scratch, one per driver lane; it
+    /// grows to the largest block id stamped (4 bytes per block).
+    pub fn cbs_from<'a>(&'a self, pivot: ProfileId, stamps: &'a mut EpochStamps) -> PivotCbs<'a> {
+        stamps.begin();
+        for &bid in self.blocks_of(pivot) {
+            if !self.slab[bid.index()].is_purged() {
+                stamps.insert(bid.index());
+            }
+        }
+        PivotCbs {
+            collection: self,
+            pivot,
+            stamps,
+        }
+    }
+
     /// Exact CBS weight of a pair over the full collection:
     /// `|B(p_x) ∩ B(p_y)|`, counting only non-purged blocks.
+    ///
+    /// The two-profile form for arbitrary pairs; callers weighing many
+    /// pairs with a common endpoint use [`cbs_from`](Self::cbs_from).
     ///
     /// Runs as a linear merge: a profile's block list is sorted because
     /// token blocking inserts blocks in (sorted) token-id order.
@@ -451,6 +479,34 @@ impl BlockCollection {
                 }
             }
         }
+        count
+    }
+}
+
+/// The stamped non-purged blocks of one pivot profile, ready to weigh its
+/// partners (see [`BlockCollection::cbs_from`]).
+#[derive(Debug)]
+pub struct PivotCbs<'a> {
+    collection: &'a BlockCollection,
+    pivot: ProfileId,
+    stamps: &'a EpochStamps,
+}
+
+impl PivotCbs<'_> {
+    /// Exact CBS weight of `(pivot, partner)`: how many of the partner's
+    /// blocks carry the pivot's stamp — a branch-free count, where the
+    /// sorted merge of [`BlockCollection::common_blocks`] takes one
+    /// unpredictable branch per step.
+    #[inline]
+    pub fn with(&self, partner: ProfileId) -> u32 {
+        let blocks = self.collection.blocks_of(partner);
+        let count = self.stamps.count_in(blocks.iter().map(|bid| bid.index()));
+        debug_assert_eq!(
+            count,
+            self.collection.common_blocks(self.pivot, partner),
+            "stamped CBS of ({}, {partner}) disagrees with the merge",
+            self.pivot
+        );
         count
     }
 }

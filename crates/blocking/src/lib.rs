@@ -28,7 +28,7 @@ pub mod stats;
 
 pub use builder::IncrementalBlocker;
 pub use checkpoint::{load_checkpoint, save_checkpoint};
-pub use collection::{Block, BlockCollection, BlockId, Partners, SlabStats};
+pub use collection::{Block, BlockCollection, BlockId, Partners, PivotCbs, SlabStats};
 pub use ghosting::ghost_blocks;
 pub use purging::PurgePolicy;
 pub use stats::{block_stats, BlockStats};

@@ -11,7 +11,8 @@
 //!   filter `CF` of Algorithm 3, per the paper's reference \[16\].
 //! * [`scratch`] — the epoch-stamped [`NeighborAccumulator`] replacing the
 //!   per-ingest `HashMap`s of the stage-A gather loop (I-WNP, CBS counts,
-//!   graph building).
+//!   graph building), and the [`EpochStamps`] set it resets with — on its
+//!   own the block-stamp scratch of the fallback CBS kernel.
 //! * [`hash`] — a vendored Fx-style integer hasher ([`FxHashMap`],
 //!   [`FxHashSet`]) for the internal maps that must remain maps.
 
@@ -27,4 +28,4 @@ pub use bloom::ScalableBloomFilter;
 pub use bounded_heap::BoundedMaxHeap;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use lazy_heap::LazyMinHeap;
-pub use scratch::{NeighborAccumulator, ScratchStats};
+pub use scratch::{EpochStamps, NeighborAccumulator, ScratchStats};

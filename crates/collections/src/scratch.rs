@@ -21,6 +21,93 @@
 
 use pier_types::ProfileId;
 
+/// A set over dense `usize` indices, emptied in O(1) by epoch stamping.
+///
+/// One `u32` stamp per index; an index is in the set iff its stamp equals
+/// the current epoch. [`begin`](Self::begin) bumps the epoch instead of
+/// clearing, and zeroes the stamps once on the (astronomically rare) `u32`
+/// wrap-around so stamps of the previous cycle cannot alias the new epoch.
+///
+/// It is the reset mechanism of [`NeighborAccumulator`] (indices are
+/// profile ids) and, on its own, the block-stamp scratch of the fallback
+/// CBS kernel (indices are block ids: stamp a pivot's blocks once, then a
+/// partner's weight is a count of its block list against the stamps).
+#[derive(Debug, Clone)]
+pub struct EpochStamps {
+    /// Current generation, never 0: fresh stamps are 0, so an index that
+    /// was never inserted is absent in every epoch.
+    epoch: u32,
+    stamps: Vec<u32>,
+}
+
+impl Default for EpochStamps {
+    fn default() -> Self {
+        EpochStamps {
+            epoch: 1,
+            stamps: Vec::new(),
+        }
+    }
+}
+
+impl EpochStamps {
+    /// Creates an empty set; stamps grow on demand.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Empties the set. O(1), except for the one `fill` at the wrap.
+    pub fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Inserts `i`, growing the stamp vector to hold it. Returns whether
+    /// `i` was absent.
+    #[inline]
+    pub fn insert(&mut self, i: usize) -> bool {
+        if self.stamps.len() <= i {
+            self.stamps.resize(i + 1, 0);
+        }
+        let fresh = self.stamps[i] != self.epoch;
+        self.stamps[i] = self.epoch;
+        fresh
+    }
+
+    /// Whether `i` was inserted since the last [`begin`](Self::begin).
+    #[inline]
+    pub fn contains(&self, i: usize) -> bool {
+        self.stamps.get(i) == Some(&self.epoch)
+    }
+
+    /// How many of `indices` are in the set — a branch-free sum of stamp
+    /// comparisons (indices beyond the stamp vector were never inserted
+    /// and count as absent).
+    #[inline]
+    pub fn count_in(&self, indices: impl IntoIterator<Item = usize>) -> u32 {
+        indices
+            .into_iter()
+            .map(|i| u32::from(self.stamps.get(i).copied().unwrap_or(0) == self.epoch))
+            .sum()
+    }
+
+    /// Number of stamp slots allocated (largest index inserted + 1).
+    pub fn slots(&self) -> usize {
+        self.stamps.len()
+    }
+
+    /// Invalidates the current contents and moves the epoch to the end of
+    /// its `u32` cycle, so the next [`begin`](Self::begin) takes the
+    /// wrap-around path. Exists so tests can reach that path without four
+    /// billion epochs; harmless elsewhere.
+    pub fn fast_forward_to_wrap(&mut self) {
+        self.begin();
+        self.epoch = u32::MAX;
+    }
+}
+
 /// Occupancy statistics of a [`NeighborAccumulator`], surfaced by
 /// `observed_stream --stage-a-stats`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,10 +129,8 @@ pub struct ScratchStats {
 /// next `begin`.
 #[derive(Debug, Clone, Default)]
 pub struct NeighborAccumulator {
-    /// Current generation; 0 = never begun (all slots stale by definition,
-    /// since fresh stamps are 0 and epochs handed out start at 1).
-    epoch: u32,
-    stamps: Vec<u32>,
+    /// Which slots hold this epoch's values.
+    live: EpochStamps,
     counts: Vec<u32>,
     sums: Vec<f64>,
     touched: Vec<ProfileId>,
@@ -59,15 +144,9 @@ impl NeighborAccumulator {
     }
 
     /// Starts a new accumulation epoch. O(1): previous contents are
-    /// invalidated by the stamp bump, not cleared. On the (astronomically
-    /// rare) u32 wrap-around the stamp vector is zeroed once so stale
-    /// stamps from the previous cycle cannot alias the new epoch.
+    /// invalidated by the stamp bump ([`EpochStamps::begin`]), not cleared.
     pub fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamps.fill(0);
-            self.epoch = 1;
-        }
+        self.live.begin();
         self.touched.clear();
     }
 
@@ -76,13 +155,11 @@ impl NeighborAccumulator {
     #[inline]
     fn slot(&mut self, p: ProfileId) -> usize {
         let i = p.index();
-        if self.stamps.len() <= i {
-            self.stamps.resize(i + 1, 0);
+        if self.counts.len() <= i {
             self.counts.resize(i + 1, 0);
             self.sums.resize(i + 1, 0.0);
         }
-        if self.stamps[i] != self.epoch {
-            self.stamps[i] = self.epoch;
+        if self.live.insert(i) {
             self.counts[i] = 0;
             self.sums[i] = 0.0;
             self.touched.push(p);
@@ -110,18 +187,20 @@ impl NeighborAccumulator {
     /// `p`'s accumulated count this epoch (0 if untouched).
     #[inline]
     pub fn count(&self, p: ProfileId) -> u32 {
-        match self.stamps.get(p.index()) {
-            Some(&s) if s == self.epoch && self.epoch != 0 => self.counts[p.index()],
-            _ => 0,
+        if self.live.contains(p.index()) {
+            self.counts[p.index()]
+        } else {
+            0
         }
     }
 
     /// `p`'s accumulated sum this epoch (0.0 if untouched).
     #[inline]
     pub fn sum(&self, p: ProfileId) -> f64 {
-        match self.stamps.get(p.index()) {
-            Some(&s) if s == self.epoch && self.epoch != 0 => self.sums[p.index()],
-            _ => 0.0,
+        if self.live.contains(p.index()) {
+            self.sums[p.index()]
+        } else {
+            0.0
         }
     }
 
@@ -151,7 +230,7 @@ impl NeighborAccumulator {
     /// Current occupancy statistics.
     pub fn stats(&self) -> ScratchStats {
         ScratchStats {
-            slots: self.stamps.len(),
+            slots: self.live.slots(),
             high_water: self.high_water,
         }
     }
@@ -163,6 +242,41 @@ mod tests {
 
     fn p(i: u32) -> ProfileId {
         ProfileId(i)
+    }
+
+    #[test]
+    fn stamps_insert_contain_and_count() {
+        let mut set = EpochStamps::new();
+        assert!(!set.contains(0), "a fresh set is empty before any begin");
+        assert_eq!(set.count_in([0, 7]), 0);
+        set.begin();
+        assert!(set.insert(4));
+        assert!(!set.insert(4), "second insert reports presence");
+        assert!(set.insert(9));
+        assert!(set.contains(4) && set.contains(9) && !set.contains(5));
+        // Repeated and out-of-range indices are counted per occurrence / as
+        // absent.
+        assert_eq!(set.count_in([4, 9, 5, 4, 1_000]), 3);
+        assert_eq!(set.slots(), 10);
+        set.begin();
+        assert!(!set.contains(4));
+        assert_eq!(set.count_in([4, 9]), 0);
+    }
+
+    #[test]
+    fn stamps_survive_the_epoch_wrap() {
+        let mut set = EpochStamps::new();
+        set.begin();
+        set.insert(3); // stamped with the first epoch handed out
+        set.fast_forward_to_wrap();
+        assert!(!set.contains(3), "fast-forwarding invalidates the contents");
+        set.insert(5); // stamped u32::MAX
+        set.begin(); // wraps
+        set.begin(); // same epoch value as index 3's stale stamp
+        assert!(!set.contains(3) && !set.contains(5));
+        assert_eq!(set.count_in([3, 5]), 0);
+        assert!(set.insert(3));
+        assert_eq!(set.count_in([3, 5]), 1);
     }
 
     #[test]
@@ -219,13 +333,14 @@ mod tests {
     fn epoch_wraparound_does_not_resurrect_stale_slots() {
         let mut acc = NeighborAccumulator::new();
         acc.begin();
-        acc.bump(p(1)); // stamped with epoch 1
-        acc.epoch = u32::MAX; // fast-forward to the wrap boundary
-        acc.begin(); // wraps: stamps zeroed, epoch = 1 again
+        acc.bump(p(1)); // stamped with the first epoch handed out
+        acc.live.fast_forward_to_wrap();
+        acc.begin(); // wraps: stamps zeroed, epochs restart...
+        acc.begin(); // ...and reach the stale stamp's value again
         assert_eq!(
             acc.count(p(1)),
             0,
-            "slot stamped in the previous epoch-1 must not leak through the wrap"
+            "a slot stamped before the wrap must not leak into the epoch that reuses its stamp"
         );
         acc.bump(p(1));
         assert_eq!(acc.count(p(1)), 1);

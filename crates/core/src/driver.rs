@@ -27,11 +27,9 @@
 //! assert_eq!(found.len(), 1);
 //! ```
 
-use std::time::Instant;
-
 use pier_blocking::{IncrementalBlocker, PurgePolicy};
 use pier_matching::{ClassifiedMatch, IncrementalClassifier, MatchFunction, MatchInput};
-use pier_observe::{Event, Observer, Phase};
+use pier_observe::{Observer, Phase};
 use pier_types::{Comparison, EntityProfile, ErKind, Tokenizer};
 
 use crate::framework::PierConfig;
@@ -75,24 +73,12 @@ impl<M: MatchFunction> PierPipeline<M> {
 
     /// Attaches a pipeline observer and propagates it to every component
     /// (blocker, emitter, classifier). The pipeline itself reports
-    /// [`Event::PhaseTiming`]; stage A reports [`Event::IncrementIngested`].
+    /// [`pier_observe::Event::PhaseTiming`]; stage A reports
+    /// [`pier_observe::Event::IncrementIngested`].
     pub fn set_observer(&mut self, observer: Observer) {
         self.stage_a.set_observer(observer.clone());
         self.classifier.set_observer(observer.clone());
         self.observer = observer;
-    }
-
-    /// Runs `step` and reports its wall time as `phase` when observed.
-    fn timed<T>(&mut self, phase: Phase, step: impl FnOnce(&mut Self) -> T) -> T {
-        let t0 = self.observer.is_enabled().then(Instant::now);
-        let out = step(self);
-        if let Some(t0) = t0 {
-            self.observer.emit(|| Event::PhaseTiming {
-                phase,
-                secs: t0.elapsed().as_secs_f64(),
-            });
-        }
-        out
     }
 
     /// Ingests one increment: blocking + prioritizer update. A profile
@@ -100,19 +86,21 @@ impl<M: MatchFunction> PierPipeline<M> {
     /// [`Ingested::errors`]; the rest of the increment goes through.
     pub fn push_increment(&mut self, profiles: &[EntityProfile]) -> Ingested {
         let mut out = Ingested::default();
-        self.timed(Phase::Block, |pl| {
+        self.observer.timed(Phase::Block, || {
             for profile in profiles {
-                out.record(pl.stage_a.block(profile.clone()));
+                out.record(self.stage_a.block(profile.clone()));
             }
         });
-        out.ops = self.timed(Phase::Weight, |pl| pl.stage_a.weigh(&out.ids));
+        out.ops = self
+            .observer
+            .timed(Phase::Weight, || self.stage_a.weigh(&out.ids));
         out
     }
 
     /// Classifies one pulled batch.
     fn classify(&mut self, batch: Vec<Comparison>) {
-        self.timed(Phase::Classify, |pl| {
-            let blocker = pl.stage_a.blocker();
+        self.observer.timed(Phase::Classify, || {
+            let blocker = self.stage_a.blocker();
             for cmp in batch {
                 let input = MatchInput {
                     profile_a: blocker.profile(cmp.a),
@@ -120,7 +108,7 @@ impl<M: MatchFunction> PierPipeline<M> {
                     profile_b: blocker.profile(cmp.b),
                     tokens_b: blocker.tokens_of(cmp.b),
                 };
-                pl.classifier.classify(cmp, input);
+                self.classifier.classify(cmp, input);
             }
         });
     }
@@ -138,7 +126,9 @@ impl<M: MatchFunction> PierPipeline<M> {
         let mut executed = 0usize;
         while executed < max_comparisons {
             let want = self.batch_size.min(max_comparisons - executed);
-            let batch = self.timed(Phase::Prune, |pl| pull(&mut pl.stage_a, want));
+            let batch = self
+                .observer
+                .timed(Phase::Prune, || pull(&mut self.stage_a, want));
             if batch.is_empty() {
                 break;
             }

@@ -8,11 +8,11 @@
 //! simulator and the threaded runtime) own timing, rates and the adaptive
 //! `K`; the emitters own *which comparisons come next*.
 
-use pier_blocking::{ghost_blocks, BlockCollection, BlockId, IncrementalBlocker};
-use pier_collections::{FxHashMap, FxHashSet, ScratchStats};
+use pier_blocking::{ghost_blocks, Block, BlockCollection, BlockId, IncrementalBlocker};
+use pier_collections::{EpochStamps, FxHashMap, FxHashSet, ScalableBloomFilter, ScratchStats};
 use pier_metablocking::{Iwnp, IwnpConfig, WeightingScheme};
-use pier_observe::Observer;
-use pier_types::{Comparison, ProfileId, WeightedComparison};
+use pier_observe::{Event, Observer};
+use pier_types::{Comparison, ErKind, ProfileId, SourceId, WeightedComparison};
 
 /// Configuration shared by the PIER strategies.
 #[derive(Debug, Clone, Copy)]
@@ -174,16 +174,81 @@ pub fn generate_for_profile_observed(
     (list, ops)
 }
 
+/// One block's not-yet-materialized pairs, grouped by their outer-loop
+/// member (the *pivot*): an iterator of `(pivot, partners)` where the pairs
+/// are `Comparison::new(pivot, partner)` for each partner in slice order.
+///
+/// Grouping is what lets a caller weigh the block cheaply — one
+/// [`BlockCollection::cbs_from`] per pivot, then one pass per partner — and
+/// it borrows the block's member lists, so no pair is materialized before
+/// the comparison filter has seen it. Flattened, the groups enumerate
+/// exactly: Dirty ER old × new then new × new (member `i` against every
+/// member before it, from the watermark on); Clean-Clean ER new₀ × all₁,
+/// then old₀ × new₁.
+#[derive(Debug, Clone)]
+pub struct PivotGroups<'a> {
+    kind: ErKind,
+    m0: &'a [ProfileId],
+    m1: &'a [ProfileId],
+    /// Members already paired up by earlier visits, per source.
+    w0: usize,
+    w1: usize,
+    /// Outer-loop steps taken.
+    step: usize,
+}
+
+impl<'a> PivotGroups<'a> {
+    fn empty(kind: ErKind) -> Self {
+        PivotGroups {
+            kind,
+            m0: &[],
+            m1: &[],
+            w0: 0,
+            w1: 0,
+            step: 0,
+        }
+    }
+
+    /// Number of pairs over all groups (independent of iteration state).
+    pub fn pair_count(&self) -> u64 {
+        let (n0, n1) = (self.m0.len() as u64, self.m1.len() as u64);
+        let (w0, w1) = (self.w0 as u64, self.w1 as u64);
+        match self.kind {
+            // Σ_{i=w0}^{n0-1} i
+            ErKind::Dirty => (n0 * n0.saturating_sub(1) - w0 * w0.saturating_sub(1)) / 2,
+            ErKind::CleanClean => (n0 - w0) * n1 + w0 * (n1 - w1),
+        }
+    }
+}
+
+impl<'a> Iterator for PivotGroups<'a> {
+    type Item = (ProfileId, &'a [ProfileId]);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (m0, m1) = (self.m0, self.m1);
+        let fresh = m0.len() - self.w0;
+        let step = self.step;
+        let group = match self.kind {
+            ErKind::Dirty if step < fresh => (m0[self.w0 + step], &m0[..self.w0 + step]),
+            ErKind::CleanClean if step < fresh => (m0[self.w0 + step], m1),
+            ErKind::CleanClean if step < m0.len() => (m0[step - fresh], &m1[self.w1..]),
+            _ => return None,
+        };
+        self.step += 1;
+        Some(group)
+    }
+}
+
 /// Stateful cursor over the blocks of a collection from smallest to largest
 /// — the `GetComparisons(B)` fallback of Algorithm 2 that keeps the pipeline
 /// busy while the input is idle.
 ///
 /// Each call to [`BlockCursor::next_block`] picks the smallest block with
-/// pending work and materializes its comparisons. A consumed block records
-/// a per-source *watermark* (how many members it had); if it grows later,
-/// it is revisited and only the pairs involving post-watermark members are
-/// emitted, so no in-block pair is ever lost to early consumption and none
-/// is materialized twice by the cursor.
+/// pending work and hands out its new pairs as [`PivotGroups`]. A consumed
+/// block records a per-source *watermark* (how many members it had); if it
+/// grows later, it is revisited and only the pairs involving post-watermark
+/// members are handed out, so no in-block pair is ever lost to early
+/// consumption and none is handed out twice by the cursor.
 #[derive(Debug, Default)]
 pub struct BlockCursor {
     /// Per-block member watermarks `(source 0, source 1)` at consumption.
@@ -207,27 +272,26 @@ impl BlockCursor {
     }
 
     /// Whether `block` still has unmaterialized pairs for this cursor.
-    fn has_pending_work(
-        &self,
-        bid: BlockId,
-        block: &pier_blocking::Block,
-        kind: pier_types::ErKind,
-    ) -> bool {
+    fn has_pending_work(&self, bid: BlockId, block: &Block, kind: ErKind) -> bool {
         let (w0, w1) = self.watermarks.get(&bid).copied().unwrap_or((0, 0));
-        let n0 = block.members_of(pier_types::SourceId(0)).len();
-        let n1 = block.members_of(pier_types::SourceId(1)).len();
+        let n0 = block.members_of(SourceId(0)).len();
+        let n1 = block.members_of(SourceId(1)).len();
         if n0 == w0 && n1 == w1 {
             return false;
         }
         match kind {
-            pier_types::ErKind::Dirty => n0 >= 2 && n0 > w0,
-            pier_types::ErKind::CleanClean => (n0 > w0 && n1 > 0) || (n1 > w1 && n0 > 0),
+            ErKind::Dirty => n0 >= 2 && n0 > w0,
+            ErKind::CleanClean => (n0 > w0 && n1 > 0) || (n1 > w1 && n0 > 0),
         }
     }
 
-    /// Pops the smallest pending block's new comparisons, or `None` when no
-    /// block has pending work. Also returns the ops spent scanning.
-    pub fn next_block(&mut self, collection: &BlockCollection) -> Option<(Vec<Comparison>, u64)> {
+    /// Pops the smallest pending block's new pairs, or `None` when no block
+    /// has pending work. Also returns the ops spent: the scan plus one per
+    /// pair handed out.
+    pub fn next_block<'a>(
+        &mut self,
+        collection: &'a BlockCollection,
+    ) -> Option<(PivotGroups<'a>, u64)> {
         let kind = collection.kind();
         let mut scanned = 0u64;
         if self.order_profile_count != collection.profile_count() {
@@ -261,39 +325,22 @@ impl BlockCursor {
         // Cached order entries may have lost their pending work to an
         // interleaved arrival + re-snapshot; re-check cheaply.
         if !self.has_pending_work(bid, block, kind) {
-            return Some((Vec::new(), scanned + 1));
+            return Some((PivotGroups::empty(kind), scanned + 1));
         }
         let (w0, w1) = self.watermarks.get(&bid).copied().unwrap_or((0, 0));
-        let m0 = block.members_of(pier_types::SourceId(0));
-        let m1 = block.members_of(pier_types::SourceId(1));
-        let mut cmps = Vec::new();
-        match kind {
-            pier_types::ErKind::Dirty => {
-                // old × new, then new × new.
-                for (i, &x) in m0.iter().enumerate().skip(w0) {
-                    for &y in &m0[..i] {
-                        cmps.push(Comparison::new(x, y));
-                    }
-                }
-            }
-            pier_types::ErKind::CleanClean => {
-                // new0 × all1, then old0 × new1.
-                for &x in &m0[w0..] {
-                    for &y in m1 {
-                        cmps.push(Comparison::new(x, y));
-                    }
-                }
-                for &x in &m0[..w0] {
-                    for &y in &m1[w1..] {
-                        cmps.push(Comparison::new(x, y));
-                    }
-                }
-            }
-        }
-        self.watermarks.insert(bid, (m0.len(), m1.len()));
+        let groups = PivotGroups {
+            kind,
+            m0: block.members_of(SourceId(0)),
+            m1: block.members_of(SourceId(1)),
+            w0,
+            w1,
+            step: 0,
+        };
+        self.watermarks
+            .insert(bid, (groups.m0.len(), groups.m1.len()));
         self.consumptions += 1;
-        let ops = scanned + cmps.len() as u64 + 1;
-        Some((cmps, ops))
+        let ops = scanned + groups.pair_count() + 1;
+        Some((groups, ops))
     }
 
     /// Number of block consumptions performed (revisits count again).
@@ -302,10 +349,86 @@ impl BlockCursor {
     }
 }
 
+/// The `GetComparisons(B)` state of one emitter lane: the block cursor and
+/// the warm block-stamp scratch its CBS kernel reuses across ticks (the
+/// fallback's counterpart of the lane's [`Iwnp`]).
+#[derive(Debug, Default)]
+pub(crate) struct Fallback {
+    cursor: BlockCursor,
+    stamps: EpochStamps,
+}
+
+/// The comparison filter step every PIER strategy runs before a pair may
+/// enter its index: records `cmp` in `seen` and returns whether it was new,
+/// reporting [`Event::CfFiltered`] for a repeat.
+pub(crate) fn admit(seen: &mut ScalableBloomFilter, observer: &Observer, cmp: Comparison) -> bool {
+    let fresh = seen.insert(cmp.key());
+    if !fresh {
+        observer.emit(|| Event::CfFiltered { cmp });
+    }
+    fresh
+}
+
+/// What [`refill_from_blocks`] needs from the emitter it refills. I-PCS and
+/// I-PES differ only in how a surviving comparison is scheduled.
+pub(crate) trait FallbackSink {
+    /// The lane's fallback state.
+    fn fallback(&mut self) -> &mut Fallback;
+
+    /// The emitter's comparison filter ([`admit`] over its own state).
+    fn admit(&mut self, cmp: Comparison) -> bool;
+
+    /// Schedules a comparison that passed [`FallbackSink::admit`].
+    fn accept(&mut self, wc: WeightedComparison);
+
+    /// Filter, then schedule — the order every path into the index takes.
+    fn offer(&mut self, wc: WeightedComparison) {
+        if self.admit(wc.cmp) {
+            self.accept(wc);
+        }
+    }
+}
+
+/// `GetComparisons(B)` (Algorithm 2, lines 10–11): takes the smallest
+/// unconsumed block's new pairs, asks the comparison filter about each, and
+/// schedules the survivors under their exact CBS weight. Returns the ops to
+/// charge: the cursor's, plus one per pair — filtered or not — for the
+/// weighing step (what `accept` charges for scheduling is the sink's own).
+///
+/// Filtering before weighing cannot change what is emitted: the filter sees
+/// the same pairs in the same order either way, and a filtered pair's
+/// weight was never used.
+pub(crate) fn refill_from_blocks<S: FallbackSink>(
+    sink: &mut S,
+    blocker: &IncrementalBlocker,
+) -> u64 {
+    let collection = blocker.collection();
+    // Moved out for the duration so the sink stays borrowable.
+    let mut fallback = std::mem::take(sink.fallback());
+    let mut ops = 0;
+    if let Some((groups, cursor_ops)) = fallback.cursor.next_block(collection) {
+        ops = cursor_ops + groups.pair_count();
+        for (pivot, partners) in groups {
+            if partners.is_empty() {
+                continue;
+            }
+            let cbs = collection.cbs_from(pivot, &mut fallback.stamps);
+            for &partner in partners {
+                let cmp = Comparison::new(pivot, partner);
+                if sink.admit(cmp) {
+                    sink.accept(WeightedComparison::new(cmp, cbs.with(partner) as f64));
+                }
+            }
+        }
+    }
+    *sink.fallback() = fallback;
+    ops
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_types::{EntityProfile, ErKind, SourceId};
+    use pier_types::EntityProfile;
 
     fn blocker_with(texts: &[(&str, u8)]) -> IncrementalBlocker {
         let mut b = IncrementalBlocker::new(ErKind::Dirty);
@@ -315,6 +438,20 @@ mod tests {
             );
         }
         b
+    }
+
+    /// The groups flattened into the pairs they stand for, in order.
+    fn pairs(groups: PivotGroups<'_>) -> Vec<Comparison> {
+        let count = groups.pair_count();
+        let flat: Vec<Comparison> = groups
+            .flat_map(|(pivot, partners)| partners.iter().map(move |&q| Comparison::new(pivot, q)))
+            .collect();
+        assert_eq!(
+            flat.len() as u64,
+            count,
+            "pair_count matches the enumeration"
+        );
+        flat
     }
 
     #[test]
@@ -345,10 +482,13 @@ mod tests {
         // tokens: "aa" in p0,p1 (size 2); "bb" in p0,p1,p2 (size 3).
         let b = blocker_with(&[("aa bb", 0), ("aa bb", 0), ("bb", 0)]);
         let mut cur = BlockCursor::new();
-        let (first, _) = cur.next_block(b.collection()).unwrap();
-        assert_eq!(first.len(), 1); // size-2 block: one pair
-        let (second, _) = cur.next_block(b.collection()).unwrap();
-        assert_eq!(second.len(), 3); // size-3 block: three pairs
+        let (first, ops) = cur.next_block(b.collection()).unwrap();
+        // size-2 block: one pair; ops = snapshot scan + the pair + 1.
+        assert_eq!(pairs(first).len(), 1);
+        assert_eq!(ops, b.collection().block_count() as u64 + 1 + 1);
+        let (second, ops) = cur.next_block(b.collection()).unwrap();
+        assert_eq!(pairs(second).len(), 3); // size-3 block: three pairs
+        assert_eq!(ops, 3 + 1);
         assert!(cur.next_block(b.collection()).is_none());
         assert_eq!(cur.consumed_count(), 2);
     }
@@ -369,8 +509,8 @@ mod tests {
         b.process_profile(EntityProfile::new(ProfileId(1), SourceId(0)).with("t", "shared"));
         b.process_profile(EntityProfile::new(ProfileId(2), SourceId(1)).with("t", "shared"));
         let mut cur = BlockCursor::new();
-        let (cmps, _) = cur.next_block(b.collection()).unwrap();
-        assert_eq!(cmps.len(), 2); // cross-source only
+        let (groups, _) = cur.next_block(b.collection()).unwrap();
+        assert_eq!(pairs(groups).len(), 2); // cross-source only
     }
 
     #[test]
@@ -379,15 +519,15 @@ mod tests {
         let mut cur = BlockCursor::new();
         // First pass: consume both size-2 blocks.
         let mut first = Vec::new();
-        while let Some((cmps, _)) = cur.next_block(b.collection()) {
-            first.extend(cmps);
+        while let Some((groups, _)) = cur.next_block(b.collection()) {
+            first.extend(pairs(groups));
         }
         assert_eq!(first.len(), 2); // (0,1) from aa and bb
                                     // Grow block "aa" with a new member.
         b.process_profile(EntityProfile::new(ProfileId(2), SourceId(0)).with("text", "aa"));
         let mut second = Vec::new();
-        while let Some((cmps, _)) = cur.next_block(b.collection()) {
-            second.extend(cmps);
+        while let Some((groups, _)) = cur.next_block(b.collection()) {
+            second.extend(pairs(groups));
         }
         // Only the new member's pairs appear, (0,1) is not repeated.
         second.sort_unstable();
@@ -414,8 +554,8 @@ mod tests {
             b.process_profile(
                 EntityProfile::new(ProfileId(i as u32), SourceId(0)).with("text", *t),
             );
-            while let Some((cmps, _)) = cur.next_block(b.collection()) {
-                for c in cmps {
+            while let Some((groups, _)) = cur.next_block(b.collection()) {
+                for c in pairs(groups) {
                     assert!(got.insert(c), "duplicate {c}");
                 }
             }
@@ -432,6 +572,50 @@ mod tests {
             got.len()
         );
         assert!(got.len() >= 10);
+    }
+
+    /// The grouped hand-out flattens to the reference nested loops, for
+    /// first visits and for revisits past a watermark.
+    #[test]
+    fn pivot_groups_enumerate_in_nested_loop_order() {
+        let ids = |r: std::ops::Range<u32>| r.map(ProfileId).collect::<Vec<_>>();
+        let (m0, m1) = (ids(0..5), ids(10..14));
+        for (w0, w1) in [(0, 0), (2, 0), (2, 3), (5, 1), (0, 4)] {
+            let groups = |kind| PivotGroups {
+                kind,
+                m0: &m0,
+                m1: &m1,
+                w0,
+                w1,
+                step: 0,
+            };
+            // Dirty: old × new, then new × new.
+            let mut want = Vec::new();
+            for (i, &x) in m0.iter().enumerate().skip(w0) {
+                for &y in &m0[..i] {
+                    want.push(Comparison::new(x, y));
+                }
+            }
+            assert_eq!(pairs(groups(ErKind::Dirty)), want, "dirty w0={w0}");
+            // Clean-Clean: new0 × all1, then old0 × new1.
+            let mut want = Vec::new();
+            for &x in &m0[w0..] {
+                for &y in &m1 {
+                    want.push(Comparison::new(x, y));
+                }
+            }
+            for &x in &m0[..w0] {
+                for &y in &m1[w1..] {
+                    want.push(Comparison::new(x, y));
+                }
+            }
+            assert_eq!(
+                pairs(groups(ErKind::CleanClean)),
+                want,
+                "clean-clean w0={w0} w1={w1}"
+            );
+        }
+        assert_eq!(pairs(PivotGroups::empty(ErKind::Dirty)), vec![]);
     }
 
     #[test]

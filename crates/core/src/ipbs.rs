@@ -17,11 +17,11 @@
 use std::cmp::Ordering;
 
 use pier_blocking::{BlockId, IncrementalBlocker};
-use pier_collections::{BoundedMaxHeap, FxHashMap, LazyMinHeap, ScalableBloomFilter};
+use pier_collections::{BoundedMaxHeap, EpochStamps, FxHashMap, LazyMinHeap, ScalableBloomFilter};
 use pier_observe::{Event, Observer};
 use pier_types::{Comparison, ProfileId, WeightedComparison};
 
-use crate::framework::{ComparisonEmitter, PierConfig};
+use crate::framework::{admit, ComparisonEmitter, PierConfig};
 
 /// An entry of the I-PBS comparison index. The paper's weight is the pair
 /// `⟨bsize, weight⟩`: comparisons from smaller blocks rank higher, CBS
@@ -66,6 +66,8 @@ pub struct Ipbs {
     pi: FxHashMap<BlockId, Vec<ProfileId>>,
     /// `CF`: the scalable Bloom comparison filter.
     cf: ScalableBloomFilter,
+    /// Reusable block-stamp scratch of the CBS kernel (warm across refills).
+    stamps: EpochStamps,
     ops: u64,
     observer: Observer,
 }
@@ -78,6 +80,7 @@ impl Ipbs {
             ci: LazyMinHeap::new(),
             pi: FxHashMap::default(),
             cf: ScalableBloomFilter::for_comparisons(),
+            stamps: EpochStamps::new(),
             ops: 0,
             observer: Observer::disabled(),
         }
@@ -121,14 +124,14 @@ impl Ipbs {
         let mut added = false;
         for &p_x in &unexecuted {
             let source = collection.source_of(p_x);
+            let cbs = collection.cbs_from(p_x, &mut self.stamps);
             for p_y in block.partners_of(p_x, source, kind) {
                 self.ops += 1;
                 let cmp = Comparison::new(p_x, p_y);
-                if !self.cf.insert(cmp.key()) {
-                    self.observer.emit(|| Event::CfFiltered { cmp });
+                if !admit(&mut self.cf, &self.observer, cmp) {
                     continue; // redundant (line 11)
                 }
-                let weight = collection.common_blocks(cmp.a, cmp.b) as f64;
+                let weight = cbs.with(p_y) as f64;
                 self.ops += collection
                     .blocks_of(cmp.a)
                     .len()

@@ -6,7 +6,7 @@
 //! arriving profile, its candidate comparisons are generated (block
 //! ghosting → I-WNP) and enqueued; the best `K` are dequeued per round.
 //! When both the stream and the index are exhausted, `GetComparisons`
-//! (the [`BlockCursor`] fallback) feeds comparisons from the smallest
+//! (the [`crate::BlockCursor`] fallback) feeds comparisons from the smallest
 //! remaining blocks so the time budget keeps being used.
 //!
 //! Its strength is simplicity; its weakness (§4, §7) is total dependence on
@@ -19,7 +19,10 @@ use pier_metablocking::Iwnp;
 use pier_observe::{Event, Observer};
 use pier_types::{Comparison, ProfileId, WeightedComparison};
 
-use crate::framework::{generate_for_profile_observed, BlockCursor, ComparisonEmitter, PierConfig};
+use crate::framework::{
+    admit, generate_for_profile_observed, refill_from_blocks, ComparisonEmitter, Fallback,
+    FallbackSink, PierConfig,
+};
 
 /// The I-PCS emitter.
 pub struct Ipcs {
@@ -28,7 +31,7 @@ pub struct Ipcs {
     /// Pairs ever enqueued (and therefore eventually emitted): the Bloom
     /// filter guard that keeps the index free of redundant comparisons.
     enqueued: ScalableBloomFilter,
-    cursor: BlockCursor,
+    fallback: Fallback,
     /// Reusable I-WNP executor (warm scratch across arrivals).
     iwnp: Iwnp,
     ops: u64,
@@ -41,7 +44,7 @@ impl Ipcs {
         Ipcs {
             index: BoundedMaxHeap::new(config.index_capacity),
             enqueued: ScalableBloomFilter::for_comparisons(),
-            cursor: BlockCursor::new(),
+            fallback: Fallback::default(),
             iwnp: Iwnp::new(),
             config,
             ops: 0,
@@ -53,28 +56,20 @@ impl Ipcs {
     pub fn index_len(&self) -> usize {
         self.index.len()
     }
+}
 
-    fn enqueue(&mut self, wc: WeightedComparison) {
-        if self.enqueued.insert(wc.cmp.key()) {
-            self.index.push(wc);
-            self.ops += 1;
-        } else {
-            self.observer.emit(|| Event::CfFiltered { cmp: wc.cmp });
-        }
+impl FallbackSink for Ipcs {
+    fn fallback(&mut self) -> &mut Fallback {
+        &mut self.fallback
     }
 
-    /// `GetComparisons(B)`: pull one block's worth of comparisons from the
-    /// smallest unconsumed block, weighting them by exact CBS.
-    fn refill_from_blocks(&mut self, blocker: &IncrementalBlocker) {
-        let collection = blocker.collection();
-        if let Some((cmps, ops)) = self.cursor.next_block(collection) {
-            self.ops += ops;
-            for cmp in cmps {
-                let w = collection.common_blocks(cmp.a, cmp.b) as f64;
-                self.ops += 1;
-                self.enqueue(WeightedComparison::new(cmp, w));
-            }
-        }
+    fn admit(&mut self, cmp: Comparison) -> bool {
+        admit(&mut self.enqueued, &self.observer, cmp)
+    }
+
+    fn accept(&mut self, wc: WeightedComparison) {
+        self.index.push(wc);
+        self.ops += 1;
     }
 }
 
@@ -90,13 +85,13 @@ impl ComparisonEmitter for Ipcs {
             );
             self.ops += ops;
             for wc in list {
-                self.enqueue(wc);
+                self.offer(wc);
             }
         }
         // Algorithm 2, lines 10-11: empty increment and empty index —
         // continue with comparisons from the smallest remaining blocks.
         if new_ids.is_empty() && self.index.is_empty() {
-            self.refill_from_blocks(blocker);
+            self.ops += refill_from_blocks(self, blocker);
         }
     }
 

@@ -29,7 +29,10 @@ use pier_metablocking::Iwnp;
 use pier_observe::{Event, Observer};
 use pier_types::{Comparison, ProfileId, WeightedComparison};
 
-use crate::framework::{generate_for_profile_observed, BlockCursor, ComparisonEmitter, PierConfig};
+use crate::framework::{
+    admit, generate_for_profile_observed, refill_from_blocks, ComparisonEmitter, Fallback,
+    FallbackSink, PierConfig,
+};
 
 /// An `EntityQueue` entry: `⟨profile, weight⟩`, max-ordered by weight.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,7 +86,7 @@ pub struct Ipes {
     total: f64,
     count: u64,
     enqueued: ScalableBloomFilter,
-    cursor: BlockCursor,
+    fallback: Fallback,
     /// Reusable I-WNP executor (warm scratch across arrivals).
     iwnp: Iwnp,
     ops: u64,
@@ -101,7 +104,7 @@ impl Ipes {
             total: 0.0,
             count: 0,
             enqueued: ScalableBloomFilter::for_comparisons(),
-            cursor: BlockCursor::new(),
+            fallback: Fallback::default(),
             iwnp: Iwnp::new(),
             config,
             ops: 0,
@@ -123,11 +126,9 @@ impl Ipes {
     }
 
     /// Distributes one weighted comparison per Algorithm 4, lines 1–14.
+    /// The comparison filter has already let it through
+    /// ([`FallbackSink::offer`]).
     fn distribute(&mut self, wc: WeightedComparison) {
-        if !self.enqueued.insert(wc.cmp.key()) {
-            self.observer.emit(|| Event::CfFiltered { cmp: wc.cmp });
-            return; // already routed (or emitted) once
-        }
         let (p_x, p_y) = (wc.cmp.a, wc.cmp.b);
         let w = wc.weight;
         self.total += w;
@@ -214,20 +215,22 @@ impl Ipes {
         }
     }
 
-    fn refill_from_blocks(&mut self, blocker: &IncrementalBlocker) {
-        let collection = blocker.collection();
-        if let Some((cmps, ops)) = self.cursor.next_block(collection) {
-            self.ops += ops;
-            for cmp in cmps {
-                let w = collection.common_blocks(cmp.a, cmp.b) as f64;
-                self.ops += 1;
-                self.distribute(WeightedComparison::new(cmp, w));
-            }
-        }
-    }
-
     fn index_is_empty(&self) -> bool {
         self.pq.is_empty() && self.epq.is_empty() && self.entity_queue.is_empty()
+    }
+}
+
+impl FallbackSink for Ipes {
+    fn fallback(&mut self) -> &mut Fallback {
+        &mut self.fallback
+    }
+
+    fn admit(&mut self, cmp: Comparison) -> bool {
+        admit(&mut self.enqueued, &self.observer, cmp)
+    }
+
+    fn accept(&mut self, wc: WeightedComparison) {
+        self.distribute(wc);
     }
 }
 
@@ -245,12 +248,12 @@ impl ComparisonEmitter for Ipes {
             self.ops += ops;
             // ...then Algorithm 4's distribution instead of a flat enqueue.
             for wc in list {
-                self.distribute(wc);
+                self.offer(wc);
             }
         }
         // Algorithm 2 lines 10–11: block-cursor fallback when idle.
         if new_ids.is_empty() && self.index_is_empty() {
-            self.refill_from_blocks(blocker);
+            self.ops += refill_from_blocks(self, blocker);
         }
     }
 

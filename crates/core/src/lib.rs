@@ -41,7 +41,7 @@ pub mod stage_a;
 
 pub use driver::PierPipeline;
 pub use findk::AdaptiveK;
-pub use framework::{drain_all_unique, BlockCursor, ComparisonEmitter, PierConfig};
+pub use framework::{drain_all_unique, BlockCursor, ComparisonEmitter, PierConfig, PivotGroups};
 pub use ipbs::Ipbs;
 pub use ipcs::Ipcs;
 pub use ipes::Ipes;

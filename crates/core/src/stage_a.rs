@@ -38,8 +38,9 @@ pub struct StageA<E = Box<dyn ComparisonEmitter + Send>> {
 pub struct Ingested {
     /// The profiles the blocker accepted, in arrival order.
     pub ids: Vec<ProfileId>,
-    /// One error per skipped profile (a repeated id is skipped and
-    /// reported, never fatal; the profile ingested first is kept).
+    /// One error per skipped profile (a repeated id, or a source the ER
+    /// kind does not have, is skipped and reported, never fatal; of a
+    /// repeated id the profile ingested first is kept).
     pub errors: Vec<PierError>,
     /// Abstract work the emitter spent on the increment.
     pub ops: u64,
@@ -104,8 +105,9 @@ where
     /// tokenizer and dictionary.
     ///
     /// # Errors
-    /// [`PierError::DuplicateProfile`] if the id was already ingested; the
-    /// machine is left unchanged.
+    /// [`PierError::DuplicateProfile`] if the id was already ingested,
+    /// [`PierError::InvalidConfig`] if the profile's source is not one the
+    /// ER kind has; the machine is left unchanged.
     pub fn block(&mut self, profile: EntityProfile) -> Result<ProfileId, PierError> {
         self.blocker.try_process_profile(profile)
     }
@@ -260,6 +262,37 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.increments, 2);
         assert_eq!(snap.profiles, 3);
+    }
+
+    /// A source the ER kind lacks is refused at `block`, before anything is
+    /// touched: let in, a third source panics `BlockCollection::add_profile`
+    /// and a second source under Dirty ER lands in a member list the block
+    /// cursor never enumerates, losing in-block pairs.
+    #[test]
+    fn a_source_the_kind_lacks_is_rejected_at_block() {
+        for (kind, src) in [(ErKind::Dirty, 1u8), (ErKind::CleanClean, 2)] {
+            let mut m = StageA::new(
+                IncrementalBlocker::new(kind),
+                Strategy::Pcs.build(PierConfig::default()),
+            );
+            let stray = EntityProfile::new(ProfileId(1), SourceId(src)).with("text", "alpha beta");
+            let got = m.ingest(&[p(0, "alpha beta"), stray, p(2, "alpha beta")]);
+            assert_eq!(got.ids, vec![ProfileId(0), ProfileId(2)], "{kind:?}");
+            assert!(
+                matches!(
+                    got.errors[..],
+                    [PierError::InvalidConfig {
+                        parameter: "profiles",
+                        ..
+                    }]
+                ),
+                "{kind:?}: {:?}",
+                got.errors
+            );
+            assert_eq!(m.blocker().profile_count(), 2);
+            // The id stays free for a well-formed profile.
+            assert_eq!(m.block(p(1, "alpha")).unwrap(), ProfileId(1));
+        }
     }
 
     /// The weighted pull is what `ShardWorker::pull` returned before the

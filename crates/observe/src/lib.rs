@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use pier_types::{Comparison, ProfileId};
 
@@ -560,6 +561,22 @@ impl Observer {
         }
     }
 
+    /// Runs `step` and, when a sink is attached, reports its wall time as
+    /// one [`Event::PhaseTiming`] of `phase`. A disabled handle reads no
+    /// clock.
+    #[inline]
+    pub fn timed<T>(&self, phase: Phase, step: impl FnOnce() -> T) -> T {
+        let since = self.is_enabled().then(Instant::now);
+        let out = step();
+        if let Some(since) = since {
+            self.emit(|| Event::PhaseTiming {
+                phase,
+                secs: since.elapsed().as_secs_f64(),
+            });
+        }
+        out
+    }
+
     /// The attached sink, if any (for snapshot access after a run).
     pub fn sink(&self) -> Option<&Arc<dyn PipelineObserver>> {
         self.sink.as_ref()
@@ -623,6 +640,25 @@ mod tests {
         obs.emit(|| Event::BlockBuilt { block: 1 });
         obs2.emit(|| Event::BlockBuilt { block: 2 });
         assert_eq!(sink.0.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn timed_reports_one_phase_timing_and_passes_the_result_through() {
+        struct Phases(std::sync::Mutex<Vec<(Phase, f64)>>);
+        impl PipelineObserver for Phases {
+            fn on_event(&self, event: &Event) {
+                if let Event::PhaseTiming { phase, secs } = event {
+                    self.0.lock().unwrap().push((*phase, *secs));
+                }
+            }
+        }
+        let sink = Arc::new(Phases(std::sync::Mutex::new(Vec::new())));
+        let obs = Observer::new(sink.clone());
+        assert_eq!(obs.timed(Phase::Weight, || 7), 7);
+        let seen = sink.0.lock().unwrap();
+        assert!(matches!(seen[..], [(Phase::Weight, secs)] if secs >= 0.0));
+        // A disabled handle still runs the step.
+        assert_eq!(Observer::disabled().timed(Phase::Block, || 3), 3);
     }
 
     #[test]

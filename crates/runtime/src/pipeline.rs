@@ -814,16 +814,6 @@ struct Run<'a> {
     ingest_errors: &'a Mutex<Vec<String>>,
 }
 
-/// Reports `phase` as having run since `since` (`None` when unobserved).
-fn emit_phase(observer: &Observer, phase: Phase, since: Option<Instant>) {
-    if let Some(t0) = since {
-        observer.emit(|| Event::PhaseTiming {
-            phase,
-            secs: t0.elapsed().as_secs_f64(),
-        });
-    }
-}
-
 impl<'a> Run<'a> {
     /// Feeds one increment's arrival time to the adaptive-`K` controller.
     fn arrival(&self) {
@@ -923,43 +913,50 @@ impl<'a> Run<'a> {
             let mut scratch = String::new();
             for (seq, inc) in inc_rx.iter().enumerate() {
                 self.arrival();
-                let t0 = observer.is_enabled().then(Instant::now);
-                let mut tokenized =
-                    tokenize_increment(self.dictionary, &tokenizer, seq as u64, inc, &mut scratch);
-                self.trip_stage_a_ingest(&tokenizer, &mut scratch, &mut tokenized);
-                let mut stage_a = ingest_lane.lock();
-                let mut ids = Vec::with_capacity(tokenized.len());
-                for tp in tokenized.profiles {
-                    let id = tp.profile.id.0;
-                    let blocked = if self.chaos.is_armed() {
-                        if self.supervisor.is_quarantined(id) {
-                            continue;
-                        }
-                        // The poison trip fires before the machine is
-                        // touched, so a panicking profile can be quarantined
-                        // and skipped without corrupting state.
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            self.chaos.poison_trip(id);
-                            stage_a.block_tokenized(tp.profile, &tp.tokens, None)
-                        })) {
-                            Ok(blocked) => blocked,
-                            Err(_) => {
-                                self.supervisor.quarantine_profile(id, None, observer);
+                // The lock is taken inside the Block phase and held through
+                // Weight: one increment is one critical section.
+                let (mut stage_a, ids) = observer.timed(Phase::Block, || {
+                    let mut tokenized = tokenize_increment(
+                        self.dictionary,
+                        &tokenizer,
+                        seq as u64,
+                        inc,
+                        &mut scratch,
+                    );
+                    self.trip_stage_a_ingest(&tokenizer, &mut scratch, &mut tokenized);
+                    let mut stage_a = ingest_lane.lock();
+                    let mut ids = Vec::with_capacity(tokenized.len());
+                    for tp in tokenized.profiles {
+                        let id = tp.profile.id.0;
+                        let blocked = if self.chaos.is_armed() {
+                            if self.supervisor.is_quarantined(id) {
                                 continue;
                             }
+                            // The poison trip fires before the machine is
+                            // touched, so a panicking profile can be
+                            // quarantined and skipped without corrupting
+                            // state.
+                            match catch_unwind(AssertUnwindSafe(|| {
+                                self.chaos.poison_trip(id);
+                                stage_a.block_tokenized(tp.profile, &tp.tokens, None)
+                            })) {
+                                Ok(blocked) => blocked,
+                                Err(_) => {
+                                    self.supervisor.quarantine_profile(id, None, observer);
+                                    continue;
+                                }
+                            }
+                        } else {
+                            stage_a.block_tokenized(tp.profile, &tp.tokens, None)
+                        };
+                        match blocked {
+                            Ok(id) => ids.push(id),
+                            Err(e) => self.ingest_error(e),
                         }
-                    } else {
-                        stage_a.block_tokenized(tp.profile, &tp.tokens, None)
-                    };
-                    match blocked {
-                        Ok(id) => ids.push(id),
-                        Err(e) => self.ingest_error(e),
                     }
-                }
-                emit_phase(observer, Phase::Block, t0);
-                let t1 = observer.is_enabled().then(Instant::now);
-                stage_a.weigh(&ids);
-                emit_phase(observer, Phase::Weight, t1);
+                    (stage_a, ids)
+                });
+                observer.timed(Phase::Weight, || stage_a.weigh(&ids));
             }
             self.ingest_done.store(true, Ordering::SeqCst);
         });
@@ -973,15 +970,13 @@ impl<'a> Run<'a> {
             // refcount bumps per pair, not a deep clone.
             let pull = |k: usize| -> Vec<MaterializedPair> {
                 let mut stage_a = pull_lane.lock();
-                let t0 = observer.is_enabled().then(Instant::now);
-                let cmps = match &mut shedder {
+                let cmps = observer.timed(Phase::Prune, || match &mut shedder {
                     None => stage_a.pull(k).0,
                     // Shedding needs weights.
                     Some(shedder) => {
                         shedder.pull(k, |k| stage_a.pull_weighted(k).0, self.supervisor, observer)
                     }
-                };
-                emit_phase(observer, Phase::Prune, t0);
+                });
                 let blocker = stage_a.blocker();
                 cmps.into_iter()
                     .map(|c| MaterializedPair {
@@ -1097,9 +1092,7 @@ impl<'a> Run<'a> {
                             if batch.is_empty() {
                                 continue;
                             }
-                            let t0 = observer.is_enabled().then(Instant::now);
-                            lane.ingest(&batch);
-                            emit_phase(&observer, Phase::Weight, t0);
+                            observer.timed(Phase::Weight, || lane.ingest(&batch));
                         }
                         ShardMsg::Pull { k } => {
                             let batch = lane.supervised(|w| w.pull(k), |_| {});
@@ -1145,23 +1138,26 @@ impl<'a> Run<'a> {
             while let Ok(mut tokenized) = routed_rxs[seq % routed_rxs.len()].recv() {
                 self.arrival();
                 self.trip_stage_a_ingest(&tokenizer, &mut scratch, &mut tokenized);
-                let t0 = observer.is_enabled().then(Instant::now);
-                let arrivals = tokenized.profiles.into_iter();
-                let fan = router_store
-                    .write()
-                    .fan_out(&router, arrivals.map(|tp| (tp.profile, tp.tokens)));
-                for e in fan.errors {
-                    self.ingest_error(e);
-                }
-                for (tx, batch) in router_txs.iter().zip(fan.per_shard) {
-                    if !batch.is_empty() {
-                        let _ = tx.send(ShardMsg::Ingest(batch));
+                let accepted = observer.timed(Phase::Block, || {
+                    let arrivals = tokenized.profiles.into_iter();
+                    let fan = router_store.write().fan_out(
+                        &router,
+                        self.kind,
+                        arrivals.map(|tp| (tp.profile, tp.tokens)),
+                    );
+                    for e in fan.errors {
+                        self.ingest_error(e);
                     }
-                }
-                emit_phase(observer, Phase::Block, t0);
+                    for (tx, batch) in router_txs.iter().zip(fan.per_shard) {
+                        if !batch.is_empty() {
+                            let _ = tx.send(ShardMsg::Ingest(batch));
+                        }
+                    }
+                    fan.accepted
+                });
                 observer.emit(|| Event::IncrementIngested {
                     seq: seq as u64,
-                    profiles: fan.accepted,
+                    profiles: accepted,
                 });
                 seq += 1;
             }
@@ -1181,7 +1177,6 @@ impl<'a> Run<'a> {
             // its best `n` on demand), then materialize from the global
             // store.
             let pull = |k: usize| -> Vec<MaterializedPair> {
-                let t0 = observer.is_enabled().then(Instant::now);
                 let mut refill = |s: usize, n: usize| {
                     if cmd_txs[s].send(ShardMsg::Pull { k: n }).is_err() {
                         return Vec::new();
@@ -1191,7 +1186,7 @@ impl<'a> Run<'a> {
                         _ => Vec::new(),
                     }
                 };
-                let cmps = match &mut shedder {
+                let cmps = observer.timed(Phase::Prune, || match &mut shedder {
                     None => merger.next_batch_with(k, &mut refill),
                     Some(shedder) => shedder.pull(
                         k,
@@ -1199,8 +1194,7 @@ impl<'a> Run<'a> {
                         self.supervisor,
                         observer,
                     ),
-                };
-                emit_phase(observer, Phase::Prune, t0);
+                });
                 if cmps.is_empty() {
                     return Vec::new();
                 }

@@ -34,7 +34,7 @@ use pier_matching::{MatchFunction, MatchInput, MatchOutcome};
 use pier_metrics::{
     queue::gauged, Counter, GaugedReceiver, GaugedSender, MetricsRegistry, QueueGauges,
 };
-use pier_observe::{Event, Observer, Phase, WorkerRole};
+use pier_observe::{Observer, Phase, WorkerRole};
 use pier_types::Comparison;
 
 use crate::stages::{MaterializedPair, WORKER_COMPARISONS_HELP};
@@ -364,29 +364,24 @@ fn worker_loop(
     chaos: &ChaosHandle,
 ) {
     for job in job_rx.iter() {
-        let t0 = observer.is_enabled().then(Instant::now);
-        let outcomes = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Fires at chunk entry, inside the unwind guard: an injected
-            // panic takes the same poisoned-reply path a real one would.
-            chaos.trip(FaultPoint::MatchWorker, Some(worker as u16));
-            job.batch[job.start..job.end]
-                .iter()
-                .map(|pair| {
-                    matcher.evaluate(MatchInput {
-                        profile_a: &pair.profile_a,
-                        tokens_a: &pair.tokens_a,
-                        profile_b: &pair.profile_b,
-                        tokens_b: &pair.tokens_b,
+        let outcomes = observer.timed(Phase::Classify, || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                // Fires at chunk entry, inside the unwind guard: an injected
+                // panic takes the same poisoned-reply path a real one would.
+                chaos.trip(FaultPoint::MatchWorker, Some(worker as u16));
+                job.batch[job.start..job.end]
+                    .iter()
+                    .map(|pair| {
+                        matcher.evaluate(MatchInput {
+                            profile_a: &pair.profile_a,
+                            tokens_a: &pair.tokens_a,
+                            profile_b: &pair.profile_b,
+                            tokens_b: &pair.tokens_b,
+                        })
                     })
-                })
-                .collect::<Vec<MatchOutcome>>()
-        }));
-        if let Some(t0) = t0 {
-            observer.emit(|| Event::PhaseTiming {
-                phase: Phase::Classify,
-                secs: t0.elapsed().as_secs_f64(),
-            });
-        }
+                    .collect::<Vec<MatchOutcome>>()
+            }))
+        });
         match outcomes {
             Ok(outcomes) => {
                 let reply = Reply {

@@ -85,9 +85,10 @@ pub struct RuntimeReport {
     pub profiles: usize,
     /// Shared-dictionary statistics, when the driver interns tokens.
     pub dictionary: Option<DictionaryStats>,
-    /// Non-fatal ingest errors (e.g. a profile id arriving twice): the
-    /// offending profile is skipped, the run continues, and the error is
-    /// reported here instead of panicking a pipeline thread.
+    /// Non-fatal ingest errors (a profile id arriving twice, a source the
+    /// ER kind does not have): the offending profile is skipped, the run
+    /// continues, and the error is reported here instead of panicking a
+    /// pipeline thread.
     pub ingest_errors: Vec<String>,
     /// Stage-B match workers the run was configured with (1 = the
     /// classification loop ran on the stage-B thread itself).

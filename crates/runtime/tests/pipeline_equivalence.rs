@@ -142,3 +142,86 @@ fn topology_workers_and_observation_matrix_is_equivalent() {
         }
     }
 }
+
+/// Streamed profiles are outside input: one naming a source its ER kind
+/// does not have (a second source in Dirty ER, a third in Clean-Clean ER)
+/// is rejected at the ingest door, reported like a duplicate, and the run
+/// carries on to the match set it reaches without the intruder. Let in, the
+/// third source indexes past a block's two member lists and takes the
+/// ingest thread (and `Pipeline::run`) down, and the Dirty intruder sits in
+/// a member list the block cursor never enumerates.
+#[test]
+fn a_profile_from_a_source_the_kind_lacks_is_reported_and_skipped() {
+    use pier_types::{EntityProfile, ErKind, ProfileId, SourceId};
+
+    let dirty: Vec<EntityProfile> = [
+        "ada lovelace analytical engine",
+        "ada lovelace analytical engine notes",
+        "alan turing computing machinery",
+        "alan turing computing machinery intelligence",
+        "grace hopper compiler",
+        "grace hopper cobol compiler",
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, text)| EntityProfile::new(ProfileId(i as u32), SourceId(0)).with("text", *text))
+    .collect();
+    let clean = corpus();
+    let cases = [
+        (
+            ErKind::Dirty,
+            dirty,
+            SourceId(1),
+            "dirty ER requires a single source",
+        ),
+        (
+            ErKind::CleanClean,
+            clean.profiles.clone(),
+            SourceId(2),
+            "clean-clean ER requires source 0 or 1",
+        ),
+    ];
+    for (kind, profiles, bad_source, wording) in cases {
+        // The intruder shares every token of profile 0, so it would pair up
+        // if it got in.
+        let mut intruder = profiles[0].clone();
+        intruder.id = ProfileId(profiles.len() as u32);
+        intruder.source = bad_source;
+        let mut with_intruder = profiles.clone();
+        with_intruder.insert(profiles.len() / 2, intruder.clone());
+        for shards in [None, Some(2)] {
+            let label = format!("{kind:?} {shards:?}");
+            let run = |stream: &[EntityProfile]| {
+                let increments: Vec<Vec<EntityProfile>> = stream
+                    .chunks(3.max(stream.len() / 8))
+                    .map(<[_]>::to_vec)
+                    .collect();
+                let builder = Pipeline::builder(kind).config(runtime_config(1));
+                let builder = match shards {
+                    Some(n) => builder.sharded(sharded_config(n)),
+                    None => builder.emitter(Strategy::Pcs.build(pier_config())),
+                };
+                let matcher: Arc<dyn MatchFunction> = Arc::new(JaccardMatcher::default());
+                builder.build().unwrap().run(increments, matcher, |_| {})
+            };
+            let pairs = |report: &RuntimeReport| {
+                let mut pairs: Vec<Comparison> = report.matches.iter().map(|m| m.pair).collect();
+                pairs.sort_unstable();
+                pairs
+            };
+            let clean_run = run(&profiles);
+            assert!(clean_run.ingest_errors.is_empty(), "{label}");
+            assert!(!clean_run.matches.is_empty(), "{label}: vacuous run");
+            let report = run(&with_intruder);
+            assert_eq!(
+                report.ingest_errors,
+                vec![format!(
+                    "invalid configuration for `profiles`: {wording}, {} has {bad_source}",
+                    intruder.id
+                )],
+                "{label}"
+            );
+            assert_eq!(pairs(&report), pairs(&clean_run), "{label}");
+        }
+    }
+}

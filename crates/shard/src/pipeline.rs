@@ -99,13 +99,16 @@ impl ProfileStore {
     /// The whole increment enters the store before any ghost floor is
     /// read, so the floors see the block sizes the unsharded pipeline
     /// would at generation time (it too blocks a full increment before
-    /// generating). Profiles whose id is already stored are skipped and
-    /// reported, never fanned out. Shards only block and weight, so each
-    /// owning shard gets an attribute-less skeleton (id + source) with its
-    /// token-id subset and the floor, not a clone of the profile.
+    /// generating). Profiles whose id is already stored, or whose source
+    /// `kind` does not have ([`ErKind::check_source`]), are skipped before
+    /// the store is touched and reported, never fanned out. Shards only
+    /// block and weight, so each owning shard gets an attribute-less
+    /// skeleton (id + source) with its token-id subset and the floor, not a
+    /// clone of the profile.
     pub fn fan_out(
         &mut self,
         router: &ShardRouter,
+        kind: ErKind,
         increment: impl IntoIterator<Item = (EntityProfile, Vec<TokenId>)>,
     ) -> FanOut {
         let mut out = FanOut {
@@ -116,7 +119,10 @@ impl ProfileStore {
         let mut accepted = Vec::new();
         for (profile, tokens) in increment {
             let (id, source) = (profile.id, profile.source);
-            match self.insert(profile, &tokens) {
+            let stored = kind
+                .check_source(&profile)
+                .and_then(|()| self.insert(profile, &tokens));
+            match stored {
                 Ok(()) => accepted.push((id, source, tokens)),
                 Err(e) => out.errors.push(e),
             }
@@ -206,7 +212,8 @@ pub struct FanOut {
     pub per_shard: Vec<Vec<(EntityProfile, Vec<TokenId>, usize)>>,
     /// Profiles the store accepted.
     pub accepted: usize,
-    /// One [`PierError::DuplicateProfile`] per skipped profile.
+    /// One error per skipped profile: [`PierError::DuplicateProfile`] or
+    /// the [`ErKind::check_source`] rejection.
     pub errors: Vec<PierError>,
 }
 
@@ -218,6 +225,7 @@ pub struct FanOut {
 /// returns the globally top-`k` comparisons with cross-shard duplicates
 /// removed by the shared Bloom `CF`.
 pub struct ShardedStageA {
+    kind: ErKind,
     router: ShardRouter,
     workers: Vec<ShardWorker>,
     merger: ShardMerger,
@@ -252,6 +260,7 @@ impl ShardedStageA {
         let mut merger = ShardMerger::new(config.shards as usize);
         merger.set_observer(observer.clone());
         ShardedStageA {
+            kind,
             router: ShardRouter::with_tokenizer(config.shards, Tokenizer::default()),
             workers,
             merger,
@@ -286,9 +295,9 @@ impl ShardedStageA {
     /// globally, fan the token-id subsets out to the owning shards, and
     /// notify each touched shard's emitter once.
     ///
-    /// Profiles whose id was already ingested are skipped and their
-    /// [`PierError::DuplicateProfile`] errors returned (nothing panics);
-    /// an empty vector means the whole increment was ingested.
+    /// Profiles whose id was already ingested, or whose source the ER kind
+    /// does not have, are skipped and their errors returned (nothing
+    /// panics); an empty vector means the whole increment was ingested.
     pub fn on_increment(&mut self, increment: &[EntityProfile]) -> Vec<PierError> {
         let (router, scratch) = (&self.router, &mut self.scratch);
         let tokenized = increment
@@ -298,7 +307,7 @@ impl ShardedStageA {
             per_shard,
             accepted,
             mut errors,
-        } = self.store.fan_out(router, tokenized);
+        } = self.store.fan_out(router, self.kind, tokenized);
         for (worker, batch) in self.workers.iter_mut().zip(per_shard) {
             if !batch.is_empty() {
                 errors.extend(worker.ingest(&batch));

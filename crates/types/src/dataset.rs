@@ -11,7 +11,7 @@ use std::collections::HashSet;
 
 use crate::comparison::Comparison;
 use crate::error::PierError;
-use crate::profile::{EntityProfile, ProfileId, SourceId};
+use crate::profile::{EntityProfile, ProfileId};
 
 /// The flavour of an ER task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -20,6 +20,28 @@ pub enum ErKind {
     Dirty,
     /// Two duplicate-free sources; only cross-source pairs are candidates.
     CleanClean,
+}
+
+impl ErKind {
+    /// Checks that `profile` names a source this kind of task has: source
+    /// 0 for Dirty ER, source 0 or 1 for Clean-Clean ER. Per-source state
+    /// downstream (block member lists, pair enumeration) is laid out for
+    /// exactly these, so every door a profile can enter through —
+    /// [`Dataset::new`] and the stage-A ingest paths — asks here first.
+    ///
+    /// # Errors
+    /// [`PierError::InvalidConfig`] naming the profile and its source.
+    pub fn check_source(self, profile: &EntityProfile) -> Result<(), PierError> {
+        let message = match (self, profile.source.0) {
+            (_, 0) | (ErKind::CleanClean, 1) => return Ok(()),
+            (ErKind::Dirty, _) => "dirty ER requires a single source",
+            (ErKind::CleanClean, _) => "clean-clean ER requires source 0 or 1",
+        };
+        Err(PierError::InvalidConfig {
+            parameter: "profiles",
+            message: format!("{message}, {} has {}", profile.id, profile.source),
+        })
+    }
 }
 
 /// The exact set of duplicate pairs of a dataset.
@@ -137,15 +159,7 @@ impl Dataset {
                     message: format!("profile at position {i} has id {}", p.id),
                 });
             }
-            if kind == ErKind::Dirty && p.source != SourceId(0) {
-                return Err(PierError::InvalidConfig {
-                    parameter: "profiles",
-                    message: format!(
-                        "dirty ER requires a single source, {} has {}",
-                        p.id, p.source
-                    ),
-                });
-            }
+            kind.check_source(p)?;
         }
         Ok(Dataset {
             name: name.into(),
@@ -260,6 +274,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::SourceId;
 
     fn mk_profiles(n: usize, two_sources: bool) -> Vec<EntityProfile> {
         (0..n)
@@ -305,6 +320,30 @@ mod tests {
     fn dirty_dataset_rejects_second_source() {
         let profiles = vec![EntityProfile::new(ProfileId(0), SourceId(1))];
         assert!(Dataset::new("bad", ErKind::Dirty, profiles, GroundTruth::new()).is_err());
+    }
+
+    #[test]
+    fn check_source_admits_exactly_the_sources_a_kind_has() {
+        let from = |src| EntityProfile::new(ProfileId(4), SourceId(src));
+        assert!(ErKind::Dirty.check_source(&from(0)).is_ok());
+        assert!(ErKind::CleanClean.check_source(&from(0)).is_ok());
+        assert!(ErKind::CleanClean.check_source(&from(1)).is_ok());
+        assert_eq!(
+            ErKind::Dirty
+                .check_source(&from(1))
+                .unwrap_err()
+                .to_string(),
+            "invalid configuration for `profiles`: dirty ER requires a single source, p4 has s1"
+        );
+        assert_eq!(
+            ErKind::CleanClean
+                .check_source(&from(2))
+                .unwrap_err()
+                .to_string(),
+            "invalid configuration for `profiles`: clean-clean ER requires source 0 or 1, p4 has s2"
+        );
+        let profiles = vec![EntityProfile::new(ProfileId(0), SourceId(2))];
+        assert!(Dataset::new("bad", ErKind::CleanClean, profiles, GroundTruth::new()).is_err());
     }
 
     #[test]

@@ -1,0 +1,218 @@
+//! Golden emission digests: the ordered `(a, b, weight)` list every PIER
+//! strategy emits through the stage-A step machine, pinned as an FNV-1a
+//! hash per cell together with the comparison count and the total ops
+//! charged.
+//!
+//! The constants were captured on the commit *before* the `GetComparisons`
+//! fallback was reworked (comparison filter first, one stamped-block CBS
+//! kernel per pivot), so a green run proves that order, weights and the
+//! simulator's cost figures are bit-identical to that commit — not merely
+//! that the counts agree. A deliberate change of emission order or of the
+//! ops model must re-capture them (`GOLDEN_PRINT=1 cargo test --test
+//! golden_emissions -- --nocapture` prints the table).
+
+use pier::prelude::*;
+
+/// The pinned outcome of one cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Golden {
+    digest: u64,
+    comparisons: usize,
+    ops: u64,
+}
+
+/// Purging low enough that both small corpora lose blocks to it, so the
+/// digests cover CBS weights that skip purged blocks.
+const POLICY_MAX_CARDINALITY: u64 = 1_500;
+
+fn dbpedia() -> Dataset {
+    generate_dbpedia(&DbpediaConfig {
+        seed: 15,
+        source0_size: 150,
+        source1_size: 250,
+        matches: 100,
+    })
+}
+
+fn census() -> Dataset {
+    generate_census(&CensusConfig {
+        seed: 15,
+        target_profiles: 400,
+    })
+}
+
+fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Pulls and ticks until a tick finds nothing, or for `rounds` pulls.
+fn drain(
+    machine: &mut StageA,
+    rounds: Option<usize>,
+    out: &mut Vec<WeightedComparison>,
+    ops: &mut u64,
+) {
+    let mut pulls = 0;
+    while rounds.is_none_or(|r| pulls < r) {
+        pulls += 1;
+        let (batch, pulled) = machine.pull_weighted(32);
+        *ops += pulled;
+        if !batch.is_empty() {
+            out.extend(batch);
+            continue;
+        }
+        let tick = machine.tick();
+        *ops += tick.ops;
+        if !tick.made_work {
+            return;
+        }
+    }
+}
+
+/// Drives one cell: `increments == 1` is the static setting; otherwise the
+/// corpus arrives in `increments` parts with a bounded pull/tick phase
+/// after each, so the block cursor consumes blocks that later grow and
+/// revisits them past their watermark.
+fn run(dataset: &Dataset, strategy: Strategy, increments: usize) -> Golden {
+    let blocker = IncrementalBlocker::with_config(
+        dataset.kind,
+        Tokenizer::default(),
+        PurgePolicy::max_cardinality(POLICY_MAX_CARDINALITY),
+    );
+    let mut machine = StageA::new(blocker, strategy.build(PierConfig::default()));
+    let mut out = Vec::new();
+    let mut ops = 0u64;
+    for inc in dataset.into_increments(increments).unwrap() {
+        let ingested = machine.ingest(&inc.profiles);
+        assert!(ingested.errors.is_empty());
+        ops += ingested.ops;
+        if increments > 1 {
+            drain(&mut machine, Some(60), &mut out, &mut ops);
+        }
+    }
+    drain(&mut machine, None, &mut out, &mut ops);
+    assert!(
+        machine.blocker().collection().purged_count() > 0,
+        "the purge policy must bite for the digest to cover purged blocks"
+    );
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for wc in &out {
+        fnv1a(&mut digest, &wc.cmp.a.0.to_le_bytes());
+        fnv1a(&mut digest, &wc.cmp.b.0.to_le_bytes());
+        fnv1a(&mut digest, &wc.weight.to_bits().to_le_bytes());
+    }
+    Golden {
+        digest,
+        comparisons: out.len(),
+        ops,
+    }
+}
+
+const fn golden(digest: u64, comparisons: usize, ops: u64) -> Golden {
+    Golden {
+        digest,
+        comparisons,
+        ops,
+    }
+}
+
+/// `(corpus, strategy, increments, pinned outcome)`.
+const CELLS: &[(&str, Strategy, usize, Golden)] = &[
+    (
+        "dbpedia",
+        Strategy::Pcs,
+        1,
+        golden(0xd3f842e8a1405a81, 20936, 181834),
+    ),
+    (
+        "dbpedia",
+        Strategy::Pcs,
+        8,
+        golden(0xb2b6e14ce4bc20e4, 20936, 201103),
+    ),
+    (
+        "dbpedia",
+        Strategy::Pbs,
+        1,
+        golden(0xc5baa5063a62ef90, 20936, 1008323),
+    ),
+    (
+        "dbpedia",
+        Strategy::Pbs,
+        8,
+        golden(0x19bbc98988616073, 29789, 1371868),
+    ),
+    (
+        "dbpedia",
+        Strategy::Pes,
+        1,
+        golden(0xbd6fd3412b4c1055, 20936, 194889),
+    ),
+    (
+        "dbpedia",
+        Strategy::Pes,
+        8,
+        golden(0x3139f31cdbd452ac, 20936, 214150),
+    ),
+    (
+        "census",
+        Strategy::Pcs,
+        1,
+        golden(0x0f9751dfc16ec94b, 13687, 72896),
+    ),
+    (
+        "census",
+        Strategy::Pcs,
+        8,
+        golden(0xa66e282a9b021470, 13701, 80290),
+    ),
+    (
+        "census",
+        Strategy::Pbs,
+        1,
+        golden(0x30b0e87e40c972db, 13687, 209644),
+    ),
+    (
+        "census",
+        Strategy::Pbs,
+        8,
+        golden(0xe5f28de7518086c2, 19373, 275408),
+    ),
+    (
+        "census",
+        Strategy::Pes,
+        1,
+        golden(0x03758b3f45c15947, 13687, 75235),
+    ),
+    (
+        "census",
+        Strategy::Pes,
+        8,
+        golden(0xee79676e6c06691c, 13701, 82759),
+    ),
+];
+
+#[test]
+fn emission_order_weights_and_ops_match_the_pinned_digests() {
+    let corpora = [("dbpedia", dbpedia()), ("census", census())];
+    let print = std::env::var_os("GOLDEN_PRINT").is_some();
+    let mut mismatches = Vec::new();
+    for &(corpus, strategy, increments, want) in CELLS {
+        let dataset = &corpora.iter().find(|(name, _)| *name == corpus).unwrap().1;
+        let got = run(dataset, strategy, increments);
+        if print {
+            println!(
+                "    (\"{corpus}\", Strategy::{strategy:?}, {increments}, golden({:#018x}, {}, {})),",
+                got.digest, got.comparisons, got.ops
+            );
+        } else if got != want {
+            mismatches.push(format!(
+                "{corpus} {strategy:?} x{increments}: got {got:?}, pinned {want:?}"
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
