@@ -1,21 +1,27 @@
 //! Stage-B matcher throughput: the Myers bit-parallel edit-distance
 //! kernel and the parallel match executor (`pier-runtime`'s `MatchPool`).
 //!
-//! Reports three series:
+//! Reports four series:
 //!
 //! * **kernel speedup** — the Myers bit-parallel Levenshtein
 //!   (`pier_matching::similarity::levenshtein`) against the two-row DP
 //!   oracle (`levenshtein_naive`) on random ASCII string pairs, per
-//!   length. The contract asserts ≥ 5× at 64 characters (one `u64` block);
+//!   length. The contract asserts ≥ 5× at 64 characters (one `u64` word);
+//! * **bounded kernel on unrelated pairs** (informational) — nanoseconds
+//!   per `levenshtein_bounded` call at the ED matcher's own cut-off
+//!   (threshold 0.55) on the unrelated half of the same pairs, per length:
+//!   the case the final-diagonal cut-off abandons early, and where the
+//!   `u64` → `u128` → blocked steps at 64 and 128 characters show;
 //! * **critical-path throughput** — stage-B comparisons per second of the
 //!   parallel executor at the critical path of the threaded pipeline:
-//!   the batch is split with the executor's own `chunk_ranges`, each
-//!   worker's chunk is evaluated under its own timer, and the coordinator
-//!   residue (re-sequencing, budget accounting, match collection) under
-//!   another: `throughput = pairs / (max_w t_chunk + t_serial)`. Each
-//!   term is measured separately, so the figure is exact on a host with
-//!   ≥ N free cores even though this container has a single CPU. The
-//!   contract asserts ≥ 2× at 4 workers over 1;
+//!   profiles are prepared once, as the runtime's stage B does, the batch
+//!   is split with the executor's own `chunk_ranges`, each worker's chunk
+//!   of prepared pairs is compared under its own timer, and the
+//!   coordinator residue (re-sequencing, budget accounting, match
+//!   collection) under another: `throughput = pairs / (max_w t_chunk +
+//!   t_serial)`. Each term is measured separately, so the figure is exact
+//!   on a host with ≥ N free cores even though this container has a
+//!   single CPU. The contract asserts ≥ 2× at 4 workers over 1;
 //! * **threaded wall clock** — a real runtime `Pipeline` with
 //!   `match_workers` swept. On a 1-CPU host the workers serialize, so
 //!   this series bounds coordination overhead, not speedup — see the
@@ -36,7 +42,8 @@ use pier_core::{PierConfig, Strategy};
 use pier_datagen::{generate_bibliographic, BibliographicConfig};
 use pier_matching::similarity::levenshtein;
 use pier_matching::{
-    levenshtein_naive, EditDistanceMatcher, MatchFunction, MatchInput, MatchOutcome,
+    levenshtein_bounded, levenshtein_naive, EditDistanceMatcher, MatchFunction, MatchOutcome,
+    PreparedProfile,
 };
 use pier_runtime::{chunk_ranges, Pipeline, RuntimeConfig};
 use pier_types::{Dataset, EntityProfile, SharedTokenDictionary, TokenId, Tokenizer};
@@ -58,8 +65,8 @@ fn ascii_string(rng: &mut StdRng, len: usize) -> String {
         .collect()
 }
 
-/// Random ASCII pairs of length `len`: half near-duplicates (a few edits
-/// apart, the regime the bounded kernel prunes), half unrelated.
+/// Random ASCII pairs of length `len`: the even ones near-duplicates (a few
+/// edits apart), the odd ones unrelated (what the bounded kernel abandons).
 fn kernel_pairs(rng: &mut StdRng, len: usize) -> Vec<(String, String)> {
     (0..KERNEL_PAIRS)
         .map(|i| {
@@ -104,14 +111,15 @@ fn corpus() -> Dataset {
 }
 
 /// The executor's workload, materialized once: every profile's token ids
-/// plus a seeded sample of candidate pairs.
+/// and what the matcher prepared from it, plus a seeded sample of candidate
+/// pairs.
 struct Workload {
-    profiles: Vec<EntityProfile>,
+    prepared: Vec<PreparedProfile>,
     tokens: Vec<Vec<TokenId>>,
     pairs: Vec<(usize, usize)>,
 }
 
-fn workload(dataset: &Dataset) -> Workload {
+fn workload(dataset: &Dataset, matcher: &dyn MatchFunction) -> Workload {
     let dictionary = SharedTokenDictionary::new();
     let tokenizer = Tokenizer::default();
     let mut scratch = String::new();
@@ -132,8 +140,14 @@ fn workload(dataset: &Dataset) -> Workload {
             (a.min(b), a.max(b))
         })
         .collect();
+    let prepared = dataset
+        .profiles
+        .iter()
+        .zip(&tokens)
+        .map(|(p, t)| matcher.prepare(p, t))
+        .collect();
     Workload {
-        profiles: dataset.profiles.clone(),
+        prepared,
         tokens,
         pairs,
     }
@@ -156,12 +170,7 @@ fn executor_critical_path(
         let out: Vec<MatchOutcome> = w.pairs[start..end]
             .iter()
             .map(|&(a, b)| {
-                matcher.evaluate(MatchInput {
-                    profile_a: &w.profiles[a],
-                    tokens_a: &w.tokens[a],
-                    profile_b: &w.profiles[b],
-                    tokens_b: &w.tokens[b],
-                })
+                matcher.compare(&w.prepared[a], &w.tokens[a], &w.prepared[b], &w.tokens[b])
             })
             .collect();
         chunk_secs.push(t0.elapsed().as_secs_f64());
@@ -190,14 +199,24 @@ fn main() {
     // 1. Myers kernel vs the naive DP oracle, per string length.
     let mut rng = StdRng::seed_from_u64(0xed);
     let mut kernel_rows = Vec::new();
+    let mut bounded_rows = Vec::new();
     let mut speedup_at_64 = 0.0;
-    for len in [16usize, 32, 64, 128, 256] {
+    let matcher = EditDistanceMatcher::default();
+    for len in [16usize, 32, 64, 96, 128, 256] {
         let pairs = kernel_pairs(&mut rng, len);
         let naive = time_kernel(&pairs, levenshtein_naive);
         let myers = time_kernel(&pairs, levenshtein);
         let speedup = naive / myers.max(1e-12);
+        // The matcher's cut-off for two texts of `len` chars.
+        let k = ((1.0 - matcher.threshold) * len as f64).floor() as usize;
+        let unrelated: Vec<(String, String)> = pairs.into_iter().skip(1).step_by(2).collect();
+        let bounded = time_kernel(&unrelated, |a, b| {
+            levenshtein_bounded(a, b, k).unwrap_or(usize::MAX)
+        });
+        let bounded_ns = bounded * 1e9 / unrelated.len() as f64;
         println!(
-            "kernel len={len}: naive {:.1}ns/pair, myers {:.1}ns/pair -> {speedup:.1}x",
+            "kernel len={len}: naive {:.1}ns/pair, myers {:.1}ns/pair -> {speedup:.1}x; \
+             bounded at k={k} on unrelated pairs {bounded_ns:.1}ns/pair",
             naive * 1e9 / KERNEL_PAIRS as f64,
             myers * 1e9 / KERNEL_PAIRS as f64
         );
@@ -205,13 +224,14 @@ fn main() {
             speedup_at_64 = speedup;
         }
         kernel_rows.push((len as f64, speedup));
+        bounded_rows.push((len as f64, bounded_ns));
     }
     report.add_series("kernel_speedup", "string_len", kernel_rows);
+    report.add_series("bounded_unrelated_ns_per_pair", "string_len", bounded_rows);
 
     // 2. Executor critical-path throughput on the ED matcher.
     let dataset = corpus();
-    let w = workload(&dataset);
-    let matcher = EditDistanceMatcher::default();
+    let w = workload(&dataset, &matcher);
     let mut critical_rows = Vec::new();
     let mut base_throughput = 0.0;
     for &workers in &WORKER_COUNTS {
@@ -284,12 +304,17 @@ fn main() {
         "README.txt",
         "kernel_speedup.csv: Myers bit-parallel Levenshtein vs the two-row\n\
          DP oracle on random ASCII pairs, per string length (contract: >= 5x\n\
-         at 64 chars, one u64 block).\n\
+         at 64 chars, one u64 word).\n\
+         bounded_unrelated_ns_per_pair.csv: ns per levenshtein_bounded call\n\
+         at the ED matcher's cut-off (threshold 0.55) on unrelated pairs,\n\
+         per string length (informational: the final-diagonal cut-off and\n\
+         the u64 / u128 / blocked kernels per length).\n\
          critical_path_throughput.csv: stage-B comparisons/s of the parallel\n\
-         match executor under the critical-path model: the batch is chunked\n\
-         with the executor's own chunk_ranges, each worker chunk runs under\n\
-         its own timer, and the coordinator residue (re-sequencing + budget\n\
-         accounting + match collection) under another; throughput =\n\
+         match executor under the critical-path model: profiles are prepared\n\
+         once, the batch is chunked with the executor's own chunk_ranges,\n\
+         each worker chunk of prepared pairs runs under its own timer, and\n\
+         the coordinator residue (re-sequencing + budget accounting + match\n\
+         collection) under another; throughput =\n\
          pairs / (slowest chunk + serial residue). Exact on a host with >= N\n\
          free cores regardless of this container's parallelism (contract:\n\
          >= 2x at 4 workers).\n\

@@ -49,9 +49,9 @@ pub struct IncrementalBlocker {
     tokenizer: Tokenizer,
     dictionary: DictHandle,
     collection: BlockCollection,
-    /// Profiles and token sets live behind `Arc` so stage B can materialize
-    /// a comparison batch with two refcount bumps per side instead of deep
-    /// clones (profiles are immutable once ingested).
+    /// Profiles and token sets live behind `Arc` so an executor can keep
+    /// hold of them outside the blocker's lock without deep clones
+    /// (profiles are immutable once ingested).
     profiles: Vec<Option<Arc<EntityProfile>>>,
     token_sets: Vec<Option<Arc<[TokenId]>>>,
     arrival_order: Vec<ProfileId>,
@@ -142,9 +142,10 @@ impl IncrementalBlocker {
     ///
     /// # Errors
     /// Returns [`PierError::DuplicateProfile`] if a profile with the same
-    /// id was already ingested, and [`PierError::InvalidConfig`] if its
-    /// source is not one this ER kind has ([`ErKind::check_source`]). The
-    /// blocker is left unchanged either way.
+    /// id was already ingested, and [`PierError::InvalidConfig`] if its id
+    /// is past the limit or its source is not one this ER kind has
+    /// ([`ErKind::check_profile`]). The blocker is left unchanged either
+    /// way.
     pub fn try_process_profile(&mut self, profile: EntityProfile) -> Result<ProfileId, PierError> {
         self.check_admissible(&profile)?;
         let ids = match &mut self.dictionary {
@@ -197,10 +198,10 @@ impl IncrementalBlocker {
     }
 
     /// Shared head of the ingest entry points. Streamed profiles are
-    /// outside input: source and id are checked before any state — the
-    /// dictionary included — is touched.
+    /// outside input: id bound, source and id reuse are checked before any
+    /// state — the dictionary included — is touched.
     fn check_admissible(&self, profile: &EntityProfile) -> Result<(), PierError> {
-        self.collection.kind().check_source(profile)?;
+        self.collection.kind().check_profile(profile)?;
         match self.profiles.get(profile.id.index()) {
             Some(Some(_)) => Err(PierError::DuplicateProfile(profile.id.0)),
             _ => Ok(()),
@@ -270,7 +271,7 @@ impl IncrementalBlocker {
     }
 
     /// A shared handle to a stored profile — cloning it is one refcount
-    /// bump, which is how stage B materializes comparison batches without
+    /// bump, so a caller can classify outside the blocker's lock without
     /// deep-copying profile payloads.
     ///
     /// # Panics
@@ -501,6 +502,37 @@ mod tests {
             assert_eq!(b.collection().block_count(), 2);
             assert_eq!(b.try_process_profile(p(1, 0, "aa")).unwrap(), ProfileId(1));
         }
+    }
+
+    /// Every per-profile table grows to the largest id it is handed, so an
+    /// id at or past the limit is refused before any of them is touched
+    /// (let in, `ProfileId(u32::MAX)` asks for tens of GiB).
+    #[test]
+    fn an_id_past_the_limit_is_a_typed_error() {
+        let mut b = IncrementalBlocker::new(ErKind::Dirty);
+        b.process_profile(p(0, 0, "aa bb"));
+        for id in [ProfileId::LIMIT, u32::MAX] {
+            let err = b.try_process_profile(p(id, 0, "aa cc")).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    PierError::InvalidConfig {
+                        parameter: "profiles",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+            let err = b
+                .try_process_profile_with_token_ids(p(id, 0, "ignored"), &[TokenId(0)])
+                .unwrap_err();
+            assert!(matches!(err, PierError::InvalidConfig { .. }), "{err}");
+        }
+        // Nothing was touched, the dictionary included ("cc" is unknown).
+        assert_eq!(b.profile_count(), 1);
+        assert_eq!(b.collection().block_count(), 2);
+        assert_eq!(b.dictionary().len(), 2);
+        assert!(b.profiles.len() <= 1 && b.token_sets.len() <= 1);
     }
 
     #[test]

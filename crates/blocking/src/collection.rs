@@ -271,8 +271,9 @@ impl BlockCollection {
     ///
     /// # Panics
     /// Panics if `id` was already inserted, or if `source` is neither 0
-    /// nor 1 (callers validate with [`ErKind::check_source`] first;
-    /// [`crate::IncrementalBlocker`] does).
+    /// nor 1. The per-profile tables grow to `id`, so callers validate
+    /// outside input with [`ErKind::check_profile`] first;
+    /// [`crate::IncrementalBlocker`] does.
     pub fn add_profile(&mut self, id: ProfileId, source: SourceId, tokens: &[TokenId]) {
         if self.profile_blocks.len() <= id.index() {
             self.profile_blocks.resize(id.index() + 1, None);

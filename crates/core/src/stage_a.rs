@@ -295,6 +295,41 @@ mod tests {
         }
     }
 
+    /// So is an id at or past `ProfileId::LIMIT`: the per-profile tables
+    /// grow to the id they are handed, and one streamed `u32::MAX` would
+    /// ask for tens of GiB. Reported, skipped, the rest of the increment
+    /// ingested.
+    #[test]
+    fn an_id_past_the_limit_is_rejected_at_block() {
+        let mut m = machine(Strategy::Pcs);
+        let got = m.ingest(&[
+            p(0, "alpha beta"),
+            p(ProfileId::LIMIT, "alpha beta"),
+            p(u32::MAX, "alpha beta"),
+            p(2, "alpha beta"),
+        ]);
+        assert_eq!(got.ids, vec![ProfileId(0), ProfileId(2)]);
+        assert!(
+            matches!(
+                got.errors[..],
+                [
+                    PierError::InvalidConfig {
+                        parameter: "profiles",
+                        ..
+                    },
+                    PierError::InvalidConfig { .. }
+                ]
+            ),
+            "{:?}",
+            got.errors
+        );
+        assert_eq!(m.blocker().profile_count(), 2);
+        assert_eq!(
+            m.pull(8).0,
+            vec![Comparison::new(ProfileId(0), ProfileId(2))]
+        );
+    }
+
     /// The weighted pull is what `ShardWorker::pull` returned before the
     /// machine existed: the emitter's own weights when it has them...
     #[test]

@@ -7,11 +7,11 @@
 //!   prefilter rejects obvious non-matches, the expensive edit-distance
 //!   check confirms only plausible candidates. Cost is adaptive: cheap on
 //!   most pairs, quadratic only on the survivors — which the PIER cost
-//!   model captures faithfully because `evaluate` reports *measured* ops.
+//!   model captures faithfully because `compare` reports *measured* ops.
 
 use pier_types::{EntityProfile, TokenId};
 
-use crate::matcher::{EditDistanceMatcher, MatchFunction, MatchInput, MatchOutcome};
+use crate::matcher::{EditDistanceMatcher, MatchFunction, MatchOutcome, PreparedProfile};
 use crate::similarity::{cosine_tokens, jaccard_tokens};
 
 /// Cosine similarity over distinct token sets with a threshold.
@@ -28,12 +28,18 @@ impl Default for CosineMatcher {
 }
 
 impl MatchFunction for CosineMatcher {
-    fn evaluate(&self, input: MatchInput<'_>) -> MatchOutcome {
-        let similarity = cosine_tokens(input.tokens_a, input.tokens_b);
+    fn compare(
+        &self,
+        a: &PreparedProfile,
+        tokens_a: &[TokenId],
+        b: &PreparedProfile,
+        tokens_b: &[TokenId],
+    ) -> MatchOutcome {
+        let similarity = cosine_tokens(tokens_a, tokens_b);
         MatchOutcome {
             is_match: similarity >= self.threshold,
             similarity,
-            ops: self.estimate_ops(input),
+            ops: self.pair_ops(a.size(), b.size()),
         }
     }
 
@@ -73,9 +79,21 @@ impl Default for HybridMatcher {
 }
 
 impl MatchFunction for HybridMatcher {
-    fn evaluate(&self, input: MatchInput<'_>) -> MatchOutcome {
-        let prefilter_ops = (input.tokens_a.len() + input.tokens_b.len()).max(1) as u64;
-        let jac = jaccard_tokens(input.tokens_a, input.tokens_b);
+    fn prepare(&self, profile: &EntityProfile, tokens: &[TokenId]) -> PreparedProfile {
+        // The confirmation stage's text under this matcher's packed size.
+        PreparedProfile::new(profile.id, self.profile_size(profile, tokens))
+            .with_text(self.confirm.clipped(profile))
+    }
+
+    fn compare(
+        &self,
+        a: &PreparedProfile,
+        tokens_a: &[TokenId],
+        b: &PreparedProfile,
+        tokens_b: &[TokenId],
+    ) -> MatchOutcome {
+        let prefilter_ops = (tokens_a.len() + tokens_b.len()).max(1) as u64;
+        let jac = jaccard_tokens(tokens_a, tokens_b);
         if jac < self.prefilter_threshold {
             return MatchOutcome {
                 is_match: false,
@@ -83,11 +101,13 @@ impl MatchFunction for HybridMatcher {
                 ops: prefilter_ops,
             };
         }
-        let confirmed = self.confirm.evaluate(input);
+        let (is_match, similarity) = self.confirm.classify(a, b);
         MatchOutcome {
-            is_match: confirmed.is_match,
-            similarity: confirmed.similarity,
-            ops: prefilter_ops + confirmed.ops,
+            is_match,
+            similarity,
+            // The confirmation stage's own size is the upper part of the
+            // packed one (see `profile_size`).
+            ops: prefilter_ops + self.confirm.pair_ops(a.size() >> 16, b.size() >> 16),
         }
     }
 
@@ -116,6 +136,7 @@ impl MatchFunction for HybridMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matcher::MatchInput;
     use pier_types::{ProfileId, SourceId};
 
     fn profile(id: u32, text: &str) -> EntityProfile {

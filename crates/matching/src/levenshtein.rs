@@ -4,45 +4,98 @@
 //! configuration (§7), so its kernel matters: the classic two-row DP costs
 //! `O(n·m)` cell updates plus two `Vec<char>` and two row allocations per
 //! call. This module replaces it with Myers' bit-parallel algorithm
-//! [Myers, JACM 1999]: the DP column is packed into `⌈m/64⌉` machine words
-//! and one text character advances the whole column with ~15 word
-//! operations — a 64-fold cut in elementary steps for patterns up to 64
-//! characters.
+//! [Myers, JACM 1999]: a DP column is packed into machine words and one
+//! text character advances the whole column with ~15 word operations.
+//!
+//! The pattern is the shorter string (`m` chars), the text the longer
+//! (`n`). Three kernels, chosen from the input:
+//!
+//! * ASCII, `m ≤ 128` — one word holds the column: `u64` up to 64 chars,
+//!   `u128` up to 128 (the flattened text of the benchmark corpora is
+//!   65–128 chars for most pairs). One function, generic over the word.
+//! * ASCII, `m > 128` — `⌈m/64⌉` `u64` blocks with a carry between them.
+//! * anything else — the same blocks over `char`s, with the pattern's
+//!   alphabet mapped to dense indices.
 //!
 //! Three entry points:
 //!
-//! * [`levenshtein`] — exact distance, dispatching to the ASCII byte path
-//!   (no `Vec<char>` materialization) or the Unicode path.
+//! * [`levenshtein`] — exact distance.
 //! * [`levenshtein_bounded`] — threshold-aware variant returning `None` as
 //!   soon as the distance provably exceeds `max_dist`: the length-gap
-//!   pre-check rejects for free, and during the scan the reachable-score
-//!   lower bound `score(j) − (n − j)` abandons hopeless pairs mid-string.
-//!   This is what lets the ED matcher skip most of the work on pairs that
-//!   cannot clear its similarity threshold.
+//!   pre-check rejects for free, and the scan abandons a pair as soon as
+//!   one column proves the bound exceeded. This is what lets the ED matcher
+//!   skip most of the work on pairs that cannot clear its similarity
+//!   threshold.
 //! * [`levenshtein_naive`] — the original two-row DP, kept verbatim as the
 //!   test oracle for the bit-parallel kernels (see the crate's proptest
 //!   suite).
 //!
-//! All scratch state (the 256-entry `Peq` table, block vectors, the
-//! Unicode alphabet map) lives in a thread-local `Scratch` and is reused
-//! across calls, so the steady-state kernel performs no allocation for
-//! ASCII inputs of any length and none for Unicode inputs whose alphabet
-//! fits the previously grown buffers.
+//! All scratch state (the `Peq` tables, block vectors, the Unicode alphabet
+//! map) lives in a thread-local `Scratch` and is reused across calls, so
+//! the steady-state kernel performs no allocation for ASCII inputs of any
+//! length and none for Unicode inputs whose alphabet fits the previously
+//! grown buffers.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::ops::{BitAnd, BitOr, BitXor, Not, Shl};
 
 const WORD: usize = 64;
 
+/// A machine word wide enough for a whole DP column of the single-word
+/// kernel.
+trait Word:
+    Copy
+    + PartialEq
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Not<Output = Self>
+    + Shl<usize, Output = Self>
+{
+    const ZERO: Self;
+    const ONE: Self;
+    fn wrapping_add(self, rhs: Self) -> Self;
+    /// This width's `Peq` table in the scratch: one bitmask per ASCII code,
+    /// all zero between calls.
+    fn peq(scratch: &mut Scratch) -> &mut [Self; 128];
+}
+
+impl Word for u64 {
+    const ZERO: u64 = 0;
+    const ONE: u64 = 1;
+    fn wrapping_add(self, rhs: u64) -> u64 {
+        u64::wrapping_add(self, rhs)
+    }
+    fn peq(scratch: &mut Scratch) -> &mut [u64; 128] {
+        &mut scratch.peq_u64
+    }
+}
+
+impl Word for u128 {
+    const ZERO: u128 = 0;
+    const ONE: u128 = 1;
+    fn wrapping_add(self, rhs: u128) -> u128 {
+        u128::wrapping_add(self, rhs)
+    }
+    fn peq(scratch: &mut Scratch) -> &mut [u128; 128] {
+        &mut scratch.peq_u128
+    }
+}
+
 /// Reusable per-thread kernel state.
 struct Scratch {
-    /// `Peq[c]` bitmasks for single-block ASCII patterns (m ≤ 64). Entries
-    /// are zeroed after each call via `touched`, never by a full memset.
-    peq_ascii: [u64; 256],
-    /// Distinct pattern bytes written into `peq_ascii`/`peq_blocks`.
-    touched: Vec<u8>,
-    /// `Peq[c × blocks + b]` for multi-block ASCII patterns (m > 64).
+    /// `Peq[c]` bitmasks of the single-word kernel, one table per word
+    /// width, indexed by ASCII code. Each call zeroes the entries it set,
+    /// never the whole table.
+    peq_u64: [u64; 128],
+    peq_u128: [u128; 128],
+    /// `Peq[c × blocks + b]` for multi-block ASCII patterns (m > 128).
+    /// Rows are zeroed after each call via `touched`.
     peq_blocks: Vec<u64>,
+    /// Distinct pattern bytes written into `peq_blocks` by the current
+    /// call.
+    touched: Vec<u8>,
     /// Blocks currently allocated in `peq_blocks` (row stride).
     peq_stride: usize,
     /// Per-block vertical positive/negative delta words.
@@ -59,9 +112,10 @@ struct Scratch {
 impl Scratch {
     fn new() -> Self {
         Scratch {
-            peq_ascii: [0u64; 256],
-            touched: Vec::new(),
+            peq_u64: [0; 128],
+            peq_u128: [0; 128],
             peq_blocks: Vec::new(),
+            touched: Vec::new(),
             peq_stride: 0,
             pv: Vec::new(),
             mv: Vec::new(),
@@ -145,66 +199,89 @@ fn bounded_impl(a: &str, b: &str, max_dist: usize) -> Option<usize> {
         if m == 0 {
             return Some(n);
         }
-        if m <= WORD {
-            SCRATCH.with(|s| ascii_single_block(&mut s.borrow_mut(), pattern, text, max_dist))
-        } else {
-            SCRATCH.with(|s| ascii_multi_block(&mut s.borrow_mut(), pattern, text, max_dist))
-        }
+        SCRATCH.with(|s| {
+            let scratch = &mut s.borrow_mut();
+            if m <= u64::BITS as usize {
+                ascii_single_word::<u64>(scratch, pattern, text, max_dist)
+            } else if m <= u128::BITS as usize {
+                ascii_single_word::<u128>(scratch, pattern, text, max_dist)
+            } else {
+                ascii_multi_block(scratch, pattern, text, max_dist)
+            }
+        })
     } else {
         SCRATCH.with(|s| unicode_blocks(&mut s.borrow_mut(), a, b, max_dist))
     }
 }
 
-/// Single-word Myers for ASCII patterns with `1 ≤ m ≤ 64`.
-fn ascii_single_block(
+/// Single-word Myers for ASCII patterns of `1 ≤ m ≤` the width of `W`
+/// chars, with the cut-off taken on the DP matrix's final diagonal.
+///
+/// `D` never decreases along a diagonal, so every cell of the diagonal that
+/// ends in `D[m][n]` is a lower bound on the distance. Within a column no
+/// other cell gives a tighter one: a cell `r` rows off the diagonal bounds
+/// the distance by its value minus `r`, and cells one row apart differ by
+/// at most one. That diagonal enters the matrix at `D[0][n − m] = n − m`;
+/// in each later column it moves one row down and grows by one unless
+/// Myers' diagonal-zero vector `D0 = Xh | Mv` has that row's bit set; at
+/// the last column it *is* the distance. So the first `n − m` columns only
+/// advance the state, and the last `m` track one counter that serves as
+/// both the cut-off and the result.
+fn ascii_single_word<W: Word>(
     scratch: &mut Scratch,
     pattern: &[u8],
     text: &[u8],
     max_dist: usize,
 ) -> Option<usize> {
-    let m = pattern.len();
-    debug_assert!((1..=WORD).contains(&m) && m <= text.len());
-    for (i, &c) in pattern.iter().enumerate() {
-        if scratch.peq_ascii[c as usize] == 0 {
-            scratch.touched.push(c);
-        }
-        scratch.peq_ascii[c as usize] |= 1u64 << i;
+    let (m, n) = (pattern.len(), text.len());
+    debug_assert!(m >= 1 && m <= n && n - m <= max_dist);
+    debug_assert!(pattern.is_ascii() && text.is_ascii());
+    let peq = W::peq(scratch);
+    // `& 0x7F` is the identity on ASCII; it shows the compiler that the
+    // index is inside the table.
+    let mut row_bit = W::ONE;
+    for &c in pattern {
+        let slot = &mut peq[usize::from(c & 0x7F)];
+        *slot = *slot | row_bit;
+        row_bit = row_bit << 1;
     }
-    let high = 1u64 << (m - 1);
-    let mut pv = !0u64;
-    let mut mv = 0u64;
-    let mut score = m;
-    let n = text.len();
-    let mut result = None;
-    for (j, &c) in text.iter().enumerate() {
-        let eq = scratch.peq_ascii[c as usize];
+    let mut pv = !W::ZERO;
+    let mut mv = W::ZERO;
+    // One column: returns `D0` and advances `(pv, mv)`.
+    let mut step = |c: u8| -> W {
+        let eq = peq[usize::from(c & 0x7F)];
         let xv = eq | mv;
-        let xh = (((eq & pv).wrapping_add(pv)) ^ pv) | eq;
+        let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
+        let d0 = xh | mv;
         let ph = mv | !(xh | pv);
         let mh = pv & xh;
-        if ph & high != 0 {
-            score += 1;
-        } else if mh & high != 0 {
-            score -= 1;
-        }
-        let ph = (ph << 1) | 1;
+        // The top row of the DP matrix grows by one per column.
+        let ph = (ph << 1) | W::ONE;
         pv = (mh << 1) | !(xv | ph);
         mv = ph & xv;
-        // Even if every remaining text char matched, the final score
-        // cannot drop below `score − (n − 1 − j)`.
-        if score.saturating_sub(n - 1 - j) > max_dist {
-            result = Some(None);
+        d0
+    };
+    let (head, tail) = text.split_at(n - m);
+    for &c in head {
+        step(c);
+    }
+    let mut diagonal = n - m;
+    let mut row_bit = W::ONE;
+    for &c in tail {
+        // An add, not a branch: for unrelated strings the bit is a coin
+        // toss, while the cut-off below is taken once.
+        diagonal += usize::from(step(c) & row_bit == W::ZERO);
+        if diagonal > max_dist {
             break;
         }
+        row_bit = row_bit << 1;
     }
-    // Cheap targeted clear instead of a 2 KiB memset per call.
-    for c in scratch.touched.drain(..) {
-        scratch.peq_ascii[c as usize] = 0;
+    // Clear what the pattern set — one store per pattern char, no branch —
+    // instead of a memset of the table per call.
+    for &c in pattern {
+        peq[usize::from(c & 0x7F)] = W::ZERO;
     }
-    match result {
-        Some(rejected) => rejected,
-        None => (score <= max_dist).then_some(score),
-    }
+    (diagonal <= max_dist).then_some(diagonal)
 }
 
 /// One column step of the blocked Myers scan: advances block state
@@ -230,7 +307,7 @@ fn advance_block(pv: &mut u64, mv: &mut u64, eq: u64, hin: i32, high: u64) -> i3
     hout
 }
 
-/// Blocked Myers for ASCII patterns with `m > 64`.
+/// Blocked Myers for ASCII patterns with `m > 128`.
 fn ascii_multi_block(
     scratch: &mut Scratch,
     pattern: &[u8],

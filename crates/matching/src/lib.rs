@@ -12,7 +12,8 @@
 //! * [`similarity`] — the underlying similarity measures.
 //! * [`levenshtein`] — the bit-parallel (Myers) edit-distance kernel, its
 //!   threshold-aware bounded variant, and the naive DP oracle.
-//! * [`matcher`] — the [`MatchFunction`] trait and the JS/ED matchers.
+//! * [`matcher`] — the [`MatchFunction`] trait (`prepare` once per profile,
+//!   `compare` per pair) and the JS/ED matchers.
 //! * [`oracle`] — a ground-truth oracle matcher for isolating
 //!   prioritization quality in tests.
 //! * [`extra`] — cosine and hybrid (prefilter + confirm) matchers beyond
@@ -33,5 +34,7 @@ pub mod similarity;
 pub use classifier::{ClassifiedMatch, IncrementalClassifier};
 pub use extra::{CosineMatcher, HybridMatcher};
 pub use levenshtein::{levenshtein_bounded, levenshtein_naive};
-pub use matcher::{EditDistanceMatcher, JaccardMatcher, MatchFunction, MatchInput, MatchOutcome};
+pub use matcher::{
+    EditDistanceMatcher, JaccardMatcher, MatchFunction, MatchInput, MatchOutcome, PreparedProfile,
+};
 pub use oracle::OracleMatcher;

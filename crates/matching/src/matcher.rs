@@ -1,6 +1,15 @@
 //! The [`MatchFunction`] trait and the paper's two matcher configurations.
+//!
+//! A match function works in two steps. [`MatchFunction::prepare`] reads
+//! one profile and keeps what the matcher needs from it — work whose cost
+//! depends on that profile alone (flattening and clipping its text,
+//! counting its characters). [`MatchFunction::compare`] then decides a pair
+//! from two prepared profiles. A profile takes part in hundreds of
+//! comparisons, so an executor that keeps the [`PreparedProfile`] pays the
+//! first step once per profile; [`MatchFunction::evaluate`] is the two steps
+//! composed, for callers that look at a pair once.
 
-use pier_types::{EntityProfile, TokenId};
+use pier_types::{EntityProfile, ProfileId, TokenId};
 
 use crate::levenshtein::levenshtein_bounded;
 use crate::similarity::jaccard_tokens;
@@ -31,14 +40,99 @@ pub struct MatchOutcome {
     pub ops: u64,
 }
 
+/// What one match function keeps of one profile between comparisons (see
+/// [`MatchFunction::prepare`]). It belongs to the matcher that made it:
+/// another matcher, or the same type under another configuration, reads it
+/// differently.
+///
+/// Token matchers keep the id and the size only, which allocates nothing;
+/// the edit-distance matchers also keep the clipped text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PreparedProfile {
+    id: ProfileId,
+    size: u64,
+    text: Box<str>,
+    chars: usize,
+}
+
+impl PreparedProfile {
+    /// A prepared profile with no text: the profile's id and the matcher's
+    /// [`MatchFunction::profile_size`] of it.
+    pub fn new(id: ProfileId, size: u64) -> Self {
+        PreparedProfile {
+            id,
+            size,
+            text: Box::default(),
+            chars: 0,
+        }
+    }
+
+    /// Adds the text a string matcher compares.
+    #[must_use]
+    pub fn with_text(mut self, text: String) -> Self {
+        self.chars = text.chars().count();
+        self.text = text.into_boxed_str();
+        self
+    }
+
+    /// The id of the profile this was prepared from.
+    pub fn id(&self) -> ProfileId {
+        self.id
+    }
+
+    /// The preparing matcher's [`MatchFunction::profile_size`].
+    pub fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// The text kept for comparison; empty for token matchers.
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// Number of characters (not bytes) of [`PreparedProfile::text`].
+    pub fn chars(&self) -> usize {
+        self.chars
+    }
+}
+
 /// A pluggable match function (§2.1: similarity measure + threshold).
 pub trait MatchFunction: Send + Sync {
-    /// Evaluates one comparison.
-    fn evaluate(&self, input: MatchInput<'_>) -> MatchOutcome;
+    /// Reads one profile once: everything [`MatchFunction::compare`] needs
+    /// from it, so that no comparison repeats work that depends on one
+    /// side only. Profiles are immutable once ingested, so the result may
+    /// be kept for as long as the profile is. The default keeps the id and
+    /// [`MatchFunction::profile_size`], which is all a matcher over token
+    /// sets needs; a matcher over text adds the text.
+    fn prepare(&self, profile: &EntityProfile, tokens: &[TokenId]) -> PreparedProfile {
+        PreparedProfile::new(profile.id, self.profile_size(profile, tokens))
+    }
 
-    /// A per-profile size statistic from which the pair cost derives
-    /// (token count for JS, clipped character count for ED). Drivers may
-    /// cache it per profile — profiles are immutable once ingested.
+    /// Decides one pair from two profiles this matcher prepared and their
+    /// sorted distinct token ids.
+    fn compare(
+        &self,
+        a: &PreparedProfile,
+        tokens_a: &[TokenId],
+        b: &PreparedProfile,
+        tokens_b: &[TokenId],
+    ) -> MatchOutcome;
+
+    /// Evaluates one comparison from scratch: prepares both sides, then
+    /// compares them. Matchers implement the two steps, not this.
+    fn evaluate(&self, input: MatchInput<'_>) -> MatchOutcome {
+        let a = self.prepare(input.profile_a, input.tokens_a);
+        let b = self.prepare(input.profile_b, input.tokens_b);
+        self.compare(&a, input.tokens_a, &b, input.tokens_b)
+    }
+
+    /// A per-profile size statistic from which the pair cost derives: the
+    /// token count for JS, and for ED the number of characters in the
+    /// profile's values — separators between values not counted — capped
+    /// at `max_chars` and at least 1. (The text ED compares does contain
+    /// the separators, so this is at most its length, not equal to it;
+    /// simulator figures are calibrated on this value.) Drivers may cache
+    /// it per profile — profiles are immutable once ingested.
     fn profile_size(&self, profile: &EntityProfile, tokens: &[TokenId]) -> u64;
 
     /// Work in ops for a pair of profiles with the given size statistics.
@@ -75,12 +169,18 @@ impl Default for JaccardMatcher {
 }
 
 impl MatchFunction for JaccardMatcher {
-    fn evaluate(&self, input: MatchInput<'_>) -> MatchOutcome {
-        let similarity = jaccard_tokens(input.tokens_a, input.tokens_b);
+    fn compare(
+        &self,
+        a: &PreparedProfile,
+        tokens_a: &[TokenId],
+        b: &PreparedProfile,
+        tokens_b: &[TokenId],
+    ) -> MatchOutcome {
+        let similarity = jaccard_tokens(tokens_a, tokens_b);
         MatchOutcome {
             is_match: similarity >= self.threshold,
             similarity,
-            ops: self.estimate_ops(input),
+            ops: self.pair_ops(a.size, b.size),
         }
     }
 
@@ -123,10 +223,15 @@ impl Default for EditDistanceMatcher {
 }
 
 impl EditDistanceMatcher {
-    fn clipped(&self, p: &EntityProfile) -> String {
+    /// The text this matcher compares: the flattened profile, cut after
+    /// `max_chars` characters.
+    pub(crate) fn clipped(&self, p: &EntityProfile) -> String {
         let mut text = p.flattened_text();
-        if let Some((byte, _)) = text.char_indices().nth(self.max_chars) {
-            text.truncate(byte);
+        // A text of at most `max_chars` bytes has at most as many chars.
+        if text.len() > self.max_chars {
+            if let Some((byte, _)) = text.char_indices().nth(self.max_chars) {
+                text.truncate(byte);
+            }
         }
         text
     }
@@ -147,43 +252,48 @@ impl EditDistanceMatcher {
         }
         k
     }
+
+    /// The classification and similarity of two prepared texts — `compare`
+    /// without the cost figure, which [`crate::HybridMatcher`] charges its
+    /// own way.
+    pub(crate) fn classify(&self, a: &PreparedProfile, b: &PreparedProfile) -> (bool, f64) {
+        let max_len = a.chars.max(b.chars);
+        if max_len == 0 {
+            // Two empty profiles carry no evidence of a match.
+            return (false, 0.0);
+        }
+        let k = self.max_matching_distance(max_len);
+        match levenshtein_bounded(&a.text, &b.text, k) {
+            Some(d) => {
+                let similarity = 1.0 - d as f64 / max_len as f64;
+                (similarity >= self.threshold, similarity)
+            }
+            // The kernel abandoned the pair once distance > k was certain:
+            // not a match. The exact similarity was never computed; report
+            // the tightest known upper bound.
+            None => (false, (1.0 - (k + 1) as f64 / max_len as f64).max(0.0)),
+        }
+    }
 }
 
 impl MatchFunction for EditDistanceMatcher {
-    fn evaluate(&self, input: MatchInput<'_>) -> MatchOutcome {
-        let a = self.clipped(input.profile_a);
-        let b = self.clipped(input.profile_b);
-        let max_len = a.chars().count().max(b.chars().count());
-        let ops = self.estimate_ops(input);
-        if max_len == 0 {
-            // Two empty profiles carry no evidence of a match.
-            return MatchOutcome {
-                is_match: false,
-                similarity: 0.0,
-                ops,
-            };
-        }
-        let k = self.max_matching_distance(max_len);
-        match levenshtein_bounded(&a, &b, k) {
-            Some(d) => {
-                let similarity = 1.0 - d as f64 / max_len as f64;
-                MatchOutcome {
-                    is_match: similarity >= self.threshold,
-                    similarity,
-                    ops,
-                }
-            }
-            None => {
-                // The kernel abandoned the pair once distance > k was
-                // certain: not a match. The exact similarity was never
-                // computed; report the tightest known upper bound.
-                let similarity = (1.0 - (k + 1) as f64 / max_len as f64).max(0.0);
-                MatchOutcome {
-                    is_match: false,
-                    similarity,
-                    ops,
-                }
-            }
+    fn prepare(&self, profile: &EntityProfile, tokens: &[TokenId]) -> PreparedProfile {
+        PreparedProfile::new(profile.id, self.profile_size(profile, tokens))
+            .with_text(self.clipped(profile))
+    }
+
+    fn compare(
+        &self,
+        a: &PreparedProfile,
+        _tokens_a: &[TokenId],
+        b: &PreparedProfile,
+        _tokens_b: &[TokenId],
+    ) -> MatchOutcome {
+        let (is_match, similarity) = self.classify(a, b);
+        MatchOutcome {
+            is_match,
+            similarity,
+            ops: self.pair_ops(a.size, b.size),
         }
     }
 

@@ -7,9 +7,9 @@
 
 use std::sync::Arc;
 
-use pier_types::{Comparison, GroundTruth};
+use pier_types::{Comparison, EntityProfile, GroundTruth, TokenId};
 
-use crate::matcher::{MatchFunction, MatchInput, MatchOutcome};
+use crate::matcher::{MatchFunction, MatchOutcome, PreparedProfile};
 
 /// A matcher that consults the ground truth. The truth is immutable after
 /// construction, so an `Arc` suffices for cross-thread sharing.
@@ -32,9 +32,14 @@ impl OracleMatcher {
 }
 
 impl MatchFunction for OracleMatcher {
-    fn evaluate(&self, input: MatchInput<'_>) -> MatchOutcome {
-        let cmp = Comparison::new(input.profile_a.id, input.profile_b.id);
-        let is_match = self.truth.is_match(cmp);
+    fn compare(
+        &self,
+        a: &PreparedProfile,
+        _tokens_a: &[TokenId],
+        b: &PreparedProfile,
+        _tokens_b: &[TokenId],
+    ) -> MatchOutcome {
+        let is_match = self.truth.is_match(Comparison::new(a.id(), b.id()));
         MatchOutcome {
             is_match,
             similarity: if is_match { 1.0 } else { 0.0 },
@@ -42,11 +47,7 @@ impl MatchFunction for OracleMatcher {
         }
     }
 
-    fn profile_size(
-        &self,
-        _profile: &pier_types::EntityProfile,
-        _tokens: &[pier_types::TokenId],
-    ) -> u64 {
+    fn profile_size(&self, _profile: &EntityProfile, _tokens: &[TokenId]) -> u64 {
         1
     }
 
@@ -62,7 +63,8 @@ impl MatchFunction for OracleMatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_types::{EntityProfile, ProfileId, SourceId};
+    use crate::matcher::MatchInput;
+    use pier_types::{ProfileId, SourceId};
 
     #[test]
     fn oracle_follows_ground_truth() {

@@ -61,8 +61,8 @@ use pier_types::{
 
 use crate::report::{DictionaryStats, MatchEvent, RunTotals, RuntimeReport, StageAStats};
 use crate::stages::{
-    collect_matches, pipeline_channel, spawn_source, tokenize_increment, MaterializedPair, StageB,
-    TokenizedIncrement, TokenizedProfile,
+    collect_matches, pipeline_channel, spawn_source, tokenize_increment, MaterializedPair,
+    Materializer, StageB, TokenizedIncrement, TokenizedProfile,
 };
 use crate::supervisor::{IngestJournal, JournalEntry, Supervisor};
 
@@ -964,9 +964,10 @@ impl<'a> Run<'a> {
         // Stage B: the shared loop over this topology's closures.
         let pull_lane = Arc::clone(&stage_a);
         let mut shedder = self.config.shed.map(Shedder::new);
+        let mut materializer = Materializer::new(Arc::clone(&stage_b.matcher));
         scope.spawn(move || {
             // Pull under the lock, then materialize the pairs so
-            // classification runs lock-free. Materializing is four
+            // classification runs lock-free. Materializing is two
             // refcount bumps per pair, not a deep clone.
             let pull = |k: usize| -> Vec<MaterializedPair> {
                 let mut stage_a = pull_lane.lock();
@@ -978,14 +979,8 @@ impl<'a> Run<'a> {
                     }
                 });
                 let blocker = stage_a.blocker();
-                cmps.into_iter()
-                    .map(|c| MaterializedPair {
-                        profile_a: blocker.profile_handle(c.a),
-                        tokens_a: blocker.tokens_handle(c.a),
-                        profile_b: blocker.profile_handle(c.b),
-                        tokens_b: blocker.tokens_handle(c.b),
-                    })
-                    .collect()
+                materializer
+                    .materialize(cmps, |id| (blocker.profile(id), blocker.tokens_handle(id)))
             };
             // The idle tick (the empty increment of §3.2): lets the
             // GetComparisons fallback generate work from older data while
@@ -1172,6 +1167,7 @@ impl<'a> Run<'a> {
         let mut shedder = self.config.shed.map(Shedder::new);
         let mut merger = ShardMerger::new(shards);
         merger.set_observer(observer.clone());
+        let mut materializer = Materializer::new(Arc::clone(&stage_b.matcher));
         scope.spawn(move || {
             // Pull: k-way merge across the shards (each shard is asked for
             // its best `n` on demand), then materialize from the global
@@ -1199,14 +1195,7 @@ impl<'a> Run<'a> {
                     return Vec::new();
                 }
                 let store = pull_store.read();
-                cmps.into_iter()
-                    .map(|c| MaterializedPair {
-                        profile_a: store.profile_handle(c.a),
-                        tokens_a: store.tokens_handle(c.a),
-                        profile_b: store.profile_handle(c.b),
-                        tokens_b: store.tokens_handle(c.b),
-                    })
-                    .collect()
+                materializer.materialize(cmps, |id| (store.profile(id), store.tokens_handle(id)))
             };
             // Tick every shard; any shard reporting work keeps the loop hot.
             let tick = || -> bool {

@@ -30,12 +30,11 @@ use std::time::Instant;
 use crossbeam::channel;
 
 use pier_chaos::{ChaosHandle, FaultPoint};
-use pier_matching::{MatchFunction, MatchInput, MatchOutcome};
+use pier_matching::{MatchFunction, MatchOutcome};
 use pier_metrics::{
     queue::gauged, Counter, GaugedReceiver, GaugedSender, MetricsRegistry, QueueGauges,
 };
 use pier_observe::{Observer, Phase, WorkerRole};
-use pier_types::Comparison;
 
 use crate::stages::{MaterializedPair, WORKER_COMPARISONS_HELP};
 use crate::supervisor::Supervisor;
@@ -212,18 +211,11 @@ impl MatchPool {
             .iter()
             .map(|pair| {
                 let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.matcher.evaluate(MatchInput {
-                        profile_a: &pair.profile_a,
-                        tokens_a: &pair.tokens_a,
-                        profile_b: &pair.profile_b,
-                        tokens_b: &pair.tokens_b,
-                    })
+                    pair.evaluate(&*self.matcher)
                 }));
                 attempt.unwrap_or_else(|_| {
-                    self.supervisor.quarantine_pair(
-                        Comparison::new(pair.profile_a.id, pair.profile_b.id),
-                        &self.observer,
-                    );
+                    self.supervisor
+                        .quarantine_pair(pair.comparison(), &self.observer);
                     MatchOutcome {
                         is_match: false,
                         similarity: 0.0,
@@ -371,14 +363,7 @@ fn worker_loop(
                 chaos.trip(FaultPoint::MatchWorker, Some(worker as u16));
                 job.batch[job.start..job.end]
                     .iter()
-                    .map(|pair| {
-                        matcher.evaluate(MatchInput {
-                            profile_a: &pair.profile_a,
-                            tokens_a: &pair.tokens_a,
-                            profile_b: &pair.profile_b,
-                            tokens_b: &pair.tokens_b,
-                        })
-                    })
+                    .map(|pair| pair.evaluate(matcher))
                     .collect::<Vec<MatchOutcome>>()
             }))
         });
@@ -410,22 +395,28 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stages::ProfileEntry;
+    use pier_matching::EditDistanceMatcher;
     use pier_types::{EntityProfile, ProfileId, SourceId, TokenId};
 
+    /// A pair prepared for the default `EditDistanceMatcher`, which every
+    /// pool test here runs.
     fn pair(a: u32, b: u32, same: bool) -> MaterializedPair {
-        let text_a = "alpha beta gamma";
         let text_b = if same {
             "alpha beta gamma"
         } else {
             "zzz yyy xxx www"
         };
-        let tokens =
-            |x: u32| -> Arc<[TokenId]> { Arc::from(vec![TokenId(x), TokenId(x + 1)].as_slice()) };
+        let side = |id: u32, text: &str| {
+            Arc::new(ProfileEntry::new(
+                &EditDistanceMatcher::default(),
+                &EntityProfile::new(ProfileId(id), SourceId(0)).with("t", text),
+                Arc::from(vec![TokenId(id), TokenId(id + 1)]),
+            ))
+        };
         MaterializedPair {
-            profile_a: Arc::new(EntityProfile::new(ProfileId(a), SourceId(0)).with("t", text_a)),
-            tokens_a: tokens(a),
-            profile_b: Arc::new(EntityProfile::new(ProfileId(b), SourceId(0)).with("t", text_b)),
-            tokens_b: tokens(b),
+            a: side(a, "alpha beta gamma"),
+            b: side(b, text_b),
         }
     }
 
@@ -453,8 +444,6 @@ mod tests {
 
     #[test]
     fn pool_preserves_batch_order_and_counts_per_worker() {
-        use pier_matching::EditDistanceMatcher;
-
         let matcher: Arc<dyn MatchFunction> = Arc::new(EditDistanceMatcher::default());
         let mut pool = MatchPool::new(
             3,
@@ -484,8 +473,6 @@ mod tests {
 
     #[test]
     fn empty_batch_needs_no_replies() {
-        use pier_matching::EditDistanceMatcher;
-
         let matcher: Arc<dyn MatchFunction> = Arc::new(EditDistanceMatcher::default());
         let mut pool = MatchPool::new(
             2,
@@ -501,8 +488,6 @@ mod tests {
 
     #[test]
     fn registry_counters_mirror_per_worker_execution() {
-        use pier_matching::EditDistanceMatcher;
-
         let registry = MetricsRegistry::shared();
         let matcher: Arc<dyn MatchFunction> = Arc::new(EditDistanceMatcher::default());
         let mut pool = MatchPool::new(

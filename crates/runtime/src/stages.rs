@@ -18,12 +18,14 @@ use parking_lot::Mutex;
 
 use pier_chaos::{ChaosHandle, FaultKind, FaultPoint};
 use pier_core::AdaptiveK;
-use pier_matching::{MatchFunction, MatchInput, MatchOutcome};
+use pier_matching::{MatchFunction, MatchOutcome, PreparedProfile};
 use pier_metrics::{
     queue::gauged, Counter, Gauge, GaugedReceiver, GaugedSender, MetricsRegistry, QueueGauges,
 };
 use pier_observe::{Event, Observer, Phase, WorkerRole};
-use pier_types::{EntityProfile, PierError, SharedTokenDictionary, TokenId, Tokenizer};
+use pier_types::{
+    Comparison, EntityProfile, PierError, ProfileId, SharedTokenDictionary, TokenId, Tokenizer,
+};
 
 use crate::pool::MatchPool;
 use crate::report::MatchEvent;
@@ -104,17 +106,98 @@ pub(crate) fn spawn_source(
     })
 }
 
-/// A comparison materialized for lock-free classification: both profiles
-/// and their token-id sets, shared with whichever store holds them.
+/// One profile as stage B keeps it: the store's handle to its token-id set
+/// and what the run's matcher prepared from it.
+pub(crate) struct ProfileEntry {
+    pub tokens: Arc<[TokenId]>,
+    pub prepared: PreparedProfile,
+}
+
+impl ProfileEntry {
+    pub fn new(
+        matcher: &dyn MatchFunction,
+        profile: &EntityProfile,
+        tokens: Arc<[TokenId]>,
+    ) -> Self {
+        let prepared = matcher.prepare(profile, &tokens);
+        ProfileEntry { tokens, prepared }
+    }
+}
+
+/// A comparison materialized for lock-free classification: one handle per
+/// side to that profile's [`ProfileEntry`].
 ///
-/// The fields are `Arc` handles, so materializing a pair is four refcount
-/// bumps — no attribute map or token vector is deep-cloned per comparison,
-/// and fanning a batch out to match workers shares the same allocations.
+/// Materializing a pair is two refcount bumps — no attribute map, token
+/// vector or prepared text is copied per comparison, and fanning a batch
+/// out to match workers shares the same allocations.
 pub(crate) struct MaterializedPair {
-    pub profile_a: Arc<EntityProfile>,
-    pub tokens_a: Arc<[TokenId]>,
-    pub profile_b: Arc<EntityProfile>,
-    pub tokens_b: Arc<[TokenId]>,
+    pub a: Arc<ProfileEntry>,
+    pub b: Arc<ProfileEntry>,
+}
+
+impl MaterializedPair {
+    /// The matcher's verdict on the pair — the one place the runtime runs
+    /// a comparison, on whichever thread classifies.
+    pub fn evaluate(&self, matcher: &dyn MatchFunction) -> MatchOutcome {
+        let (a, b) = (&*self.a, &*self.b);
+        matcher.compare(&a.prepared, &a.tokens, &b.prepared, &b.tokens)
+    }
+
+    /// The pair's canonical comparison.
+    pub fn comparison(&self) -> Comparison {
+        Comparison::new(self.a.prepared.id(), self.b.prepared.id())
+    }
+}
+
+/// Stage B's per-profile table: one [`ProfileEntry`] per profile id, built
+/// the first time a pull names that profile and shared by every later pair
+/// it takes part in.
+///
+/// The stage-B thread is the only materializer in both topologies, so the
+/// table has one writer and needs no lock. An entry never goes stale:
+/// profiles are immutable once stored, an id that arrives a second time is
+/// rejected at ingest with the first profile kept, and a shard worker
+/// rebuilt from its journal replays the same profiles under the same ids.
+/// Ingest also bounds the table: it admits no id at or above
+/// [`ProfileId::LIMIT`].
+pub(crate) struct Materializer {
+    matcher: Arc<dyn MatchFunction>,
+    entries: Vec<Option<Arc<ProfileEntry>>>,
+}
+
+impl Materializer {
+    pub fn new(matcher: Arc<dyn MatchFunction>) -> Self {
+        Materializer {
+            matcher,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Turns pulled comparisons into pairs. `store` reads a profile and
+    /// its token handle from whichever store the topology keeps them in;
+    /// it is asked once per profile, not per pair.
+    pub fn materialize<'s>(
+        &mut self,
+        cmps: Vec<Comparison>,
+        store: impl Fn(ProfileId) -> (&'s EntityProfile, Arc<[TokenId]>),
+    ) -> Vec<MaterializedPair> {
+        let mut side = |id: ProfileId| {
+            if self.entries.len() <= id.index() {
+                self.entries.resize(id.index() + 1, None);
+            }
+            let entry = self.entries[id.index()].get_or_insert_with(|| {
+                let (profile, tokens) = store(id);
+                Arc::new(ProfileEntry::new(&*self.matcher, profile, tokens))
+            });
+            Arc::clone(entry)
+        };
+        cmps.into_iter()
+            .map(|c| MaterializedPair {
+                a: side(c.a),
+                b: side(c.b),
+            })
+            .collect()
+    }
 }
 
 /// Shared `# HELP` text for `pier_worker_comparisons_total`, registered by
@@ -220,12 +303,7 @@ impl Classifier<'_> {
             }
             None => {
                 for pair in &batch {
-                    let outcome = self.matcher.evaluate(MatchInput {
-                        profile_a: &pair.profile_a,
-                        tokens_a: &pair.tokens_a,
-                        profile_b: &pair.profile_b,
-                        tokens_b: &pair.tokens_b,
-                    });
+                    let outcome = pair.evaluate(self.matcher);
                     self.record(pair, &outcome, None);
                     if self.over_budget() {
                         break;
@@ -256,7 +334,7 @@ impl Classifier<'_> {
         }
         if outcome.is_match {
             let at = self.start.elapsed();
-            let cmp = pier_types::Comparison::new(pair.profile_a.id, pair.profile_b.id);
+            let cmp = pair.comparison();
             // The entity_apply fault point sits between confirmation and
             // delivery: a Delay stretches the apply, a SendFail simulates a
             // dead match channel, a Panic loses the match outright. All
@@ -578,7 +656,7 @@ pub(crate) fn collect_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_types::{ProfileId, SourceId};
+    use pier_types::SourceId;
 
     #[test]
     fn tokenize_increment_interns_each_token_once() {
@@ -631,7 +709,13 @@ mod tests {
     }
 
     impl MatchFunction for ConstMatcher {
-        fn evaluate(&self, _input: MatchInput<'_>) -> MatchOutcome {
+        fn compare(
+            &self,
+            _a: &PreparedProfile,
+            _tokens_a: &[TokenId],
+            _b: &PreparedProfile,
+            _tokens_b: &[TokenId],
+        ) -> MatchOutcome {
             assert!(!self.panics, "injected matcher panic");
             MatchOutcome {
                 is_match: self.is_match,
@@ -654,13 +738,15 @@ mod tests {
     }
 
     fn pair(a: u32, b: u32) -> MaterializedPair {
-        let profile = |id| Arc::new(EntityProfile::new(ProfileId(id), SourceId(0)));
-        let no_tokens: Arc<[TokenId]> = Arc::from(Vec::new());
+        let side = |id| {
+            Arc::new(ProfileEntry {
+                tokens: Arc::from(Vec::new()),
+                prepared: PreparedProfile::new(ProfileId(id), 1),
+            })
+        };
         MaterializedPair {
-            profile_a: profile(a),
-            tokens_a: Arc::clone(&no_tokens),
-            profile_b: profile(b),
-            tokens_b: no_tokens,
+            a: side(a),
+            b: side(b),
         }
     }
 

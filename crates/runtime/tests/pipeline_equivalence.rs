@@ -144,14 +144,17 @@ fn topology_workers_and_observation_matrix_is_equivalent() {
 }
 
 /// Streamed profiles are outside input: one naming a source its ER kind
-/// does not have (a second source in Dirty ER, a third in Clean-Clean ER)
-/// is rejected at the ingest door, reported like a duplicate, and the run
-/// carries on to the match set it reaches without the intruder. Let in, the
-/// third source indexes past a block's two member lists and takes the
-/// ingest thread (and `Pipeline::run`) down, and the Dirty intruder sits in
-/// a member list the block cursor never enumerates.
+/// does not have (a second source in Dirty ER, a third in Clean-Clean ER),
+/// or carrying an id at or past `ProfileId::LIMIT`, is rejected at the
+/// ingest door, reported like a duplicate, and the run carries on to the
+/// match set it reaches without the intruder. Let in, the third source
+/// indexes past a block's two member lists and takes the ingest thread (and
+/// `Pipeline::run`) down, the Dirty intruder sits in a member list the
+/// block cursor never enumerates, and the id makes every per-profile table
+/// (stage B's prepared entries included) grow to it — tens of GiB for
+/// `u32::MAX`, an allocation failure no supervisor catches.
 #[test]
-fn a_profile_from_a_source_the_kind_lacks_is_reported_and_skipped() {
+fn a_profile_the_ingest_door_refuses_is_reported_and_skipped() {
     use pier_types::{EntityProfile, ErKind, ProfileId, SourceId};
 
     let dirty: Vec<EntityProfile> = [
@@ -166,31 +169,49 @@ fn a_profile_from_a_source_the_kind_lacks_is_reported_and_skipped() {
     .enumerate()
     .map(|(i, text)| EntityProfile::new(ProfileId(i as u32), SourceId(0)).with("text", *text))
     .collect();
-    let clean = corpus();
+    let clean = corpus().profiles;
+    let next_id = |profiles: &[EntityProfile]| ProfileId(profiles.len() as u32);
+    let past_limit = format!("is not below the limit {}", ProfileId::LIMIT);
     let cases = [
         (
             ErKind::Dirty,
-            dirty,
+            dirty.clone(),
+            next_id(&dirty),
             SourceId(1),
-            "dirty ER requires a single source",
+            "dirty ER requires a single source, p6 has s1".to_string(),
         ),
         (
             ErKind::CleanClean,
-            clean.profiles.clone(),
+            clean.clone(),
+            next_id(&clean),
             SourceId(2),
-            "clean-clean ER requires source 0 or 1",
+            "clean-clean ER requires source 0 or 1, p220 has s2".to_string(),
+        ),
+        (
+            ErKind::Dirty,
+            dirty,
+            ProfileId(ProfileId::LIMIT),
+            SourceId(0),
+            format!("profile id p{} {past_limit}", ProfileId::LIMIT),
+        ),
+        (
+            ErKind::CleanClean,
+            clean,
+            ProfileId(u32::MAX),
+            SourceId(1),
+            format!("profile id p{} {past_limit}", u32::MAX),
         ),
     ];
-    for (kind, profiles, bad_source, wording) in cases {
+    for (kind, profiles, bad_id, bad_source, wording) in cases {
         // The intruder shares every token of profile 0, so it would pair up
         // if it got in.
         let mut intruder = profiles[0].clone();
-        intruder.id = ProfileId(profiles.len() as u32);
+        intruder.id = bad_id;
         intruder.source = bad_source;
         let mut with_intruder = profiles.clone();
-        with_intruder.insert(profiles.len() / 2, intruder.clone());
+        with_intruder.insert(profiles.len() / 2, intruder);
         for shards in [None, Some(2)] {
-            let label = format!("{kind:?} {shards:?}");
+            let label = format!("{kind:?} {shards:?} {bad_id} {bad_source}");
             let run = |stream: &[EntityProfile]| {
                 let increments: Vec<Vec<EntityProfile>> = stream
                     .chunks(3.max(stream.len() / 8))
@@ -215,10 +236,7 @@ fn a_profile_from_a_source_the_kind_lacks_is_reported_and_skipped() {
             let report = run(&with_intruder);
             assert_eq!(
                 report.ingest_errors,
-                vec![format!(
-                    "invalid configuration for `profiles`: {wording}, {} has {bad_source}",
-                    intruder.id
-                )],
+                vec![format!("invalid configuration for `profiles`: {wording}")],
                 "{label}"
             );
             assert_eq!(pairs(&report), pairs(&clean_run), "{label}");

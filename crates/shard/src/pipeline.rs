@@ -47,9 +47,9 @@ impl Default for ShardedConfig {
 /// shared dictionary) and are never mapped back to strings on this path.
 #[derive(Debug, Default)]
 pub struct ProfileStore {
-    /// Stored behind `Arc` so stage-B batch materialization is a refcount
-    /// bump per side instead of a deep clone (profiles are immutable once
-    /// stored).
+    /// Stored behind `Arc` so stage B can keep hold of a profile's token
+    /// set outside the store's lock without a deep clone (profiles are
+    /// immutable once stored).
     profiles: Vec<Option<Arc<EntityProfile>>>,
     token_sets: Vec<Option<Arc<[TokenId]>>>,
     /// Global per-token occurrence counts — block sizes before purging,
@@ -69,8 +69,11 @@ impl ProfileStore {
     ///
     /// # Errors
     /// Returns [`PierError::DuplicateProfile`] if the id was already
-    /// stored; the store is left unchanged.
+    /// stored, and [`PierError::InvalidConfig`] if it is past
+    /// [`ProfileId::LIMIT`] (the tables grow to the id); the store is left
+    /// unchanged.
     pub fn insert(&mut self, profile: EntityProfile, tokens: &[TokenId]) -> Result<(), PierError> {
+        profile.id.check()?;
         let idx = profile.id.index();
         if self.profiles.len() <= idx {
             self.profiles.resize(idx + 1, None);
@@ -99,9 +102,10 @@ impl ProfileStore {
     /// The whole increment enters the store before any ghost floor is
     /// read, so the floors see the block sizes the unsharded pipeline
     /// would at generation time (it too blocks a full increment before
-    /// generating). Profiles whose id is already stored, or whose source
-    /// `kind` does not have ([`ErKind::check_source`]), are skipped before
-    /// the store is touched and reported, never fanned out. Shards only
+    /// generating). Profiles whose id is already stored, and profiles
+    /// [`ErKind::check_profile`] rejects (id past the limit, a source
+    /// `kind` does not have), are skipped before the store is touched and
+    /// reported, never fanned out. Shards only
     /// block and weight, so each owning shard gets an attribute-less
     /// skeleton (id + source) with its token-id subset and the floor, not a
     /// clone of the profile.
@@ -120,7 +124,7 @@ impl ProfileStore {
         for (profile, tokens) in increment {
             let (id, source) = (profile.id, profile.source);
             let stored = kind
-                .check_source(&profile)
+                .check_profile(&profile)
                 .and_then(|()| self.insert(profile, &tokens));
             match stored {
                 Ok(()) => accepted.push((id, source, tokens)),
@@ -165,7 +169,7 @@ impl ProfileStore {
     }
 
     /// A shared handle to a stored profile — cloning it is a refcount bump,
-    /// which is how stage B materializes batches without deep copies.
+    /// not a deep copy.
     ///
     /// # Panics
     /// Panics if the id was never stored.
@@ -213,7 +217,7 @@ pub struct FanOut {
     /// Profiles the store accepted.
     pub accepted: usize,
     /// One error per skipped profile: [`PierError::DuplicateProfile`] or
-    /// the [`ErKind::check_source`] rejection.
+    /// the [`ErKind::check_profile`] rejection.
     pub errors: Vec<PierError>,
 }
 
@@ -466,6 +470,30 @@ mod tests {
         assert_eq!(stage.store().tokens_of(ProfileId(0)).len(), 2);
         let out = drain_sharded(&mut stage);
         assert!(!out.is_empty());
+    }
+
+    #[test]
+    fn an_id_past_the_limit_never_reaches_the_store_or_a_shard() {
+        let mut stage = ShardedStageA::new(ErKind::Dirty, ShardedConfig::default());
+        let mut data = profiles(&["alpha beta", "alpha gamma", "alpha beta"]);
+        data[1].id = ProfileId(ProfileId::LIMIT);
+        let errors = stage.on_increment(&data);
+        assert_eq!(errors.len(), 1);
+        assert!(
+            matches!(errors[0], pier_types::PierError::InvalidConfig { .. }),
+            "{}",
+            errors[0]
+        );
+        assert_eq!(stage.store().len(), 2);
+        assert_eq!(
+            drain_sharded(&mut stage),
+            vec![Comparison::new(ProfileId(0), ProfileId(2))]
+        );
+        // The store's own door refuses it too.
+        let mut store = ProfileStore::new();
+        let stray = EntityProfile::new(ProfileId(u32::MAX), SourceId(0));
+        assert!(store.insert(stray, &[]).is_err());
+        assert!(store.is_empty());
     }
 
     #[test]

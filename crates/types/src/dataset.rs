@@ -23,11 +23,23 @@ pub enum ErKind {
 }
 
 impl ErKind {
+    /// Checks what downstream state takes on trust about a profile from
+    /// outside: an id below [`ProfileId::LIMIT`] ([`ProfileId::check`]) and
+    /// a source this kind of task has ([`ErKind::check_source`]). Every
+    /// door a profile can enter through — [`Dataset::new`] and the stage-A
+    /// ingest paths — asks here before touching any state.
+    ///
+    /// # Errors
+    /// [`PierError::InvalidConfig`] naming the profile and what is wrong.
+    pub fn check_profile(self, profile: &EntityProfile) -> Result<(), PierError> {
+        profile.id.check()?;
+        self.check_source(profile)
+    }
+
     /// Checks that `profile` names a source this kind of task has: source
     /// 0 for Dirty ER, source 0 or 1 for Clean-Clean ER. Per-source state
     /// downstream (block member lists, pair enumeration) is laid out for
-    /// exactly these, so every door a profile can enter through —
-    /// [`Dataset::new`] and the stage-A ingest paths — asks here first.
+    /// exactly these.
     ///
     /// # Errors
     /// [`PierError::InvalidConfig`] naming the profile and its source.
@@ -159,7 +171,7 @@ impl Dataset {
                     message: format!("profile at position {i} has id {}", p.id),
                 });
             }
-            kind.check_source(p)?;
+            kind.check_profile(p)?;
         }
         Ok(Dataset {
             name: name.into(),

@@ -8,16 +8,40 @@
 
 use std::fmt;
 
+use crate::error::PierError;
+
 /// Dense numeric identifier of a profile, unique across all sources of a
 /// dataset. Assigned in arrival order, so it doubles as an arrival index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProfileId(pub u32);
 
 impl ProfileId {
+    /// Admissible ids are `0..LIMIT`. Every per-profile table (block lists,
+    /// stored profiles and token sets, ghost floors, scratch stamps, stage
+    /// B's prepared entries) is a vector indexed by id and grown to the
+    /// largest id seen, so an id is also a request for memory; the limit
+    /// keeps one streamed profile from asking for tens of GiB. `1 << 24`
+    /// is five times the paper's largest corpus.
+    pub const LIMIT: u32 = 1 << 24;
+
     /// The raw index value.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// Checks the id against [`ProfileId::LIMIT`].
+    ///
+    /// # Errors
+    /// [`PierError::InvalidConfig`] naming the id.
+    pub fn check(self) -> Result<(), PierError> {
+        if self.0 < Self::LIMIT {
+            return Ok(());
+        }
+        Err(PierError::InvalidConfig {
+            parameter: "profiles",
+            message: format!("profile id {self} is not below the limit {}", Self::LIMIT),
+        })
     }
 }
 
@@ -155,6 +179,17 @@ mod tests {
             .with("title", "Alien")
             .with("year", "1979")
             .with("director", "Ridley Scott")
+    }
+
+    #[test]
+    fn ids_are_admissible_below_the_limit_only() {
+        assert!(ProfileId(0).check().is_ok());
+        assert!(ProfileId(ProfileId::LIMIT - 1).check().is_ok());
+        assert_eq!(
+            ProfileId(ProfileId::LIMIT).check().unwrap_err().to_string(),
+            "invalid configuration for `profiles`: profile id p16777216 is not below the limit 16777216"
+        );
+        assert!(ProfileId(u32::MAX).check().is_err());
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub mod prelude {
     pub use pier_matching::{
         levenshtein_bounded, levenshtein_naive, ClassifiedMatch, CosineMatcher,
         EditDistanceMatcher, HybridMatcher, IncrementalClassifier, JaccardMatcher, MatchFunction,
-        MatchInput, MatchOutcome, OracleMatcher,
+        MatchInput, MatchOutcome, OracleMatcher, PreparedProfile,
     };
     pub use pier_metablocking::{iwnp, BlockingGraph, IwnpConfig, WeightingScheme};
     pub use pier_metrics::{
