@@ -6,7 +6,7 @@
 //! in *when* it runs them: the synchronous [`crate::PierPipeline`] steps on
 //! the caller's clock, the simulator on a virtual clock that charges the
 //! ops each step returns, a shard worker on its command channel, and the
-//! threaded runtime behind one mutex. [`StageA`] owns the blocker and the
+//! threaded runtime's lane on its inbox. [`StageA`] owns the blocker and the
 //! emitter together and is the only code that sequences them, so the
 //! executors cannot drift apart. It is single-threaded and knows nothing
 //! about wall time, channels or fault injection; those stay in the callers,

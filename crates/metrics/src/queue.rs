@@ -12,9 +12,9 @@
 //! operation, matching the disabled-observer contract.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvError, SendError, Sender, TrySendError};
+use crossbeam::channel::{Receiver, RecvError, RecvTimeoutError, SendError, Sender, TrySendError};
 
 use crate::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -212,6 +212,14 @@ impl<T> GaugedReceiver<T> {
         Ok(value)
     }
 
+    /// Blocks until a message arrives, the channel closes, or `timeout`
+    /// passes.
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+        let value = self.rx.recv_timeout(timeout)?;
+        self.on_recv();
+        Ok(value)
+    }
+
     /// Returns a pending message without blocking, if any.
     pub fn try_recv(&self) -> Option<T> {
         let value = self.rx.try_recv()?;
@@ -278,6 +286,13 @@ mod tests {
         assert_eq!(g.depth(), 0);
         assert_eq!(rx.try_recv(), None);
         assert_eq!(g.stalls(), 0);
+        // A timed-out wait takes nothing, so the depth stays put.
+        let brief = Duration::from_millis(5);
+        assert_eq!(rx.recv_timeout(brief), Err(RecvTimeoutError::Timeout));
+        assert_eq!(g.depth(), 0);
+        tx.send(3).unwrap();
+        assert_eq!(rx.recv_timeout(brief), Ok(3));
+        assert_eq!(g.depth(), 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   prioritizer — either a single shared blocker
 //!   ([`PipelineBuilder::emitter`]) or a hash-partitioned tokenizer pool →
 //!   router → shard workers → merger ([`PipelineBuilder::sharded`]);
-//! * a **matching** thread (stage B) pulls batches of the adaptively-sized
-//!   `K` best comparisons and classifies them, fanning the matcher
+//! * a **matching** thread (stage B) classifies batches of the
+//!   adaptively-sized `K` best comparisons, fanning the matcher
 //!   evaluations out over a pool of [`RuntimeConfig::match_workers`]
 //!   workers while keeping every emitted event in sequential order;
 //! * match events flow to the caller as they are found, with real
@@ -24,15 +24,17 @@
 //! [`RuntimeConfig::telemetry`] is set and the `"entities"` cluster sink
 //! when [`RuntimeConfig::entities`] is set. An empty set costs nothing.
 //!
-//! Stage A is the [`pier_core::StageA`] step machine in both topologies:
-//! the single topology shares one behind a `parking_lot` `Mutex` between
-//! its ingest and stage-B threads (every step needs blocker and emitter
-//! together; classification runs outside the lock on `Arc` handles), the
-//! sharded topology gives each shard worker thread its own. Threads
-//! communicate over `crossbeam` channels.
+//! Stage A is the [`pier_core::StageA`] step machine in both topologies,
+//! and each machine has one owner: the single topology's lane thread
+//! takes increments in and pushes materialized batches out, running a
+//! batch or two ahead of the classifier; the sharded topology gives each
+//! shard worker thread its own and has stage B ask them. Threads
+//! communicate over `crossbeam` channels and share no lock around a
+//! machine.
 
 #![warn(missing_docs)]
 
+mod lane;
 pub mod pipeline;
 pub mod pool;
 pub mod report;

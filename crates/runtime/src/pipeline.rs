@@ -5,10 +5,10 @@
 //! its one threaded implementation:
 //!
 //! ```text
-//!            ┌────────────────────── stage A ──────────────────────┐
-//! source ──▶ │ single:  tokenize ─▶ one step machine               │ ─▶ stage B ─▶ collector
-//!            │ sharded: tokenizer pool 0..T ─▶ router ─▶ shards 0..N ─▶ merger │   (caller thread)
-//!            └─────────────────────────────────────────────────────┘
+//!            ┌──────────────────────── stage A ────────────────────────┐
+//! source ──▶ │ single:  tokenizer ─▶ lane (owns the one step machine)  │ ══▶ stage B ─▶ collector
+//!            │ sharded: tokenizer pool 0..T ─▶ router ─▶ shards 0..N   │ ◀─▶ (merger)   (caller thread)
+//!            └─────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! A [`Pipeline`] is built once — topology ([`PipelineBuilder::emitter`]
@@ -27,15 +27,22 @@
 //! the zero-cost contract of the old un-`_observed` entry points is
 //! preserved without a second code path.
 //!
-//! Everything topology-independent — the source replay, the stage-B
-//! pull/tick/backoff loop with its budget and shutdown/poison sequence
+//! Everything topology-independent — the source replay, stage B's
+//! classification loop with its budget and shutdown/poison sequence
 //! ([`crate::stages`]), match collection, and final report assembly
 //! ([`crate::report`]) — exists once; a topology contributes only its
-//! channel wiring and its `pull`/`tick` closures. Stage A itself is the
-//! [`pier_core::StageA`] step machine in both: one behind a mutex shared
-//! by the ingest and stage-B threads, or one per shard worker. This module
-//! adds clocks, phase timings and supervision *around* the machine's
-//! steps and never sequences a blocker and an emitter by hand.
+//! channel wiring and where stage B's batches come from. Stage A itself is
+//! the [`pier_core::StageA`] step machine in both, and every machine has
+//! exactly one owner — no lock guards one anywhere. In the single topology
+//! the owner is the lane thread (`crate::lane`): increments reach it
+//! through a channel and it *pushes* materialized batches, one or two
+//! ahead of the classifier, through another (`══▶`), so prioritizing and
+//! matching overlap as the paper's concurrent components do (§3.2,
+//! Fig. 3). In the sharded topology each shard worker owns one and stage
+//! B's thread *asks* them (`◀─▶`: the `Pull`/`Tick` round trips behind the
+//! k-way merger). This module adds clocks, phase timings and supervision
+//! *around* the machine's steps and never sequences a blocker and an
+//! emitter by hand.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -59,10 +66,11 @@ use pier_types::{
     Tokenizer, WeightedComparison,
 };
 
+use crate::lane::{Lane, Tokenized};
 use crate::report::{DictionaryStats, MatchEvent, RunTotals, RuntimeReport, StageAStats};
 use crate::stages::{
     collect_matches, pipeline_channel, spawn_source, tokenize_increment, MaterializedPair,
-    Materializer, StageB, TokenizedIncrement, TokenizedProfile,
+    Materializer, StageB, TokenizedIncrement, TokenizedProfile, AHEAD,
 };
 use crate::supervisor::{IngestJournal, JournalEntry, Supervisor};
 
@@ -80,6 +88,9 @@ pub struct RuntimeConfig {
     /// Safety cap on total comparisons (the pipeline stops afterwards).
     pub max_comparisons: u64,
     /// Hard wall-clock deadline; the pipeline winds down when it passes.
+    /// Honoured to within 256 comparisons: the classifier looks at the
+    /// clock between batches, every 256 pairs inside one, and while it
+    /// waits for a batch it waits no longer than the deadline allows.
     pub deadline: Duration,
     /// Stage-B match workers evaluating comparisons in parallel. Defaults
     /// to the machine's available parallelism; `1` keeps the
@@ -115,6 +126,10 @@ pub struct RuntimeConfig {
     /// downstream stage into backpressure instead of unbounded memory
     /// growth; send paths retry under an [`crate::IdleBackoff`] ladder and
     /// dead-letter a payload the receiver never accepts. Must be >= 1.
+    /// The single topology's batch channel (lane to classifier)
+    /// deliberately does not use it: what is published there was
+    /// prioritized before the next arrival, so its capacity is a small
+    /// constant (two batches), not a buffer to size.
     pub channel_capacity: usize,
     /// Profiles each shard's ingest journal retains for crash recovery.
     /// A shard worker that panics is rebuilt by replaying its journal;
@@ -264,13 +279,13 @@ impl RuntimeConfig {
 /// The pull-side overload detector + filter behind [`ShedPolicy`]: counts
 /// consecutive full-`K` pulls and, past the trigger, drops below-threshold
 /// weights (counting each drop through the supervisor).
-struct Shedder {
+pub(crate) struct Shedder {
     policy: ShedPolicy,
     full_pulls: u32,
 }
 
 impl Shedder {
-    fn new(policy: ShedPolicy) -> Shedder {
+    pub fn new(policy: ShedPolicy) -> Shedder {
         Shedder {
             policy,
             full_pulls: 0,
@@ -280,7 +295,7 @@ impl Shedder {
     /// Pulls up to `k` weighted comparisons through `pull_weighted` —
     /// bounded by [`ShedPolicy::max_pull`] so overload stays observable —
     /// and sheds the below-threshold ones while overloaded.
-    fn pull(
+    pub fn pull(
         &mut self,
         k: usize,
         pull_weighted: impl FnOnce(usize) -> Vec<WeightedComparison>,
@@ -561,7 +576,7 @@ impl Pipeline {
             &[("queue", "matches")],
             Some(config.channel_capacity),
         );
-        let ingest_done = Arc::new(AtomicBool::new(false));
+        let ingest_done = AtomicBool::new(false);
         let shutdown = Arc::new(AtomicBool::new(false));
         let executed_total = Arc::new(AtomicU64::new(0));
         let ingest_errors = Mutex::new(Vec::<String>::new());
@@ -582,7 +597,6 @@ impl Pipeline {
             match_tx,
             registry: registry.clone(),
             adaptive: Arc::clone(&adaptive),
-            ingest_done: Arc::clone(&ingest_done),
             shutdown: Arc::clone(&shutdown),
             executed_total: Arc::clone(&executed_total),
             worker_comparisons: Arc::clone(&worker_comparisons),
@@ -605,7 +619,7 @@ impl Pipeline {
         };
         let (source, finish, matches) = std::thread::scope(|scope| {
             // Only the topology differs: channel wiring, stage-A threads, and
-            // the two stage-B closures (pull up to k best pairs; idle tick).
+            // where stage B's batches come from.
             let (send, finish) = match topology {
                 Topology::Single { emitter } => run.spawn_single(scope, emitter, stage_b),
                 Topology::Sharded { config: sharded } => run.spawn_sharded(scope, sharded, stage_b),
@@ -800,30 +814,31 @@ type Finish = Box<dyn FnOnce() -> (u64, StageAParts)>;
 /// What every thread of one run shares, by reference: the scoped threads
 /// of either topology copy this handle instead of cloning a dozen `Arc`s.
 #[derive(Clone, Copy)]
-struct Run<'a> {
-    kind: ErKind,
-    start: Instant,
-    config: &'a RuntimeConfig,
-    registry: Option<&'a MetricsRegistry>,
-    observer: &'a Observer,
-    chaos: &'a ChaosHandle,
-    supervisor: &'a Supervisor,
-    dictionary: &'a SharedTokenDictionary,
-    adaptive: &'a Mutex<AdaptiveK>,
-    ingest_done: &'a AtomicBool,
-    ingest_errors: &'a Mutex<Vec<String>>,
+pub(crate) struct Run<'a> {
+    pub kind: ErKind,
+    pub start: Instant,
+    pub config: &'a RuntimeConfig,
+    pub registry: Option<&'a MetricsRegistry>,
+    pub observer: &'a Observer,
+    pub chaos: &'a ChaosHandle,
+    pub supervisor: &'a Supervisor,
+    pub dictionary: &'a SharedTokenDictionary,
+    pub adaptive: &'a Mutex<AdaptiveK>,
+    /// Set by the sharded topology's router once every `Ingest` is queued.
+    pub ingest_done: &'a AtomicBool,
+    pub ingest_errors: &'a Mutex<Vec<String>>,
 }
 
 impl<'a> Run<'a> {
     /// Feeds one increment's arrival time to the adaptive-`K` controller.
-    fn arrival(&self) {
+    pub fn arrival(&self) {
         let at = self.start.elapsed().as_secs_f64();
         self.adaptive.lock().record_arrival(at);
     }
 
     /// Files a profile stage A skipped: duplicates go to the dead-letter
     /// ledger, every error to the report's `ingest_errors`.
-    fn ingest_error(&self, error: PierError) {
+    pub fn ingest_error(&self, error: PierError) {
         if let PierError::DuplicateProfile(dup) = &error {
             self.supervisor.duplicate_profile(*dup, self.observer);
         }
@@ -875,15 +890,14 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// The single topology: one step machine behind one lock, an ingest
-    /// thread and the stage-B thread.
+    /// The single topology, a pipeline of owners: tokenizer → lane (the
+    /// step machine's sole owner) → classifier, joined by channels.
     fn spawn_single<'scope>(
         self,
         scope: &'scope Scope<'scope, 'a>,
         emitter: Box<dyn ComparisonEmitter + Send>,
         stage_b: StageB,
     ) -> (SourceSend, Finish) {
-        let observer = self.observer;
         let mut machine = StageA::new(
             IncrementalBlocker::with_shared_dictionary(
                 self.kind,
@@ -893,117 +907,65 @@ impl<'a> Run<'a> {
             ),
             emitter,
         );
-        machine.set_observer(observer.clone());
-        // One lock over blocker and emitter together: ingest, pull and
-        // tick each need both for their whole body, and classification
-        // runs outside it on `Arc` handles.
-        let stage_a = Arc::new(Mutex::new(machine));
+        machine.set_observer(self.observer.clone());
         let (inc_tx, inc_rx) = pipeline_channel::<Vec<EntityProfile>>(
             self.registry,
             &[("queue", "increments")],
             Some(1024),
         );
+        let (tok_tx, tok_rx) =
+            pipeline_channel::<Tokenized>(self.registry, &[("queue", "tokenized")], Some(64));
+        // The lane's credit: see `AHEAD` for why this is not
+        // `channel_capacity`.
+        let (batch_tx, batch_rx) = pipeline_channel::<Vec<MaterializedPair>>(
+            self.registry,
+            &[("queue", "batches")],
+            Some(AHEAD),
+        );
 
-        // Stage A: tokenize/intern outside the lock (stage B keeps pulling
-        // while token strings are hashed/allocated exactly once for the
-        // whole pipeline), then block + update the prioritizer.
-        let ingest_lane = Arc::clone(&stage_a);
+        // Tokenizer: token strings are hashed/allocated exactly once for
+        // the whole pipeline, off the thread that blocks and prioritizes.
         scope.spawn(move || {
             let tokenizer = Tokenizer::default();
             let mut scratch = String::new();
             for (seq, inc) in inc_rx.iter().enumerate() {
-                self.arrival();
-                // The lock is taken inside the Block phase and held through
-                // Weight: one increment is one critical section.
-                let (mut stage_a, ids) = observer.timed(Phase::Block, || {
-                    let mut tokenized = tokenize_increment(
-                        self.dictionary,
-                        &tokenizer,
-                        seq as u64,
-                        inc,
-                        &mut scratch,
-                    );
-                    self.trip_stage_a_ingest(&tokenizer, &mut scratch, &mut tokenized);
-                    let mut stage_a = ingest_lane.lock();
-                    let mut ids = Vec::with_capacity(tokenized.len());
-                    for tp in tokenized.profiles {
-                        let id = tp.profile.id.0;
-                        let blocked = if self.chaos.is_armed() {
-                            if self.supervisor.is_quarantined(id) {
-                                continue;
-                            }
-                            // The poison trip fires before the machine is
-                            // touched, so a panicking profile can be
-                            // quarantined and skipped without corrupting
-                            // state.
-                            match catch_unwind(AssertUnwindSafe(|| {
-                                self.chaos.poison_trip(id);
-                                stage_a.block_tokenized(tp.profile, &tp.tokens, None)
-                            })) {
-                                Ok(blocked) => blocked,
-                                Err(_) => {
-                                    self.supervisor.quarantine_profile(id, None, observer);
-                                    continue;
-                                }
-                            }
-                        } else {
-                            stage_a.block_tokenized(tp.profile, &tp.tokens, None)
-                        };
-                        match blocked {
-                            Ok(id) => ids.push(id),
-                            Err(e) => self.ingest_error(e),
-                        }
-                    }
-                    (stage_a, ids)
-                });
-                observer.timed(Phase::Weight, || stage_a.weigh(&ids));
+                let since = self.observer.is_enabled().then(Instant::now);
+                let mut tokenized =
+                    tokenize_increment(self.dictionary, &tokenizer, seq as u64, inc, &mut scratch);
+                self.trip_stage_a_ingest(&tokenizer, &mut scratch, &mut tokenized);
+                let secs = since.map_or(0.0, |since| since.elapsed().as_secs_f64());
+                if tok_tx.send((tokenized, secs)).is_err() {
+                    break;
+                }
             }
-            self.ingest_done.store(true, Ordering::SeqCst);
         });
 
-        // Stage B: the shared loop over this topology's closures.
-        let pull_lane = Arc::clone(&stage_a);
-        let mut shedder = self.config.shed.map(Shedder::new);
-        let mut materializer = Materializer::new(Arc::clone(&stage_b.matcher));
+        // Stage A: the lane takes the machine with it and, like a shard
+        // worker, deposits its occupancy when it ends.
+        let occupancy = Arc::new(Mutex::new((0u64, StageAParts::new())));
+        let deposit = Arc::clone(&occupancy);
+        let lane = Lane::new(self, machine, Arc::clone(&stage_b.matcher));
         scope.spawn(move || {
-            // Pull under the lock, then materialize the pairs so
-            // classification runs lock-free. Materializing is two
-            // refcount bumps per pair, not a deep clone.
-            let pull = |k: usize| -> Vec<MaterializedPair> {
-                let mut stage_a = pull_lane.lock();
-                let cmps = observer.timed(Phase::Prune, || match &mut shedder {
-                    None => stage_a.pull(k).0,
-                    // Shedding needs weights.
-                    Some(shedder) => {
-                        shedder.pull(k, |k| stage_a.pull_weighted(k).0, self.supervisor, observer)
-                    }
-                });
-                let blocker = stage_a.blocker();
-                materializer
-                    .materialize(cmps, |id| (blocker.profile(id), blocker.tokens_handle(id)))
-            };
-            // The idle tick (the empty increment of §3.2): lets the
-            // GetComparisons fallback generate work from older data while
-            // the input is quiet.
-            let tick = || pull_lane.lock().tick().made_work;
-            stage_b.run(pull, tick);
+            let machine = lane.run(&tok_rx, batch_tx);
+            let blocker = machine.blocker();
+            let token_occurrences = blocker
+                .profiles()
+                .map(|p| blocker.tokens_of(p.id).len() as u64)
+                .sum();
+            let slab = blocker.collection().slab_stats();
+            *deposit.lock() = (
+                token_occurrences,
+                vec![(slab, machine.emitter().scratch_stats())],
+            );
         });
+
+        // Stage B: classify what the lane publishes, waiting no longer
+        // than the deadline allows; the lane's hang-up means drained.
+        scope.spawn(move || stage_b.run(|left| batch_rx.recv_timeout(left).ok()));
 
         (
             Box::new(move |_seq, inc| inc_tx.send(inc).is_ok()),
-            Box::new(move || {
-                let stage_a = stage_a.lock();
-                let blocker = stage_a.blocker();
-                let token_occurrences = blocker
-                    .profiles()
-                    .map(|p| blocker.tokens_of(p.id).len() as u64)
-                    .sum();
-                let slab = blocker.collection().slab_stats();
-                (
-                    token_occurrences,
-                    vec![(slab, stage_a.emitter().scratch_stats())],
-                )
-            }),
+            Box::new(move || std::mem::take(&mut *occupancy.lock())),
         )
     }
 
@@ -1210,7 +1172,7 @@ impl<'a> Run<'a> {
                 }
                 made_work
             };
-            stage_b.run(pull, tick);
+            stage_b.run_polled(self.ingest_done, pull, tick);
             // Dropping this thread's `cmd_txs` (and the classifier's match
             // sender) lets the shard workers and the collector exit once
             // the router thread is done too.

@@ -4,10 +4,11 @@
 //! different stage A in the middle: a source replays increments at a
 //! configured rate, a tokenize stage interns each profile exactly once
 //! against a [`SharedTokenDictionary`] (producing one
-//! [`TokenizedIncrement`] per source increment), and a stage B pulls
-//! batches, materializes the profile pairs, and classifies them. This
-//! module holds those shared pieces so each topology only contributes its
-//! wiring (one step machine vs. router + shard workers).
+//! [`TokenizedIncrement`] per source increment), stage A turns them into
+//! batches of materialized profile pairs, and a stage B classifies the
+//! batches. This module holds those shared pieces so each topology only
+//! contributes its wiring (one lane that owns its step machine and pushes
+//! batches, vs. router + shard workers that stage B has to ask).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,8 +125,8 @@ impl ProfileEntry {
     }
 }
 
-/// A comparison materialized for lock-free classification: one handle per
-/// side to that profile's [`ProfileEntry`].
+/// A comparison materialized so that classifying it needs nothing from
+/// stage A: one handle per side to that profile's [`ProfileEntry`].
 ///
 /// Materializing a pair is two refcount bumps — no attribute map, token
 /// vector or prepared text is copied per comparison, and fanning a batch
@@ -153,8 +154,9 @@ impl MaterializedPair {
 /// the first time a pull names that profile and shared by every later pair
 /// it takes part in.
 ///
-/// The stage-B thread is the only materializer in both topologies, so the
-/// table has one writer and needs no lock. An entry never goes stale:
+/// Each topology materializes on one thread — the single topology's lane,
+/// the sharded topology's stage-B thread — so the table has one writer and
+/// needs no lock. An entry never goes stale:
 /// profiles are immutable once stored, an id that arrives a second time is
 /// rejected at ingest with the first profile kept, and a shard worker
 /// rebuilt from its journal replays the same profiles under the same ids.
@@ -263,9 +265,28 @@ pub(crate) struct Classifier<'a> {
 }
 
 impl Classifier<'_> {
-    /// Whether the run's wall-clock deadline or comparison cap is reached.
-    pub fn over_budget(&self) -> bool {
-        self.start.elapsed() >= self.deadline || self.executed >= self.max_comparisons
+    /// Pairs classified between two looks at the wall clock. The comparison
+    /// cap is an integer compare and stays exact per pair; the deadline is
+    /// a clock read (46 ns on the benchmark VM, 4 % of a Jaccard run when
+    /// paid per pair), so it is honoured to within this many comparisons.
+    const CLOCK_EVERY: usize = 256;
+
+    /// Time left until the deadline; `None` once it has passed or the
+    /// comparison cap is reached. Reads the clock.
+    pub fn time_left(&self) -> Option<Duration> {
+        if self.executed >= self.max_comparisons {
+            return None;
+        }
+        let left = self.deadline.saturating_sub(self.start.elapsed());
+        (!left.is_zero()).then_some(left)
+    }
+
+    /// Whether classification stops after the `done`-th pair of a batch:
+    /// at the cap exactly, past the deadline to within
+    /// [`Self::CLOCK_EVERY`] pairs.
+    fn stops_after(&self, done: usize) -> bool {
+        self.executed >= self.max_comparisons
+            || (done.is_multiple_of(Self::CLOCK_EVERY) && self.start.elapsed() >= self.deadline)
     }
 
     /// Classifies one batch (stopping early if the budget runs out mid-way)
@@ -294,18 +315,18 @@ impl Classifier<'_> {
             Some(pool) => {
                 let batch = Arc::new(batch);
                 let evaluated = pool.evaluate(&batch);
-                for (pair, ev) in batch.iter().zip(evaluated) {
+                for (done, (pair, ev)) in batch.iter().zip(evaluated).enumerate() {
                     self.record(pair, &ev.outcome, Some(ev.worker));
-                    if self.over_budget() {
+                    if self.stops_after(done + 1) {
                         break;
                     }
                 }
             }
             None => {
-                for pair in &batch {
+                for (done, pair) in batch.iter().enumerate() {
                     let outcome = pair.evaluate(self.matcher);
                     self.record(pair, &outcome, None);
-                    if self.over_budget() {
+                    if self.stops_after(done + 1) {
                         break;
                     }
                 }
@@ -389,6 +410,26 @@ impl Classifier<'_> {
 /// before declaring the receiver unresponsive.
 pub(crate) const SEND_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Batches the single topology's lane may publish ahead of the classifier:
+/// the capacity of its batch channel, whose blocking send is the lane's
+/// only throttle. Small on purpose, and deliberately not
+/// [`crate::RuntimeConfig::channel_capacity`]: whatever is published was
+/// prioritized before the next arrival, so with the batch in the
+/// classifier's hands at most `(AHEAD + 1) * FILL` pairs (about 1.5 ms of
+/// Jaccard or 4 ms of edit-distance work, against 50-60 ms between
+/// arrivals on the stream workloads) are executed in a stale order, where
+/// 4 096 batches would freeze the order of half a run.
+pub(crate) const AHEAD: usize = 2;
+
+/// Pairs an idle lane gathers from idle ticks before it hands a batch
+/// over (never more than the adaptive `K`). One tick refills from one
+/// block — about 175 pairs on the dbpedia corpus, 26 on census — and a
+/// thread wake on the benchmark VM costs tens of microseconds: a
+/// prototype that handed over every tick-sized pull (about 11 k handoffs)
+/// took `dbpedia-js-static` from 3.12 s to 7.00 s, the overlap eaten by
+/// wakes. At 1 024 the same run makes about 1.9 k handoffs.
+pub(crate) const FILL: usize = 1024;
+
 /// Sends `value` with bounded patience: one immediate `try_send`, then
 /// retries under an [`IdleBackoff`] ladder until `timeout`. Returns
 /// [`PierError::ChannelClosed`] when the receiver is gone — a channel that
@@ -421,10 +462,11 @@ pub(crate) fn send_with_backoff<T>(
     }
 }
 
-/// Exponential backoff for the stage-B idle loop: instead of spinning at a
-/// fixed 200µs poll while the input is quiet, consecutive idle ticks sleep
-/// 200µs, 400µs, … up to a 5ms cap, and any tick that finds work resets
-/// the ladder. The tick itself (the empty increment driving the
+/// Exponential backoff for the polled stage-B idle loop
+/// (the sharded topology's; the single topology's lane sleeps on its inbox
+/// instead): rather than spinning at a fixed 200µs poll while the input is
+/// quiet, consecutive idle ticks sleep 200µs, 400µs, … up to a 5ms cap,
+/// and any tick that finds work resets the ladder. The tick itself (the empty increment driving the
 /// `GetComparisons` fallback of §3.2) still runs on every iteration — only
 /// the sleep between unproductive ticks stretches.
 ///
@@ -514,12 +556,37 @@ impl Drop for ShutdownOnDrop {
     }
 }
 
+/// Runs one stage-A pull behind the `merger` fault point. The trip fires
+/// before the pull touches any state, so an injected panic is recovered by
+/// simply pulling again (counted as a merger restart) — and only armed
+/// runs pay for the `catch_unwind`.
+pub(crate) fn pull_past_merger_fault<T>(
+    chaos: &ChaosHandle,
+    supervisor: &Supervisor,
+    observer: &Observer,
+    mut pull: impl FnMut() -> T,
+) -> T {
+    if !chaos.is_armed() {
+        return pull();
+    }
+    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        chaos.trip(FaultPoint::Merger, None);
+        pull()
+    }));
+    attempt.unwrap_or_else(|_| {
+        let t0 = Instant::now();
+        let batch = pull();
+        supervisor.worker_restarted(WorkerRole::Merger, 0, t0.elapsed().as_secs_f64(), observer);
+        batch
+    })
+}
+
 /// The topology-independent half of stage B, shared by every pipeline
-/// configuration: the pull/tick/backoff loop, the budget cutoff, the
-/// classifier, worker accounting, and the shutdown sequence. A topology
-/// contributes only two closures — `pull` (materialize up to `k` best
-/// pairs) and `tick` (the empty increment of §3.2 driving the
-/// `GetComparisons` fallback; returns whether it made or found work).
+/// configuration: the budget cutoff, the classifier, worker accounting,
+/// and the shutdown sequence around a stream of materialized batches. A
+/// topology contributes only where the batches come from: the single
+/// topology's lane pushes them into a channel ([`StageB::run`]), the
+/// sharded topology's workers have to be asked ([`StageB::run_polled`]).
 pub(crate) struct StageB {
     pub start: Instant,
     pub deadline: Duration,
@@ -532,7 +599,6 @@ pub(crate) struct StageB {
     pub match_tx: GaugedSender<MatchEvent>,
     pub registry: Option<Arc<MetricsRegistry>>,
     pub adaptive: Arc<Mutex<AdaptiveK>>,
-    pub ingest_done: Arc<AtomicBool>,
     pub shutdown: Arc<AtomicBool>,
     pub executed_total: Arc<AtomicU64>,
     pub worker_comparisons: Arc<Mutex<Vec<u64>>>,
@@ -541,24 +607,20 @@ pub(crate) struct StageB {
 }
 
 impl StageB {
-    /// Runs the loop to completion on the calling thread.
+    /// Classifies batches to completion on the calling thread.
     ///
-    /// On every pass: check the budget, pull up to the adaptive `K` best
-    /// pairs, classify them; an empty pull runs the idle tick instead,
-    /// backing off exponentially between unproductive ticks. The
-    /// `ingest_done` flag is read *before* ticking, so when ingestion had
-    /// already finished the tick is ordered behind every ingest and a
-    /// "no work" result is conclusive — the loop can never abandon an
-    /// increment that slipped in between the tick and the check.
+    /// `next_batch(left)` yields the next non-empty batch, waiting at most
+    /// `left` — the time to the deadline, so that a stage B with nothing
+    /// to do still ends on time — and `None` once stage A is drained (or
+    /// the wait ran out). Between batches the budget is checked with a
+    /// clock read; within one, see [`Classifier::CLOCK_EVERY`].
     ///
     /// Exiting — cleanly or by panic — sets `shutdown` (stopping the
-    /// source) and drops the classifier's match sender (letting the
-    /// collector finish).
-    pub fn run(
-        self,
-        mut pull: impl FnMut(usize) -> Vec<MaterializedPair>,
-        mut tick: impl FnMut() -> bool,
-    ) {
+    /// source), drops `next_batch` (a lane blocked on its full batch
+    /// channel sees the hang-up and ends; batches it had published or was
+    /// holding are dropped unexecuted) and drops the classifier's match
+    /// sender (letting the collector finish).
+    pub fn run(self, mut next_batch: impl FnMut(Duration) -> Option<Vec<MaterializedPair>>) {
         let _stop_source = ShutdownOnDrop::new(Arc::clone(&self.shutdown));
         let mut pool = (self.match_workers > 1).then(|| {
             MatchPool::new(
@@ -570,7 +632,6 @@ impl StageB {
                 Arc::clone(&self.supervisor),
             )
         });
-        let mut backoff = IdleBackoff::new();
         let mut classifier = Classifier {
             start: self.start,
             deadline: self.deadline,
@@ -585,48 +646,7 @@ impl StageB {
             supervisor: &self.supervisor,
             executed: 0,
         };
-        loop {
-            if classifier.over_budget() {
-                break;
-            }
-            let k = self.adaptive.lock().k();
-            // The merger fault point fires before the pull touches any
-            // state, so an injected panic is recovered by simply retrying
-            // the pull — and only armed runs pay for the catch_unwind.
-            let batch = if self.chaos.is_armed() {
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.chaos.trip(FaultPoint::Merger, None);
-                    pull(k)
-                }));
-                match attempt {
-                    Ok(batch) => batch,
-                    Err(_) => {
-                        let t0 = Instant::now();
-                        let batch = pull(k);
-                        self.supervisor.worker_restarted(
-                            WorkerRole::Merger,
-                            0,
-                            t0.elapsed().as_secs_f64(),
-                            &self.observer,
-                        );
-                        batch
-                    }
-                }
-            } else {
-                pull(k)
-            };
-            if batch.is_empty() {
-                let done_before_tick = self.ingest_done.load(Ordering::SeqCst);
-                if tick() {
-                    backoff.reset();
-                } else if done_before_tick {
-                    break;
-                } else {
-                    backoff.sleep();
-                }
-                continue;
-            }
-            backoff.reset();
+        while let Some(batch) = classifier.time_left().and_then(&mut next_batch) {
             classifier.classify_batch(batch, &self.adaptive, pool.as_mut());
         }
         self.executed_total
@@ -635,6 +655,52 @@ impl StageB {
             Some(pool) => pool.executed_per_worker().to_vec(),
             None => vec![classifier.executed],
         };
+    }
+
+    /// [`StageB::run`] over a stage A that has to be asked: `pull`
+    /// materializes up to `k` best pairs, `tick` is the empty increment of
+    /// §3.2 driving the `GetComparisons` fallback (it returns whether it
+    /// made or found work).
+    ///
+    /// On every pass: pull up to the adaptive `K` best pairs; an empty
+    /// pull runs the idle tick instead, backing off exponentially between
+    /// unproductive ticks. The `ingest_done` flag is read *before*
+    /// ticking, so when ingestion had already finished the tick is ordered
+    /// behind every ingest and a "no work" result is conclusive — the loop
+    /// can never abandon an increment that slipped in between the tick and
+    /// the check.
+    pub fn run_polled(
+        self,
+        ingest_done: &AtomicBool,
+        mut pull: impl FnMut(usize) -> Vec<MaterializedPair>,
+        mut tick: impl FnMut() -> bool,
+    ) {
+        let adaptive = Arc::clone(&self.adaptive);
+        let (chaos, observer) = (self.chaos.clone(), self.observer.clone());
+        let supervisor = Arc::clone(&self.supervisor);
+        let mut backoff = IdleBackoff::new();
+        self.run(move |left| {
+            let asked = Instant::now();
+            loop {
+                let k = adaptive.lock().k();
+                let batch = pull_past_merger_fault(&chaos, &supervisor, &observer, || pull(k));
+                if !batch.is_empty() {
+                    backoff.reset();
+                    return Some(batch);
+                }
+                let done_before_tick = ingest_done.load(Ordering::SeqCst);
+                if tick() {
+                    backoff.reset();
+                } else if done_before_tick {
+                    return None;
+                } else {
+                    backoff.sleep();
+                }
+                if asked.elapsed() >= left {
+                    return None;
+                }
+            }
+        });
     }
 }
 
@@ -764,7 +830,6 @@ mod tests {
             match_tx,
             registry: None,
             adaptive: Arc::new(Mutex::new(adaptive)),
-            ingest_done: Arc::new(AtomicBool::new(true)),
             shutdown: Arc::new(AtomicBool::new(false)),
             executed_total: Arc::new(AtomicU64::new(0)),
             worker_comparisons: Arc::new(Mutex::new(Vec::new())),
@@ -785,7 +850,8 @@ mod tests {
         let worker_comparisons = Arc::clone(&stage.worker_comparisons);
         let mut batches = vec![vec![pair(0, 1), pair(2, 3)]];
         let mut ticks = 0;
-        stage.run(
+        stage.run_polled(
+            &AtomicBool::new(true),
             |_k| batches.pop().unwrap_or_default(),
             || {
                 ticks += 1;
@@ -809,7 +875,7 @@ mod tests {
         });
         let shutdown = Arc::clone(&stage.shutdown);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            stage.run(|_k| vec![pair(0, 1)], || false);
+            stage.run(|_left| Some(vec![pair(0, 1)]));
         }));
         assert!(result.is_err());
         // The drop guard flipped the flag mid-unwind and the classifier's

@@ -1,0 +1,223 @@
+//! The hand-offs of the single topology — tokenizer → lane → classifier —
+//! and the two ways a run ends early.
+//!
+//! The lane owns the stage-A machine and runs ahead of the classifier by
+//! up to `AHEAD` published batches, so three things can go wrong that no
+//! other test would see: a batch lost between the lane's hang-up and the
+//! classifier's last receive, a lane that ends with an increment still
+//! queued, and a classifier that waits for a batch past its deadline
+//! because nothing polls any more. The first two are raced here over many
+//! schedules against the synchronous `PierPipeline`; the deadline and the
+//! comparison cap are pinned for both topologies, which no threaded test
+//! did before.
+//!
+//! Determinism setup as in `pipeline_equivalence.rs`: CBS weights and
+//! purging disabled, so a drained run executes one comparison set whatever
+//! the schedule.
+
+use std::collections::BTreeSet;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use pier_blocking::PurgePolicy;
+use pier_core::{PierConfig, PierPipeline, Strategy};
+use pier_datagen::{generate_bibliographic, BibliographicConfig};
+use pier_matching::{JaccardMatcher, MatchFunction};
+use pier_observe::StatsObserver;
+use pier_runtime::{Pipeline, RuntimeConfig, RuntimeReport};
+use pier_shard::ShardedConfig;
+use pier_types::{Comparison, Dataset, EntityProfile};
+
+fn corpus() -> Dataset {
+    generate_bibliographic(&BibliographicConfig {
+        seed: 7,
+        source0_size: 120,
+        source1_size: 100,
+        matches: 80,
+    })
+}
+
+fn increments(dataset: &Dataset) -> Vec<Vec<EntityProfile>> {
+    dataset
+        .into_increments(8)
+        .unwrap()
+        .into_iter()
+        .map(|i| i.profiles)
+        .collect()
+}
+
+/// The sync pipeline's drained match set and executed-comparison count.
+fn sync_run(dataset: &Dataset, strategy: Strategy) -> (BTreeSet<Comparison>, u64) {
+    let mut pipeline = PierPipeline::with_policy(
+        dataset.kind,
+        strategy,
+        PierConfig::default(),
+        JaccardMatcher::default(),
+        PurgePolicy::disabled(),
+    );
+    for inc in increments(dataset) {
+        assert!(pipeline.push_increment(&inc).errors.is_empty());
+    }
+    pipeline.drain_idle(usize::MAX);
+    let pairs = pipeline.duplicates().iter().map(|m| m.pair).collect();
+    (pairs, pipeline.comparisons())
+}
+
+/// Runs the corpus through the threaded pipeline; the returned observer
+/// saw every event of the run.
+fn threaded_run(
+    dataset: &Dataset,
+    strategy: Strategy,
+    shards: Option<u16>,
+    config: RuntimeConfig,
+) -> (RuntimeReport, Arc<StatsObserver>) {
+    let stats = Arc::new(StatsObserver::new());
+    let builder = Pipeline::builder(dataset.kind)
+        .config(RuntimeConfig {
+            purge_policy: PurgePolicy::disabled(),
+            ..config
+        })
+        .observe("stats", stats.clone());
+    let builder = match shards {
+        Some(shards) => builder.sharded(ShardedConfig {
+            shards,
+            strategy,
+            pier: PierConfig::default(),
+            purge_policy: PurgePolicy::disabled(),
+        }),
+        None => builder.emitter(strategy.build(PierConfig::default())),
+    };
+    let matcher: Arc<dyn MatchFunction> = Arc::new(JaccardMatcher::default());
+    let report = builder
+        .build()
+        .unwrap()
+        .run(increments(dataset), matcher, |_| {});
+    (report, stats)
+}
+
+/// The reported pairs as a set, after checking none is reported twice.
+fn unique_pairs(report: &RuntimeReport, label: &str) -> BTreeSet<Comparison> {
+    let pairs: BTreeSet<Comparison> = report.matches.iter().map(|m| m.pair).collect();
+    assert_eq!(
+        pairs.len(),
+        report.matches.len(),
+        "{label}: a pair reported twice"
+    );
+    pairs
+}
+
+/// 48 drained runs — back-to-back arrivals (everything queued before the
+/// lane's first turn), arrivals racing the lane's turns, and arrivals
+/// slower than a drain (the lane sleeps on its inbox between them and the
+/// last hang-up finds it asleep) — each executing exactly the sync
+/// pipeline's comparisons.
+#[test]
+fn every_schedule_executes_the_sync_pipelines_comparisons() {
+    let dataset = corpus();
+    for strategy in [Strategy::Pcs, Strategy::Pes] {
+        let (want_pairs, want_comparisons) = sync_run(&dataset, strategy);
+        assert!(want_pairs.len() > 10, "{strategy:?}: vacuous reference");
+        for round in 0..4 {
+            for interarrival_us in [0, 50, 1_000] {
+                for match_workers in [1, 2] {
+                    let label = format!(
+                        "{strategy:?} round {round} interarrival {interarrival_us} µs \
+                         x{match_workers}"
+                    );
+                    let (report, _) = threaded_run(
+                        &dataset,
+                        strategy,
+                        None,
+                        RuntimeConfig {
+                            interarrival: Duration::from_micros(interarrival_us),
+                            match_workers,
+                            ..RuntimeConfig::default()
+                        },
+                    );
+                    assert_eq!(report.comparisons, want_comparisons, "{label}");
+                    assert_eq!(unique_pairs(&report, &label), want_pairs, "{label}");
+                    assert!(report.ingest_errors.is_empty(), "{label}");
+                    assert!(report.dead_letters.is_empty(), "{label}");
+                }
+            }
+        }
+    }
+}
+
+/// A deadline that passes while nothing arrives ends the run there and
+/// then: the classifier is blocked on an empty batch channel and the lane
+/// on a quiet inbox (sharded: stage B is polling idle shards), so it is the
+/// wait itself that has to time out. A classifier that slept until the
+/// second increment woke it would let that increment in and release the
+/// source only on its third wake.
+#[test]
+fn a_deadline_is_honoured_while_nothing_arrives() {
+    let dataset = corpus();
+    let deadline = Duration::from_millis(100);
+    let interarrival = Duration::from_millis(800);
+    // The cells sleep through most of their run, so they can share it.
+    std::thread::scope(|scope| {
+        for (shards, match_workers) in [(None, 1), (None, 2), (Some(2), 1), (Some(2), 2)] {
+            let dataset = &dataset;
+            scope.spawn(move || {
+                let label = format!("shards={shards:?} x{match_workers}");
+                let began = Instant::now();
+                let (report, stats) = threaded_run(
+                    dataset,
+                    Strategy::Pcs,
+                    shards,
+                    RuntimeConfig {
+                        interarrival,
+                        deadline,
+                        match_workers,
+                        ..RuntimeConfig::default()
+                    },
+                );
+                let took = began.elapsed();
+                assert!(report.elapsed >= deadline, "{label}: {:?}", report.elapsed);
+                // The source notices the shutdown when it wakes to send the
+                // second increment, one interarrival in.
+                assert_eq!(stats.snapshot().increments, 1, "{label}");
+                assert!(
+                    took < deadline + interarrival + Duration::from_millis(500),
+                    "{label}: the run took {took:?}"
+                );
+                assert_eq!(report.profiles, dataset.len(), "{label}");
+                assert!(report.dead_letters.is_empty(), "{label}");
+                assert_eq!(report.worker_restarts, 0, "{label}");
+                unique_pairs(&report, &label);
+            });
+        }
+    });
+}
+
+/// The comparison cap is exact — the classifier stops inside a batch —
+/// and ends the run although stage A still has work: the batches the lane
+/// had published or was holding are dropped unexecuted.
+#[test]
+fn the_comparison_cap_is_exact_and_ends_the_run() {
+    let dataset = corpus();
+    let (_, total) = sync_run(&dataset, Strategy::Pcs);
+    let cap = total / 3;
+    assert!(cap > 256, "the cap should fall inside a later batch");
+    for shards in [None, Some(2)] {
+        for match_workers in [1, 2] {
+            let label = format!("shards={shards:?} x{match_workers}");
+            let (report, _) = threaded_run(
+                &dataset,
+                Strategy::Pcs,
+                shards,
+                RuntimeConfig {
+                    interarrival: Duration::ZERO,
+                    max_comparisons: cap,
+                    match_workers,
+                    ..RuntimeConfig::default()
+                },
+            );
+            assert_eq!(report.comparisons, cap, "{label}");
+            assert_eq!(report.profiles, dataset.len(), "{label}");
+            assert!(report.dead_letters.is_empty(), "{label}");
+            unique_pairs(&report, &label);
+        }
+    }
+}

@@ -2,14 +2,16 @@
 //!
 //! Provides the `crossbeam::channel` subset PIER's runtime uses — `bounded`
 //! and `unbounded` channels with cloneable senders and an iterating
-//! receiver — backed by `std::sync::mpsc`. Semantics match crossbeam for
-//! this subset: dropping all senders closes the stream (the receiver's
-//! iterator ends), and dropping the receiver makes `send` fail.
+//! receiver that can also wait with a timeout — backed by
+//! `std::sync::mpsc`. Semantics match crossbeam for this subset: dropping
+//! all senders closes the stream (the receiver's iterator ends), and
+//! dropping the receiver makes `send` fail.
 
 pub mod channel {
     //! Multi-producer, single-consumer channels.
 
     use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Error returned by [`Sender::send`] when the receiver is gone. Carries
     /// the unsent message.
@@ -44,6 +46,15 @@ pub mod channel {
     /// drained.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct RecvError;
+
+    /// Error returned by [`Receiver::recv_timeout`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RecvTimeoutError {
+        /// No message arrived within the timeout; the channel is still open.
+        Timeout,
+        /// The channel is closed and drained.
+        Disconnected,
+    }
 
     enum Tx<T> {
         Bounded(mpsc::SyncSender<T>),
@@ -105,6 +116,15 @@ pub mod channel {
         /// Blocks until a message arrives or the channel closes.
         pub fn recv(&self) -> Result<T, RecvError> {
             self.rx.recv().map_err(|_| RecvError)
+        }
+
+        /// Blocks until a message arrives, the channel closes, or
+        /// `timeout` passes.
+        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            self.rx.recv_timeout(timeout).map_err(|e| match e {
+                mpsc::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
+                mpsc::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
+            })
         }
 
         /// Returns a pending message without blocking, if any.
@@ -206,6 +226,22 @@ pub mod channel {
             assert!(utx.try_send(1).is_ok());
             drop(urx);
             assert!(utx.try_send(2).unwrap_err().is_disconnected());
+        }
+
+        #[test]
+        fn recv_timeout_tells_quiet_from_closed() {
+            use super::RecvTimeoutError;
+            use std::time::Duration;
+            let (tx, rx) = bounded::<u32>(1);
+            let brief = Duration::from_millis(5);
+            assert_eq!(rx.recv_timeout(brief), Err(RecvTimeoutError::Timeout));
+            tx.send(1).unwrap();
+            assert_eq!(rx.recv_timeout(brief), Ok(1));
+            // A message sent before the hang-up is still delivered.
+            tx.send(2).unwrap();
+            drop(tx);
+            assert_eq!(rx.recv_timeout(brief), Ok(2));
+            assert_eq!(rx.recv_timeout(brief), Err(RecvTimeoutError::Disconnected));
         }
     }
 }
