@@ -6,10 +6,11 @@
 //!    no observer, an enabled observer with a do-nothing sink, and a live
 //!    [`ClusterObserver`] folding every confirmed match into a fresh
 //!    [`EntityIndex`]. The gated measurement is clustered vs. noop — the
-//!    marginal cost of maintaining the index, with the (separately gated,
-//!    see `observer_overhead`) cost of the observation substrate held
-//!    equal on both sides. Timed in interleaved rounds; the gate reads
-//!    the median of the per-round ratios so slow host drift cancels out.
+//!    marginal cost of maintaining the index, with the cost of the
+//!    observation substrate (reported by the e2e ledger's
+//!    `observe.ns_per_event`) held equal on both sides. Timed in
+//!    interleaved rounds; the gate reads the median of the per-round
+//!    ratios so slow host drift cancels out.
 //!    The contract from DESIGN.md §12: within 5%.
 //! 2. **apply** — raw union-find merge-apply rate on three synthetic
 //!    match-stream topologies: `random` pairs over a large universe,
@@ -362,8 +363,8 @@ fn main() {
             "cluster_throughput: {} profiles, {} increments.\n\
              pipeline (sync): unobserved {:.0} ns, noop-observed {:.0} ns,\n\
              clustered {:.0} ns ({:+.2}% vs noop -- the gated marginal cost\n\
-             of maintaining the entity index; the substrate is gated by\n\
-             observer_overhead)\n\
+             of maintaining the entity index; the e2e ledger's\n\
+             observe.ns_per_event reports the substrate)\n\
              apply rate over {} matches / {} profiles: random {:.1} ns,\n\
              chain {:.1} ns, redundant {:.1} ns per apply (median)\n\
              lookup under merge load ({} readers, writer live): p50 {:.0} ns,\n\

@@ -1,16 +1,16 @@
 //! The ≤5% overhead contract of `pier-metrics`, measured.
 //!
-//! Three comparisons, mirroring `observer_overhead`'s structure:
+//! Three comparisons:
 //!
 //! 1. **pipeline** — the full synchronous PIER pipeline (stage A + B on
-//!    one thread, so the timing is deterministic) in three rungs of
-//!    `observer_overhead`'s ladder: no observer at all, an enabled
-//!    observer with a do-nothing sink, and a live [`MetricsObserver`]
-//!    publishing into a registry that is never scraped. The gated
-//!    measurement is metered vs. noop — the marginal cost of the metrics
-//!    sink itself, with the (separately gated, see `observer_overhead`)
-//!    cost of the observation substrate held equal on both sides. The
-//!    contract from DESIGN.md §11: within 5%.
+//!    one thread, so the timing is deterministic) in three rungs: no
+//!    observer at all, an enabled observer with a do-nothing sink, and a
+//!    live [`MetricsObserver`] publishing into a registry that is never
+//!    scraped. The gated measurement is metered vs. noop — the marginal
+//!    cost of the metrics sink itself, with the cost of the observation
+//!    substrate (the e2e ledger's `observe.ns_per_event` and
+//!    `runtime.trace_overhead_pct` report it) held equal on both sides.
+//!    The contract from DESIGN.md §11: within 5%.
 //! 2. **queue** — passing messages through the [`GaugedSender`] /
 //!    [`GaugedReceiver`] wrappers with gauges attached vs. the same
 //!    wrappers in plain mode (what an unmetered run uses). Reported, not
@@ -308,7 +308,8 @@ fn main() {
             "metrics_overhead: {} profiles, {} increments.\n\
              pipeline (sync): unmetered {:.0} ns, noop-observed {:.0} ns,\n\
              metered {:.0} ns ({:+.2}% vs noop -- the gated marginal cost\n\
-             of the metrics sink; the substrate is gated by observer_overhead)\n\
+             of the metrics sink; the e2e ledger's observe.ns_per_event and\n\
+             runtime.trace_overhead_pct report the substrate)\n\
              queue wrapper per {} msgs: plain {:.0} ns, gauged {:.0} ns ({:+.2}%)\n\
              threaded run (reported): unmetered median {:.0} / min {:.0} ns,\n\
                                       metered   median {:.0} / min {:.0} ns\n\

@@ -31,8 +31,8 @@ use crate::collection::BlockId;
 ///
 /// When `observer` is enabled, the kept/dropped split for `profile` is
 /// reported as an [`Event::BlockGhosted`]; a disabled observer costs one
-/// branch and builds no event (the zero-overhead contract measured by the
-/// `observer_overhead` bench).
+/// branch and builds no event (the zero-overhead contract of DESIGN.md
+/// §7).
 ///
 /// # Errors
 /// Returns [`PierError::InvalidConfig`] if `beta` is outside `(0, 1]`.

@@ -142,8 +142,8 @@ pub fn generate_for_profile(
 
 /// [`generate_for_profile`] with instrumentation: ghosting reports its
 /// kept/dropped split through `observer`. Identical result and ops — a
-/// disabled observer compiles down to the pristine reference path used by
-/// the zero-overhead contract bench.
+/// disabled observer compiles down to the pristine reference path (the
+/// zero-overhead contract of DESIGN.md §7).
 pub fn generate_for_profile_observed(
     blocker: &IncrementalBlocker,
     p_x: ProfileId,

@@ -91,11 +91,6 @@ impl Ipbs {
         self.index.len()
     }
 
-    /// Number of blocks with pending (un-materialized) work.
-    pub fn pending_blocks(&self) -> usize {
-        self.ci.len()
-    }
-
     /// Algorithm 3 lines 6–16: if the refresh condition holds, materialize
     /// the comparisons of `b_min` into the index and reset its `CI`/`PI`
     /// entries. Returns whether anything was materialized.

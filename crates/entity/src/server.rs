@@ -1,9 +1,5 @@
-//! A hand-rolled JSON query endpoint for one [`EntityIndex`] on `std::net`.
-//!
-//! Same skeleton as `pier-metrics`' Prometheus endpoint: one background
-//! thread accepts connections on a [`TcpListener`] in non-blocking mode
-//! (shutdown is a flag check away), serves each request inline, and
-//! depends on nothing beyond `std`. Three routes:
+//! The JSON query endpoint for one [`EntityIndex`]: a route function on
+//! the workspace's one listener (`pier_metrics::http`). Three routes:
 //!
 //! * `GET /entity/{profile_id}` — the profile's cluster: representative,
 //!   size, sorted members, and the generation of the view;
@@ -16,22 +12,14 @@
 //! [`EntityIndex::stats`]), so the fields of one response always agree
 //! with each other even while the pipeline is merging.
 
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
+use pier_metrics::http::HttpServer;
 use pier_types::ProfileId;
 
 use crate::index::{EntityIndex, EntitySnapshot};
-
-/// How long the accept loop sleeps between polls when idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// How long a connected client gets to produce a request line.
-const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A live query endpoint for one [`EntityIndex`].
 ///
@@ -44,112 +32,40 @@ const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
 /// // ... run the pipeline with the index attached ...
 /// server.shutdown();
 /// ```
-pub struct EntityServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
-    handle: Option<JoinHandle<()>>,
-}
+#[derive(Debug)]
+pub struct EntityServer(HttpServer);
 
 impl EntityServer {
     /// Binds `addr` (use port 0 for an OS-assigned port) and starts the
     /// accept thread.
     pub fn serve(addr: impl ToSocketAddrs, index: Arc<EntityIndex>) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let requests = Arc::new(AtomicU64::new(0));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let requests = Arc::clone(&requests);
-            std::thread::Builder::new()
-                .name("pier-entity".into())
-                .spawn(move || accept_loop(listener, index, stop, requests))?
+        let route = move |method: &str, path: &str| {
+            let (status, body) = answer(&index, method, path);
+            (status, "application/json", body)
         };
-        Ok(EntityServer {
-            addr,
-            stop,
-            requests,
-            handle: Some(handle),
-        })
+        HttpServer::serve(addr, "pier-entity", route).map(EntityServer)
     }
 
     /// The bound address (resolves port 0 to the real port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
     /// Requests answered so far (any path, any status).
     pub fn requests_served(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.0.requests_served()
     }
 
     /// Stops the accept thread and waits for it to exit. Idempotent;
-    /// in-flight responses finish first.
+    /// in-flight responses finish first. Dropping the server does the same.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.0.shutdown()
     }
 }
 
-impl Drop for EntityServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for EntityServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EntityServer")
-            .field("addr", &self.addr)
-            .field("requests", &self.requests_served())
-            .finish()
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    index: Arc<EntityIndex>,
-    stop: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if handle_client(stream, &index).is_ok() {
-                    requests.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            // Transient accept errors (aborted handshakes): keep serving.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-fn handle_client(stream: TcpStream, index: &EntityIndex) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    // Drain the header block so well-behaved clients see a clean close.
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
-        }
-    }
-    let mut stream = reader.into_inner();
-    let (status, body) = match (method, path) {
+/// The status line tail and JSON body for one request.
+fn answer(index: &EntityIndex, method: &str, path: &str) -> (&'static str, String) {
+    match (method, path) {
         ("GET", "/clusters") => ("200 OK", clusters_json(&index.snapshot())),
         ("GET", "/healthz") => {
             let stats = index.stats();
@@ -167,14 +83,7 @@ fn handle_client(stream: TcpStream, index: &EntityIndex) -> io::Result<()> {
             "405 Method Not Allowed",
             "{\"error\":\"method not allowed\"}".to_string(),
         ),
-    };
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    }
 }
 
 /// `GET /entity/{id}`: the cluster of one profile, from one lock hold.
@@ -262,7 +171,8 @@ fn json_string(s: &str) -> String {
 mod tests {
     use super::*;
     use pier_types::Comparison;
-    use std::io::Read;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();

@@ -22,8 +22,9 @@
 //! Two exporters ship with the crate, both implemented on `std` alone:
 //!
 //! * [`MetricsServer`] — a Prometheus text-exposition endpoint (`GET
-//!   /metrics`) served from a hand-rolled [`std::net::TcpListener`] thread
-//!   with graceful shutdown;
+//!   /metrics`) on the workspace's one hand-rolled listener thread
+//!   ([`http::HttpServer`], which the entity endpoint shares), with a
+//!   bounded request head and graceful shutdown;
 //! * [`TraceObserver`] — a chrome-trace / Perfetto `trace_event` JSON
 //!   writer that turns [`pier_observe::Phase`] timings (with shard and
 //!   worker tags) into spans, so a full run opens in `ui.perfetto.dev`.
@@ -31,185 +32,24 @@
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
+use pier_observe::AtomSource;
 
+pub mod http;
 mod observer;
 pub mod queue;
 mod server;
 mod trace;
 
 pub use observer::{MetricsObserver, Telemetry};
+// The atoms live in `pier-observe`, next to the one fold that fills them
+// (`StatsObserver`); these are their historical paths.
+pub use pier_observe::{Counter, FloatGauge, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use queue::{GaugedReceiver, GaugedSender, QueueGauges};
 pub use server::MetricsServer;
 pub use trace::TraceObserver;
-
-/// Log₂-nanosecond histogram buckets: bucket `i` counts values with
-/// `2^i ns <= v < 2^(i+1) ns`. 40 buckets cover ~18 minutes.
-pub const HISTOGRAM_BUCKETS: usize = 40;
-
-/// A monotonically increasing counter (a Prometheus `counter`).
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A fresh counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.value.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// An integer gauge that can go up and down (a Prometheus `gauge`).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A fresh gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (may be negative).
-    #[inline]
-    pub fn add(&self, n: i64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Subtracts one.
-    #[inline]
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A floating-point gauge (f64 bits in an atomic word).
-#[derive(Debug, Default)]
-pub struct FloatGauge {
-    bits: AtomicU64,
-}
-
-impl FloatGauge {
-    /// A fresh gauge at zero.
-    pub fn new() -> Self {
-        FloatGauge::default()
-    }
-
-    /// Sets the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-/// A fixed-size log₂-bucketed latency histogram (a Prometheus `histogram`).
-///
-/// Buckets are powers of two in nanoseconds, so recording is a
-/// leading-zeros instruction plus one relaxed atomic increment —
-/// allocation-free and lock-free on the hot path, same shape as the
-/// `StatsObserver` phase histograms.
-#[derive(Debug)]
-pub struct Histogram {
-    count: AtomicU64,
-    sum_nanos: AtomicU64,
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            count: AtomicU64::new(0),
-            sum_nanos: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
-
-impl Histogram {
-    /// A fresh, empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one duration in seconds (negative values clamp to zero).
-    #[inline]
-    pub fn record_secs(&self, secs: f64) {
-        self.record_nanos((secs.max(0.0) * 1e9) as u64);
-    }
-
-    /// Records one duration in nanoseconds.
-    #[inline]
-    pub fn record_nanos(&self, nanos: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_nanos.fetch_add(nanos, Ordering::Relaxed);
-        let bucket = (64 - nanos.max(1).leading_zeros() as usize - 1).min(HISTOGRAM_BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all recorded durations, in seconds.
-    pub fn sum_secs(&self) -> f64 {
-        self.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9
-    }
-
-    /// Per-bucket counts (bucket `i` covers `2^i ns ..= 2^(i+1) ns`).
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Upper bound of bucket `i`, in seconds (the Prometheus `le` label).
-    pub fn bucket_upper_secs(i: usize) -> f64 {
-        (1u64 << (i + 1).min(63)) as f64 / 1e9
-    }
-}
 
 /// One registered metric, behind its shared handle.
 #[derive(Debug, Clone)]
@@ -363,80 +203,60 @@ impl MetricsRegistry {
             let _ = writeln!(out, "# HELP {} {}", family.name, escape_help(&family.help));
             let _ = writeln!(out, "# TYPE {} {}", family.name, family.kind);
             for (labels, metric) in &family.instances {
-                match metric {
-                    Metric::Counter(c) => {
-                        let _ = writeln!(
-                            out,
-                            "{}{} {}",
-                            family.name,
-                            render_labels(labels, None),
-                            c.get()
-                        );
-                    }
-                    Metric::Gauge(g) => {
-                        let _ = writeln!(
-                            out,
-                            "{}{} {}",
-                            family.name,
-                            render_labels(labels, None),
-                            g.get()
-                        );
-                    }
-                    Metric::Float(g) => {
-                        let _ = writeln!(
-                            out,
-                            "{}{} {}",
-                            family.name,
-                            render_labels(labels, None),
-                            render_f64(g.get())
-                        );
-                    }
+                let value = match metric {
+                    Metric::Counter(c) => c.get().to_string(),
+                    Metric::Gauge(g) => g.get().to_string(),
+                    Metric::Float(g) => render_f64(g.get()),
                     Metric::Histogram(h) => {
-                        let counts = h.bucket_counts();
-                        let mut cumulative = 0u64;
-                        for (i, c) in counts.iter().enumerate() {
-                            cumulative += c;
-                            // Skip interior empty buckets to keep scrapes
-                            // small; always keep the first and last so the
-                            // cumulative series stays well-formed.
-                            if *c == 0 && i + 1 < counts.len() {
-                                continue;
-                            }
-                            let le = render_f64(Histogram::bucket_upper_secs(i));
-                            let _ = writeln!(
-                                out,
-                                "{}_bucket{} {}",
-                                family.name,
-                                render_labels(labels, Some(&le)),
-                                cumulative
-                            );
-                        }
-                        let _ = writeln!(
-                            out,
-                            "{}_bucket{} {}",
-                            family.name,
-                            render_labels(labels, Some("+Inf")),
-                            h.count()
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{}_sum{} {}",
-                            family.name,
-                            render_labels(labels, None),
-                            render_f64(h.sum_secs())
-                        );
-                        let _ = writeln!(
-                            out,
-                            "{}_count{} {}",
-                            family.name,
-                            render_labels(labels, None),
-                            h.count()
-                        );
+                        render_histogram(&mut out, &family.name, labels, h);
+                        continue;
                     }
-                }
+                };
+                let _ = writeln!(
+                    out,
+                    "{}{} {value}",
+                    family.name,
+                    render_labels(labels, None)
+                );
             }
         }
         out
+    }
+}
+
+/// Expands one histogram to its `_bucket` / `_sum` / `_count` sample lines.
+fn render_histogram(out: &mut String, name: &str, labels: &LabelSet, h: &Histogram) {
+    let counts = h.bucket_counts();
+    let mut cumulative = 0u64;
+    for (i, c) in counts.iter().enumerate() {
+        cumulative += c;
+        // Skip interior empty buckets to keep scrapes small; always keep
+        // the last so the cumulative series stays well-formed.
+        if *c == 0 && i + 1 < counts.len() {
+            continue;
+        }
+        let le = render_labels(labels, Some(&render_f64(Histogram::bucket_upper_secs(i))));
+        let _ = writeln!(out, "{name}_bucket{le} {cumulative}");
+    }
+    let (inf, plain) = (
+        render_labels(labels, Some("+Inf")),
+        render_labels(labels, None),
+    );
+    let _ = writeln!(out, "{name}_bucket{inf} {}", h.count());
+    let _ = writeln!(out, "{name}_sum{plain} {}", render_f64(h.sum_secs()));
+    let _ = writeln!(out, "{name}_count{plain} {}", h.count());
+}
+
+/// A fold handed the registry resolves the very handles a scrape renders.
+impl AtomSource for MetricsRegistry {
+    fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
+        MetricsRegistry::counter(self, name, help, labels) // the inherent one
+    }
+    fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
+        MetricsRegistry::gauge(self, name, help, labels)
+    }
+    fn histogram(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
+        MetricsRegistry::histogram(self, name, help, labels)
     }
 }
 

@@ -7,10 +7,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use pier_observe::{Event, Phase, PipelineObserver};
-use pier_types::{GroundTruth, MatchLedger};
+use pier_observe::{AtomSource, Event, PipelineObserver, StatsObserver};
+use pier_types::GroundTruth;
 
-use crate::{Counter, FloatGauge, Gauge, Histogram, MetricsRegistry};
+use crate::{FloatGauge, MetricsRegistry};
 
 /// Telemetry configuration for a runtime driver.
 ///
@@ -81,158 +81,63 @@ impl Telemetry {
     }
 }
 
-/// Per-shard labeled counters, created lazily at the first event tagged
-/// with each shard id (same mutex strategy as `StatsObserver`: shard
-/// events are far rarer than the global atomics' traffic).
-struct ShardMetrics {
-    profiles: Arc<Counter>,
-    blocks_built: Arc<Counter>,
-    blocks_purged: Arc<Counter>,
-    comparisons_emitted: Arc<Counter>,
-    cf_filtered: Arc<Counter>,
-}
-
-/// Per-worker labeled classify metrics, created lazily like
-/// [`ShardMetrics`] (workers report one timing per chunk, not per pair).
-struct WorkerMetrics {
-    classify_seconds: Arc<Histogram>,
-    matches_confirmed: Arc<Counter>,
-}
-
-/// Recall bookkeeping when a ground truth is attached.
-struct RecallLedger {
-    ground_truth: GroundTruth,
-    ledger: MatchLedger,
-    matched: u64,
-}
-
-/// A [`PipelineObserver`] that turns events into registry updates.
+/// The event→metrics bridge: [`StatsObserver`] — the one fold of the event
+/// stream — folding into this registry's atoms, so every counter and
+/// histogram a scrape shows *is* the word a [`StatsSnapshot`] of
+/// [`MetricsObserver::stats`] reads (the attribution rules are the fold's;
+/// see its docs). On top of the fold, only what a scrape has and a snapshot
+/// has not:
 ///
-/// Every hook is a handful of relaxed atomic ops; the only locks are the
-/// lazily-grown per-shard/per-worker tables and the optional ground-truth
-/// ledger (taken once per emitted comparison, exactly like the
-/// `StatsObserver` PC timeline). Attribution rules also mirror
-/// `StatsObserver`:
+/// * `pier_recall_estimate` — the fold's live PC when a ground truth is
+///   attached, else `confirmed / expected` — with a trajectory sampled at
+///   most once per configured tick;
+/// * the supervision families broken down by label
+///   (`pier_worker_restarts_total{role}`, `pier_recovery_seconds{role}`,
+///   `pier_dead_letters_total{reason}`), whose totals the fold keeps.
 ///
-/// * shard-tagged `IncrementIngested` counts per shard only — the router
-///   reports the global increment once, and the shard copies describe
-///   fan-out (a profile lands on every shard owning one of its tokens);
-/// * worker-tagged `Classify` timings go to the per-worker histogram only —
-///   the coordinator already times the whole batch untagged, and counting
-///   the worker slices globally would double classification time.
+/// [`StatsSnapshot`]: pier_observe::StatsSnapshot
 pub struct MetricsObserver {
     start: Instant,
     registry: Arc<MetricsRegistry>,
-    increments: Arc<Counter>,
-    profiles: Arc<Counter>,
-    blocks_built: Arc<Counter>,
-    blocks_purged: Arc<Counter>,
-    ghost_kept: Arc<Counter>,
-    ghost_dropped: Arc<Counter>,
-    comparisons_emitted: Arc<Counter>,
-    cf_filtered: Arc<Counter>,
-    matches_confirmed: Arc<Counter>,
-    k_changes: Arc<Counter>,
-    adaptive_k: Arc<Gauge>,
-    comparisons_shed: Arc<Counter>,
-    phases: [Arc<Histogram>; 4],
+    fold: StatsObserver,
     recall: Arc<FloatGauge>,
-    recall_ledger: Option<Mutex<RecallLedger>>,
     expected_matches: Option<u64>,
     recall_tick_nanos: u64,
     last_sample_nanos: AtomicU64,
     samples: Mutex<Vec<(f64, f64)>>,
-    shards: Mutex<Vec<ShardMetrics>>,
-    workers: Mutex<Vec<WorkerMetrics>>,
 }
 
 impl MetricsObserver {
     /// Builds the bridge, registering the global families up front so a
     /// scrape taken before any event still shows the full schema.
     pub fn new(telemetry: &Telemetry) -> Self {
-        let r = &telemetry.registry;
+        let registry = Arc::clone(&telemetry.registry);
         MetricsObserver {
             start: Instant::now(),
-            registry: Arc::clone(r),
-            increments: r.counter(
-                "pier_increments_total",
-                "Data increments ingested (idle ticks included).",
-                &[],
+            fold: StatsObserver::with_atoms(
+                Arc::clone(&registry) as Arc<dyn AtomSource>,
+                telemetry.ground_truth.clone(),
             ),
-            profiles: r.counter("pier_profiles_total", "Entity profiles ingested.", &[]),
-            blocks_built: r.counter("pier_blocks_built_total", "Blocks created.", &[]),
-            blocks_purged: r.counter("pier_blocks_purged_total", "Blocks purged.", &[]),
-            ghost_kept: r.counter(
-                "pier_ghost_kept_total",
-                "Block entries kept by ghosting.",
-                &[],
-            ),
-            ghost_dropped: r.counter(
-                "pier_ghost_dropped_total",
-                "Block entries dropped by ghosting.",
-                &[],
-            ),
-            comparisons_emitted: r.counter(
-                "pier_comparisons_emitted_total",
-                "Comparisons handed to the matcher by the prioritizer.",
-                &[],
-            ),
-            cf_filtered: r.counter(
-                "pier_cf_filtered_total",
-                "Pairs rejected by the redundancy (Bloom) filter.",
-                &[],
-            ),
-            matches_confirmed: r.counter(
-                "pier_matches_confirmed_total",
-                "Duplicates confirmed by the classifier.",
-                &[],
-            ),
-            k_changes: r.counter(
-                "pier_adaptive_k_changes_total",
-                "Adaptive batch-size adjustments.",
-                &[],
-            ),
-            adaptive_k: r.gauge(
-                "pier_adaptive_k",
-                "Current adaptive batch size K (0 = never adjusted).",
-                &[],
-            ),
-            comparisons_shed: r.counter(
-                "pier_comparisons_shed_total",
-                "Comparisons dropped by load shedding.",
-                &[],
-            ),
-            phases: Phase::ALL.map(|p| {
-                r.histogram(
-                    "pier_phase_seconds",
-                    "Per-unit latency of each pipeline phase.",
-                    &[("phase", p.name())],
-                )
-            }),
-            recall: r.float_gauge(
+            recall: registry.float_gauge(
                 "pier_recall_estimate",
                 "Estimated progressive recall (PC against ground truth, or confirmed/expected).",
                 &[],
             ),
-            recall_ledger: telemetry.ground_truth.clone().map(|ground_truth| {
-                Mutex::new(RecallLedger {
-                    ground_truth,
-                    ledger: MatchLedger::new(),
-                    matched: 0,
-                })
-            }),
-            expected_matches: telemetry.expected_matches,
+            registry,
+            // The operator's prior only counts where there is no truth.
+            expected_matches: match telemetry.ground_truth {
+                Some(_) => None,
+                None => telemetry.expected_matches,
+            },
             recall_tick_nanos: telemetry.recall_tick.as_nanos().min(u64::MAX as u128) as u64,
             last_sample_nanos: AtomicU64::new(0),
             samples: Mutex::new(Vec::new()),
-            shards: Mutex::new(Vec::new()),
-            workers: Mutex::new(Vec::new()),
         }
     }
 
-    /// The registry this bridge publishes into.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
+    /// The fold behind the scrape: its snapshot reads the registry's atoms.
+    pub fn stats(&self) -> &StatsObserver {
+        &self.fold
     }
 
     /// The recall trajectory sampled so far: `(uptime_secs, recall)`
@@ -259,188 +164,82 @@ impl MetricsObserver {
         }
     }
 
-    fn shard_metrics<R>(&self, shard: u16, f: impl FnOnce(&ShardMetrics) -> R) -> R {
-        let mut shards = self.shards.lock();
-        let idx = shard as usize;
-        while shards.len() <= idx {
-            let label = (shards.len() as u16).to_string();
-            let labels: &[(&str, &str)] = &[("shard", label.as_str())];
-            shards.push(ShardMetrics {
-                profiles: self.registry.counter(
-                    "pier_shard_profiles_total",
-                    "Profiles routed to each shard (once per owning shard).",
-                    labels,
-                ),
-                blocks_built: self.registry.counter(
-                    "pier_shard_blocks_built_total",
-                    "Blocks created per shard.",
-                    labels,
-                ),
-                blocks_purged: self.registry.counter(
-                    "pier_shard_blocks_purged_total",
-                    "Blocks purged per shard.",
-                    labels,
-                ),
-                comparisons_emitted: self.registry.counter(
-                    "pier_shard_comparisons_emitted_total",
-                    "Comparisons each shard handed to the merger.",
-                    labels,
-                ),
-                cf_filtered: self.registry.counter(
-                    "pier_shard_cf_filtered_total",
-                    "Bloom-rejected pairs per shard.",
-                    labels,
-                ),
-            });
-        }
-        f(&shards[idx])
-    }
-
-    fn worker_metrics<R>(&self, worker: u16, f: impl FnOnce(&WorkerMetrics) -> R) -> R {
-        let mut workers = self.workers.lock();
-        let idx = worker as usize;
-        while workers.len() <= idx {
-            let label = (workers.len() as u16).to_string();
-            let labels: &[(&str, &str)] = &[("worker", label.as_str())];
-            workers.push(WorkerMetrics {
-                classify_seconds: self.registry.histogram(
-                    "pier_worker_classify_seconds",
-                    "Per-chunk classify latency of each match worker.",
-                    labels,
-                ),
-                matches_confirmed: self.registry.counter(
-                    "pier_worker_matches_confirmed_total",
-                    "Matches confirmed per worker (0 unless the driver attributes them).",
-                    labels,
-                ),
-            });
-        }
-        f(&workers[idx])
-    }
-}
-
-impl PipelineObserver for MetricsObserver {
-    fn on_event(&self, event: &Event) {
+    /// The labelled supervision families, before the fold sees the event
+    /// (a tagged restart registers them ahead of its lane's own families).
+    /// Supervision events are orders of magnitude rarer than the fold's hot
+    /// counters, so they resolve through the registry on demand instead of
+    /// being cached per label.
+    fn publish_supervision(&self, event: &Event) {
+        let r = &self.registry;
         match *event {
-            Event::IncrementIngested { profiles, .. } => {
-                self.increments.inc();
-                self.profiles.add(profiles as u64);
-            }
-            Event::BlockBuilt { .. } => self.blocks_built.inc(),
-            Event::BlockPurged { .. } => self.blocks_purged.inc(),
-            Event::BlockGhosted { kept, dropped, .. } => {
-                self.ghost_kept.add(kept as u64);
-                self.ghost_dropped.add(dropped as u64);
-            }
-            Event::ComparisonEmitted { cmp, .. } => {
-                self.comparisons_emitted.inc();
-                if let Some(ledger) = &self.recall_ledger {
-                    let estimate = {
-                        let state = &mut *ledger.lock();
-                        if state.ledger.credit(&state.ground_truth, cmp) {
-                            state.matched += 1;
-                        }
-                        let total = state.ground_truth.len().max(1) as f64;
-                        state.matched as f64 / total
-                    };
-                    self.update_recall(estimate);
-                }
-            }
-            Event::CfFiltered { .. } => self.cf_filtered.inc(),
-            Event::AdaptiveKChanged { new_k, .. } => {
-                self.k_changes.inc();
-                self.adaptive_k.set(new_k as i64);
-            }
-            Event::MatchConfirmed { .. } => {
-                self.matches_confirmed.inc();
-                if self.recall_ledger.is_none() {
-                    if let Some(expected) = self.expected_matches {
-                        let estimate = self.matches_confirmed.get() as f64 / expected as f64;
-                        self.update_recall(estimate.min(1.0));
-                    }
-                }
-            }
-            Event::PhaseTiming { phase, secs } => {
-                self.phases[phase.index()].record_secs(secs);
-            }
-            // Supervision events are orders of magnitude rarer than the hot
-            // counters above, so their labeled families are resolved through
-            // the registry on demand instead of being cached per label.
             Event::WorkerRestarted {
                 role,
                 recovery_secs,
                 ..
             } => {
-                let labels: &[(&str, &str)] = &[("role", role.name())];
-                self.registry
-                    .counter(
-                        "pier_worker_restarts_total",
-                        "Supervisor worker restarts.",
-                        labels,
-                    )
-                    .inc();
-                self.registry
-                    .histogram(
-                        "pier_recovery_seconds",
-                        "Panic-to-resumed-stream recovery latency.",
-                        labels,
-                    )
+                let role: &[(&str, &str)] = &[("role", role.name())];
+                let help = "Supervisor worker restarts.";
+                r.counter("pier_worker_restarts_total", help, role).inc();
+                let help = "Panic-to-resumed-stream recovery latency.";
+                r.histogram("pier_recovery_seconds", help, role)
                     .record_secs(recovery_secs);
             }
             Event::DeadLettered { reason, .. } => {
-                self.registry
-                    .counter(
-                        "pier_dead_letters_total",
-                        "Profiles/pairs quarantined into the dead-letter queue.",
-                        &[("reason", reason.name())],
-                    )
-                    .inc();
+                let help = "Profiles/pairs quarantined into the dead-letter queue.";
+                r.counter(
+                    "pier_dead_letters_total",
+                    help,
+                    &[("reason", reason.name())],
+                )
+                .inc();
             }
-            Event::ComparisonsShed { count } => {
-                self.comparisons_shed.add(count as u64);
-            }
+            _ => {}
         }
+    }
+
+    /// The recall gauge, after the fold has counted the event.
+    fn publish_recall(&self, event: &Event) {
+        match *event {
+            Event::ComparisonEmitted { .. } => {
+                if let Some(pc) = self.fold.pc() {
+                    self.update_recall(pc);
+                }
+            }
+            Event::MatchConfirmed { .. } => {
+                if let Some(expected) = self.expected_matches {
+                    let confirmed = self.fold.matches_confirmed() as f64;
+                    self.update_recall((confirmed / expected as f64).min(1.0));
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+impl PipelineObserver for MetricsObserver {
+    fn on_event(&self, event: &Event) {
+        self.publish_supervision(event);
+        self.fold.on_event(event);
+        self.publish_recall(event);
     }
 
     fn on_shard_event(&self, shard: u16, event: &Event) {
-        if !matches!(event, Event::IncrementIngested { .. }) {
-            self.on_event(event);
-        }
-        self.shard_metrics(shard, |m| match *event {
-            Event::IncrementIngested { profiles, .. } => m.profiles.add(profiles as u64),
-            Event::BlockBuilt { .. } => m.blocks_built.inc(),
-            Event::BlockPurged { .. } => m.blocks_purged.inc(),
-            Event::ComparisonEmitted { .. } => m.comparisons_emitted.inc(),
-            Event::CfFiltered { .. } => m.cf_filtered.inc(),
-            _ => {}
-        });
+        self.publish_supervision(event);
+        self.fold.on_shard_event(shard, event);
+        self.publish_recall(event);
     }
 
     fn on_worker_event(&self, worker: u16, event: &Event) {
-        let is_classify_timing = matches!(
-            event,
-            Event::PhaseTiming {
-                phase: Phase::Classify,
-                ..
-            }
-        );
-        if !is_classify_timing {
-            self.on_event(event);
-        }
-        self.worker_metrics(worker, |m| match *event {
-            Event::PhaseTiming {
-                phase: Phase::Classify,
-                secs,
-            } => m.classify_seconds.record_secs(secs),
-            Event::MatchConfirmed { .. } => m.matches_confirmed.inc(),
-            _ => {}
-        });
+        self.publish_supervision(event);
+        self.fold.on_worker_event(worker, event);
+        self.publish_recall(event);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pier_observe::Phase;
     use pier_types::{Comparison, ProfileId};
 
     fn cmp(a: u32, b: u32) -> Comparison {

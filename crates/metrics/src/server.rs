@@ -1,25 +1,16 @@
-//! A hand-rolled Prometheus text-exposition endpoint on `std::net`.
-//!
-//! One background thread accepts connections on a [`TcpListener`], answers
-//! `GET /metrics` with the registry rendered in the text exposition format
-//! (version 0.0.4), and anything else with 404. The listener runs in
-//! non-blocking accept mode so shutdown is a flag check away — no
-//! self-connect tricks, no dependency beyond `std`.
+//! The Prometheus text-exposition endpoint: `GET /metrics` (or `/`)
+//! answers the registry rendered in the text exposition format (version
+//! 0.0.4), anything else 404 — one route function on the workspace's one
+//! listener ([`crate::http`]).
 
-use std::io::{self, BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
+use crate::http::HttpServer;
 use crate::MetricsRegistry;
 
-/// How long the accept loop sleeps between polls when idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// How long a connected client gets to produce a request line.
-const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
+const TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// A live scrape endpoint for one [`MetricsRegistry`].
 ///
@@ -32,132 +23,48 @@ const CLIENT_TIMEOUT: Duration = Duration::from_secs(2);
 /// // ... run the pipeline ...
 /// server.shutdown();
 /// ```
-pub struct MetricsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
-    handle: Option<JoinHandle<()>>,
-}
+#[derive(Debug)]
+pub struct MetricsServer(HttpServer);
 
 impl MetricsServer {
     /// Binds `addr` (use port 0 for an OS-assigned port) and starts the
     /// accept thread.
     pub fn serve(addr: impl ToSocketAddrs, registry: Arc<MetricsRegistry>) -> io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let requests = Arc::new(AtomicU64::new(0));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            let requests = Arc::clone(&requests);
-            std::thread::Builder::new()
-                .name("pier-metrics".into())
-                .spawn(move || accept_loop(listener, registry, stop, requests))?
+        let route = move |method: &str, path: &str| match (method, path) {
+            ("GET", "/metrics") | ("GET", "/") => ("200 OK", TEXT, registry.render_prometheus()),
+            ("GET", _) => ("404 Not Found", TEXT, "not found\n".to_string()),
+            _ => (
+                "405 Method Not Allowed",
+                TEXT,
+                "method not allowed\n".to_string(),
+            ),
         };
-        Ok(MetricsServer {
-            addr,
-            stop,
-            requests,
-            handle: Some(handle),
-        })
+        HttpServer::serve(addr, "pier-metrics", route).map(MetricsServer)
     }
 
     /// The bound address (resolves port 0 to the real port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
     /// Requests answered so far (any path, any status).
     pub fn requests_served(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
+        self.0.requests_served()
     }
 
     /// Stops the accept thread and waits for it to exit. Idempotent;
-    /// in-flight responses finish first.
+    /// in-flight responses finish first. Dropping the server does the same.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
+        self.0.shutdown()
     }
-}
-
-impl Drop for MetricsServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-impl std::fmt::Debug for MetricsServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MetricsServer")
-            .field("addr", &self.addr)
-            .field("requests", &self.requests_served())
-            .finish()
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    registry: Arc<MetricsRegistry>,
-    stop: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
-) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // Serve inline: scrapes are tiny and sequential, and a
-                // single thread keeps shutdown deterministic.
-                if handle_client(stream, &registry).is_ok() {
-                    requests.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
-            // Transient accept errors (aborted handshakes): keep serving.
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-fn handle_client(stream: TcpStream, registry: &MetricsRegistry) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // "GET /metrics HTTP/1.1" — we only care about the method and path.
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    // Drain the header block so well-behaved clients see a clean close.
-    let mut line = String::new();
-    loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 || line == "\r\n" || line == "\n" {
-            break;
-        }
-    }
-    let mut stream = reader.into_inner();
-    let (status, body) = match (method, path) {
-        ("GET", "/metrics") | ("GET", "/") => ("200 OK", registry.render_prometheus()),
-        ("GET", _) => ("404 Not Found", "not found\n".to_string()),
-        _ => ("405 Method Not Allowed", "method not allowed\n".to_string()),
-    };
-    write!(
-        stream,
-        "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    )?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
 
     fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -201,6 +108,68 @@ mod tests {
                 true
             }
         );
+    }
+
+    /// Sends 1 KiB without a newline every 500 ms for up to six seconds
+    /// (the wait between chunks is a read, so it stops as soon as the
+    /// server answers) and returns whatever the server said.
+    fn dribble(addr: SocketAddr) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let mut response = Vec::new();
+        let mut buf = [0u8; 1024];
+        for _ in 0..12 {
+            if stream.write_all(&[b'x'; 1024]).is_err() {
+                break;
+            }
+            match stream.read(&mut buf) {
+                Ok(n) if n > 0 => {
+                    response.extend_from_slice(&buf[..n]);
+                    let _ = stream.read_to_end(&mut response);
+                    break;
+                }
+                Ok(_) => break,
+                Err(_) => {}
+            }
+        }
+        String::from_utf8_lossy(&response).into_owned()
+    }
+
+    #[test]
+    fn a_dribbling_client_cannot_hold_the_listener() {
+        let limit = Duration::from_secs(3); // the 2 s head deadline plus a margin
+        let mut server = MetricsServer::serve("127.0.0.1:0", MetricsRegistry::shared()).unwrap();
+        let addr = server.local_addr();
+
+        let dribbler = std::thread::spawn(move || dribble(addr));
+        std::thread::sleep(Duration::from_millis(100)); // the dribbler is first in line
+        let queued = Instant::now();
+        let (head, _) = http_get(addr, "/metrics");
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(queued.elapsed() < limit, "waited {:?}", queued.elapsed());
+        let answer = dribbler.join().unwrap();
+        assert!(answer.starts_with("HTTP/1.1 431"), "{answer:?}");
+
+        // A well-formed request with 7 KiB of headers is inside the bound.
+        let mut stream = TcpStream::connect(addr).unwrap();
+        write!(stream, "GET /metrics HTTP/1.1\r\n").unwrap();
+        for i in 0..7 {
+            write!(stream, "X-Pad-{i}: {}\r\n", "p".repeat(1012)).unwrap();
+        }
+        write!(stream, "\r\n").unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+
+        // Nor can a dribbler hold `shutdown()` (hence `Pipeline::run`).
+        let dribbler = std::thread::spawn(move || dribble(addr));
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        server.shutdown();
+        assert!(asked.elapsed() < limit, "waited {:?}", asked.elapsed());
+        dribbler.join().unwrap();
     }
 
     #[test]

@@ -15,9 +15,11 @@
 //!
 //! * [`NoopObserver`] — receives and discards everything; exists so the
 //!   enabled path can be benchmarked against the disabled one.
-//! * [`StatsObserver`] — lock-free counters, per-phase latency histograms,
-//!   and an optional live pair-completeness timeline against a ground
-//!   truth; snapshotable mid-run from any thread.
+//! * [`StatsObserver`] — *the* fold of the event stream: lock-free
+//!   counters, per-phase latency histograms, per-shard / per-worker
+//!   breakdowns and an optional live pair-completeness timeline against a
+//!   ground truth; snapshotable mid-run from any thread, and — handed a
+//!   metrics registry's atoms — what the Prometheus scrape reads too.
 //! * [`JsonlObserver`] — buffered JSON-Lines export of every event under
 //!   `target/experiments/<run-id>/events.jsonl`, with a matching reader
 //!   ([`read_events`]) and PC replay ([`replay_trajectory`]).
@@ -29,9 +31,11 @@ use std::time::Instant;
 
 use pier_types::{Comparison, ProfileId};
 
+mod atoms;
 mod jsonl;
 mod stats;
 
+pub use atoms::{AtomSource, Counter, FloatGauge, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use jsonl::{read_events, replay_match_count, replay_trajectory, JsonlObserver, TimedEvent};
 pub use stats::{PhaseSnapshot, ShardSnapshot, StatsObserver, StatsSnapshot, WorkerSnapshot};
 
@@ -165,7 +169,7 @@ pub enum Event {
     IncrementIngested {
         /// 0-based increment sequence number within the run.
         seq: u64,
-        /// Profiles contained in the increment (0 for idle ticks).
+        /// Profiles accepted from the increment (idle ticks emit no event).
         profiles: usize,
     },
     /// A new block was created in the block collection.
@@ -285,8 +289,8 @@ pub trait PipelineObserver: Send + Sync {
 
 /// An observer that receives and discards every event.
 ///
-/// Useful for measuring the cost of the *enabled* hook path itself (see
-/// the `observer_overhead` bench); for the disabled path use
+/// Useful for measuring the cost of the *enabled* hook path itself (the
+/// `metrics_overhead` bench's baseline); for the disabled path use
 /// [`Observer::disabled`].
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopObserver;

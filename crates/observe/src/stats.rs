@@ -1,75 +1,22 @@
-//! Live run statistics: lock-free counters, per-phase latency histograms,
-//! and an optional pair-completeness timeline.
+//! Live run statistics — *the* fold of the event stream: counters,
+//! per-phase latency histograms, per-shard and per-worker breakdowns, and
+//! an optional pair-completeness timeline.
+//!
+//! [`StatsObserver`] is the only type in the workspace that turns the
+//! counting [`Event`] kinds into numbers. It folds into atoms it is handed
+//! by an [`AtomSource`]: private ones ([`StatsObserver::new`]) for an
+//! in-process [`StatsSnapshot`], or the handles of a metrics registry
+//! ([`StatsObserver::with_atoms`], which `pier-metrics`' bridge uses), in
+//! which case the Prometheus scrape and the snapshot read the same words.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 use pier_types::{GroundTruth, MatchLedger, ProgressTrajectory};
 
+use crate::atoms::{AtomSource, Counter, Gauge, Histogram, PrivateAtoms};
 use crate::{Event, Phase, PipelineObserver};
-
-/// Log₂-nanosecond histogram buckets: bucket `i` counts durations with
-/// `2^i ns <= d < 2^(i+1) ns`. 40 buckets cover ~18 minutes.
-const BUCKETS: usize = 40;
-
-/// Latency accumulator for one pipeline phase.
-#[derive(Debug)]
-struct PhaseStats {
-    count: AtomicU64,
-    total_nanos: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
-}
-
-impl PhaseStats {
-    fn new() -> Self {
-        PhaseStats {
-            count: AtomicU64::new(0),
-            total_nanos: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn record(&self, secs: f64) {
-        let nanos = (secs.max(0.0) * 1e9) as u64;
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
-        let bucket = (64 - nanos.max(1).leading_zeros() as usize - 1).min(BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self, phase: Phase) -> PhaseSnapshot {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        let count = self.count.load(Ordering::Relaxed);
-        let percentile = |q: f64| -> f64 {
-            if count == 0 {
-                return 0.0;
-            }
-            let rank = ((count as f64 * q).ceil() as u64).clamp(1, count);
-            let mut seen = 0u64;
-            for (i, &c) in counts.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    // Geometric midpoint of the bucket, in seconds.
-                    return (1u64 << i) as f64 * 1.5 / 1e9;
-                }
-            }
-            (1u64 << (BUCKETS - 1)) as f64 / 1e9
-        };
-        PhaseSnapshot {
-            phase,
-            count,
-            total_secs: self.total_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            p50_secs: percentile(0.50),
-            p95_secs: percentile(0.95),
-            p99_secs: percentile(0.99),
-        }
-    }
-}
 
 /// The pair-completeness timeline state, fed from emitted comparisons.
 #[derive(Debug)]
@@ -79,57 +26,116 @@ struct PcTimeline {
     trajectory: ProgressTrajectory,
 }
 
-/// Plain per-shard counters, kept under one mutex: shard-tagged events are
-/// orders of magnitude rarer than the global atomics' traffic, and the
-/// vector grows lazily to the highest shard id seen.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-struct ShardCounters {
-    profiles: u64,
-    blocks_built: u64,
-    blocks_purged: u64,
-    comparisons_emitted: u64,
-    cf_filtered: u64,
+/// One shard's counters, kept with its siblings under one mutex:
+/// shard-tagged events are orders of magnitude rarer than the global
+/// atoms' traffic. The table grows to the highest shard id seen, asking
+/// the source for each id's atoms once, on the first event that carries it.
+#[derive(Debug)]
+struct ShardAtoms {
+    profiles: Arc<Counter>,
+    blocks_built: Arc<Counter>,
+    blocks_purged: Arc<Counter>,
+    comparisons_emitted: Arc<Counter>,
+    cf_filtered: Arc<Counter>,
 }
 
-/// Plain per-match-worker counters, same mutex strategy as
-/// [`ShardCounters`]: workers report one timing per chunk, not per pair.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-struct WorkerCounters {
-    classify_chunks: u64,
-    classify_secs: f64,
-    matches_confirmed: u64,
+impl ShardAtoms {
+    fn resolve(source: &dyn AtomSource, shard: usize) -> Self {
+        let shard = shard.to_string();
+        let counter = |name, help| source.counter(name, help, &[("shard", &shard)]);
+        ShardAtoms {
+            profiles: counter(
+                "pier_shard_profiles_total",
+                "Profiles routed to each shard (once per owning shard).",
+            ),
+            blocks_built: counter("pier_shard_blocks_built_total", "Blocks created per shard."),
+            blocks_purged: counter("pier_shard_blocks_purged_total", "Blocks purged per shard."),
+            comparisons_emitted: counter(
+                "pier_shard_comparisons_emitted_total",
+                "Comparisons each shard handed to the merger.",
+            ),
+            cf_filtered: counter(
+                "pier_shard_cf_filtered_total",
+                "Bloom-rejected pairs per shard.",
+            ),
+        }
+    }
+}
+
+/// One match worker's atoms, same strategy as [`ShardAtoms`]: workers
+/// report one timing per chunk, not per pair.
+#[derive(Debug)]
+struct WorkerAtoms {
+    classify: Arc<Histogram>,
+    matches_confirmed: Arc<Counter>,
+}
+
+impl WorkerAtoms {
+    fn resolve(source: &dyn AtomSource, worker: usize) -> Self {
+        let worker = worker.to_string();
+        let labels: &[(&str, &str)] = &[("worker", &worker)];
+        WorkerAtoms {
+            classify: source.histogram(
+                "pier_worker_classify_seconds",
+                "Per-chunk classify latency of each match worker.",
+                labels,
+            ),
+            matches_confirmed: source.counter(
+                "pier_worker_matches_confirmed_total",
+                "Matches confirmed per worker (0 unless the driver attributes them).",
+                labels,
+            ),
+        }
+    }
 }
 
 /// An observer accumulating run statistics that can be snapshotted at any
 /// moment from any thread, mid-run included.
 ///
-/// Counters and histograms are atomics; only the optional PC timeline sits
-/// behind a mutex (taken once per `ComparisonEmitted` event). Timeline
-/// timestamps are receive-time wall-clock seconds since the observer was
-/// created — accurate for live runs; for the virtual-time simulator use
-/// the [`crate::JsonlObserver`] export and replay instead.
+/// Every aggregate is a relaxed atomic; the only locks are the lazily
+/// grown per-shard / per-worker tables and the optional PC timeline (taken
+/// once per `ComparisonEmitted` event). Timeline timestamps are
+/// receive-time wall-clock seconds since the observer was created —
+/// accurate for live runs; for the virtual-time simulator use the
+/// [`crate::JsonlObserver`] export and replay instead.
+///
+/// Two attribution rules, stated here once:
+///
+/// * a shard-tagged `IncrementIngested` counts **per shard only** — the
+///   router reports the global increment once, untagged, and the shard
+///   copies describe fan-out (a profile lands on every shard owning one of
+///   its tokens), so counting them globally would multiply the profile
+///   total;
+/// * a worker-tagged `Classify` timing counts **per worker only** — the
+///   coordinator already times the whole batch untagged, and the worker
+///   slices overlap it.
+///
+/// Every other tagged event also counts wherever its untagged form would.
 #[derive(Debug)]
 pub struct StatsObserver {
     start: Instant,
-    increments: AtomicU64,
-    profiles: AtomicU64,
-    blocks_built: AtomicU64,
-    blocks_purged: AtomicU64,
-    ghost_kept: AtomicU64,
-    ghost_dropped: AtomicU64,
-    comparisons_emitted: AtomicU64,
-    cf_filtered: AtomicU64,
-    matches_confirmed: AtomicU64,
-    k_changes: AtomicU64,
+    source: Arc<dyn AtomSource>,
+    increments: Arc<Counter>,
+    profiles: Arc<Counter>,
+    blocks_built: Arc<Counter>,
+    blocks_purged: Arc<Counter>,
+    ghost_kept: Arc<Counter>,
+    ghost_dropped: Arc<Counter>,
+    comparisons_emitted: Arc<Counter>,
+    cf_filtered: Arc<Counter>,
+    matches_confirmed: Arc<Counter>,
+    k_changes: Arc<Counter>,
     /// Latest `K` reported by `AdaptiveKChanged` (0 = never reported).
-    current_k: AtomicU64,
-    dead_letters: AtomicU64,
-    worker_restarts: AtomicU64,
-    comparisons_shed: AtomicU64,
-    phases: [PhaseStats; 4],
+    adaptive_k: Arc<Gauge>,
+    comparisons_shed: Arc<Counter>,
+    phases: [Arc<Histogram>; 4],
+    // Supervision totals are never handed out: a scrape breaks them down
+    // by role / reason instead (see `pier_metrics::MetricsObserver`).
+    dead_letters: Counter,
+    worker_restarts: Counter,
     pc: Option<Mutex<PcTimeline>>,
-    shards: Mutex<Vec<ShardCounters>>,
-    workers: Mutex<Vec<WorkerCounters>>,
+    shards: Mutex<Vec<ShardAtoms>>,
+    workers: Mutex<Vec<WorkerAtoms>>,
 }
 
 impl Default for StatsObserver {
@@ -141,48 +147,87 @@ impl Default for StatsObserver {
 impl StatsObserver {
     /// Creates an observer with counters and phase histograms only.
     pub fn new() -> Self {
-        StatsObserver {
-            start: Instant::now(),
-            increments: AtomicU64::new(0),
-            profiles: AtomicU64::new(0),
-            blocks_built: AtomicU64::new(0),
-            blocks_purged: AtomicU64::new(0),
-            ghost_kept: AtomicU64::new(0),
-            ghost_dropped: AtomicU64::new(0),
-            comparisons_emitted: AtomicU64::new(0),
-            cf_filtered: AtomicU64::new(0),
-            matches_confirmed: AtomicU64::new(0),
-            k_changes: AtomicU64::new(0),
-            current_k: AtomicU64::new(0),
-            dead_letters: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            comparisons_shed: AtomicU64::new(0),
-            phases: std::array::from_fn(|_| PhaseStats::new()),
-            pc: None,
-            shards: Mutex::new(Vec::new()),
-            workers: Mutex::new(Vec::new()),
-        }
+        Self::with_atoms(Arc::new(PrivateAtoms), None)
     }
 
     /// Creates an observer that additionally maintains a live PC timeline
     /// against `ground_truth`, credited from emitted comparisons (the
     /// paper's PC definition).
     pub fn with_ground_truth(ground_truth: GroundTruth) -> Self {
-        let total = ground_truth.len() as u64;
-        let mut obs = Self::new();
-        obs.pc = Some(Mutex::new(PcTimeline {
-            ground_truth,
-            ledger: MatchLedger::new(),
-            trajectory: ProgressTrajectory::new(total),
-        }));
-        obs
+        Self::with_atoms(Arc::new(PrivateAtoms), Some(ground_truth))
     }
 
-    /// Takes a consistent-enough snapshot of all statistics. Counters are
+    /// Creates an observer folding into atoms resolved from `source` under
+    /// the family names below — the global families up front, in this
+    /// order, so a scrape taken before any event shows the full schema;
+    /// the `shard`- and `worker`-labelled ones on demand.
+    pub fn with_atoms(source: Arc<dyn AtomSource>, ground_truth: Option<GroundTruth>) -> Self {
+        let counter = |name, help| source.counter(name, help, &[]);
+        StatsObserver {
+            start: Instant::now(),
+            increments: counter(
+                "pier_increments_total",
+                "Data increments ingested (idle ticks emit no event and are not counted).",
+            ),
+            profiles: counter("pier_profiles_total", "Entity profiles ingested."),
+            blocks_built: counter("pier_blocks_built_total", "Blocks created."),
+            blocks_purged: counter("pier_blocks_purged_total", "Blocks purged."),
+            ghost_kept: counter("pier_ghost_kept_total", "Block entries kept by ghosting."),
+            ghost_dropped: counter(
+                "pier_ghost_dropped_total",
+                "Block entries dropped by ghosting.",
+            ),
+            comparisons_emitted: counter(
+                "pier_comparisons_emitted_total",
+                "Comparisons handed to the matcher by the prioritizer.",
+            ),
+            cf_filtered: counter(
+                "pier_cf_filtered_total",
+                "Pairs rejected by the redundancy (Bloom) filter.",
+            ),
+            matches_confirmed: counter(
+                "pier_matches_confirmed_total",
+                "Duplicates confirmed by the classifier.",
+            ),
+            k_changes: counter(
+                "pier_adaptive_k_changes_total",
+                "Adaptive batch-size adjustments.",
+            ),
+            adaptive_k: source.gauge(
+                "pier_adaptive_k",
+                "Current adaptive batch size K (0 = never adjusted).",
+                &[],
+            ),
+            comparisons_shed: counter(
+                "pier_comparisons_shed_total",
+                "Comparisons dropped by load shedding.",
+            ),
+            phases: Phase::ALL.map(|p| {
+                source.histogram(
+                    "pier_phase_seconds",
+                    "Per-unit latency of each pipeline phase.",
+                    &[("phase", p.name())],
+                )
+            }),
+            dead_letters: Counter::new(),
+            worker_restarts: Counter::new(),
+            pc: ground_truth.map(|ground_truth| {
+                Mutex::new(PcTimeline {
+                    trajectory: ProgressTrajectory::for_ground_truth(&ground_truth),
+                    ledger: MatchLedger::new(),
+                    ground_truth,
+                })
+            }),
+            shards: Mutex::new(Vec::new()),
+            workers: Mutex::new(Vec::new()),
+            source,
+        }
+    }
+
+    /// Takes a consistent-enough snapshot of all statistics. Atoms are
     /// read individually (relaxed), so totals may be skewed by events in
     /// flight — fine for progress display.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let (pc, pc_matches) = match &self.pc {
             Some(m) => {
                 let t = m.lock();
@@ -192,58 +237,89 @@ impl StatsObserver {
         };
         StatsSnapshot {
             uptime_secs: self.start.elapsed().as_secs_f64(),
-            increments: ld(&self.increments),
-            profiles: ld(&self.profiles),
-            blocks_built: ld(&self.blocks_built),
-            blocks_purged: ld(&self.blocks_purged),
-            ghost_kept: ld(&self.ghost_kept),
-            ghost_dropped: ld(&self.ghost_dropped),
-            comparisons_emitted: ld(&self.comparisons_emitted),
-            cf_filtered: ld(&self.cf_filtered),
-            matches_confirmed: ld(&self.matches_confirmed),
-            k_changes: ld(&self.k_changes),
-            current_k: match ld(&self.current_k) {
+            increments: self.increments.get(),
+            profiles: self.profiles.get(),
+            blocks_built: self.blocks_built.get(),
+            blocks_purged: self.blocks_purged.get(),
+            ghost_kept: self.ghost_kept.get(),
+            ghost_dropped: self.ghost_dropped.get(),
+            comparisons_emitted: self.comparisons_emitted.get(),
+            cf_filtered: self.cf_filtered.get(),
+            matches_confirmed: self.matches_confirmed.get(),
+            k_changes: self.k_changes.get(),
+            current_k: match self.adaptive_k.get() {
                 0 => None,
                 k => Some(k as usize),
             },
             pc,
             pc_matches,
-            dead_letters: ld(&self.dead_letters),
-            worker_restarts: ld(&self.worker_restarts),
-            comparisons_shed: ld(&self.comparisons_shed),
-            phases: Phase::ALL.map(|p| self.phases[p.index()].snapshot(p)),
-            shards: self
-                .shards
-                .lock()
-                .iter()
-                .enumerate()
-                .map(|(shard, c)| ShardSnapshot {
-                    shard: shard as u16,
-                    profiles: c.profiles,
-                    blocks_built: c.blocks_built,
-                    blocks_purged: c.blocks_purged,
-                    comparisons_emitted: c.comparisons_emitted,
-                    cf_filtered: c.cf_filtered,
+            dead_letters: self.dead_letters.get(),
+            worker_restarts: self.worker_restarts.get(),
+            comparisons_shed: self.comparisons_shed.get(),
+            phases: Phase::ALL.map(|phase| {
+                let h = &self.phases[phase.index()];
+                PhaseSnapshot {
+                    phase,
+                    count: h.count(),
+                    total_secs: h.sum_secs(),
+                    p50_secs: h.percentile_secs(0.50),
+                    p95_secs: h.percentile_secs(0.95),
+                    p99_secs: h.percentile_secs(0.99),
+                }
+            }),
+            shards: (0u16..)
+                .zip(self.shards.lock().iter())
+                .map(|(shard, a)| ShardSnapshot {
+                    shard,
+                    profiles: a.profiles.get(),
+                    blocks_built: a.blocks_built.get(),
+                    blocks_purged: a.blocks_purged.get(),
+                    comparisons_emitted: a.comparisons_emitted.get(),
+                    cf_filtered: a.cf_filtered.get(),
                 })
                 .collect(),
-            workers: self
-                .workers
-                .lock()
-                .iter()
-                .enumerate()
-                .map(|(worker, c)| WorkerSnapshot {
-                    worker: worker as u16,
-                    classify_chunks: c.classify_chunks,
-                    classify_secs: c.classify_secs,
-                    matches_confirmed: c.matches_confirmed,
+            workers: (0u16..)
+                .zip(self.workers.lock().iter())
+                .map(|(worker, a)| WorkerSnapshot {
+                    worker,
+                    classify_chunks: a.classify.count(),
+                    classify_secs: a.classify.sum_secs(),
+                    matches_confirmed: a.matches_confirmed.get(),
                 })
                 .collect(),
         }
     }
 
+    /// Duplicates confirmed so far (one relaxed load, no snapshot).
+    pub fn matches_confirmed(&self) -> u64 {
+        self.matches_confirmed.get()
+    }
+
+    /// Live pair completeness, if ground truth was provided.
+    pub fn pc(&self) -> Option<f64> {
+        self.pc.as_ref().map(|m| m.lock().trajectory.pc())
+    }
+
     /// A clone of the live PC trajectory, if ground truth was provided.
     pub fn trajectory(&self) -> Option<ProgressTrajectory> {
         self.pc.as_ref().map(|m| m.lock().trajectory.clone())
+    }
+
+    /// Runs `f` on `table[id]`, first growing the table to `id` — one
+    /// `resolve(source, id)` per new id, in id order.
+    fn lane<A>(
+        &self,
+        table: &Mutex<Vec<A>>,
+        id: u16,
+        resolve: fn(&dyn AtomSource, usize) -> A,
+        f: impl FnOnce(&A),
+    ) {
+        let mut table = table.lock();
+        while table.len() <= id as usize {
+            let next = resolve(&*self.source, table.len());
+            table.push(next);
+        }
+        f(&table[id as usize])
     }
 }
 
@@ -251,22 +327,17 @@ impl PipelineObserver for StatsObserver {
     fn on_event(&self, event: &Event) {
         match *event {
             Event::IncrementIngested { profiles, .. } => {
-                self.increments.fetch_add(1, Ordering::Relaxed);
-                self.profiles.fetch_add(profiles as u64, Ordering::Relaxed);
+                self.increments.inc();
+                self.profiles.add(profiles as u64);
             }
-            Event::BlockBuilt { .. } => {
-                self.blocks_built.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::BlockPurged { .. } => {
-                self.blocks_purged.fetch_add(1, Ordering::Relaxed);
-            }
+            Event::BlockBuilt { .. } => self.blocks_built.inc(),
+            Event::BlockPurged { .. } => self.blocks_purged.inc(),
             Event::BlockGhosted { kept, dropped, .. } => {
-                self.ghost_kept.fetch_add(kept as u64, Ordering::Relaxed);
-                self.ghost_dropped
-                    .fetch_add(dropped as u64, Ordering::Relaxed);
+                self.ghost_kept.add(kept as u64);
+                self.ghost_dropped.add(dropped as u64);
             }
             Event::ComparisonEmitted { cmp, .. } => {
-                self.comparisons_emitted.fetch_add(1, Ordering::Relaxed);
+                self.comparisons_emitted.inc();
                 if let Some(m) = &self.pc {
                     let t = &mut *m.lock();
                     // Clock read under the lock: racing workers would
@@ -277,91 +348,53 @@ impl PipelineObserver for StatsObserver {
                     t.trajectory.record(now, was_match);
                 }
             }
-            Event::CfFiltered { .. } => {
-                self.cf_filtered.fetch_add(1, Ordering::Relaxed);
-            }
+            Event::CfFiltered { .. } => self.cf_filtered.inc(),
             Event::AdaptiveKChanged { new_k, .. } => {
-                self.k_changes.fetch_add(1, Ordering::Relaxed);
-                self.current_k.store(new_k as u64, Ordering::Relaxed);
+                self.k_changes.inc();
+                self.adaptive_k.set(new_k as i64);
             }
-            Event::MatchConfirmed { .. } => {
-                self.matches_confirmed.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::PhaseTiming { phase, secs } => {
-                self.phases[phase.index()].record(secs);
-            }
-            Event::WorkerRestarted { .. } => {
-                self.worker_restarts.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::DeadLettered { .. } => {
-                self.dead_letters.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::ComparisonsShed { count } => {
-                self.comparisons_shed
-                    .fetch_add(count as u64, Ordering::Relaxed);
-            }
+            Event::MatchConfirmed { .. } => self.matches_confirmed.inc(),
+            Event::PhaseTiming { phase, secs } => self.phases[phase.index()].record_secs(secs),
+            Event::WorkerRestarted { .. } => self.worker_restarts.inc(),
+            Event::DeadLettered { .. } => self.dead_letters.inc(),
+            Event::ComparisonsShed { count } => self.comparisons_shed.add(count as u64),
         }
     }
 
     fn on_shard_event(&self, shard: u16, event: &Event) {
-        // Globals first: shard-tagged events count everywhere an untagged
-        // event would — except `IncrementIngested`, whose global
-        // counterpart the router reports once per increment; the
-        // shard-tagged copies describe fan-out (a profile lands on every
-        // shard owning ≥ 1 of its tokens) and would double-count the
-        // global profile total.
+        // Globals first (rule one of the type docs).
         if !matches!(event, Event::IncrementIngested { .. }) {
             self.on_event(event);
         }
-        let mut shards = self.shards.lock();
-        let idx = shard as usize;
-        if shards.len() <= idx {
-            shards.resize(idx + 1, ShardCounters::default());
-        }
-        let c = &mut shards[idx];
-        match *event {
-            Event::IncrementIngested { profiles, .. } => c.profiles += profiles as u64,
-            Event::BlockBuilt { .. } => c.blocks_built += 1,
-            Event::BlockPurged { .. } => c.blocks_purged += 1,
-            Event::ComparisonEmitted { .. } => c.comparisons_emitted += 1,
-            Event::CfFiltered { .. } => c.cf_filtered += 1,
+        self.lane(&self.shards, shard, ShardAtoms::resolve, |a| match *event {
+            Event::IncrementIngested { profiles, .. } => a.profiles.add(profiles as u64),
+            Event::BlockBuilt { .. } => a.blocks_built.inc(),
+            Event::BlockPurged { .. } => a.blocks_purged.inc(),
+            Event::ComparisonEmitted { .. } => a.comparisons_emitted.inc(),
+            Event::CfFiltered { .. } => a.cf_filtered.inc(),
             _ => {}
-        }
+        });
     }
 
     fn on_worker_event(&self, worker: u16, event: &Event) {
-        // Worker-tagged `Classify` timings are per-chunk slices of work the
-        // coordinator already times (untagged) per batch — they go into the
-        // per-worker breakdown ONLY, never the global phase histogram,
-        // which would otherwise double-count classification time. Every
-        // other worker-tagged event counts globally as usual.
-        let is_classify_timing = matches!(
-            event,
-            Event::PhaseTiming {
-                phase: Phase::Classify,
-                ..
-            }
-        );
-        if !is_classify_timing {
-            self.on_event(event);
-        }
-        let mut workers = self.workers.lock();
-        let idx = worker as usize;
-        if workers.len() <= idx {
-            workers.resize(idx + 1, WorkerCounters::default());
-        }
-        let c = &mut workers[idx];
-        match *event {
+        // Globals first (rule two of the type docs).
+        let classify_secs = match *event {
             Event::PhaseTiming {
                 phase: Phase::Classify,
                 secs,
-            } => {
-                c.classify_chunks += 1;
-                c.classify_secs += secs;
-            }
-            Event::MatchConfirmed { .. } => c.matches_confirmed += 1,
-            _ => {}
+            } => Some(secs),
+            _ => None,
+        };
+        if classify_secs.is_none() {
+            self.on_event(event);
         }
+        self.lane(&self.workers, worker, WorkerAtoms::resolve, |a| {
+            if let Some(secs) = classify_secs {
+                a.classify.record_secs(secs);
+            } else if matches!(event, Event::MatchConfirmed { .. }) {
+                a.matches_confirmed.inc();
+            }
+        });
     }
 }
 
@@ -387,8 +420,8 @@ pub struct PhaseSnapshot {
 pub struct StatsSnapshot {
     /// Seconds since the observer was created.
     pub uptime_secs: f64,
-    /// Increments ingested (idle ticks excluded — they carry 0 profiles
-    /// but still count as increments here).
+    /// Increments ingested. Idle ticks are not increments: no executor
+    /// emits `IncrementIngested` for one.
     pub increments: u64,
     /// Profiles ingested.
     pub profiles: u64,
@@ -432,7 +465,7 @@ pub struct StatsSnapshot {
 }
 
 /// Work attributed to one stage-A shard at snapshot time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSnapshot {
     /// The shard id the counters belong to.
     pub shard: u16,
@@ -455,17 +488,13 @@ impl ShardSnapshot {
     pub fn default_for(shard: u16) -> Self {
         ShardSnapshot {
             shard,
-            profiles: 0,
-            blocks_built: 0,
-            blocks_purged: 0,
-            comparisons_emitted: 0,
-            cf_filtered: 0,
+            ..Default::default()
         }
     }
 }
 
 /// Classify work attributed to one stage-B match worker at snapshot time.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct WorkerSnapshot {
     /// The worker id the counters belong to.
     pub worker: u16,
@@ -486,9 +515,7 @@ impl WorkerSnapshot {
     pub fn default_for(worker: u16) -> Self {
         WorkerSnapshot {
             worker,
-            classify_chunks: 0,
-            classify_secs: 0.0,
-            matches_confirmed: 0,
+            ..Default::default()
         }
     }
 }

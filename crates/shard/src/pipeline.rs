@@ -275,24 +275,9 @@ impl ShardedStageA {
         }
     }
 
-    /// The router (e.g. to inspect shard assignment).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> u16 {
-        self.router.shards()
-    }
-
     /// The global profile store backing matcher lookups.
     pub fn store(&self) -> &ProfileStore {
         &self.store
-    }
-
-    /// Per-shard workers (e.g. to inspect shard-local blockers).
-    pub fn workers(&self) -> &[ShardWorker] {
-        &self.workers
     }
 
     /// Ingests one increment: tokenize + intern once per profile, store

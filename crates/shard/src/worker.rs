@@ -111,11 +111,6 @@ impl ShardWorker {
         self.stage_a.emitter().has_pending()
     }
 
-    /// The emitter's display name (e.g. `"I-PCS"`).
-    pub fn emitter_name(&self) -> String {
-        self.stage_a.emitter().name()
-    }
-
     /// Occupancy of this shard's dense block slab.
     pub fn slab_stats(&self) -> SlabStats {
         self.blocker().collection().slab_stats()

@@ -218,13 +218,6 @@ impl SharedTokenDictionary {
         Self::default()
     }
 
-    /// Wraps an existing dictionary (e.g. one pre-seeded with a vocabulary).
-    pub fn from_dictionary(dictionary: TokenDictionary) -> Self {
-        SharedTokenDictionary {
-            inner: Arc::new(RwLock::new(dictionary)),
-        }
-    }
-
     fn read(&self) -> std::sync::RwLockReadGuard<'_, TokenDictionary> {
         self.inner.read().unwrap_or_else(|e| e.into_inner())
     }

@@ -268,59 +268,6 @@ def plot_metrics_overhead(name: str, csvs: list[Path], out: Path, plt) -> None:
     print(f"wrote {out}")
 
 
-def plot_stage_a_throughput(name: str, csvs: list[Path], out: Path, plt) -> None:
-    """Two-panel stage-A core figure: per-rep throughput of the retired
-    HashMap path vs the dense-slab path (speedup in the title), and the
-    equivalence-matrix PC across schemes × topologies — every cell is only
-    emitted after the bench asserted bitwise-identical comparison sets."""
-    series = {path.stem: load_series(path) for path in csvs}
-    fig, (ax_tp, ax_eq) = plt.subplots(1, 2, figsize=(11, 4.5))
-
-    for stem, style in [
-        ("legacy_path_throughput", dict(color="tab:gray", marker="s", label="HashMap path")),
-        ("dense_path_throughput", dict(color="tab:blue", marker="o", label="dense slab path")),
-    ]:
-        if stem in series:
-            x_name, xs, ys = series[stem]
-            ax_tp.plot(xs, ys, linewidth=1.2, **style)
-            ax_tp.set_xlabel(x_name)
-            ax_tp.set_xticks(xs, labels=[str(int(x)) for x in xs])
-    ax_tp.set_ylabel("stage-A profiles/s")
-    ax_tp.set_title("weighting-core throughput per rep", fontsize=9)
-    ax_tp.grid(True, alpha=0.3)
-    ax_tp.legend(fontsize=7, loc="center right")
-
-    if "equivalence_pc" in series:
-        # Cell encoding from the bench: 2 * scheme_index + topology,
-        # schemes in WeightingScheme::all() order, topology 0 = unsharded.
-        schemes = ["CBS", "ECBS", "JS", "EJS", "ARCS"]
-        _, xs, ys = series["equivalence_pc"]
-        labels, values = [], []
-        for x, y in zip(xs, ys):
-            cell = int(x)
-            scheme = schemes[cell // 2] if cell // 2 < len(schemes) else f"s{cell // 2}"
-            topo = "1" if cell % 2 == 0 else "4sh"
-            labels.append(f"{scheme}\n{topo}")
-            values.append(y)
-        ax_eq.bar(labels, values, color="tab:green", width=0.7)
-        ax_eq.tick_params(axis="x", labelsize=7)
-    ax_eq.set_ylabel("pair completeness")
-    ax_eq.set_ylim(0, 1.02)
-    ax_eq.set_title("equivalence matrix (old ≡ new, bitwise)", fontsize=9)
-    ax_eq.grid(True, axis="y", alpha=0.3)
-
-    title = name
-    if "legacy_path_throughput" in series and "dense_path_throughput" in series:
-        legacy = max(series["legacy_path_throughput"][2], default=0.0)
-        dense = max(series["dense_path_throughput"][2], default=0.0)
-        if legacy > 0:
-            title = f"{name} — dense/HashMap speedup {dense / legacy:.2f}x (contract >= 1.3x)"
-    fig.suptitle(title)
-    fig.savefig(out, bbox_inches="tight")
-    plt.close(fig)
-    print(f"wrote {out}")
-
-
 def plot_cluster_throughput(name: str, csvs: list[Path], out: Path, plt) -> None:
     """Three-panel entity-index figure: merge-apply rate as the union-find
     warms up, the final cluster-size distribution of a real streaming run,
@@ -413,11 +360,6 @@ def main() -> int:
             continue
         if figure_dir.name == "metrics_overhead":
             plot_metrics_overhead(
-                figure_dir.name, csvs, EXPERIMENTS / f"{figure_dir.name}.svg", plt
-            )
-            continue
-        if figure_dir.name == "stage_a_throughput":
-            plot_stage_a_throughput(
                 figure_dir.name, csvs, EXPERIMENTS / f"{figure_dir.name}.svg", plt
             )
             continue

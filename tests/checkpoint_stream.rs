@@ -12,31 +12,31 @@ fn dataset() -> Dataset {
     })
 }
 
-/// Drives a pipeline over `increments[from..]` given a blocker, returning
-/// the set of duplicates found (classification-level, Jaccard).
+/// Drives the stage-A machine over `increments` from `blocker`'s state,
+/// returning the machine (its blocker is what gets checkpointed) and the
+/// set of duplicates found (classification-level, Jaccard).
 fn consume(
-    blocker: &mut IncrementalBlocker,
+    blocker: IncrementalBlocker,
     increments: &[Increment],
     matcher: &JaccardMatcher,
-) -> std::collections::HashSet<Comparison> {
-    let mut emitter = Ipes::new(PierConfig::default());
+) -> (StageA, std::collections::HashSet<Comparison>) {
+    let existing: Vec<ProfileId> = blocker.profiles().map(|p| p.id).collect();
+    let mut machine = StageA::new(blocker, Strategy::Pes.build(PierConfig::default()));
     // Cold prioritizer start: replay existing profiles into the emitter
     // (checkpoint semantics — prioritization state is a rebuildable cache).
-    let existing: Vec<ProfileId> = blocker.profiles().map(|p| p.id).collect();
     if !existing.is_empty() {
-        emitter.on_increment(blocker, &existing);
+        machine.weigh(&existing);
+    }
+    for inc in increments {
+        assert!(machine.ingest(&inc.profiles).errors.is_empty());
     }
     let mut found = std::collections::HashSet::new();
-    let mut drain = |emitter: &mut Ipes, blocker: &IncrementalBlocker| loop {
-        let batch = emitter.next_batch(blocker, 64);
+    loop {
+        let batch = machine.pull_idle(64);
         if batch.is_empty() {
-            emitter.drain_ops();
-            emitter.on_increment(blocker, &[]);
-            if emitter.drain_ops() == 0 {
-                break;
-            }
-            continue;
+            return (machine, found);
         }
+        let blocker = machine.blocker();
         for cmp in batch {
             let out = matcher.evaluate(MatchInput {
                 profile_a: blocker.profile(cmp.a),
@@ -48,13 +48,7 @@ fn consume(
                 found.insert(cmp);
             }
         }
-    };
-    for inc in increments {
-        let ids = blocker.process_increment(&inc.profiles);
-        emitter.on_increment(blocker, &ids);
     }
-    drain(&mut emitter, blocker);
-    found
 }
 
 #[test]
@@ -66,20 +60,20 @@ fn restore_mid_stream_matches_uninterrupted_run() {
     let policy = PurgePolicy::default();
 
     // Reference: one uninterrupted consumer.
-    let mut full_blocker = IncrementalBlocker::with_config(d.kind, tokenizer.clone(), policy);
-    let reference = consume(&mut full_blocker, &increments, &matcher);
+    let full_blocker = IncrementalBlocker::with_config(d.kind, tokenizer.clone(), policy);
+    let (_, reference) = consume(full_blocker, &increments, &matcher);
     assert!(!reference.is_empty());
 
     // Interrupted consumer: first half, checkpoint, "crash", restore,
     // second half.
-    let mut first = IncrementalBlocker::with_config(d.kind, tokenizer.clone(), policy);
-    let half_found = consume(&mut first, &increments[..10], &matcher);
+    let first = IncrementalBlocker::with_config(d.kind, tokenizer.clone(), policy);
+    let (first, half_found) = consume(first, &increments[..10], &matcher);
     let mut checkpoint = Vec::new();
-    save_checkpoint(&first, &tokenizer, &policy, &mut checkpoint).unwrap();
+    save_checkpoint(first.blocker(), &tokenizer, &policy, &mut checkpoint).unwrap();
     drop(first); // the crash
 
-    let mut restored = load_checkpoint(std::io::BufReader::new(&checkpoint[..])).unwrap();
-    let second_found = consume(&mut restored, &increments[10..], &matcher);
+    let restored = load_checkpoint(std::io::BufReader::new(&checkpoint[..])).unwrap();
+    let (_, second_found) = consume(restored, &increments[10..], &matcher);
 
     // The union of both phases equals the uninterrupted result: the second
     // phase's cold prioritizer re-emits old pairs, whose classification is

@@ -10,6 +10,12 @@
 //! that the counts agree. A deliberate change of emission order or of the
 //! ops model must re-capture them (`GOLDEN_PRINT=1 cargo test --test
 //! golden_emissions -- --nocapture` prints the table).
+//!
+//! A second table pins the dense I-WNP core below the step machine: the
+//! scheduled list of every weighting scheme, unsharded and over 4 shards —
+//! the equivalence matrix the `stage_a_throughput` bench asserted against
+//! its reconstruction of the retired map-based stage A, until PR 20
+//! retired the bench.
 
 use pier::prelude::*;
 
@@ -215,4 +221,105 @@ fn emission_order_weights_and_ops_match_the_pinned_digests() {
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+/// The dense stage-A core's scheduled list — blocking, ghosting (β = 0.5,
+/// global floors), I-WNP with below-average pruning, purging off — for one
+/// weighting scheme, over token-partitioned collections (`shards == 1` is
+/// the unsharded pipeline).
+fn dense_schedule(dataset: &Dataset, scheme: WeightingScheme, shards: u16) -> (u64, usize) {
+    use pier::metablocking::Iwnp;
+    use std::collections::HashMap;
+
+    let config = IwnpConfig {
+        scheme,
+        prune_below_average: true,
+    };
+    let observer = Observer::disabled();
+    let (dictionary, tokenizer) = (SharedTokenDictionary::new(), Tokenizer::default());
+    let router = ShardRouter::new(shards);
+    let mut lanes: Vec<(BlockCollection, Iwnp)> = (0..shards)
+        .map(|_| {
+            let blocks = BlockCollection::with_policy(dataset.kind, PurgePolicy::disabled());
+            (blocks, Iwnp::new())
+        })
+        .collect();
+    let mut counts: HashMap<TokenId, usize> = HashMap::new();
+    let mut scratch = String::new();
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut scheduled = 0;
+    for inc in dataset.into_increments(10).unwrap() {
+        // The whole increment enters the store before any floor is read.
+        let tokens: Vec<Vec<TokenId>> = inc
+            .profiles
+            .iter()
+            .map(|p| dictionary.tokenize_and_intern(&tokenizer, p, &mut scratch))
+            .collect();
+        for (p, tokens) in inc.profiles.iter().zip(&tokens) {
+            for &t in tokens {
+                *counts.entry(t).or_insert(0) += 1;
+            }
+            for (shard, subset) in router.route_ids(tokens) {
+                lanes[shard as usize].0.add_profile(p.id, p.source, &subset);
+            }
+        }
+        for (p, tokens) in inc.profiles.iter().zip(&tokens) {
+            let floor = tokens.iter().map(|t| counts[t]).min();
+            for (shard, _) in router.route_ids(tokens) {
+                let (blocks, iwnp) = &mut lanes[shard as usize];
+                let active = blocks.active_blocks_of(p.id);
+                let ghosted = ghost_blocks(&active, 0.5, floor, p.id, &observer).unwrap();
+                for wc in iwnp.run(blocks, p.id, &ghosted, config) {
+                    fnv1a(&mut digest, &wc.cmp.a.0.to_le_bytes());
+                    fnv1a(&mut digest, &wc.cmp.b.0.to_le_bytes());
+                    fnv1a(&mut digest, &wc.weight.to_bits().to_le_bytes());
+                    scheduled += 1;
+                }
+            }
+        }
+    }
+    (digest, scheduled)
+}
+
+/// `(digest, scheduled comparisons)` per scheme in `WeightingScheme::all()`
+/// order (CBS, ECBS, JS, EJS, ARCS), unsharded and over 4 shards: the
+/// equivalence matrix of the retired `stage_a_throughput` bench, captured
+/// on the last commit where that bench still asserted these very lists
+/// equal to its in-bench reconstruction of the map-based stage A.
+const UNSHARDED: [(u64, usize); 5] = [
+    (0x4f4af5c4a899f5a7, 2894),
+    (0x91586ef421bb03ae, 2232),
+    (0xd11d34df5211bddf, 2235),
+    (0x2e3304043156611c, 2231),
+    (0xfb7c3a0542c2eaa7, 2825),
+];
+const FOUR_SHARDS: [(u64, usize); 5] = [
+    (0xc1145572cad5ec58, 4836),
+    (0x98e96901ef2e84c2, 4251),
+    (0xaace3449d9315c61, 4253),
+    (0x1f0e105d3faa4588, 4262),
+    (0x47d4feb922141c9e, 4748),
+];
+
+#[test]
+fn dense_schedules_match_the_pinned_digests_for_every_scheme_and_topology() {
+    let dataset = generate_dbpedia(&DbpediaConfig {
+        seed: 47,
+        source0_size: 1_500,
+        source1_size: 1_200,
+        matches: 1_000,
+    });
+    for (i, scheme) in WeightingScheme::all().into_iter().enumerate() {
+        let got = [1, 4].map(|shards| dense_schedule(&dataset, scheme, shards));
+        if std::env::var_os("GOLDEN_PRINT").is_some() {
+            let cells = got.map(|(digest, n)| format!("({digest:#018x}, {n})"));
+            println!("    {scheme:?}: {}", cells.join(" / "));
+        } else {
+            assert_eq!(
+                got,
+                [UNSHARDED[i], FOUR_SHARDS[i]],
+                "{scheme:?}, 1 / 4 shards"
+            );
+        }
+    }
 }
