@@ -199,6 +199,24 @@ where
         }
     }
 
+    /// The rule of an idle lane (DESIGN §3 note 6), once: while `batch` is
+    /// short of `fill` and an idle tick makes work, appends what
+    /// `pull(self, missing)` yields, and stops at the first tick that makes
+    /// none. `pull` is how the caller takes comparisons out of the machine
+    /// (weighted for a shard's merger, materialized for the runtime's
+    /// lane); a caller runs this only when no arrival is waiting — its
+    /// inbox was empty, or its input has ended.
+    pub fn top_up<T>(
+        &mut self,
+        batch: &mut Vec<T>,
+        fill: usize,
+        mut pull: impl FnMut(&mut Self, usize) -> Vec<T>,
+    ) {
+        while batch.len() < fill && self.tick().made_work {
+            batch.extend(pull(self, fill - batch.len()));
+        }
+    }
+
     /// [`StageA::pull`] for an idle input: ticks while pulls come up empty
     /// and returns an empty batch only once a tick finds nothing — stage A
     /// is then fully drained.

@@ -101,12 +101,16 @@ impl<'a> Lane<'a> {
             self.ingest(increment, tokenize_secs);
         }
         let k = self.run.adaptive.lock().k();
-        let mut batch = self.pull(k);
+        let Lane {
+            run,
+            machine,
+            materializer,
+            shedder,
+        } = self;
+        let mut pull = |machine: &mut StageA, n| pull(*run, machine, materializer, shedder, n);
+        let mut batch = pull(machine, k);
         if idle {
-            let fill = k.min(FILL);
-            while batch.len() < fill && self.machine.tick().made_work {
-                batch.extend(self.pull(fill - batch.len()));
-            }
+            machine.top_up(&mut batch, k.min(FILL), pull);
         }
         batch
     }
@@ -156,36 +160,36 @@ impl<'a> Lane<'a> {
         run.observer
             .timed(Phase::Weight, || self.machine.weigh(&ids));
     }
+}
 
-    /// Pulls up to `k` best pairs and materializes them, so classification
-    /// needs nothing from this thread. Materializing is two refcount bumps
-    /// per pair, not a deep clone.
-    fn pull(&mut self, k: usize) -> Vec<MaterializedPair> {
-        let Lane {
-            run,
-            machine,
-            materializer,
-            shedder,
-        } = self;
-        pull_past_merger_fault(run.chaos, run.supervisor, run.observer, || {
-            let cmps = run.observer.timed(Phase::Prune, || match shedder {
-                None => machine.pull(k).0,
-                // Shedding needs weights.
-                Some(shedder) => shedder.pull(
-                    k,
-                    |k| machine.pull_weighted(k).0,
-                    run.supervisor,
-                    run.observer,
-                ),
-            });
-            let blocker = machine.blocker();
-            materializer.materialize(cmps, |id| (blocker.profile(id), blocker.tokens_handle(id)))
-        })
-    }
+/// Pulls up to `k` best pairs out of the lane's `machine` and materializes
+/// them, so classification needs nothing from the lane's thread.
+/// Materializing is two refcount bumps per pair, not a deep clone.
+fn pull(
+    run: Run<'_>,
+    machine: &mut StageA,
+    materializer: &mut Materializer,
+    shedder: &mut Option<Shedder>,
+    k: usize,
+) -> Vec<MaterializedPair> {
+    pull_past_merger_fault(run.chaos, run.supervisor, run.observer, || {
+        let cmps = run.observer.timed(Phase::Prune, || match shedder {
+            None => machine.pull(k).0,
+            // Shedding needs weights.
+            Some(shedder) => shedder.pull(
+                k,
+                |k| machine.pull_weighted(k).0,
+                run.supervisor,
+                run.observer,
+            ),
+        });
+        let blocker = machine.blocker();
+        materializer.materialize(cmps, |id| (blocker.profile(id), blocker.tokens_handle(id)))
+    })
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::collections::{BTreeSet, VecDeque};
     use std::sync::atomic::AtomicBool;
@@ -208,7 +212,7 @@ mod tests {
 
     /// One call the lane made into its emitter.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Call {
+    pub(crate) enum Call {
         /// `on_increment` with this many new profiles.
         Ingest(usize),
         /// `on_increment(&[])`, and whether it made work.
@@ -221,13 +225,29 @@ mod tests {
     /// older profile in reserve, a tick moves up to `per_tick` of them into
     /// the index (the `GetComparisons` fallback in miniature), a pull takes
     /// from the index. Every call lands in `log`.
-    struct Scripted {
+    pub(crate) struct Scripted {
         per_tick: usize,
         seen: Vec<ProfileId>,
         reserve: VecDeque<Comparison>,
         index: VecDeque<Comparison>,
         ops: u64,
         log: Arc<Mutex<Vec<Call>>>,
+    }
+
+    impl Scripted {
+        pub(crate) fn boxed(
+            per_tick: usize,
+            log: Arc<Mutex<Vec<Call>>>,
+        ) -> Box<dyn ComparisonEmitter + Send> {
+            Box::new(Scripted {
+                per_tick,
+                seen: Vec::new(),
+                reserve: VecDeque::new(),
+                index: VecDeque::new(),
+                ops: 0,
+                log,
+            })
+        }
     }
 
     impl ComparisonEmitter for Scripted {
@@ -316,16 +336,7 @@ mod tests {
                 PurgePolicy::disabled(),
                 self.dictionary.clone(),
             );
-            let emitter = Scripted {
-                per_tick,
-                seen: Vec::new(),
-                reserve: VecDeque::new(),
-                index: VecDeque::new(),
-                ops: 0,
-                log: Arc::clone(&self.log),
-            };
-            let emitter: Box<dyn ComparisonEmitter + Send> = Box::new(emitter);
-            let machine = StageA::new(blocker, emitter);
+            let machine = StageA::new(blocker, Scripted::boxed(per_tick, Arc::clone(&self.log)));
             Lane::new(run, machine, Arc::new(JaccardMatcher::default()))
         }
 

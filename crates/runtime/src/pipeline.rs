@@ -40,9 +40,11 @@
 //! matching overlap as the paper's concurrent components do (§3.2,
 //! Fig. 3). In the sharded topology each shard worker owns one and stage
 //! B's thread *asks* them (`◀─▶`: the `Pull`/`Tick` round trips behind the
-//! k-way merger). This module adds clocks, phase timings and supervision
-//! *around* the machine's steps and never sequences a blocker and an
-//! emitter by hand.
+//! k-way merger); once the router has told a shard, in-band, that its
+//! input has ended, the shard answers a `Pull` as an idle lane would,
+//! topped up from its own idle ticks. This module adds clocks, phase
+//! timings and supervision *around* the machine's steps and never
+//! sequences a blocker and an emitter by hand.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,7 +72,7 @@ use crate::lane::{Lane, Tokenized};
 use crate::report::{DictionaryStats, MatchEvent, RunTotals, RuntimeReport, StageAStats};
 use crate::stages::{
     collect_matches, pipeline_channel, spawn_source, tokenize_increment, MaterializedPair,
-    Materializer, StageB, TokenizedIncrement, TokenizedProfile, AHEAD,
+    Materializer, StageB, TokenizedIncrement, TokenizedProfile, AHEAD, FILL,
 };
 use crate::supervisor::{IngestJournal, JournalEntry, Supervisor};
 
@@ -344,7 +346,13 @@ enum ShardMsg {
     /// Routed profiles (skeleton, this shard's token-id subset, ghost
     /// floor) to ingest.
     Ingest(Vec<JournalEntry>),
-    /// Request for up to `k` weighted comparisons, best first.
+    /// The router's last message: no `Ingest` follows. In-band, so a shard
+    /// learns it only after its last increment — a flag could be read by a
+    /// `Pull` queued ahead of one.
+    InputEnded,
+    /// Request for up to `k` weighted comparisons, best first. From a shard
+    /// whose input has ended the batch comes topped up, as from an idle
+    /// lane ([`ShardWorker::pull_topped_up`]).
     Pull { k: usize },
     /// The idle tick of §3.2; replies whether the shard did/has work.
     Tick,
@@ -692,6 +700,9 @@ struct ShardLane<'a> {
     shard: u16,
     worker: ShardWorker,
     journal: IngestJournal,
+    /// [`ShardMsg::InputEnded`] was handled. The lane's, not the worker's:
+    /// a worker rebuilt from the journal is still past the end of input.
+    input_ended: bool,
     make_worker: &'a dyn Fn() -> ShardWorker,
     supervisor: &'a Supervisor,
     /// Shard-tagged.
@@ -700,6 +711,43 @@ struct ShardLane<'a> {
 }
 
 impl ShardLane<'_> {
+    /// Handles one command; a `Pull` or `Tick` yields the reply to send.
+    /// Until `InputEnded` each does exactly one worker step — a tick is
+    /// stage B's to ask for, since only it may find an increment still on
+    /// its way (DESIGN §3 note 6) — so the arrival-phase schedule is the
+    /// merger's alone.
+    fn handle(&mut self, msg: ShardMsg) -> Option<ShardReply> {
+        match msg {
+            ShardMsg::Ingest(mut batch) => {
+                debug_assert!(!self.input_ended, "an increment after InputEnded");
+                if self.supervisor.has_quarantined() {
+                    batch.retain(|(p, _, _)| !self.supervisor.is_quarantined(p.id.0));
+                }
+                if !batch.is_empty() {
+                    let observer = self.observer;
+                    observer.timed(Phase::Weight, || self.ingest(&batch));
+                }
+                None
+            }
+            ShardMsg::InputEnded => {
+                self.input_ended = true;
+                None
+            }
+            ShardMsg::Pull { k } => {
+                let batch = if self.input_ended {
+                    self.supervised(|w| w.pull_topped_up(k, FILL), |_| {})
+                } else {
+                    self.supervised(|w| w.pull(k), |_| {})
+                };
+                Some(ShardReply::Batch(batch.unwrap_or_default()))
+            }
+            ShardMsg::Tick => {
+                let made = self.supervised(ShardWorker::tick, |_| {});
+                Some(ShardReply::Tick(made.unwrap_or(true)))
+            }
+        }
+    }
+
     /// Replaces the worker with a fresh one rebuilt by re-ingesting the
     /// journal. Journal entries already survived one ingest, so errors
     /// (duplicates rejected again by the fresh blocker) are expected and
@@ -1035,30 +1083,15 @@ impl<'a> Run<'a> {
                     shard,
                     worker: make_worker(),
                     journal: IngestJournal::new(self.config.journal_capacity),
+                    input_ended: false,
                     make_worker: &make_worker,
                     supervisor: self.supervisor,
                     observer: &observer,
                     ingest_errors: self.ingest_errors,
                 };
                 for msg in cmd_rx.iter() {
-                    match msg {
-                        ShardMsg::Ingest(mut batch) => {
-                            if self.supervisor.has_quarantined() {
-                                batch.retain(|(p, _, _)| !self.supervisor.is_quarantined(p.id.0));
-                            }
-                            if batch.is_empty() {
-                                continue;
-                            }
-                            observer.timed(Phase::Weight, || lane.ingest(&batch));
-                        }
-                        ShardMsg::Pull { k } => {
-                            let batch = lane.supervised(|w| w.pull(k), |_| {});
-                            let _ = reply_tx.send(ShardReply::Batch(batch.unwrap_or_default()));
-                        }
-                        ShardMsg::Tick => {
-                            let made = lane.supervised(ShardWorker::tick, |_| {});
-                            let _ = reply_tx.send(ShardReply::Tick(made.unwrap_or(true)));
-                        }
+                    if let Some(reply) = lane.handle(msg) {
+                        let _ = reply_tx.send(reply);
                     }
                 }
                 let stats = (lane.worker.slab_stats(), lane.worker.scratch_stats());
@@ -1118,9 +1151,13 @@ impl<'a> Run<'a> {
                 });
                 seq += 1;
             }
-            // All `Ingest` messages are enqueued before this store, so any
-            // thread that *observes* `true` and then sends `Tick` knows the
-            // ticks queue behind every ingest.
+            // The one way out of the loop (the source ended, or stopped on
+            // `shutdown`). Every shard is told in-band, behind its last
+            // `Ingest`; only then the flag, so a stage B that *observes*
+            // `true` knows its next `Tick` or `Pull` queues behind both.
+            for tx in &router_txs {
+                let _ = tx.send(ShardMsg::InputEnded);
+            }
             self.ingest_done.store(true, Ordering::SeqCst);
         });
 
@@ -1135,6 +1172,11 @@ impl<'a> Run<'a> {
             // its best `n` on demand), then materialize from the global
             // store.
             let pull = |k: usize| -> Vec<MaterializedPair> {
+                // An ended stream is asked for `FILL` at a time, as its
+                // shards top up: the backlog is plentiful now, and the
+                // adaptive `K` would make 65 k-pair batches of it.
+                let ended = self.ingest_done.load(Ordering::SeqCst);
+                let k = if ended { k.min(FILL) } else { k };
                 let mut refill = |s: usize, n: usize| {
                     if cmd_txs[s].send(ShardMsg::Pull { k: n }).is_err() {
                         return Vec::new();
@@ -1186,5 +1228,181 @@ impl<'a> Run<'a> {
                 (store.read().token_occurrences(), parts)
             }),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lane::tests::{Call, Scripted};
+
+    type Log = Arc<Mutex<Vec<Call>>>;
+
+    /// What a [`ShardLane`] borrows, for a lane with no pipeline around it.
+    #[derive(Default)]
+    struct Fixture {
+        supervisor: Supervisor,
+        /// Disabled.
+        observer: Observer,
+        ingest_errors: Mutex<Vec<String>>,
+        log: Log,
+    }
+
+    /// A worker over the lane tests' scripted emitter: a tick releases
+    /// `per_tick` pairs, every call lands in `log`.
+    fn scripted_worker(per_tick: usize, log: &Log) -> ShardWorker {
+        ShardWorker::with_emitter(
+            0,
+            ErKind::Dirty,
+            Scripted::boxed(per_tick, Arc::clone(log)),
+            PurgePolicy::disabled(),
+            &Observer::disabled(),
+        )
+    }
+
+    impl Fixture {
+        fn lane<'a>(&'a self, make_worker: &'a dyn Fn() -> ShardWorker) -> ShardLane<'a> {
+            ShardLane {
+                shard: 0,
+                worker: make_worker(),
+                journal: IngestJournal::new(1 << 10),
+                input_ended: false,
+                make_worker,
+                supervisor: &self.supervisor,
+                observer: &self.observer,
+                ingest_errors: &self.ingest_errors,
+            }
+        }
+
+        /// The calls the emitter saw since the last look.
+        fn calls(&self) -> Vec<Call> {
+            std::mem::take(&mut *self.log.lock())
+        }
+    }
+
+    /// `profiles` profiles that all share one block: `n (n - 1) / 2` pairs.
+    fn increment(profiles: u32) -> ShardMsg {
+        let dictionary = SharedTokenDictionary::new();
+        let entries = (0..profiles).map(|id| {
+            let profile =
+                EntityProfile::new(ProfileId(id), SourceId(0)).with("t", format!("tok w{id}"));
+            let tokens =
+                dictionary.tokenize_and_intern(&Tokenizer::default(), &profile, &mut String::new());
+            (profile, tokens, 1)
+        });
+        ShardMsg::Ingest(entries.collect())
+    }
+
+    fn pull(lane: &mut ShardLane<'_>, k: usize) -> usize {
+        match lane.handle(ShardMsg::Pull { k }) {
+            Some(ShardReply::Batch(batch)) => batch.len(),
+            _ => panic!("a pull is answered with a batch"),
+        }
+    }
+
+    fn tick(lane: &mut ShardLane<'_>) -> bool {
+        match lane.handle(ShardMsg::Tick) {
+            Some(ShardReply::Tick(made_work)) => made_work,
+            _ => panic!("a tick is answered with a tick"),
+        }
+    }
+
+    /// The boundary C2 needs: until its input has ended a shard does what
+    /// it is asked and nothing more — one `next_batch` per `Pull`, one
+    /// empty increment per `Tick` — however empty the pull comes back.
+    #[test]
+    fn before_input_ended_a_pull_never_ticks() {
+        let fixture = Fixture::default();
+        let make_worker = || scripted_worker(3, &fixture.log);
+        let mut lane = fixture.lane(&make_worker);
+        assert!(lane.handle(increment(5)).is_none());
+        assert_eq!(fixture.calls(), [Call::Ingest(5)]);
+        // Ten pairs in reserve, none in the index: the pull stays empty.
+        assert_eq!(pull(&mut lane, 8), 0);
+        assert_eq!(fixture.calls(), [Call::Pull { asked: 8, got: 0 }]);
+        assert!(tick(&mut lane));
+        assert_eq!(fixture.calls(), [Call::Tick { made_work: true }]);
+        assert_eq!(pull(&mut lane, 8), 3);
+        assert_eq!(fixture.calls(), [Call::Pull { asked: 8, got: 3 }]);
+    }
+
+    /// After `InputEnded` a pull runs the idle lane's rule: `min(k, FILL)`
+    /// pairs from as many ticks as that takes, each pull asking for what
+    /// is still missing, or fewer with the shard left drained.
+    #[test]
+    fn after_input_ended_a_pull_tops_itself_up() {
+        let fixture = Fixture::default();
+        let make_worker = || scripted_worker(3, &fixture.log);
+        let mut lane = fixture.lane(&make_worker);
+        lane.handle(increment(6));
+        assert!(lane.handle(ShardMsg::InputEnded).is_none());
+        fixture.calls();
+        assert_eq!(pull(&mut lane, 8), 8);
+        let refill = Call::Tick { made_work: true };
+        assert_eq!(
+            fixture.calls(),
+            [
+                Call::Pull { asked: 8, got: 0 },
+                refill,
+                Call::Pull { asked: 8, got: 3 },
+                refill,
+                Call::Pull { asked: 5, got: 3 },
+                refill,
+                Call::Pull { asked: 2, got: 2 },
+            ]
+        );
+        // Seven of the fifteen pairs are left: short of `k`, so drained.
+        assert_eq!(pull(&mut lane, 8), 7);
+        assert_eq!(
+            fixture.calls().last(),
+            Some(&Call::Tick { made_work: false })
+        );
+        assert_eq!(pull(&mut lane, 8), 0);
+        assert!(!tick(&mut lane));
+
+        // `k` above `FILL`: 50 profiles hold 1 225 pairs.
+        let make_worker = || scripted_worker(100, &fixture.log);
+        let mut lane = fixture.lane(&make_worker);
+        lane.handle(increment(50));
+        lane.handle(ShardMsg::InputEnded);
+        assert_eq!(pull(&mut lane, 2048), FILL);
+        assert_eq!(pull(&mut lane, 2048), 1225 - FILL);
+        assert_eq!(pull(&mut lane, 2048), 0);
+    }
+
+    /// The end of input is the lane's to remember: a worker that dies
+    /// after it is rebuilt from the journal and still tops its pulls up.
+    #[test]
+    fn a_rebuilt_worker_is_still_past_the_end_of_input() {
+        let fixture = Fixture::default();
+        let make_worker = || scripted_worker(3, &fixture.log);
+        let mut lane = fixture.lane(&make_worker);
+        lane.handle(increment(5));
+        lane.handle(ShardMsg::InputEnded);
+        assert_eq!(pull(&mut lane, 4), 4);
+        let died: Option<()> = lane.supervised(|_| panic!("injected worker panic"), |_| {});
+        assert!(died.is_none());
+        assert_eq!(fixture.supervisor.restarts(), 1);
+        fixture.calls();
+        // The fresh emitter offers all ten pairs again (the merger's
+        // filter is what drops the four repeats).
+        assert_eq!(pull(&mut lane, 16), 10);
+        assert_eq!(
+            fixture.calls().last(),
+            Some(&Call::Tick { made_work: false })
+        );
+    }
+
+    /// The router sends nothing behind `InputEnded`; an `Ingest` there
+    /// would be an increment a topped-up pull had ticked ahead of.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "an increment after InputEnded")]
+    fn an_ingest_after_input_ended_is_a_bug() {
+        let fixture = Fixture::default();
+        let make_worker = || scripted_worker(3, &fixture.log);
+        let mut lane = fixture.lane(&make_worker);
+        lane.handle(ShardMsg::InputEnded);
+        lane.handle(increment(2));
     }
 }

@@ -23,6 +23,7 @@ use pier_chaos::{Fault, FaultKind, FaultPlan, FaultPoint, POISON_ID_BASE};
 use pier_core::{PierConfig, Strategy};
 use pier_datagen::{generate_bibliographic, BibliographicConfig};
 use pier_matching::{JaccardMatcher, MatchFunction};
+use pier_observe::{Event, PipelineObserver, WorkerRole};
 use pier_runtime::{DeadLetter, Pipeline, RuntimeConfig, RuntimeReport, ShedPolicy};
 use pier_shard::ShardedConfig;
 use pier_types::{Comparison, Dataset, EntityProfile};
@@ -301,4 +302,94 @@ fn load_shedding_drops_only_below_threshold_comparisons() {
         baseline.comparisons,
         "shedding must only drop, never duplicate or invent comparisons"
     );
+}
+
+/// What the tail test's observer keeps of the event stream, in order.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    /// A shard finished ingesting one routed batch.
+    ShardIngested,
+    /// The merger was restarted.
+    MergerRestarted,
+}
+
+#[derive(Default)]
+struct Order(std::sync::Mutex<Vec<Seen>>);
+
+impl PipelineObserver for Order {
+    fn on_event(&self, event: &Event) {
+        if let Event::WorkerRestarted {
+            role: WorkerRole::Merger,
+            ..
+        } = event
+        {
+            self.0.lock().unwrap().push(Seen::MergerRestarted);
+        }
+    }
+
+    fn on_shard_event(&self, _shard: u16, event: &Event) {
+        if let Event::IncrementIngested { .. } = event {
+            self.0.lock().unwrap().push(Seen::ShardIngested);
+        }
+    }
+}
+
+/// Faults in the drain tail, where a shard's pulls top themselves up
+/// (sharded only: the single lane has no end-of-input state). A merger
+/// panic after the last increment is in — stage B's first pull is held
+/// back for 400 ms while 8 increments arrive 1 ms apart, its second pull
+/// panics — and a poison profile riding the *last* increment, whose shard
+/// worker is rebuilt from its journal just before `InputEnded` reaches the
+/// lane: both runs still drain to the fault-free outcome.
+#[test]
+fn faults_in_the_drain_tail_recover_to_fault_free_outcomes() {
+    let dataset = corpus();
+    let last_increment = increments(&dataset).len() as u64 - 1;
+    let fault = |point, at_event, kind| Fault {
+        point,
+        lane: None,
+        at_event,
+        kind,
+    };
+    for workers in [1usize, 2] {
+        let baseline = outcome(
+            &dataset,
+            &run_cell(&dataset, increments(&dataset), Some(4), workers, None),
+        );
+
+        let order = Arc::new(Order::default());
+        let plan = FaultPlan::empty(7)
+            .with(fault(FaultPoint::Merger, 0, FaultKind::Delay(400)))
+            .with(fault(FaultPoint::Merger, 1, FaultKind::Panic));
+        let matcher: Arc<dyn MatchFunction> = Arc::new(JaccardMatcher::default());
+        let report = Pipeline::builder(dataset.kind)
+            .config(runtime_config(workers, Some(plan)))
+            .sharded(sharded_config(4))
+            .observe("order", order.clone())
+            .build()
+            .unwrap()
+            .run(increments(&dataset), matcher, |_| {});
+        assert_eq!(outcome(&dataset, &report), baseline, "merger x{workers}");
+        assert_eq!(report.worker_restarts, 1, "merger x{workers}");
+        let seen = order.0.lock().unwrap();
+        assert!(seen.len() > 8, "merger x{workers}: {seen:?}");
+        assert_eq!(
+            seen.iter().position(|s| *s == Seen::MergerRestarted),
+            Some(seen.len() - 1),
+            "merger x{workers}: the fault fired before the input had ended"
+        );
+        drop(seen);
+
+        let plan = FaultPlan::empty(7).with(fault(
+            FaultPoint::StageAIngest,
+            last_increment,
+            FaultKind::MalformedProfile,
+        ));
+        let report = run_cell(&dataset, increments(&dataset), Some(4), workers, Some(plan));
+        assert_eq!(outcome(&dataset, &report), baseline, "poison x{workers}");
+        assert!(report.worker_restarts >= 1, "poison x{workers}");
+        let poisoned = quarantined(&report);
+        assert_eq!(poisoned.len(), 1, "poison x{workers}: {poisoned:?}");
+        assert!(poisoned[0] >= POISON_ID_BASE, "poison x{workers}");
+    }
 }

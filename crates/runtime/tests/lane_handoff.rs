@@ -16,17 +16,19 @@
 //! the schedule.
 
 use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pier_blocking::PurgePolicy;
+use pier_chaos::{Fault, FaultKind, FaultPlan, FaultPoint};
 use pier_core::{PierConfig, PierPipeline, Strategy};
 use pier_datagen::{generate_bibliographic, BibliographicConfig};
-use pier_matching::{JaccardMatcher, MatchFunction};
+use pier_matching::{JaccardMatcher, MatchFunction, MatchOutcome, PreparedProfile};
 use pier_observe::StatsObserver;
 use pier_runtime::{Pipeline, RuntimeConfig, RuntimeReport};
 use pier_shard::ShardedConfig;
-use pier_types::{Comparison, Dataset, EntityProfile};
+use pier_types::{Comparison, Dataset, EntityProfile, TokenId};
 
 fn corpus() -> Dataset {
     generate_bibliographic(&BibliographicConfig {
@@ -219,5 +221,124 @@ fn the_comparison_cap_is_exact_and_ends_the_run() {
             assert!(report.dead_letters.is_empty(), "{label}");
             unique_pairs(&report, &label);
         }
+    }
+}
+
+/// The idle lane's `FILL` (`runtime/src/stages.rs`): what a shard whose
+/// input has ended tops a pull up to, and what stage B then asks for.
+const FILL: usize = 1024;
+
+/// Counts its comparisons and takes `pause` over each; nothing matches.
+struct Slow {
+    pause: Duration,
+    evaluated: AtomicU64,
+}
+
+impl MatchFunction for Slow {
+    fn compare(
+        &self,
+        _a: &PreparedProfile,
+        _tokens_a: &[TokenId],
+        _b: &PreparedProfile,
+        _tokens_b: &[TokenId],
+    ) -> MatchOutcome {
+        self.evaluated.fetch_add(1, Ordering::Relaxed);
+        std::thread::sleep(self.pause);
+        MatchOutcome {
+            is_match: false,
+            similarity: 0.0,
+            ops: 1,
+        }
+    }
+
+    fn profile_size(&self, _profile: &EntityProfile, tokens: &[TokenId]) -> u64 {
+        tokens.len() as u64
+    }
+
+    fn pair_ops(&self, _size_a: u64, _size_b: u64) -> u64 {
+        1
+    }
+
+    fn name(&self) -> &'static str {
+        "slow"
+    }
+}
+
+/// The sharded drain tail — every increment in, shards topping their pulls
+/// up — ends early the way the arrival phase does. A cap that leaves all
+/// but a handful of the run's comparisons is met to the pair. A deadline
+/// stops the run within one `FILL` batch: a pool evaluates the whole batch
+/// in hand before the clock is looked at again and the outcomes past the
+/// deadline are thrown away, so it is stage B asking an ended stream for
+/// no more than `FILL` at a time (here against an adaptive `K` pinned at
+/// 4 096) that bounds the waste. A merger delay holds stage B's first pull
+/// back until the input, 8 increments back to back, has ended.
+#[test]
+fn a_cap_or_deadline_in_the_sharded_drain_tail_is_honoured() {
+    let dataset = corpus();
+    let (_, total) = sync_run(&dataset, Strategy::Pcs);
+    assert!(
+        total > 4 * FILL as u64,
+        "the tail should span several batches"
+    );
+    let config = |match_workers| RuntimeConfig {
+        interarrival: Duration::ZERO,
+        match_workers,
+        k: (4096, 4096, 65_536),
+        fault_plan: Some(FaultPlan::empty(7).with(Fault {
+            point: FaultPoint::Merger,
+            lane: None,
+            at_event: 0,
+            kind: FaultKind::Delay(100),
+        })),
+        ..RuntimeConfig::default()
+    };
+    for match_workers in [1, 2] {
+        let label = format!("x{match_workers}");
+        let cap = total - 7;
+        let (report, _) = threaded_run(
+            &dataset,
+            Strategy::Pcs,
+            Some(2),
+            RuntimeConfig {
+                max_comparisons: cap,
+                ..config(match_workers)
+            },
+        );
+        assert_eq!(report.comparisons, cap, "{label}");
+        unique_pairs(&report, &label);
+
+        // 100 µs a pair and more: the comparisons take several times the
+        // 150 ms the deadline leaves them.
+        let slow = Arc::new(Slow {
+            pause: Duration::from_micros(100),
+            evaluated: AtomicU64::new(0),
+        });
+        let report = Pipeline::builder(dataset.kind)
+            .config(RuntimeConfig {
+                deadline: Duration::from_millis(250),
+                purge_policy: PurgePolicy::disabled(),
+                ..config(match_workers)
+            })
+            .sharded(ShardedConfig {
+                shards: 2,
+                strategy: Strategy::Pcs,
+                pier: PierConfig::default(),
+                purge_policy: PurgePolicy::disabled(),
+            })
+            .build()
+            .unwrap()
+            .run(increments(&dataset), slow.clone(), |_| {});
+        assert_eq!(report.profiles, dataset.len(), "{label}");
+        assert!(
+            report.comparisons > 0,
+            "{label}: the deadline came too soon"
+        );
+        assert!(
+            report.comparisons < total,
+            "{label}: the deadline never bit"
+        );
+        let wasted = slow.evaluated.load(Ordering::Relaxed) - report.comparisons;
+        assert!(wasted <= FILL as u64, "{label}: {wasted} pairs thrown away");
     }
 }

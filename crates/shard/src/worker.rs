@@ -3,7 +3,7 @@
 use pier_blocking::{IncrementalBlocker, PurgePolicy, SlabStats};
 use pier_chaos::{ChaosHandle, FaultPoint};
 use pier_collections::ScratchStats;
-use pier_core::{Ingested, PierConfig, StageA, Strategy};
+use pier_core::{ComparisonEmitter, Ingested, PierConfig, StageA, Strategy};
 use pier_observe::Observer;
 use pier_types::{EntityProfile, ErKind, PierError, TokenId, Tokenizer, WeightedComparison};
 
@@ -27,9 +27,21 @@ impl ShardWorker {
         purge_policy: PurgePolicy,
         observer: &Observer,
     ) -> Self {
+        Self::with_emitter(shard, kind, strategy.build(config), purge_policy, observer)
+    }
+
+    /// [`ShardWorker::new`] over any emitter, not only the three
+    /// [`Strategy`] builds (a test's recording emitter, for one).
+    pub fn with_emitter(
+        shard: u16,
+        kind: ErKind,
+        emitter: Box<dyn ComparisonEmitter + Send>,
+        purge_policy: PurgePolicy,
+        observer: &Observer,
+    ) -> Self {
         let mut stage_a = StageA::new(
             IncrementalBlocker::with_config(kind, Tokenizer::default(), purge_policy),
-            strategy.build(config),
+            emitter,
         );
         stage_a.set_observer(observer.for_shard(shard));
         ShardWorker {
@@ -106,6 +118,22 @@ impl ShardWorker {
         self.stage_a.pull_weighted(k).0
     }
 
+    /// [`ShardWorker::pull`] for a shard whose input has ended — no arrival
+    /// can be waiting, so the shard is idle in the sense of DESIGN §3
+    /// note 6: pulls once and tops the batch up from idle ticks to
+    /// `min(k, fill)` comparisons, stopping at the first tick that makes no
+    /// work ([`StageA::top_up`], the rule the runtime's single lane runs
+    /// when its inbox is empty). A batch shorter than that means the shard
+    /// is drained. Each tick's refill is appended best first; the whole
+    /// batch is not re-sorted, exactly as consecutive `pull`s are not.
+    pub fn pull_topped_up(&mut self, k: usize, fill: usize) -> Vec<WeightedComparison> {
+        let mut batch = self.pull(k);
+        self.stage_a.top_up(&mut batch, k.min(fill), |stage_a, n| {
+            stage_a.pull_weighted(n).0
+        });
+        batch
+    }
+
     /// Whether the emitter still holds schedulable comparisons.
     pub fn has_pending(&self) -> bool {
         self.stage_a.emitter().has_pending()
@@ -180,6 +208,72 @@ mod tests {
         let batch = w.pull(8);
         assert_eq!(batch.len(), 1);
         assert_eq!(batch[0].cmp, Comparison::new(ProfileId(0), ProfileId(1)));
+    }
+
+    /// The property the runtime's drain tail rests on (ROADMAP, C4): once
+    /// the last increment is in, no block grows or crosses the purge bound,
+    /// so what is still to come out is fixed — topped-up pulls and the
+    /// `pull` / `tick` alternation stage B runs during arrivals drain the
+    /// same set, each pair once, whatever the strategy.
+    #[test]
+    fn topped_up_pulls_drain_what_alternating_pull_and_tick_drain() {
+        use std::collections::BTreeSet;
+        let dict = SharedTokenDictionary::new();
+        let increments: Vec<Vec<_>> = (0..4)
+            .map(|inc| {
+                let ids = inc * 10..(inc + 1) * 10;
+                ids.map(|id| {
+                    let text = format!("common g{} h{} u{id}", id % 5, id % 7);
+                    profile(&dict, id, &text)
+                })
+                .collect()
+            })
+            .collect();
+        for strategy in [Strategy::Pcs, Strategy::Pbs, Strategy::Pes] {
+            let ingested = || {
+                let mut w = ShardWorker::new(
+                    0,
+                    ErKind::Dirty,
+                    strategy,
+                    PierConfig::default(),
+                    // `common` crosses the bound in the second increment.
+                    PurgePolicy::max_size(12),
+                    &Observer::disabled(),
+                );
+                for increment in &increments {
+                    assert!(w.ingest(increment).is_empty());
+                }
+                assert!(w.blocker().collection().purged_count() > 0);
+                w
+            };
+            let mut topped_up = BTreeSet::new();
+            let mut w = ingested();
+            loop {
+                let batch = w.pull_topped_up(16, 8);
+                if batch.len() < 8 {
+                    assert!(!w.tick(), "{strategy:?}: a short batch means drained");
+                }
+                if batch.is_empty() {
+                    break;
+                }
+                for wc in batch {
+                    assert!(topped_up.insert(wc.cmp), "{strategy:?}: {} twice", wc.cmp);
+                }
+            }
+            let mut alternating = BTreeSet::new();
+            let mut w = ingested();
+            loop {
+                let batch = w.pull(16);
+                if batch.is_empty() && !w.tick() {
+                    break;
+                }
+                for wc in batch {
+                    assert!(alternating.insert(wc.cmp), "{strategy:?}: {} twice", wc.cmp);
+                }
+            }
+            assert!(alternating.len() > 40, "{strategy:?}: vacuous");
+            assert_eq!(topped_up, alternating, "{strategy:?}");
+        }
     }
 
     #[test]
