@@ -1,17 +1,30 @@
 //! Stage-B matcher throughput: the Myers bit-parallel edit-distance
 //! kernel and the parallel match executor (`pier-runtime`'s `MatchPool`).
 //!
-//! Reports four series:
+//! Reports five series. The host has 2 vCPUs, so nothing here observes
+//! more than two threads running at once; each entry says what its figure
+//! is on this host:
 //!
 //! * **kernel speedup** — the Myers bit-parallel Levenshtein
 //!   (`pier_matching::similarity::levenshtein`) against the two-row DP
 //!   oracle (`levenshtein_naive`) on random ASCII string pairs, per
-//!   length. The contract asserts ≥ 5× at 64 characters (one `u64` word);
+//!   length. Single-threaded, a ratio of two timings of one thread. The
+//!   contract asserts ≥ 5× at 64 characters (one `u64` word);
 //! * **bounded kernel on unrelated pairs** (informational) — nanoseconds
 //!   per `levenshtein_bounded` call at the ED matcher's own cut-off
 //!   (threshold 0.55) on the unrelated half of the same pairs, per length:
 //!   the case the final-diagonal cut-off abandons early, and where the
-//!   `u64` → `u128` → blocked steps at 64 and 128 characters show;
+//!   `u64` → `u128` → blocked steps at 64 and 128 characters show.
+//!   Single-threaded. No two calls share a string, so every call builds
+//!   its `Peq` table;
+//! * **compare by pair order** (informational) — nanoseconds per
+//!   `EditDistanceMatcher::compare` over one set of prepared pairs, once in
+//!   the order I-PES emits them (an entity's comparisons one after
+//!   another) and once shuffled. The kernel keeps its last pattern's `Peq`
+//!   table, so the first figure is what stage B pays per pair, the second
+//!   what a caller with no runs to offer pays — every call builds, plus
+//!   the look-up that found nothing — and their difference is what the
+//!   kept table is worth. Single-threaded;
 //! * **critical-path throughput** — stage-B comparisons per second of the
 //!   parallel executor at the critical path of the threaded pipeline:
 //!   profiles are prepared once, as the runtime's stage B does, the batch
@@ -19,13 +32,15 @@
 //!   of prepared pairs is compared under its own timer, and the
 //!   coordinator residue (re-sequencing, budget accounting, match
 //!   collection) under another: `throughput = pairs / (max_w t_chunk +
-//!   t_serial)`. Each term is measured separately, so the figure is exact
-//!   on a host with ≥ N free cores even though this container has a
-//!   single CPU. The contract asserts ≥ 2× at 4 workers over 1;
+//!   t_serial)`. The chunks run one after another on one thread and each
+//!   term is measured separately, so the figure is a model of a host with
+//!   ≥ N free cores, not an observation of this one. The contract asserts
+//!   ≥ 2× at 4 workers over 1;
 //! * **threaded wall clock** — a real runtime `Pipeline` with
-//!   `match_workers` swept. On a 1-CPU host the workers serialize, so
-//!   this series bounds coordination overhead, not speedup — see the
-//!   note written next to the CSVs.
+//!   `match_workers` swept. With 2 vCPUs shared between the lane thread
+//!   and the workers, the series can show a gain up to 2 workers at most
+//!   and bounds coordination overhead beyond — see the note written next
+//!   to the CSVs.
 //!
 //! Run with `cargo bench --bench matcher_throughput`. CSVs land in
 //! `target/experiments/matcher_throughput/`.
@@ -38,7 +53,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use pier_bench::{write_note, FigureReport};
-use pier_core::{PierConfig, Strategy};
+use pier_blocking::{IncrementalBlocker, PurgePolicy};
+use pier_core::{PierConfig, StageA, Strategy};
 use pier_datagen::{generate_bibliographic, BibliographicConfig};
 use pier_matching::similarity::levenshtein;
 use pier_matching::{
@@ -46,7 +62,7 @@ use pier_matching::{
     PreparedProfile,
 };
 use pier_runtime::{chunk_ranges, Pipeline, RuntimeConfig};
-use pier_types::{Dataset, EntityProfile, SharedTokenDictionary, TokenId, Tokenizer};
+use pier_types::{Comparison, Dataset, EntityProfile, SharedTokenDictionary, TokenId, Tokenizer};
 
 const ID: &str = "matcher_throughput";
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -193,6 +209,43 @@ fn executor_critical_path(
     (slowest, serial, matches)
 }
 
+/// Every comparison I-PES emits for `dataset` in the static setting, in
+/// emission order.
+fn ipes_emission_order(dataset: &Dataset) -> Vec<Comparison> {
+    let blocker =
+        IncrementalBlocker::with_config(dataset.kind, Tokenizer::default(), PurgePolicy::default());
+    let mut machine = StageA::new(blocker, Strategy::Pes.build(PierConfig::default()));
+    let ingested = machine.ingest(&dataset.profiles);
+    assert!(ingested.errors.is_empty(), "the corpus blocks cleanly");
+    let mut order = Vec::new();
+    loop {
+        let batch = machine.pull_idle(1024);
+        if batch.is_empty() {
+            return order;
+        }
+        order.extend(batch);
+    }
+}
+
+/// Nanoseconds per `compare` over `pairs` in the given order, best of
+/// [`REPS`].
+fn compare_ns(matcher: &dyn MatchFunction, w: &Workload, pairs: &[Comparison]) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        let mut matches = 0usize;
+        for c in pairs {
+            let (a, b) = (c.a.index(), c.b.index());
+            let outcome =
+                matcher.compare(&w.prepared[a], &w.tokens[a], &w.prepared[b], &w.tokens[b]);
+            matches += usize::from(outcome.is_match);
+        }
+        black_box(matches);
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best * 1e9 / pairs.len() as f64
+}
+
 fn main() {
     let mut report = FigureReport::new(ID);
 
@@ -229,9 +282,36 @@ fn main() {
     report.add_series("kernel_speedup", "string_len", kernel_rows);
     report.add_series("bounded_unrelated_ns_per_pair", "string_len", bounded_rows);
 
-    // 2. Executor critical-path throughput on the ED matcher.
+    // 2. One set of prepared pairs in I-PES emission order and shuffled.
     let dataset = corpus();
     let w = workload(&dataset, &matcher);
+    let emitted = ipes_emission_order(&dataset);
+    let in_runs = emitted
+        .windows(2)
+        .filter(|w| w[0].involves(w[1].a) || w[0].involves(w[1].b))
+        .count();
+    let mut shuffled = emitted.clone();
+    let mut shuffle_rng = StdRng::seed_from_u64(0x5f);
+    for i in (1..shuffled.len()).rev() {
+        shuffled.swap(i, shuffle_rng.random_range(0..=i));
+    }
+    let emitted_ns = compare_ns(&matcher, &w, &emitted);
+    let shuffled_ns = compare_ns(&matcher, &w, &shuffled);
+    println!(
+        "compare over {} I-PES pairs ({:.0}% share a profile with the pair before): \
+         {emitted_ns:.1}ns/pair in emission order, {shuffled_ns:.1}ns/pair shuffled \
+         -> the kept Peq table is worth {:.1}ns/pair",
+        emitted.len(),
+        100.0 * in_runs as f64 / emitted.len().max(1) as f64,
+        shuffled_ns - emitted_ns
+    );
+    report.add_series(
+        "compare_ns_per_pair_by_order",
+        "order_0_emission_1_shuffled",
+        vec![(0.0, emitted_ns), (1.0, shuffled_ns)],
+    );
+
+    // 3. Executor critical-path throughput on the ED matcher.
     let mut critical_rows = Vec::new();
     let mut base_throughput = 0.0;
     for &workers in &WORKER_COUNTS {
@@ -262,7 +342,7 @@ fn main() {
         critical_rows.clone(),
     );
 
-    // 3. Real threaded wall clock (workers serialize on a 1-CPU host).
+    // 4. Real threaded wall clock (2 vCPUs: lane thread + workers share them).
     let increments: Vec<Vec<EntityProfile>> = dataset
         .into_increments(20)
         .expect("corpus splits into 20 increments")
@@ -308,20 +388,28 @@ fn main() {
          bounded_unrelated_ns_per_pair.csv: ns per levenshtein_bounded call\n\
          at the ED matcher's cut-off (threshold 0.55) on unrelated pairs,\n\
          per string length (informational: the final-diagonal cut-off and\n\
-         the u64 / u128 / blocked kernels per length).\n\
+         the u64 / u128 / blocked kernels per length; no two calls share a\n\
+         string, so every call builds its Peq table).\n\
+         compare_ns_per_pair_by_order.csv: ns per EditDistanceMatcher::compare\n\
+         over one set of prepared pairs, x = 0 in I-PES emission order (runs\n\
+         of pairs sharing a profile, whose Peq table the kernel keeps), x = 1\n\
+         shuffled (every call builds, plus the look-up that found nothing).\n\
+         Informational, single-threaded.\n\
          critical_path_throughput.csv: stage-B comparisons/s of the parallel\n\
          match executor under the critical-path model: profiles are prepared\n\
          once, the batch is chunked with the executor's own chunk_ranges,\n\
          each worker chunk of prepared pairs runs under its own timer, and\n\
          the coordinator residue (re-sequencing + budget accounting + match\n\
          collection) under another; throughput =\n\
-         pairs / (slowest chunk + serial residue). Exact on a host with >= N\n\
-         free cores regardless of this container's parallelism (contract:\n\
-         >= 2x at 4 workers).\n\
+         pairs / (slowest chunk + serial residue). The chunks are timed one\n\
+         after another on one thread: a model of a host with >= N free cores,\n\
+         not an observation of this 2-vCPU one (contract: >= 2x at 4\n\
+         workers).\n\
          threaded_wall_clock_throughput.csv: real runtime Pipeline wall clock\n\
-         with match_workers swept. On a single-CPU container the workers\n\
-         serialize, so this series only bounds coordination overhead; on a\n\
-         multi-core host it approaches the critical-path series.\n",
+         with match_workers swept. The host's 2 vCPUs are shared between the\n\
+         lane thread and the workers, so this series can gain up to 2 workers\n\
+         at most and bounds coordination overhead beyond; on a host with more\n\
+         cores it approaches the critical-path series.\n",
     );
 
     println!("kernel speedup at 64 chars: {speedup_at_64:.1}x (contract: >= 5x)");

@@ -7,13 +7,21 @@
 //! [Myers, JACM 1999]: a DP column is packed into machine words and one
 //! text character advances the whole column with ~15 word operations.
 //!
-//! The pattern is the shorter string (`m` chars), the text the longer
-//! (`n`). Three kernels, chosen from the input:
+//! One string of a pair is the pattern (`m` chars, the rows of the DP
+//! matrix), the other the text (`n` chars, scanned column by column). Three
+//! kernels, chosen from the input:
 //!
-//! * ASCII, `m ≤ 128` — one word holds the column: `u64` up to 64 chars,
-//!   `u128` up to 128 (the flattened text of the benchmark corpora is
-//!   65–128 chars for most pairs). One function, generic over the word.
-//! * ASCII, `m > 128` — `⌈m/64⌉` `u64` blocks with a carry between them.
+//! * ASCII, one side of at most 128 chars — one word holds the column:
+//!   `u64` for a pattern up to 64 chars, `u128` up to 128 (the flattened
+//!   text of the benchmark corpora is 65–128 chars for most pairs). One
+//!   function, generic over the word. This kernel is *one against many*: it
+//!   keeps the last pattern's `Peq` table between calls and takes either
+//!   side of a pair as the pattern, longer or shorter than its text, so a
+//!   run of calls that share one string — an entity compared with its
+//!   candidates one after another, as I-PES emits them — builds the table
+//!   once (see `choose_pattern`).
+//! * ASCII, both sides over 128 chars — the shorter is the pattern, in
+//!   `⌈m/64⌉` `u64` blocks with a carry between them.
 //! * anything else — the same blocks over `char`s, with the pattern's
 //!   alphabet mapped to dense indices.
 //!
@@ -34,7 +42,10 @@
 //! map) lives in a thread-local `Scratch` and is reused across calls, so
 //! the steady-state kernel performs no allocation for ASCII inputs of any
 //! length and none for Unicode inputs whose alphabet fits the previously
-//! grown buffers.
+//! grown buffers. What the single-word kernel remembers from one call to
+//! the next is looked up by content, never by identity, so every result is
+//! the same whatever was computed before it on the thread, and it is two
+//! fixed 128-byte buffers, whatever the inputs were.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -56,9 +67,6 @@ trait Word:
     const ZERO: Self;
     const ONE: Self;
     fn wrapping_add(self, rhs: Self) -> Self;
-    /// This width's `Peq` table in the scratch: one bitmask per ASCII code,
-    /// all zero between calls.
-    fn peq(scratch: &mut Scratch) -> &mut [Self; 128];
 }
 
 impl Word for u64 {
@@ -66,9 +74,6 @@ impl Word for u64 {
     const ONE: u64 = 1;
     fn wrapping_add(self, rhs: u64) -> u64 {
         u64::wrapping_add(self, rhs)
-    }
-    fn peq(scratch: &mut Scratch) -> &mut [u64; 128] {
-        &mut scratch.peq_u64
     }
 }
 
@@ -78,18 +83,61 @@ impl Word for u128 {
     fn wrapping_add(self, rhs: u128) -> u128 {
         u128::wrapping_add(self, rhs)
     }
-    fn peq(scratch: &mut Scratch) -> &mut [u128; 128] {
-        &mut scratch.peq_u128
+}
+
+/// Longest pattern the single-word kernel takes: one `u128` column.
+const SINGLE_WORD_MAX: usize = u128::BITS as usize;
+
+/// A string of at most [`SINGLE_WORD_MAX`] bytes kept from one call to the
+/// next, or nothing (`len == 0`; the kernel is never handed an empty
+/// string). A fixed buffer: however long the strings a thread has compared,
+/// this is all it holds on to.
+struct Kept {
+    bytes: [u8; SINGLE_WORD_MAX],
+    len: usize,
+}
+
+impl Kept {
+    const NOTHING: Kept = Kept {
+        bytes: [0; SINGLE_WORD_MAX],
+        len: 0,
+    };
+
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+
+    /// Whether `s` is the kept string: a length check, then a compare of at
+    /// most 128 bytes.
+    fn is(&self, s: &[u8]) -> bool {
+        self.len == s.len() && self.as_bytes() == s
+    }
+
+    /// Keeps `s` if it could be a single-word pattern, nothing otherwise.
+    fn keep(&mut self, s: &[u8]) {
+        self.len = 0;
+        if let Some(kept) = self.bytes.get_mut(..s.len()) {
+            kept.copy_from_slice(s);
+            self.len = s.len();
+        }
     }
 }
 
 /// Reusable per-thread kernel state.
 struct Scratch {
     /// `Peq[c]` bitmasks of the single-word kernel, one table per word
-    /// width, indexed by ASCII code. Each call zeroes the entries it set,
-    /// never the whole table.
+    /// width, indexed by ASCII code. Between calls the two tables hold
+    /// exactly the bits of `pattern` — in `peq_u64` if it is at most 64
+    /// bytes long, in `peq_u128` otherwise — and every other entry is zero.
+    /// They are cleared lazily, by [`Scratch::set_pattern`], when another
+    /// pattern takes their place.
     peq_u64: [u64; 128],
     peq_u128: [u128; 128],
+    /// The pattern whose `Peq` is set.
+    pattern: Kept,
+    /// The text scanned by the call that set `pattern`, if it could become
+    /// a pattern itself. Only a hint for [`choose_pattern`].
+    text: Kept,
     /// `Peq[c × blocks + b]` for multi-block ASCII patterns (m > 128).
     /// Rows are zeroed after each call via `touched`.
     peq_blocks: Vec<u64>,
@@ -114,6 +162,8 @@ impl Scratch {
         Scratch {
             peq_u64: [0; 128],
             peq_u128: [0; 128],
+            pattern: Kept::NOTHING,
+            text: Kept::NOTHING,
             peq_blocks: Vec::new(),
             touched: Vec::new(),
             peq_stride: 0,
@@ -123,6 +173,39 @@ impl Scratch {
             uni_peq: Vec::new(),
             uni_pattern: Vec::new(),
         }
+    }
+
+    /// Makes `pattern` the one whose `Peq` is set: clears the bits of the
+    /// pattern it replaces — one store per char, no memset of a table — then
+    /// sets its own.
+    fn set_pattern(&mut self, pattern: &[u8]) {
+        // `& 0x7F` is the identity on ASCII; it shows the compiler that the
+        // index is inside the table.
+        fn clear<W: Word>(peq: &mut [W; 128], pattern: &[u8]) {
+            for &c in pattern {
+                peq[usize::from(c & 0x7F)] = W::ZERO;
+            }
+        }
+        fn set<W: Word>(peq: &mut [W; 128], pattern: &[u8]) {
+            let mut row_bit = W::ONE;
+            for &c in pattern {
+                let slot = &mut peq[usize::from(c & 0x7F)];
+                *slot = *slot | row_bit;
+                row_bit = row_bit << 1;
+            }
+        }
+        debug_assert!(pattern.is_ascii() && (1..=SINGLE_WORD_MAX).contains(&pattern.len()));
+        if self.pattern.len <= WORD {
+            clear(&mut self.peq_u64, self.pattern.as_bytes());
+        } else {
+            clear(&mut self.peq_u128, self.pattern.as_bytes());
+        }
+        if pattern.len() <= WORD {
+            set(&mut self.peq_u64, pattern);
+        } else {
+            set(&mut self.peq_u128, pattern);
+        }
+        self.pattern.keep(pattern);
     }
 }
 
@@ -185,70 +268,96 @@ pub fn levenshtein_naive(a: &str, b: &str) -> usize {
 }
 
 fn bounded_impl(a: &str, b: &str, max_dist: usize) -> Option<usize> {
-    if a.is_ascii() && b.is_ascii() {
-        // Pattern = shorter string: fewest blocks, text scan over the rest.
-        let (pattern, text) = if a.len() <= b.len() {
-            (a.as_bytes(), b.as_bytes())
+    if !(a.is_ascii() && b.is_ascii()) {
+        return SCRATCH.with(|s| unicode_blocks(&mut s.borrow_mut(), a, b, max_dist));
+    }
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len().abs_diff(b.len()) > max_dist {
+        return None;
+    }
+    if a.is_empty() || b.is_empty() {
+        return Some(a.len().max(b.len()));
+    }
+    SCRATCH.with(|s| {
+        let scratch = &mut *s.borrow_mut();
+        if a.len().min(b.len()) > SINGLE_WORD_MAX {
+            // Pattern = shorter string: fewest blocks.
+            let (pattern, text) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+            return ascii_multi_block(scratch, pattern, text, max_dist);
+        }
+        let (pattern, text, is_set) = choose_pattern(scratch, a, b);
+        if !is_set {
+            scratch.set_pattern(pattern);
+            scratch.text.keep(text);
+        }
+        if pattern.len() <= WORD {
+            ascii_single_word(&scratch.peq_u64, pattern.len(), text, max_dist)
         } else {
-            (b.as_bytes(), a.as_bytes())
-        };
-        let (m, n) = (pattern.len(), text.len());
-        if n - m > max_dist {
-            return None;
+            ascii_single_word(&scratch.peq_u128, pattern.len(), text, max_dist)
         }
-        if m == 0 {
-            return Some(n);
-        }
-        SCRATCH.with(|s| {
-            let scratch = &mut s.borrow_mut();
-            if m <= u64::BITS as usize {
-                ascii_single_word::<u64>(scratch, pattern, text, max_dist)
-            } else if m <= u128::BITS as usize {
-                ascii_single_word::<u128>(scratch, pattern, text, max_dist)
-            } else {
-                ascii_multi_block(scratch, pattern, text, max_dist)
-            }
-        })
+    })
+}
+
+/// Which of two non-empty ASCII strings, at least one of them short enough
+/// for the single-word kernel, is the pattern, and whether its `Peq` is
+/// already set: `(pattern, text, is_set)`.
+///
+/// 1. The string whose `Peq` is set, if it is either of them: the call
+///    builds nothing.
+/// 2. Else the string that was the text when that `Peq` was built, if it is
+///    either of them. A run's shared string is in both of its first two
+///    calls; when the first made it the text (it was the longer side), the
+///    second makes it the pattern and the rest of the run hits rule 1.
+/// 3. Else the shorter: the narrower word when that decides it.
+///
+/// The choice moves time only. The distance is symmetric, and the cut-off is
+/// taken against the same bound whichever side is the pattern.
+fn choose_pattern<'a>(scratch: &Scratch, a: &'a [u8], b: &'a [u8]) -> (&'a [u8], &'a [u8], bool) {
+    if scratch.pattern.is(a) {
+        (a, b, true)
+    } else if scratch.pattern.is(b) {
+        (b, a, true)
+    } else if scratch.text.is(a) {
+        (a, b, false)
+    } else if scratch.text.is(b) || b.len() < a.len() {
+        (b, a, false)
     } else {
-        SCRATCH.with(|s| unicode_blocks(&mut s.borrow_mut(), a, b, max_dist))
+        (a, b, false)
     }
 }
 
-/// Single-word Myers for ASCII patterns of `1 ≤ m ≤` the width of `W`
-/// chars, with the cut-off taken on the DP matrix's final diagonal.
+/// Single-word Myers scan of an ASCII `text` (`n ≥ 1` chars) against the
+/// pattern of `1 ≤ m ≤` the width of `W` chars whose bitmasks `peq` holds,
+/// with the cut-off taken on the DP matrix's final diagonal. The pattern
+/// may be longer or shorter than the text.
 ///
 /// `D` never decreases along a diagonal, so every cell of the diagonal that
 /// ends in `D[m][n]` is a lower bound on the distance. Within a column no
 /// other cell gives a tighter one: a cell `r` rows off the diagonal bounds
 /// the distance by its value minus `r`, and cells one row apart differ by
-/// at most one. That diagonal enters the matrix at `D[0][n − m] = n − m`;
-/// in each later column it moves one row down and grows by one unless
+/// at most one. That diagonal enters the matrix on its top edge, at
+/// `D[0][n − m] = n − m`, when the text is the longer side, and on its left
+/// edge, at `D[m − n][0] = m − n`, when the pattern is: at `|n − m|` either
+/// way. In each later column it moves one row down and grows by one unless
 /// Myers' diagonal-zero vector `D0 = Xh | Mv` has that row's bit set; at
-/// the last column it *is* the distance. So the first `n − m` columns only
-/// advance the state, and the last `m` track one counter that serves as
-/// both the cut-off and the result.
+/// the last column it *is* the distance. So the first `n − m` columns (none
+/// when `m ≥ n`) only advance the state, and the rest track one counter,
+/// starting in row `m − n` (row 0 when `m ≤ n`), that serves as both the
+/// cut-off and the result.
 fn ascii_single_word<W: Word>(
-    scratch: &mut Scratch,
-    pattern: &[u8],
+    peq: &[W; 128],
+    m: usize,
     text: &[u8],
     max_dist: usize,
 ) -> Option<usize> {
-    let (m, n) = (pattern.len(), text.len());
-    debug_assert!(m >= 1 && m <= n && n - m <= max_dist);
-    debug_assert!(pattern.is_ascii() && text.is_ascii());
-    let peq = W::peq(scratch);
-    // `& 0x7F` is the identity on ASCII; it shows the compiler that the
-    // index is inside the table.
-    let mut row_bit = W::ONE;
-    for &c in pattern {
-        let slot = &mut peq[usize::from(c & 0x7F)];
-        *slot = *slot | row_bit;
-        row_bit = row_bit << 1;
-    }
+    let n = text.len();
+    debug_assert!(m >= 1 && n >= 1 && n.abs_diff(m) <= max_dist);
+    debug_assert!(text.is_ascii());
     let mut pv = !W::ZERO;
     let mut mv = W::ZERO;
     // One column: returns `D0` and advances `(pv, mv)`.
     let mut step = |c: u8| -> W {
+        // `& 0x7F`: as in `Scratch::set_pattern`.
         let eq = peq[usize::from(c & 0x7F)];
         let xv = eq | mv;
         let xh = ((eq & pv).wrapping_add(pv) ^ pv) | eq;
@@ -261,12 +370,12 @@ fn ascii_single_word<W: Word>(
         mv = ph & xv;
         d0
     };
-    let (head, tail) = text.split_at(n - m);
+    let (head, tail) = text.split_at(n.saturating_sub(m));
     for &c in head {
         step(c);
     }
-    let mut diagonal = n - m;
-    let mut row_bit = W::ONE;
+    let mut diagonal = n.abs_diff(m);
+    let mut row_bit = W::ONE << m.saturating_sub(n);
     for &c in tail {
         // An add, not a branch: for unrelated strings the bit is a coin
         // toss, while the cut-off below is taken once.
@@ -275,11 +384,6 @@ fn ascii_single_word<W: Word>(
             break;
         }
         row_bit = row_bit << 1;
-    }
-    // Clear what the pattern set — one store per pattern char, no branch —
-    // instead of a memset of the table per call.
-    for &c in pattern {
-        peq[usize::from(c & 0x7F)] = W::ZERO;
     }
     (diagonal <= max_dist).then_some(diagonal)
 }
@@ -567,5 +671,90 @@ mod tests {
         );
         // Single-block after multi-block: strides must not leak.
         assert_eq!(levenshtein("kitten", "sitting"), 3);
+    }
+
+    /// The invariant between calls: the single-word tables hold exactly the
+    /// kept pattern's bits.
+    fn assert_tables_hold_the_kept_pattern() {
+        SCRATCH.with(|s| {
+            let s = s.borrow();
+            let (mut narrow, mut wide) = ([0u64; 128], [0u128; 128]);
+            for (row, &c) in s.pattern.as_bytes().iter().enumerate() {
+                if s.pattern.len <= WORD {
+                    narrow[usize::from(c)] |= 1 << row;
+                } else {
+                    wide[usize::from(c)] |= 1 << row;
+                }
+            }
+            assert!(s.peq_u64 == narrow && s.peq_u128 == wide);
+        });
+    }
+
+    fn kept_pattern_is(want: &str) -> bool {
+        SCRATCH.with(|s| s.borrow().pattern.is(want.as_bytes()))
+    }
+
+    #[test]
+    fn a_run_sharing_one_string_sets_its_peq_once() {
+        let base: String = ('a'..='z').cycle().take(300).collect();
+        // Shorter and longer than every partner, on both sides of the
+        // u64 / u128 seam, and at the kernel's limit.
+        for entity_len in [1, 40, 64, 65, 100, 128] {
+            let entity = &base[3..3 + entity_len];
+            for (call, partner_len) in [1, 30, 63, 64, 65, 66, 127, 128, 129, 130, 200]
+                .into_iter()
+                .enumerate()
+            {
+                let partner = base[..partner_len].replace('e', "#");
+                let (a, b) = if call % 2 == 0 {
+                    (entity, partner.as_str())
+                } else {
+                    (partner.as_str(), entity)
+                };
+                assert_eq!(
+                    levenshtein(a, b),
+                    levenshtein_naive(a, b),
+                    "entity {entity_len}, partner {partner_len}"
+                );
+                assert_tables_hold_the_kept_pattern();
+                // The first call may scan the entity as its text; from the
+                // second on it is the pattern, whichever side it is passed
+                // on and however short the partner.
+                assert!(call == 0 || kept_pattern_is(entity));
+            }
+        }
+    }
+
+    #[test]
+    fn a_pattern_longer_than_its_text_cuts_off_exactly() {
+        let long: String = ('a'..='z').cycle().take(90).collect();
+        // The first call scans `long` as the text of the shorter string;
+        // the second finds it there and makes it the pattern.
+        levenshtein(&long, "abc");
+        for short_len in [1, 26, 27, 63, 64, 65, 89] {
+            let short = long[..short_len].replace('k', "#");
+            let (d, gap) = (levenshtein_naive(&long, &short), 90 - short_len);
+            for k in [gap.saturating_sub(1), gap, d.saturating_sub(1), d, d + 1] {
+                let want = (d <= k).then_some(d);
+                assert_eq!(levenshtein_bounded(&long, &short, k), want, "k={k}");
+                assert_eq!(levenshtein_bounded(&short, &long, k), want, "k={k}");
+                // (A bound under the length gap is refused before any scan.)
+                assert!(k < gap || kept_pattern_is(&long));
+            }
+        }
+    }
+
+    #[test]
+    fn what_a_thread_keeps_is_bounded() {
+        let pattern = "b".repeat(100);
+        // A text that could never be a single-word pattern is not kept.
+        assert_eq!(levenshtein(&pattern, &"a".repeat(5_000)), 5_000);
+        SCRATCH.with(|s| assert_eq!(s.borrow().text.len, 0));
+        assert!(kept_pattern_is(&pattern));
+        // The blocked and Unicode kernels keep nothing and disturb nothing.
+        assert_eq!(levenshtein(&"a".repeat(300), &"c".repeat(200)), 300);
+        assert_eq!(levenshtein("héllo", "hello"), 1);
+        assert!(kept_pattern_is(&pattern));
+        assert_tables_hold_the_kept_pattern();
     }
 }

@@ -5,6 +5,21 @@
 //! the true distance fits the bound and `None` otherwise — also at the
 //! seams between the kernels (pattern lengths 64/65 and 128/129) and with
 //! the bound, the distance and the length gap within one of each other.
+//!
+//! The single-word kernel keeps the last pattern's `Peq` table between
+//! calls, so a result could in principle depend on the calls before it. The
+//! *stateful* cases generate whole call sequences shaped like stage B's —
+//! runs of calls sharing one string, other kernels' calls in between — and
+//! check every call against the oracle, and that a list of calls gives the
+//! same answers in any order and on any split over threads.
+//!
+//! Mutations the stateful cases were checked to catch (PR 23; both of them
+//! fail under each): not clearing the replaced pattern's bits in
+//! `Scratch::set_pattern` (which the stateless cases catch too — stale bits
+//! corrupt the very next call), and starting the final diagonal at
+//! `row_bit = 1`, or at `n − m` saturated to 0, when the pattern is longer
+//! than its text (which nothing else in this file catches: the other cases
+//! never lead the kernel to take the longer string as its pattern).
 
 use pier_matching::levenshtein::{levenshtein, levenshtein_bounded, levenshtein_naive};
 use proptest::prelude::*;
@@ -49,8 +64,146 @@ fn text_for(rng: &mut TestRng, pattern: &str, gap: usize, edits: usize, near: bo
     String::from_utf8(text).expect("ASCII")
 }
 
+/// One `levenshtein_bounded(a, b, k)` call.
+#[derive(Debug, Clone)]
+struct Call {
+    a: String,
+    b: String,
+    k: usize,
+}
+
+/// Lengths on both sides of every seam of the dispatcher: empty, one char,
+/// the `u64` / `u128` step, the single-word / blocked step.
+const SEAM_LENGTHS: [usize; 10] = [0, 1, 63, 64, 65, 66, 127, 128, 129, 130];
+
+/// A partner of `len` chars for `entity`: half the time a near duplicate —
+/// the entity cut or padded to `len` with up to three substitutions, so the
+/// distance sits near the length gap, where the bound decides — otherwise
+/// random.
+fn partner_for(rng: &mut TestRng, entity: &str, len: usize) -> String {
+    if rng.below(2) == 0 {
+        return ascii_string(rng, len);
+    }
+    let mut text = entity.as_bytes().to_vec();
+    text.truncate(len);
+    while text.len() < len {
+        let at = rng.below(text.len() as u64 + 1) as usize;
+        text.insert(at, b'+');
+    }
+    for _ in 0..rng.below(4).min(len as u64) {
+        let at = rng.below(len as u64) as usize;
+        text[at] = b'#';
+    }
+    String::from_utf8(text).expect("ASCII")
+}
+
+/// A bound within one of the distance or of the length gap, or none at all.
+fn bound_near(rng: &mut TestRng, a: &str, b: &str) -> usize {
+    let d = levenshtein_naive(a, b);
+    let gap = a.chars().count().abs_diff(b.chars().count());
+    let bounds = [
+        d.saturating_sub(1),
+        d,
+        d + 1,
+        gap.saturating_sub(1),
+        gap,
+        gap + 1,
+        usize::MAX,
+    ];
+    bounds[rng.below(bounds.len() as u64) as usize]
+}
+
+/// A call sequence as stage B makes them: runs of 1–12 calls that share one
+/// string, passed as `a` and as `b` in turn, against partners longer and
+/// shorter than it; and between them, now and then, a call that goes to
+/// another kernel (Unicode, or ASCII with both sides over 128 chars).
+fn call_sequence(rng: &mut TestRng) -> Vec<Call> {
+    let mut calls = Vec::new();
+    for _ in 0..1 + rng.below(8) {
+        let entity_len = match rng.below(3) {
+            0 => 1 + rng.below(140) as usize,
+            _ => SEAM_LENGTHS[1 + rng.below(SEAM_LENGTHS.len() as u64 - 1) as usize],
+        };
+        let entity = ascii_string(rng, entity_len);
+        for call in 0..1 + rng.below(12) {
+            let partner_len = match rng.below(3) {
+                0 => SEAM_LENGTHS[rng.below(SEAM_LENGTHS.len() as u64) as usize],
+                1 => (entity_len + rng.below(7) as usize).saturating_sub(3),
+                _ => rng.below(140) as usize,
+            };
+            let partner = partner_for(rng, &entity, partner_len);
+            let k = bound_near(rng, &entity, &partner);
+            let (a, b) = if call % 2 == 0 {
+                (entity.clone(), partner)
+            } else {
+                (partner, entity.clone())
+            };
+            calls.push(Call { a, b, k });
+            let (kind, len) = (rng.below(6), rng.below(80) as usize);
+            let (a, b) = match kind {
+                0 => (unicode_string(rng, 1 + len), entity.clone()),
+                1 => {
+                    let a = ascii_string(rng, 129 + len);
+                    let len = 129 + rng.below(80) as usize;
+                    let b = partner_for(rng, &a, len);
+                    (a, b)
+                }
+                _ => continue,
+            };
+            let k = bound_near(rng, &a, &b);
+            calls.push(Call { a, b, k });
+        }
+    }
+    calls
+}
+
+fn run(calls: &[Call]) -> Vec<Option<usize>> {
+    calls
+        .iter()
+        .map(|c| levenshtein_bounded(&c.a, &c.b, c.k))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn call_sequences_sharing_a_string_are_exact(seed in any::<u64>()) {
+        let calls = call_sequence(&mut TestRng::from_seed(seed));
+        for (i, c) in calls.iter().enumerate() {
+            let d = levenshtein_naive(&c.a, &c.b);
+            prop_assert_eq!(
+                levenshtein_bounded(&c.a, &c.b, c.k), (d <= c.k).then_some(d),
+                "call {} of {}: {:?}", i, calls.len(), c
+            );
+        }
+    }
+
+    #[test]
+    fn outcomes_do_not_depend_on_call_order_or_thread(seed in any::<u64>()) {
+        let mut rng = TestRng::from_seed(seed);
+        let calls = call_sequence(&mut rng);
+        let in_order = run(&calls);
+        // Any permutation, on this thread (whose kernel state the run above
+        // left behind) ...
+        let mut order: Vec<usize> = (0..calls.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let permuted: Vec<Call> = order.iter().map(|&i| calls[i].clone()).collect();
+        let want: Vec<Option<usize>> = order.iter().map(|&i| in_order[i]).collect();
+        prop_assert_eq!(&run(&permuted), &want);
+        // ... and split over two threads that start with no state.
+        let (front, back) = permuted.split_at(rng.below(permuted.len() as u64 + 1) as usize);
+        let split = std::thread::scope(|scope| {
+            let front = scope.spawn(|| run(front));
+            let back = scope.spawn(|| run(back));
+            let mut outcomes = front.join().expect("front half");
+            outcomes.extend(back.join().expect("back half"));
+            outcomes
+        });
+        prop_assert_eq!(&split, &want);
+    }
 
     #[test]
     fn bounded_is_exact_at_the_kernel_seams(

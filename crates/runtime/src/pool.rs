@@ -236,12 +236,6 @@ impl MatchPool {
         &self.executed
     }
 
-    /// Evaluates one batch across the pool and returns the outcomes in the
-    /// batch's original order, each tagged with the worker that ran it.
-    ///
-    /// Blocks until every chunk is back. The whole batch is always
-    /// evaluated — budget enforcement happens afterwards, on the
-    /// coordinator, exactly as in the sequential path.
     /// Credits `n` evaluated pairs to `worker` (report + live counter).
     fn account(&mut self, worker: usize, n: usize) {
         self.executed[worker] += n as u64;
@@ -250,6 +244,12 @@ impl MatchPool {
         }
     }
 
+    /// Evaluates one batch across the pool and returns the outcomes in the
+    /// batch's original order, each tagged with the worker that ran it.
+    ///
+    /// Blocks until every chunk is back. The whole batch is always
+    /// evaluated — budget enforcement happens afterwards, on the
+    /// coordinator, exactly as in the sequential path.
     pub fn evaluate(&mut self, batch: &Arc<Vec<MaterializedPair>>) -> Vec<Evaluated> {
         let ranges = chunk_ranges(batch.len(), self.workers());
         let mut slots: Vec<Option<Reply>> = (0..ranges.len()).map(|_| None).collect();

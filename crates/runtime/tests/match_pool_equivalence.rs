@@ -4,16 +4,23 @@
 //! (`match_workers = 1`) on the same seeded stream. The pool fans matcher
 //! evaluations out, but every externally visible effect is re-sequenced on
 //! the coordinator, so parallelism may only change wall-clock throughput.
+//!
+//! The edit-distance kernel keeps its last pattern's `Peq` table per thread,
+//! and I-PES emits an entity's comparisons one after another, so where the
+//! pool cuts a batch into chunks decides which thread has seen which string
+//! before. The second half of this file pins that this moves time only:
+//! every pair's `is_match` and `similarity` bits are the same on 1–4
+//! workers, on batches whose entity runs the chunk boundaries cut through.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use pier_blocking::PurgePolicy;
-use pier_core::{Ipes, PierConfig};
+use pier_blocking::{IncrementalBlocker, PurgePolicy};
+use pier_core::{Ipes, PierConfig, StageA};
 use pier_datagen::{generate_bibliographic, BibliographicConfig};
-use pier_matching::{EditDistanceMatcher, MatchFunction};
-use pier_runtime::{Pipeline, RuntimeConfig, RuntimeReport};
-use pier_types::{Comparison, Dataset};
+use pier_matching::{EditDistanceMatcher, MatchFunction, MatchOutcome, PreparedProfile};
+use pier_runtime::{chunk_ranges, Pipeline, RuntimeConfig, RuntimeReport};
+use pier_types::{Comparison, Dataset, Tokenizer};
 
 fn seeded_dataset() -> Dataset {
     generate_bibliographic(&BibliographicConfig {
@@ -86,4 +93,110 @@ fn four_workers_report_the_sequential_results_exactly() {
     // The fan-out actually spread work across workers.
     let busy_workers = par.worker_comparisons.iter().filter(|&&c| c > 0).count();
     assert!(busy_workers >= 2, "got {:?}", par.worker_comparisons);
+}
+
+/// `(is_match, similarity bits)`: what must not depend on the executor.
+fn bits(outcome: &MatchOutcome) -> (bool, u64) {
+    (outcome.is_match, outcome.similarity.to_bits())
+}
+
+#[test]
+fn entity_runs_cut_by_chunk_boundaries_compare_alike_on_one_to_four_workers() {
+    // Stage B's batches as I-PES emits them: runs of comparisons sharing a
+    // profile.
+    let dataset = seeded_dataset();
+    let blocker = IncrementalBlocker::with_config(
+        dataset.kind,
+        Tokenizer::default(),
+        PurgePolicy::disabled(),
+    );
+    let mut machine = StageA::new(blocker, Box::new(Ipes::new(PierConfig::default())));
+    assert!(machine.ingest(&dataset.profiles).errors.is_empty());
+    let batches: Vec<Vec<Comparison>> = std::iter::from_fn(|| {
+        let batch = machine.pull_idle(256);
+        (!batch.is_empty()).then_some(batch)
+    })
+    .collect();
+    let matcher = EditDistanceMatcher::default();
+    let prepared: Vec<PreparedProfile> = dataset
+        .profiles
+        .iter()
+        .map(|p| matcher.prepare(p, &[]))
+        .collect();
+    let compare =
+        |c: &Comparison| matcher.compare(&prepared[c.a.index()], &[], &prepared[c.b.index()], &[]);
+
+    // The sequential executor: every batch in order on one thread.
+    let sequential: Vec<Vec<(bool, u64)>> = batches
+        .iter()
+        .map(|batch| batch.iter().map(|c| bits(&compare(c))).collect())
+        .collect();
+    assert!(sequential.iter().flatten().any(|&(is_match, _)| is_match));
+
+    for workers in 1..=4usize {
+        // The pool's layout: chunk `i` of every batch goes to worker `i`, a
+        // long-lived thread that keeps its kernel state between batches.
+        let per_worker: Vec<Vec<Vec<(bool, u64)>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let (batches, compare) = (&batches, &compare);
+                    scope.spawn(move || {
+                        batches
+                            .iter()
+                            .map(|batch| {
+                                let (start, end) = chunk_ranges(batch.len(), workers)[worker];
+                                batch[start..end]
+                                    .iter()
+                                    .map(|c| bits(&compare(c)))
+                                    .collect()
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread"))
+                .collect()
+        });
+        for (b, want) in sequential.iter().enumerate() {
+            let pooled: Vec<(bool, u64)> = per_worker
+                .iter()
+                .flat_map(|chunks| chunks[b].iter().copied())
+                .collect();
+            assert_eq!(&pooled, want, "batch {b} on {workers} workers");
+        }
+        // The boundaries do cut through runs: some chunk of some batch
+        // starts with a pair that shares a profile with the pair before it.
+        let cuts_a_run = batches.iter().any(|batch| {
+            chunk_ranges(batch.len(), workers)
+                .into_iter()
+                .filter(|&(start, end)| 0 < start && start < end)
+                .any(|(start, _)| {
+                    let (before, first) = (batch[start - 1], batch[start]);
+                    before.involves(first.a) || before.involves(first.b)
+                })
+        });
+        assert!(workers == 1 || cuts_a_run, "{workers} workers cut no run");
+    }
+}
+
+#[test]
+fn every_worker_count_confirms_the_same_matches_at_the_same_similarity() {
+    let dataset = seeded_dataset();
+    let confirmed = |workers: usize| {
+        let (report, _) = run_with_workers(&dataset, workers);
+        let mut matches: Vec<(Comparison, u64)> = report
+            .matches
+            .iter()
+            .map(|m| (m.pair, m.similarity.to_bits()))
+            .collect();
+        matches.sort_unstable();
+        matches.dedup();
+        (report.comparisons, matches)
+    };
+    let sequential = confirmed(1);
+    for workers in 2..=4 {
+        assert_eq!(confirmed(workers), sequential, "{workers} workers");
+    }
 }
