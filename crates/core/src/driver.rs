@@ -28,19 +28,20 @@
 //! ```
 
 use pier_blocking::{IncrementalBlocker, PurgePolicy};
-use pier_matching::{ClassifiedMatch, IncrementalClassifier, MatchFunction, MatchInput};
+use pier_matching::{ClassifiedMatch, MatchFunction, StageB};
 use pier_observe::{Observer, Phase};
-use pier_types::{Comparison, EntityProfile, ErKind, Tokenizer};
+use pier_types::{Comparison, EntityProfile, ErKind, IncrementalClusters, Tokenizer};
 
 use crate::framework::PierConfig;
 use crate::selector::Strategy;
 use crate::stage_a::{Ingested, StageA};
 
-/// The synchronous PIER pipeline: the [`StageA`] step machine plus an
-/// incremental classifier, stepped on the caller's clock.
+/// The synchronous PIER pipeline: the [`StageA`] and [`StageB`] step
+/// machines, stepped on the caller's clock.
 pub struct PierPipeline<M: MatchFunction> {
     stage_a: StageA,
-    classifier: IncrementalClassifier<M>,
+    /// Stage B holds its matcher through a pointer; here it owns the box.
+    stage_b: StageB<Box<M>>,
     /// Comparisons pulled per round while draining.
     pub batch_size: usize,
     observer: Observer,
@@ -65,19 +66,19 @@ impl<M: MatchFunction> PierPipeline<M> {
                 IncrementalBlocker::with_config(kind, Tokenizer::default(), policy),
                 strategy.build(config),
             ),
-            classifier: IncrementalClassifier::new(matcher),
+            stage_b: StageB::new(Box::new(matcher)),
             batch_size: 256,
             observer: Observer::disabled(),
         }
     }
 
     /// Attaches a pipeline observer and propagates it to every component
-    /// (blocker, emitter, classifier). The pipeline itself reports
+    /// (blocker, emitter, stage B). The pipeline itself reports
     /// [`pier_observe::Event::PhaseTiming`]; stage A reports
     /// [`pier_observe::Event::IncrementIngested`].
     pub fn set_observer(&mut self, observer: Observer) {
         self.stage_a.set_observer(observer.clone());
-        self.classifier.set_observer(observer.clone());
+        self.stage_b.set_observer(observer.clone());
         self.observer = observer;
     }
 
@@ -97,32 +98,17 @@ impl<M: MatchFunction> PierPipeline<M> {
         out
     }
 
-    /// Classifies one pulled batch.
-    fn classify(&mut self, batch: Vec<Comparison>) {
-        self.observer.timed(Phase::Classify, || {
-            let blocker = self.stage_a.blocker();
-            for cmp in batch {
-                let input = MatchInput {
-                    profile_a: blocker.profile(cmp.a),
-                    tokens_a: blocker.tokens_of(cmp.a),
-                    profile_b: blocker.profile(cmp.b),
-                    tokens_b: blocker.tokens_of(cmp.b),
-                };
-                self.classifier.classify(cmp, input);
-            }
-        });
-    }
-
     /// The shared body of [`PierPipeline::drain`] and
     /// [`PierPipeline::drain_idle`]: pull with `pull` in rounds of at most
     /// [`PierPipeline::batch_size`] until it comes up empty or
-    /// `max_comparisons` were executed; returns the new duplicates.
+    /// `max_comparisons` were executed, stepping stage B over each batch;
+    /// returns the new duplicates.
     fn drain_with(
         &mut self,
         max_comparisons: usize,
         pull: impl Fn(&mut StageA, usize) -> Vec<Comparison>,
     ) -> Vec<ClassifiedMatch> {
-        let before = self.classifier.duplicates().len();
+        let before = self.stage_b.duplicates().len();
         let mut executed = 0usize;
         while executed < max_comparisons {
             let want = self.batch_size.min(max_comparisons - executed);
@@ -133,9 +119,16 @@ impl<M: MatchFunction> PierPipeline<M> {
                 break;
             }
             executed += batch.len();
-            self.classify(batch);
+            self.observer.timed(Phase::Classify, || {
+                let blocker = self.stage_a.blocker();
+                let store = |id| (blocker.profile(id), blocker.tokens_handle(id));
+                for pair in self.stage_b.materialize(batch, store) {
+                    let outcome = self.stage_b.classify(&pair);
+                    self.stage_b.confirm(pair.comparison(), &outcome);
+                }
+            });
         }
-        self.classifier.duplicates()[before..].to_vec()
+        self.stage_b.duplicates()[before..].to_vec()
     }
 
     /// Executes up to `max_comparisons` of the best pending comparisons
@@ -155,12 +148,12 @@ impl<M: MatchFunction> PierPipeline<M> {
 
     /// All duplicates found so far (`M_D`).
     pub fn duplicates(&self) -> &[ClassifiedMatch] {
-        self.classifier.duplicates()
+        self.stage_b.duplicates()
     }
 
     /// The entity clusters implied by the duplicates.
-    pub fn clusters(&mut self) -> &mut pier_types::IncrementalClusters {
-        self.classifier.clusters()
+    pub fn clusters(&self) -> &IncrementalClusters {
+        self.stage_b.clusters()
     }
 
     /// The underlying blocker (profiles, blocks, token dictionary).
@@ -170,7 +163,7 @@ impl<M: MatchFunction> PierPipeline<M> {
 
     /// Total comparisons classified.
     pub fn comparisons(&self) -> u64 {
-        self.classifier.comparisons()
+        self.stage_b.comparisons()
     }
 }
 

@@ -2,30 +2,26 @@
 //!
 //! [`EntityIndex`] maintains the transitive closure of the confirmed-match
 //! stream as it arrives — the evolving partition of profiles into entities
-//! that is the actual output of progressive ER. Internally it is the same
-//! disjoint-set structure as [`pier_types::IncrementalClusters`] (path
-//! halving, union by size), wrapped for concurrency:
+//! that is the actual output of progressive ER. Internally it is
+//! [`pier_types::IncrementalClusters`] (path halving, union by size, one
+//! member list per root), wrapped for concurrency:
 //!
-//! * **one writer, many readers**: all state — parents, sizes, member
-//!   lists, and every counter including the generation — lives behind a
-//!   single `parking_lot::RwLock`, so any read is one lock acquisition and
+//! * **one writer, many readers**: all state — the clusters and every
+//!   counter including the generation — lives behind a single
+//!   `parking_lot::RwLock`, so any read is one lock acquisition and
 //!   internally consistent by construction (no torn views);
-//! * **lock-light reads**: readers resolve roots by *walking* the parent
-//!   chain without compressing it, so they only ever take the read lock.
-//!   Union by size bounds the walk at O(log n) even without compression;
-//!   the writer's path halving keeps real chains far shorter;
+//! * **lock-light reads**: the clusters answer every query through `&self`,
+//!   walking the parent chain without compressing it, so readers only ever
+//!   take the read lock;
 //! * **generation counter**: bumped once per applied match, monotone, and
 //!   returned inside every snapshot/lookup so clients can order the views
 //!   they observe mid-stream.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
-use pier_types::{Comparison, ProfileId};
-
-/// Parent slot value for a profile that never appeared in a match.
-const UNSET: u32 = u32::MAX;
+use pier_types::{Comparison, IncrementalClusters, ProfileId};
 
 /// How many of the largest clusters a [`EntityIndex::snapshot`] carries
 /// with full member lists.
@@ -35,62 +31,11 @@ pub const TOP_CLUSTERS: usize = 5;
 /// consistent view.
 #[derive(Default)]
 struct IndexState {
-    /// parent[i] = parent slot of profile i; `UNSET` = unregistered.
-    parent: Vec<u32>,
-    /// size[i] = cluster size when i is a root.
-    size: Vec<u32>,
-    /// root -> members (unsorted; small lists are appended onto big ones).
-    members: HashMap<u32, Vec<ProfileId>>,
-    /// Profiles that appeared in at least one applied match.
-    registered: usize,
-    /// Matches that actually merged two clusters.
-    merges: u64,
+    clusters: IncrementalClusters,
     /// Matches applied, merging or not.
     matches_applied: u64,
     /// Bumped once per applied match; monotone.
     generation: u64,
-}
-
-impl IndexState {
-    fn ensure(&mut self, p: ProfileId) {
-        let i = p.index();
-        if self.parent.len() <= i {
-            self.parent.resize(i + 1, UNSET);
-            self.size.resize(i + 1, 0);
-        }
-        if self.parent[i] == UNSET {
-            self.parent[i] = i as u32;
-            self.size[i] = 1;
-            self.members.insert(i as u32, vec![p]);
-            self.registered += 1;
-        }
-    }
-
-    /// Writer-side find with path halving.
-    fn find_mut(&mut self, mut i: usize) -> usize {
-        while self.parent[i] as usize != i {
-            let grandparent = self.parent[self.parent[i] as usize];
-            self.parent[i] = grandparent;
-            i = grandparent as usize;
-        }
-        i
-    }
-
-    /// Reader-side find: walks the chain without mutating, so it works
-    /// under the read lock. Union by size bounds the depth at O(log n).
-    fn find_ro(&self, mut i: usize) -> Option<usize> {
-        if i >= self.parent.len() || self.parent[i] == UNSET {
-            return None;
-        }
-        while self.parent[i] as usize != i {
-            i = self.parent[i] as usize;
-        }
-        Some(i)
-    }
-
-    fn clusters(&self) -> usize {
-        self.registered - self.merges as usize
-    }
 }
 
 /// Counters of the index at one instant (all read under one lock).
@@ -205,35 +150,14 @@ impl EntityIndex {
     /// linked). Bumps the generation either way.
     pub fn apply(&self, cmp: Comparison) -> bool {
         let mut s = self.state.write();
-        s.ensure(cmp.a);
-        s.ensure(cmp.b);
-        let ra = s.find_mut(cmp.a.index());
-        let rb = s.find_mut(cmp.b.index());
         s.matches_applied += 1;
         s.generation += 1;
-        if ra == rb {
-            return false;
-        }
-        let (big, small) = if s.size[ra] >= s.size[rb] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        s.parent[small] = big as u32;
-        s.size[big] += s.size[small];
-        let moved = s.members.remove(&(small as u32)).unwrap_or_default();
-        s.members
-            .get_mut(&(big as u32))
-            .expect("big root has a member list")
-            .extend(moved);
-        s.merges += 1;
-        true
+        s.clusters.union(cmp).is_some()
     }
 
     /// The cluster representative of `p`, if `p` appeared in any match.
     pub fn entity_of(&self, p: ProfileId) -> Option<ProfileId> {
-        let s = self.state.read();
-        s.find_ro(p.index()).map(|r| ProfileId(r as u32))
+        self.state.read().clusters.root(p)
     }
 
     /// All members of `p`'s cluster (sorted), if `p` appeared in any match.
@@ -243,22 +167,18 @@ impl EntityIndex {
 
     /// Whether two profiles are (transitively) the same entity.
     pub fn same_entity(&self, a: ProfileId, b: ProfileId) -> bool {
-        let s = self.state.read();
-        match (s.find_ro(a.index()), s.find_ro(b.index())) {
-            (Some(ra), Some(rb)) => ra == rb,
-            _ => false,
-        }
+        self.state.read().clusters.same_entity(a, b)
     }
 
     /// Resolves `p`'s cluster — representative, members, generation — in a
     /// single lock acquisition, so the three agree with each other.
     pub fn lookup(&self, p: ProfileId) -> Option<EntityLookup> {
         let s = self.state.read();
-        let root = s.find_ro(p.index())?;
-        let mut members = s.members[&(root as u32)].clone();
+        let entity = s.clusters.root(p)?;
+        let mut members = s.clusters.members(entity)?.to_vec();
         members.sort_unstable();
         Some(EntityLookup {
-            entity: ProfileId(root as u32),
+            entity,
             generation: s.generation,
             members,
         })
@@ -270,9 +190,9 @@ impl EntityIndex {
         EntityStats {
             generation: s.generation,
             matches_applied: s.matches_applied,
-            merges: s.merges,
-            profiles: s.registered,
-            clusters: s.clusters(),
+            merges: s.clusters.merges() as u64,
+            profiles: s.clusters.registered_profiles(),
+            clusters: s.clusters.cluster_count(),
         }
     }
 
@@ -281,27 +201,20 @@ impl EntityIndex {
     /// acquisition; O(clusters) work.
     pub fn snapshot(&self) -> EntitySnapshot {
         let s = self.state.read();
-        let mut histogram: HashMap<usize, usize> = HashMap::new();
-        for m in s.members.values() {
+        let mut histogram: BTreeMap<usize, usize> = BTreeMap::new();
+        for (_, m) in s.clusters.member_lists() {
             *histogram.entry(m.len()).or_insert(0) += 1;
         }
-        let mut size_histogram: Vec<(usize, usize)> = histogram.into_iter().collect();
-        size_histogram.sort_unstable();
-        let mut roots: Vec<(&u32, &Vec<ProfileId>)> = s.members.iter().collect();
-        roots.sort_by_key(|(root, m)| {
-            (
-                std::cmp::Reverse(m.len()),
-                m.iter().min().copied().unwrap_or(ProfileId(**root)),
-            )
-        });
+        let mut roots: Vec<(ProfileId, &[ProfileId])> = s.clusters.member_lists().collect();
+        roots.sort_by_key(|(_, m)| (std::cmp::Reverse(m.len()), m.iter().min().copied()));
         let largest = roots
             .into_iter()
             .take(TOP_CLUSTERS)
-            .map(|(root, m)| {
-                let mut members = m.clone();
+            .map(|(entity, m)| {
+                let mut members = m.to_vec();
                 members.sort_unstable();
                 EntityCluster {
-                    entity: ProfileId(*root),
+                    entity,
                     size: members.len(),
                     members,
                 }
@@ -310,47 +223,40 @@ impl EntityIndex {
         EntitySnapshot {
             generation: s.generation,
             matches_applied: s.matches_applied,
-            merges: s.merges,
-            profiles: s.registered,
-            clusters: s.clusters(),
-            size_histogram,
+            merges: s.clusters.merges() as u64,
+            profiles: s.clusters.registered_profiles(),
+            clusters: s.clusters.cluster_count(),
+            size_histogram: histogram.into_iter().collect(),
             largest,
         }
     }
 
-    /// Materializes the full partition: every cluster sorted by profile
-    /// id, ordered by descending size then first member — the same shape
-    /// as [`pier_types::IncrementalClusters::clusters`]`(1)`, for
+    /// The full partition, [`IncrementalClusters::clusters`]`(1)`, for
     /// equivalence testing against a batch transitive closure.
     pub fn partition(&self) -> Vec<Vec<ProfileId>> {
-        let s = self.state.read();
-        let mut out: Vec<Vec<ProfileId>> = s.members.values().cloned().collect();
-        for c in &mut out {
-            c.sort_unstable();
-        }
-        out.sort_by(|a, b| b.len().cmp(&a.len()).then(a[0].cmp(&b[0])));
-        out
+        self.state.read().clusters.clusters(1)
     }
 
     /// End-of-run summary against the number of profiles the run actually
     /// ingested: profiles the index never saw are singleton entities.
     pub fn summary(&self, total_profiles: usize) -> EntitySummary {
         let s = self.state.read();
-        let clusters = s.clusters();
-        let max_size = s.members.values().map(Vec::len).max().unwrap_or(0);
+        let clusters = s.clusters.cluster_count();
+        let registered = s.clusters.registered_profiles();
+        let max_size = s.clusters.member_lists().map(|(_, m)| m.len()).max();
         let mean_size = if clusters > 0 {
-            s.registered as f64 / clusters as f64
+            registered as f64 / clusters as f64
         } else {
             0.0
         };
         EntitySummary {
             clusters,
-            matched_profiles: s.registered,
-            singletons: total_profiles.saturating_sub(s.registered),
-            max_size,
+            matched_profiles: registered,
+            singletons: total_profiles.saturating_sub(registered),
+            max_size: max_size.unwrap_or(0),
             mean_size,
             matches_applied: s.matches_applied,
-            merges: s.merges,
+            merges: s.clusters.merges() as u64,
         }
     }
 }
@@ -459,7 +365,7 @@ mod tests {
         let mut oracle = IncrementalClusters::new();
         for p in pairs {
             index.apply(p);
-            oracle.add_match(p);
+            oracle.union(p);
         }
         assert_eq!(index.partition(), oracle.clusters(1));
     }

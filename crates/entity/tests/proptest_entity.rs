@@ -1,9 +1,14 @@
-//! Property tests for [`EntityIndex`]:
+//! Property tests for [`EntityIndex`] and the union-find inside it,
+//! [`IncrementalClusters`]:
 //!
 //! 1. on arbitrary match sequences, the index's partition equals a naive
 //!    BFS transitive closure over the same pairs (the oracle builds an
 //!    adjacency list and floods components — no union-find involved);
-//! 2. concurrent readers during merges never observe a torn snapshot, and
+//! 2. the synchronous [`IncrementalClusters`] fed the same pairs equals
+//!    both, its `&self` queries agree with the closure of every prefix, each
+//!    union keeps the root its tie-break names, and the index serves the
+//!    same roots;
+//! 3. concurrent readers during merges never observe a torn snapshot, and
 //!    every reader sees a monotone generation.
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -11,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pier_entity::EntityIndex;
-use pier_types::{Comparison, ProfileId};
+use pier_types::{Comparison, IncrementalClusters, ProfileId};
 use proptest::prelude::*;
 
 /// The oracle: BFS transitive closure over the match pairs, materialized
@@ -59,6 +64,51 @@ proptest! {
             index.apply(Comparison::new(ProfileId(a), ProfileId(b)));
         }
         prop_assert_eq!(index.partition(), bfs_closure(&pairs));
+    }
+
+    #[test]
+    fn sync_clusters_equal_the_index_and_the_closure(
+        raw in proptest::collection::vec((0u32..40, 0u32..40), 0..100)
+    ) {
+        let pairs: Vec<(u32, u32)> = raw.into_iter().filter(|(a, b)| a != b).collect();
+        let index = EntityIndex::new();
+        let mut clusters = IncrementalClusters::new();
+        for (n, &(a, b)) in pairs.iter().enumerate() {
+            let cmp = Comparison::new(ProfileId(a), ProfileId(b));
+            // Union by size; on a tie the root of `cmp.a`'s cluster stays.
+            let root = |p| clusters.root(p).unwrap_or(p);
+            let size = |p| clusters.cluster_size(p).max(1);
+            let (ra, rb) = (root(cmp.a), root(cmp.b));
+            let kept = if ra == rb {
+                None
+            } else if size(cmp.a) >= size(cmp.b) {
+                Some((ra, rb))
+            } else {
+                Some((rb, ra))
+            };
+            prop_assert_eq!(clusters.union(cmp), kept);
+            index.apply(cmp);
+            let closure = bfs_closure(&pairs[..=n]);
+            for id in 0u32..40 {
+                let p = ProfileId(id);
+                match closure.iter().find(|c| c.contains(&p)) {
+                    Some(component) => {
+                        let first = component[0];
+                        prop_assert!(clusters.same_entity(first, p));
+                        prop_assert_eq!(clusters.root(p), clusters.root(first));
+                        prop_assert_eq!(clusters.cluster_size(p), component.len());
+                    }
+                    None => prop_assert_eq!(clusters.root(p), None),
+                }
+                prop_assert_eq!(index.entity_of(p), clusters.root(p));
+            }
+            for (c, d) in closure.iter().zip(closure.iter().skip(1)) {
+                prop_assert!(!clusters.same_entity(c[0], d[0]));
+            }
+        }
+        let closure = bfs_closure(&pairs);
+        prop_assert_eq!(&clusters.clusters(1), &closure);
+        prop_assert_eq!(index.partition(), closure);
     }
 
     #[test]

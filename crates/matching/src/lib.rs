@@ -18,23 +18,23 @@
 //!   prioritization quality in tests.
 //! * [`extra`] — cosine and hybrid (prefilter + confirm) matchers beyond
 //!   the paper's two configurations.
-//! * [`classifier`] — the Incremental Classification pipeline stage:
-//!   maintains the duplicate set `M_D` and entity clusters across
-//!   increments.
+//! * [`stage_b`] — the Incremental Classification pipeline stage: one step
+//!   machine over a prepared-profile table, keeping the duplicate set `M_D`
+//!   and entity clusters across increments.
 
 #![warn(missing_docs)]
 
-pub mod classifier;
 pub mod extra;
 pub mod levenshtein;
 pub mod matcher;
 pub mod oracle;
 pub mod similarity;
+pub mod stage_b;
 
-pub use classifier::{ClassifiedMatch, IncrementalClassifier};
 pub use extra::{CosineMatcher, HybridMatcher};
 pub use levenshtein::{levenshtein_bounded, levenshtein_naive};
 pub use matcher::{
     EditDistanceMatcher, JaccardMatcher, MatchFunction, MatchInput, MatchOutcome, PreparedProfile,
 };
 pub use oracle::OracleMatcher;
+pub use stage_b::{ClassifiedMatch, PreparedPair, ProfileEntry, ProfileTable, StageB};

@@ -5,9 +5,10 @@
 //! depends on that profile alone (flattening and clipping its text,
 //! counting its characters). [`MatchFunction::compare`] then decides a pair
 //! from two prepared profiles. A profile takes part in hundreds of
-//! comparisons, so an executor that keeps the [`PreparedProfile`] pays the
-//! first step once per profile; [`MatchFunction::evaluate`] is the two steps
-//! composed, for callers that look at a pair once.
+//! comparisons, so every executor keeps the [`PreparedProfile`] in a
+//! [`crate::ProfileTable`] and pays the first step once per profile;
+//! [`MatchFunction::evaluate`] is the two steps composed, for library
+//! callers that look at a pair once.
 
 use pier_types::{EntityProfile, ProfileId, TokenId};
 
@@ -84,16 +85,6 @@ impl PreparedProfile {
     pub fn size(&self) -> u64 {
         self.size
     }
-
-    /// The text kept for comparison; empty for token matchers.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
-
-    /// Number of characters (not bytes) of [`PreparedProfile::text`].
-    pub fn chars(&self) -> usize {
-        self.chars
-    }
 }
 
 /// A pluggable match function (§2.1: similarity measure + threshold).
@@ -131,22 +122,12 @@ pub trait MatchFunction: Send + Sync {
     /// profile's values — separators between values not counted — capped
     /// at `max_chars` and at least 1. (The text ED compares does contain
     /// the separators, so this is at most its length, not equal to it;
-    /// simulator figures are calibrated on this value.) Drivers may cache
-    /// it per profile — profiles are immutable once ingested.
+    /// simulator figures are calibrated on this value.) A prepared profile
+    /// keeps it as [`PreparedProfile::size`].
     fn profile_size(&self, profile: &EntityProfile, tokens: &[TokenId]) -> u64;
 
     /// Work in ops for a pair of profiles with the given size statistics.
     fn pair_ops(&self, size_a: u64, size_b: u64) -> u64;
-
-    /// Estimated work in ops for the pair *without* evaluating it — used by
-    /// cost-model-only simulation where classification is irrelevant (PC
-    /// only counts emissions).
-    fn estimate_ops(&self, input: MatchInput<'_>) -> u64 {
-        self.pair_ops(
-            self.profile_size(input.profile_a, input.tokens_a),
-            self.profile_size(input.profile_b, input.tokens_b),
-        )
-    }
 
     /// Short stable name used in experiment output ("JS", "ED", ...).
     fn name(&self) -> &'static str;
@@ -347,13 +328,10 @@ mod tests {
         let pa = profile(0, "");
         let ta = toks(&[1, 2, 3, 4, 5]);
         let tb = toks(&[6, 7]);
-        let input = MatchInput {
-            profile_a: &pa,
-            tokens_a: &ta,
-            profile_b: &pa,
-            tokens_b: &tb,
-        };
-        assert_eq!(m.estimate_ops(input), 7);
+        assert_eq!(
+            m.pair_ops(m.profile_size(&pa, &ta), m.profile_size(&pa, &tb)),
+            7
+        );
     }
 
     #[test]
@@ -397,13 +375,8 @@ mod tests {
         let pa = profile(0, &long);
         let pb = profile(1, "short");
         let ta = toks(&[]);
-        let input = MatchInput {
-            profile_a: &pa,
-            tokens_a: &ta,
-            profile_b: &pb,
-            tokens_b: &ta,
-        };
-        assert_eq!(m.estimate_ops(input), 10 * 5);
+        let ops = m.pair_ops(m.profile_size(&pa, &ta), m.profile_size(&pb, &ta));
+        assert_eq!(ops, 10 * 5);
     }
 
     #[test]
@@ -414,13 +387,9 @@ mod tests {
         let pa = profile(0, "some reasonably long attribute value here");
         let pb = profile(1, "another reasonably long attribute value there");
         let ta = toks(&[1, 2, 3, 4, 5, 6]);
-        let input = MatchInput {
-            profile_a: &pa,
-            tokens_a: &ta,
-            profile_b: &pb,
-            tokens_b: &ta,
-        };
-        assert!(ed.estimate_ops(input) > 10 * js.estimate_ops(input));
+        let ops =
+            |m: &dyn MatchFunction| m.pair_ops(m.profile_size(&pa, &ta), m.profile_size(&pb, &ta));
+        assert!(ops(&ed) > 10 * ops(&js));
     }
 
     #[test]

@@ -64,17 +64,6 @@ pub fn cosine_tokens(a: &[TokenId], b: &[TokenId]) -> f64 {
 
 pub use crate::levenshtein::{levenshtein, levenshtein_bounded, levenshtein_naive};
 
-/// Normalized edit similarity: `1 − lev(a, b) / max(|a|, |b|)`, in `[0, 1]`.
-/// Two empty strings are defined as similarity 0 (an empty profile carries
-/// no evidence of a match).
-pub fn edit_similarity(a: &str, b: &str) -> f64 {
-    let max_len = a.chars().count().max(b.chars().count());
-    if max_len == 0 {
-        return 0.0;
-    }
-    1.0 - levenshtein(a, b) as f64 / max_len as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,20 +143,5 @@ mod tests {
     #[test]
     fn levenshtein_unicode() {
         assert_eq!(levenshtein("héllo", "hello"), 1);
-    }
-
-    #[test]
-    fn edit_similarity_bounds() {
-        assert_eq!(edit_similarity("same", "same"), 1.0);
-        assert_eq!(edit_similarity("abc", "xyz"), 0.0);
-        assert_eq!(edit_similarity("", ""), 0.0);
-        let s = edit_similarity("kitten", "sitting");
-        assert!((s - (1.0 - 3.0 / 7.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edit_similarity_detects_near_duplicates() {
-        let s = edit_similarity("The Shawshank Redemption", "The Shawshank Redemtion");
-        assert!(s > 0.9);
     }
 }

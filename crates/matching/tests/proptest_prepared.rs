@@ -156,7 +156,8 @@ proptest! {
                     let reused = m.compare(&prepared[i], &token_sets[i], &prepared[j], &token_sets[j]);
                     assert_same(reused, fresh, &what);
                     if m.name() != "JS+ED" {
-                        prop_assert_eq!(fresh.ops, m.estimate_ops(input), "{}", what);
+                        let sizes = (m.profile_size(&profiles[i], &token_sets[i]), m.profile_size(&profiles[j], &token_sets[j]));
+                        prop_assert_eq!(fresh.ops, m.pair_ops(sizes.0, sizes.1), "{}", what);
                     }
                 }
             }

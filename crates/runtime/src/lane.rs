@@ -27,14 +27,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pier_core::StageA;
-use pier_matching::MatchFunction;
+use pier_matching::{MatchFunction, PreparedPair, ProfileTable};
 use pier_metrics::{GaugedReceiver, GaugedSender};
 use pier_observe::{Event, Phase};
 
 use crate::pipeline::{Run, Shedder};
-use crate::stages::{
-    pull_past_merger_fault, MaterializedPair, Materializer, TokenizedIncrement, FILL,
-};
+use crate::stages::{pull_past_merger_fault, TokenizedIncrement, FILL};
 
 /// What the tokenizer hands the lane: an increment and the seconds spent
 /// tokenizing it, which the lane folds into the increment's one
@@ -47,7 +45,7 @@ pub(crate) type Tokenized = (TokenizedIncrement, f64);
 pub(crate) struct Lane<'a> {
     run: Run<'a>,
     machine: StageA,
-    materializer: Materializer,
+    table: ProfileTable<Arc<dyn MatchFunction>>,
     shedder: Option<Shedder>,
 }
 
@@ -56,7 +54,7 @@ impl<'a> Lane<'a> {
         Lane {
             run,
             machine,
-            materializer: Materializer::new(matcher),
+            table: ProfileTable::new(matcher),
             shedder: run.config.shed.map(Shedder::new),
         }
     }
@@ -68,7 +66,7 @@ impl<'a> Lane<'a> {
     pub fn run(
         mut self,
         inbox: &GaugedReceiver<Tokenized>,
-        batches: GaugedSender<Vec<MaterializedPair>>,
+        batches: GaugedSender<Vec<PreparedPair>>,
     ) -> StageA {
         let mut arrived = None;
         loop {
@@ -95,7 +93,7 @@ impl<'a> Lane<'a> {
 
     /// One turn (see the module docs); an empty batch from a turn that had
     /// nothing queued means the machine is drained.
-    fn turn(&mut self, queued: Option<Tokenized>) -> Vec<MaterializedPair> {
+    fn turn(&mut self, queued: Option<Tokenized>) -> Vec<PreparedPair> {
         let idle = queued.is_none();
         if let Some((increment, tokenize_secs)) = queued {
             self.ingest(increment, tokenize_secs);
@@ -104,10 +102,10 @@ impl<'a> Lane<'a> {
         let Lane {
             run,
             machine,
-            materializer,
+            table,
             shedder,
         } = self;
-        let mut pull = |machine: &mut StageA, n| pull(*run, machine, materializer, shedder, n);
+        let mut pull = |machine: &mut StageA, n| pull(*run, machine, table, shedder, n);
         let mut batch = pull(machine, k);
         if idle {
             machine.top_up(&mut batch, k.min(FILL), pull);
@@ -168,10 +166,10 @@ impl<'a> Lane<'a> {
 fn pull(
     run: Run<'_>,
     machine: &mut StageA,
-    materializer: &mut Materializer,
+    table: &mut ProfileTable<Arc<dyn MatchFunction>>,
     shedder: &mut Option<Shedder>,
     k: usize,
-) -> Vec<MaterializedPair> {
+) -> Vec<PreparedPair> {
     pull_past_merger_fault(run.chaos, run.supervisor, run.observer, || {
         let cmps = run.observer.timed(Phase::Prune, || match shedder {
             None => machine.pull(k).0,
@@ -184,7 +182,7 @@ fn pull(
             ),
         });
         let blocker = machine.blocker();
-        materializer.materialize(cmps, |id| (blocker.profile(id), blocker.tokens_handle(id)))
+        table.materialize(cmps, |id| (blocker.profile(id), blocker.tokens_handle(id)))
     })
 }
 
@@ -363,7 +361,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn pairs(batches: impl IntoIterator<Item = Vec<MaterializedPair>>) -> Vec<Comparison> {
+    fn pairs(batches: impl IntoIterator<Item = Vec<PreparedPair>>) -> Vec<Comparison> {
         let batches = batches.into_iter();
         batches
             .flat_map(|b| b.into_iter().map(|p| p.comparison()))

@@ -59,7 +59,7 @@ use pier_chaos::{ChaosHandle, FaultKind, FaultPlan, FaultPoint};
 use pier_collections::ScratchStats;
 use pier_core::{AdaptiveK, ComparisonEmitter, PierConfig, StageA, Strategy};
 use pier_entity::{ClusterObserver, EntityIndex, EntityServer};
-use pier_matching::MatchFunction;
+use pier_matching::{MatchFunction, PreparedPair, ProfileTable};
 use pier_metrics::{GaugedReceiver, GaugedSender, MetricsRegistry, Telemetry};
 use pier_observe::{Event, Observer, ObserverSet, Phase, PipelineObserver, WorkerRole};
 use pier_shard::{ProfileStore, ShardMerger, ShardRouter, ShardWorker, ShardedConfig};
@@ -71,8 +71,8 @@ use pier_types::{
 use crate::lane::{Lane, Tokenized};
 use crate::report::{DictionaryStats, MatchEvent, RunTotals, RuntimeReport, StageAStats};
 use crate::stages::{
-    collect_matches, pipeline_channel, spawn_source, tokenize_increment, MaterializedPair,
-    Materializer, StageB, TokenizedIncrement, TokenizedProfile, AHEAD, FILL,
+    collect_matches, pipeline_channel, spawn_source, tokenize_increment, StageB,
+    TokenizedIncrement, TokenizedProfile, AHEAD, FILL,
 };
 use crate::supervisor::{IngestJournal, JournalEntry, Supervisor};
 
@@ -610,6 +610,8 @@ impl Pipeline {
             worker_comparisons: Arc::clone(&worker_comparisons),
             chaos: chaos.clone(),
             supervisor: Arc::clone(&supervisor),
+            executed: 0,
+            metrics: None,
         };
 
         let run = Run {
@@ -965,7 +967,7 @@ impl<'a> Run<'a> {
             pipeline_channel::<Tokenized>(self.registry, &[("queue", "tokenized")], Some(64));
         // The lane's credit: see `AHEAD` for why this is not
         // `channel_capacity`.
-        let (batch_tx, batch_rx) = pipeline_channel::<Vec<MaterializedPair>>(
+        let (batch_tx, batch_rx) = pipeline_channel::<Vec<PreparedPair>>(
             self.registry,
             &[("queue", "batches")],
             Some(AHEAD),
@@ -1166,12 +1168,12 @@ impl<'a> Run<'a> {
         let mut shedder = self.config.shed.map(Shedder::new);
         let mut merger = ShardMerger::new(shards);
         merger.set_observer(observer.clone());
-        let mut materializer = Materializer::new(Arc::clone(&stage_b.matcher));
+        let mut table = ProfileTable::new(Arc::clone(&stage_b.matcher));
         scope.spawn(move || {
             // Pull: k-way merge across the shards (each shard is asked for
             // its best `n` on demand), then materialize from the global
             // store.
-            let pull = |k: usize| -> Vec<MaterializedPair> {
+            let pull = |k: usize| -> Vec<PreparedPair> {
                 // An ended stream is asked for `FILL` at a time, as its
                 // shards top up: the backlog is plentiful now, and the
                 // adaptive `K` would make 65 k-pair batches of it.
@@ -1199,7 +1201,7 @@ impl<'a> Run<'a> {
                     return Vec::new();
                 }
                 let store = pull_store.read();
-                materializer.materialize(cmps, |id| (store.profile(id), store.tokens_handle(id)))
+                table.materialize(cmps, |id| (store.profile(id), store.tokens_handle(id)))
             };
             // Tick every shard; any shard reporting work keeps the loop hot.
             let tick = || -> bool {

@@ -30,13 +30,13 @@ use std::time::Instant;
 use crossbeam::channel;
 
 use pier_chaos::{ChaosHandle, FaultPoint};
-use pier_matching::{MatchFunction, MatchOutcome};
+use pier_matching::{MatchFunction, MatchOutcome, PreparedPair};
 use pier_metrics::{
     queue::gauged, Counter, GaugedReceiver, GaugedSender, MetricsRegistry, QueueGauges,
 };
 use pier_observe::{Observer, Phase, WorkerRole};
 
-use crate::stages::{MaterializedPair, WORKER_COMPARISONS_HELP};
+use crate::stages::WORKER_COMPARISONS_HELP;
 use crate::supervisor::Supervisor;
 
 /// One evaluated pair: the matcher's verdict plus the worker that ran it
@@ -51,7 +51,7 @@ pub(crate) struct Evaluated {
 /// A chunk of one batch, shipped to a single worker. The batch is shared
 /// by `Arc` — fanning out clones refcounts, never profiles.
 struct Job {
-    batch: Arc<Vec<MaterializedPair>>,
+    batch: Arc<Vec<PreparedPair>>,
     start: usize,
     end: usize,
     chunk: usize,
@@ -203,7 +203,7 @@ impl MatchPool {
     /// executed count identical to a fault-free run.
     fn evaluate_chunk_here(
         &self,
-        batch: &[MaterializedPair],
+        batch: &[PreparedPair],
         start: usize,
         end: usize,
     ) -> Vec<MatchOutcome> {
@@ -211,7 +211,7 @@ impl MatchPool {
             .iter()
             .map(|pair| {
                 let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    pair.evaluate(&*self.matcher)
+                    pair.compare(&*self.matcher)
                 }));
                 attempt.unwrap_or_else(|_| {
                     self.supervisor
@@ -250,7 +250,7 @@ impl MatchPool {
     /// Blocks until every chunk is back. The whole batch is always
     /// evaluated — budget enforcement happens afterwards, on the
     /// coordinator, exactly as in the sequential path.
-    pub fn evaluate(&mut self, batch: &Arc<Vec<MaterializedPair>>) -> Vec<Evaluated> {
+    pub fn evaluate(&mut self, batch: &Arc<Vec<PreparedPair>>) -> Vec<Evaluated> {
         let ranges = chunk_ranges(batch.len(), self.workers());
         let mut slots: Vec<Option<Reply>> = (0..ranges.len()).map(|_| None).collect();
         let mut outstanding = 0usize;
@@ -363,7 +363,7 @@ fn worker_loop(
                 chaos.trip(FaultPoint::MatchWorker, Some(worker as u16));
                 job.batch[job.start..job.end]
                     .iter()
-                    .map(|pair| pair.evaluate(matcher))
+                    .map(|pair| pair.compare(matcher))
                     .collect::<Vec<MatchOutcome>>()
             }))
         });
@@ -395,26 +395,24 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stages::ProfileEntry;
-    use pier_matching::EditDistanceMatcher;
+    use pier_matching::{EditDistanceMatcher, ProfileEntry};
     use pier_types::{EntityProfile, ProfileId, SourceId, TokenId};
 
     /// A pair prepared for the default `EditDistanceMatcher`, which every
     /// pool test here runs.
-    fn pair(a: u32, b: u32, same: bool) -> MaterializedPair {
+    fn pair(a: u32, b: u32, same: bool) -> PreparedPair {
         let text_b = if same {
             "alpha beta gamma"
         } else {
             "zzz yyy xxx www"
         };
         let side = |id: u32, text: &str| {
-            Arc::new(ProfileEntry::new(
-                &EditDistanceMatcher::default(),
-                &EntityProfile::new(ProfileId(id), SourceId(0)).with("t", text),
-                Arc::from(vec![TokenId(id), TokenId(id + 1)]),
-            ))
+            let tokens: Arc<[TokenId]> = Arc::from(vec![TokenId(id), TokenId(id + 1)]);
+            let profile = EntityProfile::new(ProfileId(id), SourceId(0)).with("t", text);
+            let prepared = EditDistanceMatcher::default().prepare(&profile, &tokens);
+            Arc::new(ProfileEntry { tokens, prepared })
         };
-        MaterializedPair {
+        PreparedPair {
             a: side(a, "alpha beta gamma"),
             b: side(b, text_b),
         }
@@ -454,7 +452,7 @@ mod tests {
             Arc::new(Supervisor::new()),
         );
         // Pair i matches iff i is even; order must survive the fan-out.
-        let batch: Vec<MaterializedPair> = (0..20u32)
+        let batch: Vec<PreparedPair> = (0..20u32)
             .map(|i| pair(2 * i, 2 * i + 1, i % 2 == 0))
             .collect();
         let batch = Arc::new(batch);
@@ -498,8 +496,7 @@ mod tests {
             ChaosHandle::disabled(),
             Arc::new(Supervisor::new()),
         );
-        let batch: Vec<MaterializedPair> =
-            (0..9u32).map(|i| pair(2 * i, 2 * i + 1, true)).collect();
+        let batch: Vec<PreparedPair> = (0..9u32).map(|i| pair(2 * i, 2 * i + 1, true)).collect();
         pool.evaluate(&Arc::new(batch));
         for (worker, &executed) in pool.executed_per_worker().iter().enumerate() {
             let label = worker.to_string();

@@ -19,14 +19,12 @@ use parking_lot::Mutex;
 
 use pier_chaos::{ChaosHandle, FaultKind, FaultPoint};
 use pier_core::AdaptiveK;
-use pier_matching::{MatchFunction, MatchOutcome, PreparedProfile};
+use pier_matching::{MatchFunction, MatchOutcome, PreparedPair};
 use pier_metrics::{
     queue::gauged, Counter, Gauge, GaugedReceiver, GaugedSender, MetricsRegistry, QueueGauges,
 };
 use pier_observe::{Event, Observer, Phase, WorkerRole};
-use pier_types::{
-    Comparison, EntityProfile, PierError, ProfileId, SharedTokenDictionary, TokenId, Tokenizer,
-};
+use pier_types::{EntityProfile, PierError, SharedTokenDictionary, TokenId, Tokenizer};
 
 use crate::pool::MatchPool;
 use crate::report::MatchEvent;
@@ -107,101 +105,6 @@ pub(crate) fn spawn_source(
     })
 }
 
-/// One profile as stage B keeps it: the store's handle to its token-id set
-/// and what the run's matcher prepared from it.
-pub(crate) struct ProfileEntry {
-    pub tokens: Arc<[TokenId]>,
-    pub prepared: PreparedProfile,
-}
-
-impl ProfileEntry {
-    pub fn new(
-        matcher: &dyn MatchFunction,
-        profile: &EntityProfile,
-        tokens: Arc<[TokenId]>,
-    ) -> Self {
-        let prepared = matcher.prepare(profile, &tokens);
-        ProfileEntry { tokens, prepared }
-    }
-}
-
-/// A comparison materialized so that classifying it needs nothing from
-/// stage A: one handle per side to that profile's [`ProfileEntry`].
-///
-/// Materializing a pair is two refcount bumps — no attribute map, token
-/// vector or prepared text is copied per comparison, and fanning a batch
-/// out to match workers shares the same allocations.
-pub(crate) struct MaterializedPair {
-    pub a: Arc<ProfileEntry>,
-    pub b: Arc<ProfileEntry>,
-}
-
-impl MaterializedPair {
-    /// The matcher's verdict on the pair — the one place the runtime runs
-    /// a comparison, on whichever thread classifies.
-    pub fn evaluate(&self, matcher: &dyn MatchFunction) -> MatchOutcome {
-        let (a, b) = (&*self.a, &*self.b);
-        matcher.compare(&a.prepared, &a.tokens, &b.prepared, &b.tokens)
-    }
-
-    /// The pair's canonical comparison.
-    pub fn comparison(&self) -> Comparison {
-        Comparison::new(self.a.prepared.id(), self.b.prepared.id())
-    }
-}
-
-/// Stage B's per-profile table: one [`ProfileEntry`] per profile id, built
-/// the first time a pull names that profile and shared by every later pair
-/// it takes part in.
-///
-/// Each topology materializes on one thread — the single topology's lane,
-/// the sharded topology's stage-B thread — so the table has one writer and
-/// needs no lock. An entry never goes stale:
-/// profiles are immutable once stored, an id that arrives a second time is
-/// rejected at ingest with the first profile kept, and a shard worker
-/// rebuilt from its journal replays the same profiles under the same ids.
-/// Ingest also bounds the table: it admits no id at or above
-/// [`ProfileId::LIMIT`].
-pub(crate) struct Materializer {
-    matcher: Arc<dyn MatchFunction>,
-    entries: Vec<Option<Arc<ProfileEntry>>>,
-}
-
-impl Materializer {
-    pub fn new(matcher: Arc<dyn MatchFunction>) -> Self {
-        Materializer {
-            matcher,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Turns pulled comparisons into pairs. `store` reads a profile and
-    /// its token handle from whichever store the topology keeps them in;
-    /// it is asked once per profile, not per pair.
-    pub fn materialize<'s>(
-        &mut self,
-        cmps: Vec<Comparison>,
-        store: impl Fn(ProfileId) -> (&'s EntityProfile, Arc<[TokenId]>),
-    ) -> Vec<MaterializedPair> {
-        let mut side = |id: ProfileId| {
-            if self.entries.len() <= id.index() {
-                self.entries.resize(id.index() + 1, None);
-            }
-            let entry = self.entries[id.index()].get_or_insert_with(|| {
-                let (profile, tokens) = store(id);
-                Arc::new(ProfileEntry::new(&*self.matcher, profile, tokens))
-            });
-            Arc::clone(entry)
-        };
-        cmps.into_iter()
-            .map(|c| MaterializedPair {
-                a: side(c.a),
-                b: side(c.b),
-            })
-            .collect()
-    }
-}
-
 /// Shared `# HELP` text for `pier_worker_comparisons_total`, registered by
 /// both the pool (one counter per worker) and the sequential classifier
 /// (`worker="0"` only).
@@ -244,164 +147,6 @@ impl ClassifierMetrics {
                     &[("worker", "0")],
                 )
             }),
-        }
-    }
-}
-
-/// The classification tail of stage B, shared by both drivers: evaluate
-/// the matcher over a materialized batch, emit `MatchConfirmed` events and
-/// [`MatchEvent`]s, time the phase, and feed the adaptive-`K` controller.
-pub(crate) struct Classifier<'a> {
-    pub start: Instant,
-    pub deadline: Duration,
-    pub max_comparisons: u64,
-    pub matcher: &'a dyn MatchFunction,
-    pub observer: &'a Observer,
-    pub match_tx: GaugedSender<MatchEvent>,
-    pub metrics: Option<ClassifierMetrics>,
-    pub chaos: ChaosHandle,
-    pub supervisor: &'a Supervisor,
-    pub executed: u64,
-}
-
-impl Classifier<'_> {
-    /// Pairs classified between two looks at the wall clock. The comparison
-    /// cap is an integer compare and stays exact per pair; the deadline is
-    /// a clock read (46 ns on the benchmark VM, 4 % of a Jaccard run when
-    /// paid per pair), so it is honoured to within this many comparisons.
-    const CLOCK_EVERY: usize = 256;
-
-    /// Time left until the deadline; `None` once it has passed or the
-    /// comparison cap is reached. Reads the clock.
-    pub fn time_left(&self) -> Option<Duration> {
-        if self.executed >= self.max_comparisons {
-            return None;
-        }
-        let left = self.deadline.saturating_sub(self.start.elapsed());
-        (!left.is_zero()).then_some(left)
-    }
-
-    /// Whether classification stops after the `done`-th pair of a batch:
-    /// at the cap exactly, past the deadline to within
-    /// [`Self::CLOCK_EVERY`] pairs.
-    fn stops_after(&self, done: usize) -> bool {
-        self.executed >= self.max_comparisons
-            || (done.is_multiple_of(Self::CLOCK_EVERY) && self.start.elapsed() >= self.deadline)
-    }
-
-    /// Classifies one batch (stopping early if the budget runs out mid-way)
-    /// and records the batch time with the adaptive-`K` controller.
-    ///
-    /// With a pool the matcher evaluations fan out across its workers, but
-    /// every externally visible effect — comparison accounting,
-    /// `MatchConfirmed` events, [`MatchEvent`] delivery, the budget cutoff —
-    /// happens here on the coordinator, over the re-sequenced outcomes, in
-    /// exactly the order the sequential path produces. The one intentional
-    /// difference: the pool always evaluates the whole batch, so a budget
-    /// cutoff discards already-computed tail outcomes instead of skipping
-    /// their evaluation (the counted comparisons are identical).
-    ///
-    /// The batch timing fed to the adaptive-`K` controller is wall-clock
-    /// in both modes; with `N` workers it reflects the slowest chunk, so
-    /// the controller sizes `K` against the pool's aggregate throughput.
-    pub fn classify_batch(
-        &mut self,
-        batch: Vec<MaterializedPair>,
-        adaptive: &Mutex<AdaptiveK>,
-        pool: Option<&mut MatchPool>,
-    ) {
-        let t0 = self.start.elapsed().as_secs_f64();
-        match pool {
-            Some(pool) => {
-                let batch = Arc::new(batch);
-                let evaluated = pool.evaluate(&batch);
-                for (done, (pair, ev)) in batch.iter().zip(evaluated).enumerate() {
-                    self.record(pair, &ev.outcome, Some(ev.worker));
-                    if self.stops_after(done + 1) {
-                        break;
-                    }
-                }
-            }
-            None => {
-                for (done, pair) in batch.iter().enumerate() {
-                    let outcome = pair.evaluate(self.matcher);
-                    self.record(pair, &outcome, None);
-                    if self.stops_after(done + 1) {
-                        break;
-                    }
-                }
-            }
-        }
-        let batch_secs = self.start.elapsed().as_secs_f64() - t0;
-        self.observer.emit(|| Event::PhaseTiming {
-            phase: Phase::Classify,
-            secs: batch_secs,
-        });
-        adaptive.lock().record_batch(batch_secs);
-    }
-
-    /// Accounts one evaluated pair and emits its match events if confirmed.
-    /// `worker` attributes the confirmation to the match worker that
-    /// evaluated the pair (parallel mode only; the sequential path stays
-    /// untagged, preserving its exact event stream).
-    fn record(&mut self, pair: &MaterializedPair, outcome: &MatchOutcome, worker: Option<u16>) {
-        self.executed += 1;
-        if let Some(m) = &self.metrics {
-            m.comparisons.inc();
-            m.budget_remaining.dec();
-            if let Some(w) = &m.sequential_worker {
-                w.inc();
-            }
-        }
-        if outcome.is_match {
-            let at = self.start.elapsed();
-            let cmp = pair.comparison();
-            // The entity_apply fault point sits between confirmation and
-            // delivery: a Delay stretches the apply, a SendFail simulates a
-            // dead match channel, a Panic loses the match outright. All
-            // three end in the dead-letter queue, never in a crash.
-            let mut deliver = true;
-            if self.chaos.is_armed() {
-                let tripped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.chaos.trip(FaultPoint::EntityApply, None)
-                }));
-                match tripped {
-                    Err(_) => {
-                        self.supervisor
-                            .lost_match(cmp, outcome.similarity, self.observer);
-                        return;
-                    }
-                    Ok(Some(FaultKind::SendFail)) => deliver = false,
-                    Ok(_) => {}
-                }
-            }
-            let event = || Event::MatchConfirmed {
-                cmp,
-                similarity: outcome.similarity,
-                at_secs: at.as_secs_f64(),
-            };
-            match worker {
-                Some(worker) => self.observer.for_worker(worker).emit(event),
-                None => self.observer.emit(event),
-            }
-            let sent = deliver
-                && send_with_backoff(
-                    &self.match_tx,
-                    MatchEvent {
-                        at,
-                        pair: cmp,
-                        similarity: outcome.similarity,
-                    },
-                    SEND_TIMEOUT,
-                    "matches",
-                )
-                .is_ok();
-            if !sent {
-                // Confirmed but undeliverable: surface the loss instead of
-                // silently dropping the event.
-                self.supervisor
-                    .lost_match(cmp, outcome.similarity, self.observer);
-            }
         }
     }
 }
@@ -589,12 +334,15 @@ pub(crate) fn pull_past_merger_fault<T>(
     })
 }
 
-/// The topology-independent half of stage B, shared by every pipeline
-/// configuration: the budget cutoff, the classifier, worker accounting,
-/// and the shutdown sequence around a stream of materialized batches. A
-/// topology contributes only where the batches come from: the single
-/// topology's lane pushes them into a channel ([`StageB::run`]), the
-/// sharded topology's workers have to be asked ([`StageB::run_polled`]).
+/// The classifier thread: the topology-independent half of stage B, shared
+/// by every pipeline configuration. Around a stream of materialized batches
+/// it runs the matcher (here or on a [`MatchPool`]), emits `MatchConfirmed`
+/// events and [`MatchEvent`]s, times the phase, feeds the adaptive-`K`
+/// controller, and owns the budget cutoff, worker accounting and the
+/// shutdown sequence. A topology contributes only where the batches come
+/// from: the single topology's lane pushes them into a channel
+/// ([`StageB::run`]), the sharded topology's workers have to be asked
+/// ([`StageB::run_polled`]).
 pub(crate) struct StageB {
     pub start: Instant,
     pub deadline: Duration,
@@ -612,6 +360,10 @@ pub(crate) struct StageB {
     pub worker_comparisons: Arc<Mutex<Vec<u64>>>,
     pub chaos: ChaosHandle,
     pub supervisor: Arc<Supervisor>,
+    /// Comparisons classified so far (0 when built).
+    pub executed: u64,
+    /// The live classifier families; `run` registers them with `registry`.
+    pub metrics: Option<ClassifierMetrics>,
 }
 
 impl StageB {
@@ -621,14 +373,14 @@ impl StageB {
     /// `left` — the time to the deadline, so that a stage B with nothing
     /// to do still ends on time — and `None` once stage A is drained (or
     /// the wait ran out). Between batches the budget is checked with a
-    /// clock read; within one, see [`Classifier::CLOCK_EVERY`].
+    /// clock read; within one, see [`StageB::CLOCK_EVERY`].
     ///
     /// Exiting — cleanly or by panic — sets `shutdown` (stopping the
     /// source), drops `next_batch` (a lane blocked on its full batch
     /// channel sees the hang-up and ends; batches it had published or was
     /// holding are dropped unexecuted) and drops the classifier's match
     /// sender (letting the collector finish).
-    pub fn run(self, mut next_batch: impl FnMut(Duration) -> Option<Vec<MaterializedPair>>) {
+    pub fn run(mut self, mut next_batch: impl FnMut(Duration) -> Option<Vec<PreparedPair>>) {
         let _stop_source = ShutdownOnDrop::new(Arc::clone(&self.shutdown));
         let mut pool = (self.match_workers > 1).then(|| {
             MatchPool::new(
@@ -640,28 +392,17 @@ impl StageB {
                 Arc::clone(&self.supervisor),
             )
         });
-        let mut classifier = Classifier {
-            start: self.start,
-            deadline: self.deadline,
-            max_comparisons: self.max_comparisons,
-            matcher: self.matcher.as_ref(),
-            observer: &self.observer,
-            match_tx: self.match_tx,
-            metrics: self.registry.as_deref().map(|r| {
-                ClassifierMetrics::register(r, self.max_comparisons, self.match_workers <= 1)
-            }),
-            chaos: self.chaos.clone(),
-            supervisor: &self.supervisor,
-            executed: 0,
-        };
-        while let Some(batch) = classifier.time_left().and_then(&mut next_batch) {
-            classifier.classify_batch(batch, &self.adaptive, pool.as_mut());
+        self.metrics = self
+            .registry
+            .as_deref()
+            .map(|r| ClassifierMetrics::register(r, self.max_comparisons, self.match_workers <= 1));
+        while let Some(batch) = self.time_left().and_then(&mut next_batch) {
+            self.classify_batch(batch, pool.as_mut());
         }
-        self.executed_total
-            .store(classifier.executed, Ordering::SeqCst);
+        self.executed_total.store(self.executed, Ordering::SeqCst);
         *self.worker_comparisons.lock() = match &pool {
             Some(pool) => pool.executed_per_worker().to_vec(),
-            None => vec![classifier.executed],
+            None => vec![self.executed],
         };
     }
 
@@ -682,7 +423,7 @@ impl StageB {
     pub fn run_polled(
         self,
         ingest_done: &AtomicBool,
-        mut pull: impl FnMut(usize) -> Vec<MaterializedPair>,
+        mut pull: impl FnMut(usize) -> Vec<PreparedPair>,
         mut tick: impl FnMut() -> bool,
     ) {
         let adaptive = Arc::clone(&self.adaptive);
@@ -712,6 +453,141 @@ impl StageB {
             }
         });
     }
+
+    /// Pairs classified between two looks at the wall clock. The comparison
+    /// cap is an integer compare and stays exact per pair; the deadline is
+    /// a clock read (46 ns on the benchmark VM, 4 % of a Jaccard run when
+    /// paid per pair), so it is honoured to within this many comparisons.
+    const CLOCK_EVERY: usize = 256;
+
+    /// Time left until the deadline; `None` once it has passed or the
+    /// comparison cap is reached. Reads the clock.
+    fn time_left(&self) -> Option<Duration> {
+        if self.executed >= self.max_comparisons {
+            return None;
+        }
+        let left = self.deadline.saturating_sub(self.start.elapsed());
+        (!left.is_zero()).then_some(left)
+    }
+
+    /// Whether classification stops after the `done`-th pair of a batch:
+    /// at the cap exactly, past the deadline to within
+    /// [`Self::CLOCK_EVERY`] pairs.
+    fn stops_after(&self, done: usize) -> bool {
+        self.executed >= self.max_comparisons
+            || (done.is_multiple_of(Self::CLOCK_EVERY) && self.start.elapsed() >= self.deadline)
+    }
+
+    /// Classifies one batch (stopping early if the budget runs out mid-way)
+    /// and records the batch time with the adaptive-`K` controller.
+    ///
+    /// With a pool the matcher evaluations fan out across its workers, but
+    /// every externally visible effect — comparison accounting,
+    /// `MatchConfirmed` events, [`MatchEvent`] delivery, the budget cutoff —
+    /// happens here on the coordinator, over the re-sequenced outcomes, in
+    /// exactly the order the sequential path produces. The one intentional
+    /// difference: the pool always evaluates the whole batch, so a budget
+    /// cutoff discards already-computed tail outcomes instead of skipping
+    /// their evaluation (the counted comparisons are identical).
+    ///
+    /// The batch timing fed to the adaptive-`K` controller is wall-clock
+    /// in both modes; with `N` workers it reflects the slowest chunk, so
+    /// the controller sizes `K` against the pool's aggregate throughput.
+    fn classify_batch(&mut self, batch: Vec<PreparedPair>, pool: Option<&mut MatchPool>) {
+        let t0 = self.start.elapsed().as_secs_f64();
+        match pool {
+            Some(pool) => {
+                let batch = Arc::new(batch);
+                let evaluated = pool.evaluate(&batch);
+                for (done, (pair, ev)) in batch.iter().zip(evaluated).enumerate() {
+                    self.record(pair, &ev.outcome, Some(ev.worker));
+                    if self.stops_after(done + 1) {
+                        break;
+                    }
+                }
+            }
+            None => {
+                for (done, pair) in batch.iter().enumerate() {
+                    let outcome = pair.compare(&*self.matcher);
+                    self.record(pair, &outcome, None);
+                    if self.stops_after(done + 1) {
+                        break;
+                    }
+                }
+            }
+        }
+        let batch_secs = self.start.elapsed().as_secs_f64() - t0;
+        self.observer.emit(|| Event::PhaseTiming {
+            phase: Phase::Classify,
+            secs: batch_secs,
+        });
+        self.adaptive.lock().record_batch(batch_secs);
+    }
+
+    /// Accounts one evaluated pair and emits its match events if confirmed.
+    /// `worker` attributes the confirmation to the match worker that
+    /// evaluated the pair (parallel mode only; the sequential path stays
+    /// untagged, preserving its exact event stream).
+    fn record(&mut self, pair: &PreparedPair, outcome: &MatchOutcome, worker: Option<u16>) {
+        self.executed += 1;
+        if let Some(m) = &self.metrics {
+            m.comparisons.inc();
+            m.budget_remaining.dec();
+            if let Some(w) = &m.sequential_worker {
+                w.inc();
+            }
+        }
+        if outcome.is_match {
+            let at = self.start.elapsed();
+            let cmp = pair.comparison();
+            // The entity_apply fault point sits between confirmation and
+            // delivery: a Delay stretches the apply, a SendFail simulates a
+            // dead match channel, a Panic loses the match outright. All
+            // three end in the dead-letter queue, never in a crash.
+            let mut deliver = true;
+            if self.chaos.is_armed() {
+                let tripped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    self.chaos.trip(FaultPoint::EntityApply, None)
+                }));
+                match tripped {
+                    Err(_) => {
+                        self.supervisor
+                            .lost_match(cmp, outcome.similarity, &self.observer);
+                        return;
+                    }
+                    Ok(Some(FaultKind::SendFail)) => deliver = false,
+                    Ok(_) => {}
+                }
+            }
+            let event = || Event::MatchConfirmed {
+                cmp,
+                similarity: outcome.similarity,
+                at_secs: at.as_secs_f64(),
+            };
+            match worker {
+                Some(worker) => self.observer.for_worker(worker).emit(event),
+                None => self.observer.emit(event),
+            }
+            let sent = deliver
+                && send_with_backoff(
+                    &self.match_tx,
+                    MatchEvent {
+                        at,
+                        pair: cmp,
+                        similarity: outcome.similarity,
+                    },
+                    SEND_TIMEOUT,
+                    "matches",
+                )
+                .is_ok();
+            if !sent {
+                // Confirmed but undeliverable: surface the loss instead of
+                // silently dropping the event.
+                self.supervisor
+                    .lost_match(cmp, outcome.similarity, &self.observer);
+            }
+        }
+    }
 }
 
 /// The collector half of every driver: streams match events to the caller
@@ -732,7 +608,8 @@ pub(crate) fn collect_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_types::SourceId;
+    use pier_matching::{PreparedProfile, ProfileEntry};
+    use pier_types::{ProfileId, SourceId};
 
     #[test]
     fn tokenize_increment_interns_each_token_once() {
@@ -813,14 +690,14 @@ mod tests {
         }
     }
 
-    fn pair(a: u32, b: u32) -> MaterializedPair {
+    fn pair(a: u32, b: u32) -> PreparedPair {
         let side = |id| {
             Arc::new(ProfileEntry {
                 tokens: Arc::from(Vec::new()),
                 prepared: PreparedProfile::new(ProfileId(id), 1),
             })
         };
-        MaterializedPair {
+        PreparedPair {
             a: side(a),
             b: side(b),
         }
@@ -845,6 +722,8 @@ mod tests {
             worker_comparisons: Arc::new(Mutex::new(Vec::new())),
             chaos: ChaosHandle::disabled(),
             supervisor: Arc::new(Supervisor::new()),
+            executed: 0,
+            metrics: None,
         };
         (stage, match_rx)
     }

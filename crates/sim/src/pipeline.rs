@@ -2,7 +2,7 @@
 
 use pier_blocking::{IncrementalBlocker, PurgePolicy};
 use pier_core::{AdaptiveK, ComparisonEmitter, StageA};
-use pier_matching::{MatchFunction, MatchInput};
+use pier_matching::{MatchFunction, StageB};
 use pier_observe::{Event, Observer, Phase};
 use pier_types::{
     EntityProfile, ErKind, GroundTruth, MatchLedger, PierError, ProgressTrajectory, Tokenizer,
@@ -125,15 +125,6 @@ impl SimOutcome {
         self.trajectory.pc()
     }
 
-    /// Mean match-detection latency in virtual seconds (`None` if no match
-    /// was found).
-    pub fn mean_latency(&self) -> Option<f64> {
-        if self.match_latencies.is_empty() {
-            return None;
-        }
-        Some(self.match_latencies.iter().sum::<f64>() / self.match_latencies.len() as f64)
-    }
-
     /// Latency percentile `q` ∈ [0, 1] (nearest-rank), `None` if no match.
     pub fn latency_percentile(&self, q: f64) -> Option<f64> {
         assert!((0.0..=1.0).contains(&q), "percentile in [0, 1]");
@@ -213,23 +204,9 @@ impl<'a> PipelineSim<'a> {
         stage_a.set_observer(observer.clone());
         let mut trajectory = ProgressTrajectory::for_ground_truth(ground_truth);
         let mut ledger = MatchLedger::new();
-
-        // Per-profile size statistics for the cost model, cached lazily
-        // (profiles are immutable once ingested).
-        let mut size_cache: Vec<u64> = Vec::new();
-        let mut profile_size = |blocker: &IncrementalBlocker,
-                                matcher: &dyn MatchFunction,
-                                id: pier_types::ProfileId|
-         -> u64 {
-            let idx = id.index();
-            if size_cache.len() <= idx {
-                size_cache.resize(idx + 1, u64::MAX);
-            }
-            if size_cache[idx] == u64::MAX {
-                size_cache[idx] = matcher.profile_size(blocker.profile(id), blocker.tokens_of(id));
-            }
-            size_cache[idx]
-        };
+        // Stage B's table prepares each profile once; `CostOnly` reads the
+        // cost model's size statistic off the prepared profile.
+        let mut stage_b = StageB::new(self.matcher);
 
         let mut a_free = 0.0f64; // when stage A becomes free
         let mut b_free = 0.0f64; // when stage B becomes free
@@ -356,26 +333,23 @@ impl<'a> PipelineSim<'a> {
             let mut t = t0 + cost.stage_a_secs(pull_ops);
             let classify_started = t;
             let blocker = stage_a.blocker();
-            for cmp in batch {
+            let pairs =
+                stage_b.materialize(batch, |id| (blocker.profile(id), blocker.tokens_handle(id)));
+            for pair in &pairs {
+                let cmp = pair.comparison();
                 let (ops, similarity) = match self.config.matcher_mode {
                     MatcherMode::Real => {
-                        let input = MatchInput {
-                            profile_a: blocker.profile(cmp.a),
-                            tokens_a: blocker.tokens_of(cmp.a),
-                            profile_b: blocker.profile(cmp.b),
-                            tokens_b: blocker.tokens_of(cmp.b),
-                        };
-                        let outcome = self.matcher.evaluate(input);
+                        let outcome = stage_b.classify(pair);
                         classified += u64::from(outcome.is_match);
                         (outcome.ops, outcome.similarity)
                     }
-                    MatcherMode::CostOnly => {
-                        let sa = profile_size(blocker, self.matcher, cmp.a);
-                        let sb = profile_size(blocker, self.matcher, cmp.b);
-                        // PC counts ground-truth hits among emissions, so a
-                        // credited pair is reported with similarity 1.0.
-                        (self.matcher.pair_ops(sa, sb), 1.0)
-                    }
+                    // PC counts ground-truth hits among emissions, so a
+                    // credited pair is reported with similarity 1.0.
+                    MatcherMode::CostOnly => (
+                        self.matcher
+                            .pair_ops(pair.a.prepared.size(), pair.b.prepared.size()),
+                        1.0,
+                    ),
                 };
                 t += cost.matcher_secs(ops);
                 if t > budget {
@@ -656,8 +630,6 @@ mod tests {
         for &l in &out.match_latencies {
             assert!((0.0..1.0).contains(&l), "latency {l} should be sub-second");
         }
-        let mean = out.mean_latency().unwrap();
-        assert!(mean > 0.0 && mean < 1.0);
         let p100 = out.latency_percentile(1.0).unwrap();
         let p50 = out.latency_percentile(0.5).unwrap();
         assert!(p100 >= p50);
@@ -672,7 +644,6 @@ mod tests {
         let mut sim = PipelineSim::new(&mut emitter, &matcher, SimConfig::default());
         let out = sim.run(ErKind::Dirty, &arrivals, &gt);
         assert!(out.match_latencies.is_empty());
-        assert_eq!(out.mean_latency(), None);
         assert_eq!(out.latency_percentile(0.9), None);
     }
 

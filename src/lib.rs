@@ -109,8 +109,8 @@ pub mod prelude {
     };
     pub use pier_matching::{
         levenshtein_bounded, levenshtein_naive, ClassifiedMatch, CosineMatcher,
-        EditDistanceMatcher, HybridMatcher, IncrementalClassifier, JaccardMatcher, MatchFunction,
-        MatchInput, MatchOutcome, OracleMatcher, PreparedProfile,
+        EditDistanceMatcher, HybridMatcher, JaccardMatcher, MatchFunction, MatchInput,
+        MatchOutcome, OracleMatcher, PreparedProfile, StageB,
     };
     pub use pier_metablocking::{iwnp, BlockingGraph, IwnpConfig, WeightingScheme};
     pub use pier_metrics::{
