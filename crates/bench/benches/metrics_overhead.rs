@@ -236,9 +236,7 @@ fn main() {
 
     // Instrumented showcase run: sample the registry mid-flight the way a
     // Prometheus scraper would see it, and keep the timelines.
-    let live = Telemetry::new()
-        .with_ground_truth(dataset.ground_truth.clone())
-        .recall_tick(Duration::from_millis(2));
+    let live = Telemetry::new().with_ground_truth(dataset.ground_truth.clone());
     let registry = Arc::clone(live.registry());
     let depth_increments = registry.gauge("pier_queue_depth", "", &[("queue", "increments")]);
     let depth_matches = registry.gauge("pier_queue_depth", "", &[("queue", "matches")]);

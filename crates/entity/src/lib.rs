@@ -9,9 +9,9 @@
 //!   size) over [`pier_types::ProfileId`]s, maintaining cluster count,
 //!   size histogram, and per-cluster member lists with a monotone
 //!   generation counter, safe to read from any thread mid-merge.
-//!   [`ClusterObserver`] bridges it onto a run: tee it onto the pipeline
-//!   observer (both drivers do this when
-//!   `RuntimeConfig::entities` is set) and every
+//!   [`ClusterObserver`] bridges it onto a run: compose it into the
+//!   run's `ObserverSet` (the runtime `Pipeline` does this, labelled
+//!   `"entities"`, when `RuntimeConfig::entities` is set) and every
 //!   [`pier_observe::Event::MatchConfirmed`] folds into the partition in
 //!   confirmation order, for any stage-B worker count.
 //! * [`EntityServer`] — a zero-dependency HTTP endpoint answering

@@ -1,5 +1,5 @@
-//! Live telemetry for PIER: a lock-free metrics registry with two
-//! zero-dependency exporters.
+//! Live telemetry for PIER: a lock-free metrics registry and its one
+//! zero-dependency exporter.
 //!
 //! Where [`pier_observe`] answers *what happened* (typed events, JSONL
 //! export, replay), this crate answers *what is happening right now*: the
@@ -19,15 +19,12 @@
 //! * a pipeline with no telemetry attached pays a single `Option` branch,
 //!   exactly like a disabled [`pier_observe::Observer`].
 //!
-//! Two exporters ship with the crate, both implemented on `std` alone:
-//!
-//! * [`MetricsServer`] — a Prometheus text-exposition endpoint (`GET
-//!   /metrics`) on the workspace's one hand-rolled listener thread
-//!   ([`http::HttpServer`], which the entity endpoint shares), with a
-//!   bounded request head and graceful shutdown;
-//! * [`TraceObserver`] — a chrome-trace / Perfetto `trace_event` JSON
-//!   writer that turns [`pier_observe::Phase`] timings (with shard and
-//!   worker tags) into spans, so a full run opens in `ui.perfetto.dev`.
+//! The exporter is [`MetricsServer`]: a Prometheus text-exposition
+//! endpoint (`GET /metrics`) on the workspace's one hand-rolled listener
+//! thread ([`http::HttpServer`], which the entity endpoint shares), with a
+//! bounded request head and graceful shutdown. A Perfetto trace of a run
+//! is not kept here: it is a replay of the event log
+//! ([`pier_observe::write_chrome_trace`]).
 
 #![warn(missing_docs)]
 
@@ -41,7 +38,6 @@ pub mod http;
 mod observer;
 pub mod queue;
 mod server;
-mod trace;
 
 pub use observer::{MetricsObserver, Telemetry};
 // The atoms live in `pier-observe`, next to the one fold that fills them
@@ -49,7 +45,6 @@ pub use observer::{MetricsObserver, Telemetry};
 pub use pier_observe::{Counter, FloatGauge, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use queue::{GaugedReceiver, GaugedSender, QueueGauges};
 pub use server::MetricsServer;
-pub use trace::TraceObserver;
 
 /// One registered metric, behind its shared handle.
 #[derive(Debug, Clone)]

@@ -2,11 +2,8 @@
 //! pipeline event into a [`MetricsRegistry`], plus the [`Telemetry`]
 //! configuration handle the runtime threads through its drivers.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use pier_observe::{AtomSource, Event, PipelineObserver, StatsObserver};
 use pier_types::GroundTruth;
 
@@ -22,7 +19,6 @@ use crate::{FloatGauge, MetricsRegistry};
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     registry: Arc<MetricsRegistry>,
-    recall_tick: Duration,
     ground_truth: Option<GroundTruth>,
     expected_matches: Option<u64>,
 }
@@ -34,7 +30,7 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
-    /// Telemetry into a fresh registry, sampling recall every 100 ms.
+    /// Telemetry into a fresh registry.
     pub fn new() -> Self {
         Self::with_registry(MetricsRegistry::shared())
     }
@@ -43,17 +39,9 @@ impl Telemetry {
     pub fn with_registry(registry: Arc<MetricsRegistry>) -> Self {
         Telemetry {
             registry,
-            recall_tick: Duration::from_millis(100),
             ground_truth: None,
             expected_matches: None,
         }
-    }
-
-    /// Sets the progressive-recall sampling tick (how often a trajectory
-    /// point is recorded; the live gauge updates continuously).
-    pub fn recall_tick(mut self, tick: Duration) -> Self {
-        self.recall_tick = tick.max(Duration::from_millis(1));
-        self
     }
 
     /// Estimates recall exactly, against a known ground truth (emitted
@@ -89,22 +77,18 @@ impl Telemetry {
 /// has not:
 ///
 /// * `pier_recall_estimate` — the fold's live PC when a ground truth is
-///   attached, else `confirmed / expected` — with a trajectory sampled at
-///   most once per configured tick;
+///   attached, else `confirmed / expected` (PC over time is the fold's
+///   [`StatsObserver::trajectory`], or a replay of the event log);
 /// * the supervision families broken down by label
 ///   (`pier_worker_restarts_total{role}`, `pier_recovery_seconds{role}`,
 ///   `pier_dead_letters_total{reason}`), whose totals the fold keeps.
 ///
 /// [`StatsSnapshot`]: pier_observe::StatsSnapshot
 pub struct MetricsObserver {
-    start: Instant,
     registry: Arc<MetricsRegistry>,
     fold: StatsObserver,
     recall: Arc<FloatGauge>,
     expected_matches: Option<u64>,
-    recall_tick_nanos: u64,
-    last_sample_nanos: AtomicU64,
-    samples: Mutex<Vec<(f64, f64)>>,
 }
 
 impl MetricsObserver {
@@ -113,7 +97,6 @@ impl MetricsObserver {
     pub fn new(telemetry: &Telemetry) -> Self {
         let registry = Arc::clone(&telemetry.registry);
         MetricsObserver {
-            start: Instant::now(),
             fold: StatsObserver::with_atoms(
                 Arc::clone(&registry) as Arc<dyn AtomSource>,
                 telemetry.ground_truth.clone(),
@@ -129,39 +112,12 @@ impl MetricsObserver {
                 Some(_) => None,
                 None => telemetry.expected_matches,
             },
-            recall_tick_nanos: telemetry.recall_tick.as_nanos().min(u64::MAX as u128) as u64,
-            last_sample_nanos: AtomicU64::new(0),
-            samples: Mutex::new(Vec::new()),
         }
     }
 
     /// The fold behind the scrape: its snapshot reads the registry's atoms.
     pub fn stats(&self) -> &StatsObserver {
         &self.fold
-    }
-
-    /// The recall trajectory sampled so far: `(uptime_secs, recall)`
-    /// points recorded at most once per configured tick.
-    pub fn recall_samples(&self) -> Vec<(f64, f64)> {
-        self.samples.lock().clone()
-    }
-
-    /// Publishes the current recall estimate and, once per tick, records a
-    /// trajectory point.
-    fn update_recall(&self, estimate: f64) {
-        self.recall.set(estimate);
-        let now = self.start.elapsed().as_nanos().clamp(1, u64::MAX as u128) as u64;
-        let last = self.last_sample_nanos.load(Ordering::Relaxed);
-        // `last == 0` means no sample yet: the first estimate always lands,
-        // anchoring the trajectory's origin.
-        if (last == 0 || now.saturating_sub(last) >= self.recall_tick_nanos)
-            && self
-                .last_sample_nanos
-                .compare_exchange(last, now, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.samples.lock().push((now as f64 / 1e9, estimate));
-        }
     }
 
     /// The labelled supervision families, before the fold sees the event
@@ -202,13 +158,13 @@ impl MetricsObserver {
         match *event {
             Event::ComparisonEmitted { .. } => {
                 if let Some(pc) = self.fold.pc() {
-                    self.update_recall(pc);
+                    self.recall.set(pc);
                 }
             }
             Event::MatchConfirmed { .. } => {
                 if let Some(expected) = self.expected_matches {
                     let confirmed = self.fold.matches_confirmed() as f64;
-                    self.update_recall((confirmed / expected as f64).min(1.0));
+                    self.recall.set((confirmed / expected as f64).min(1.0));
                 }
             }
             _ => {}
@@ -304,9 +260,7 @@ mod tests {
     fn ground_truth_recall_tracks_pc() {
         let gt =
             GroundTruth::from_pairs([(ProfileId(0), ProfileId(1)), (ProfileId(2), ProfileId(3))]);
-        let t = Telemetry::new()
-            .with_ground_truth(gt)
-            .recall_tick(Duration::from_millis(1));
+        let t = Telemetry::new().with_ground_truth(gt);
         let obs = t.observer();
         let emit = |c| {
             obs.on_event(&Event::ComparisonEmitted {
@@ -321,12 +275,6 @@ mod tests {
         assert!((recall.get() - 0.5).abs() < 1e-12);
         emit(cmp(2, 3));
         assert!((recall.get() - 1.0).abs() < 1e-12);
-        // The first comparison always lands a sample (tick starts at 0).
-        assert!(!obs.recall_samples().is_empty());
-        assert!(obs
-            .recall_samples()
-            .iter()
-            .all(|&(t, r)| t >= 0.0 && r <= 1.0));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! JSON-Lines event export and replay.
+//! JSON-Lines event export and its replays: the PC trajectory, the
+//! distinct match count and the Perfetto trace are all folds of the log.
 //!
 //! Every event becomes one flat JSON object per line, e.g.
 //!
@@ -396,6 +397,120 @@ pub fn replay_match_count(events: &[TimedEvent]) -> usize {
         .count()
 }
 
+/// `progress` counter samples come one per this many emitted comparisons
+/// (and one per confirmed match).
+const COUNTER_EVERY: u64 = 256;
+
+/// Trace rows: stage A, stage B, then one per shard and one per match
+/// worker.
+const TID_STAGE_A: u32 = 1;
+const TID_STAGE_B: u32 = 2;
+const TID_SHARD_BASE: u32 = 100;
+const TID_WORKER_BASE: u32 = 200;
+
+/// The trace row an event is drawn on, or `None` for events the trace
+/// leaves out. A worker tag wins over a shard tag; an untagged timing sits
+/// on its stage's row; a match belongs to stage B or to the worker that
+/// confirmed it.
+fn trace_row(ev: &TimedEvent) -> Option<u32> {
+    let timing = match ev.event {
+        Event::PhaseTiming { phase, .. } => Some(phase),
+        Event::MatchConfirmed { .. } => None,
+        _ => return None,
+    };
+    Some(match (ev.worker, ev.shard, timing) {
+        (Some(w), _, _) => TID_WORKER_BASE + u32::from(w),
+        (None, Some(s), Some(_)) => TID_SHARD_BASE + u32::from(s),
+        (None, _, Some(Phase::Block | Phase::Weight)) => TID_STAGE_A,
+        _ => TID_STAGE_B,
+    })
+}
+
+fn trace_row_name(tid: u32) -> String {
+    match tid {
+        TID_STAGE_A => "stage A (block+weight)".to_string(),
+        TID_STAGE_B => "stage B (prune+classify)".to_string(),
+        t if t >= TID_WORKER_BASE => format!("match worker {}", t - TID_WORKER_BASE),
+        t => format!("shard {}", t - TID_SHARD_BASE),
+    }
+}
+
+/// Replays an exported run as one chrome-trace / Perfetto `trace_event`
+/// document (`{"displayTimeUnit":"ms","traceEvents":[...]}`), which opens
+/// in `ui.perfetto.dev` or `chrome://tracing`:
+///
+/// * one `M` thread-name record per row in use — stage A (1), stage B (2),
+///   shard `s` (100 + s), match worker `w` (200 + w);
+/// * one `X` span per `PhaseTiming`. A phase is reported when it ends, so
+///   the span starts at `t − secs` (floored at 0) and lasts at least 1 µs,
+///   since Perfetto hides empty spans;
+/// * one `match` instant per `MatchConfirmed`, carrying its similarity;
+/// * a cumulative `progress` counter (comparisons, matches) every
+///   256 emitted comparisons and at every match.
+///
+/// Times are the log's receive times, in microseconds.
+pub fn write_chrome_trace(events: &[TimedEvent], out: impl Write) -> io::Result<()> {
+    let mut out = BufWriter::new(out);
+    let us = |secs: f64| (secs.max(0.0) * 1e6) as u64;
+    let mut records = 0usize;
+    let mut record = |out: &mut BufWriter<_>, body: std::fmt::Arguments<'_>| {
+        if records > 0 {
+            out.write_all(b",\n")?;
+        }
+        records += 1;
+        out.write_fmt(body)
+    };
+    out.write_all(b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")?;
+    let mut rows: Vec<u32> = events.iter().filter_map(trace_row).collect();
+    rows.sort_unstable();
+    rows.dedup();
+    for tid in rows {
+        let name = trace_row_name(tid);
+        record(
+            &mut out,
+            format_args!("{{\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"name\":\"thread_name\",\"args\":{{\"name\":\"{name}\"}}}}"),
+        )?;
+    }
+    let (mut comparisons, mut matches) = (0u64, 0u64);
+    for ev in events {
+        let ts = us(ev.t);
+        let sample = match (ev.event, trace_row(ev)) {
+            (Event::PhaseTiming { phase, secs }, Some(tid)) => {
+                let (name, dur) = (phase.name(), us(secs));
+                let start = ts.saturating_sub(dur);
+                let dur = dur.max(1);
+                record(
+                    &mut out,
+                    format_args!("{{\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{start},\"dur\":{dur},\"cat\":\"phase\",\"name\":\"{name}\"}}"),
+                )?;
+                false
+            }
+            (Event::MatchConfirmed { similarity, .. }, Some(tid)) => {
+                matches += 1;
+                let sim = json_f64(similarity);
+                record(
+                    &mut out,
+                    format_args!("{{\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\"ts\":{ts},\"s\":\"t\",\"name\":\"match\",\"args\":{{\"similarity\":{sim}}}}}"),
+                )?;
+                true
+            }
+            (Event::ComparisonEmitted { .. }, _) => {
+                comparisons += 1;
+                comparisons.is_multiple_of(COUNTER_EVERY)
+            }
+            _ => false,
+        };
+        if sample {
+            record(
+                &mut out,
+                format_args!("{{\"ph\":\"C\",\"pid\":1,\"ts\":{ts},\"name\":\"progress\",\"args\":{{\"comparisons\":{comparisons},\"matches\":{matches}}}}}"),
+            )?;
+        }
+    }
+    out.write_all(b"]}\n")?;
+    out.flush()
+}
+
 // ---------------------------------------------------------------------
 // Minimal flat-JSON parsing (exactly the subset `write_line` produces).
 // ---------------------------------------------------------------------
@@ -688,6 +803,89 @@ mod tests {
             mk(Event::BlockBuilt { block: 0 }),
         ];
         assert_eq!(replay_match_count(&events), 1);
+    }
+
+    fn at(t: f64, shard: Option<u16>, worker: Option<u16>, event: Event) -> TimedEvent {
+        TimedEvent {
+            seq: 0,
+            t,
+            shard,
+            worker,
+            event,
+        }
+    }
+
+    fn chrome_trace(events: &[TimedEvent]) -> String {
+        let mut out = Vec::new();
+        write_chrome_trace(events, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn phases_become_spans_on_the_right_rows() {
+        let timing = |phase, secs| Event::PhaseTiming { phase, secs };
+        let mut events: Vec<TimedEvent> = Phase::ALL
+            .into_iter()
+            .map(|phase| at(0.002, None, None, timing(phase, 1e-4)))
+            .collect();
+        events.push(at(0.002, Some(3), None, timing(Phase::Block, 1e-5)));
+        events.push(at(0.002, None, Some(1), timing(Phase::Classify, 1e-5)));
+        let text = chrome_trace(&events);
+        assert!(text.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
+        assert!(text.trim_end().ends_with("]}"));
+        for phase in ["block", "weight", "prune", "classify"] {
+            assert!(text.contains(&format!("\"name\":\"{phase}\"")), "{phase}");
+        }
+        // Row assignment: untagged block on stage A, shard 3 at 103,
+        // worker 1 at 201; metadata rows name them.
+        assert!(text.contains("\"tid\":1,"));
+        assert!(text.contains("\"tid\":103,"));
+        assert!(text.contains("\"tid\":201,"));
+        assert!(text.contains("stage A (block+weight)"));
+        assert!(text.contains("shard 3"));
+        assert!(text.contains("match worker 1"));
+        // A span is laid backwards from its report: 2 000 - 100 µs.
+        assert!(text.contains("\"tid\":1,\"ts\":1900,\"dur\":100,"));
+    }
+
+    #[test]
+    fn matches_become_instants_with_a_counter_series() {
+        let cmp = Comparison::new(ProfileId(0), ProfileId(1));
+        let mut events: Vec<TimedEvent> = (0..COUNTER_EVERY)
+            .map(|_| {
+                at(
+                    0.001,
+                    None,
+                    None,
+                    Event::ComparisonEmitted { cmp, weight: 1.0 },
+                )
+            })
+            .collect();
+        let confirmed = Event::MatchConfirmed {
+            cmp,
+            similarity: 0.875,
+            at_secs: 0.01,
+        };
+        events.push(at(0.01, None, None, confirmed));
+        let text = chrome_trace(&events);
+        assert!(text.contains("\"ph\":\"i\""));
+        assert!(text.contains("\"similarity\":0.875"));
+        assert!(text.contains("\"ph\":\"C\""));
+        assert!(text.contains(&format!("\"comparisons\":{COUNTER_EVERY}")));
+        assert!(text.contains("\"matches\":1"));
+        // One sample at the 256th comparison, one at the match.
+        assert_eq!(text.matches("\"ph\":\"C\"").count(), 2);
+    }
+
+    #[test]
+    fn span_start_never_underflows() {
+        // A duration far longer than the log had run.
+        let timing = Event::PhaseTiming {
+            phase: Phase::Classify,
+            secs: 1e6,
+        };
+        let text = chrome_trace(&[at(0.001, None, None, timing)]);
+        assert!(text.contains("\"ts\":0,"));
     }
 
     #[test]

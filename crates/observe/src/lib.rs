@@ -22,7 +22,8 @@
 //!   metrics registry's atoms — what the Prometheus scrape reads too.
 //! * [`JsonlObserver`] — buffered JSON-Lines export of every event under
 //!   `target/experiments/<run-id>/events.jsonl`, with a matching reader
-//!   ([`read_events`]) and PC replay ([`replay_trajectory`]).
+//!   ([`read_events`]) and replays of the log: the PC trajectory
+//!   ([`replay_trajectory`]) and a Perfetto trace ([`write_chrome_trace`]).
 
 #![warn(missing_docs)]
 
@@ -36,7 +37,10 @@ mod jsonl;
 mod stats;
 
 pub use atoms::{AtomSource, Counter, FloatGauge, Gauge, Histogram, HISTOGRAM_BUCKETS};
-pub use jsonl::{read_events, replay_match_count, replay_trajectory, JsonlObserver, TimedEvent};
+pub use jsonl::{
+    read_events, replay_match_count, replay_trajectory, write_chrome_trace, JsonlObserver,
+    TimedEvent,
+};
 pub use stats::{PhaseSnapshot, ShardSnapshot, StatsObserver, StatsSnapshot, WorkerSnapshot};
 
 /// The four timed stages of the PIER pipeline, in dataflow order.
@@ -301,30 +305,9 @@ impl PipelineObserver for NoopObserver {
 }
 
 /// An observer that forwards every event to several sinks, preserving
-/// shard and worker attribution.
-///
-/// Built by [`Observer::tee`]; drivers use it to attach an additional
-/// sink (live metrics, a trace writer) next to whatever observer the
-/// caller supplied, without either knowing about the other.
-pub struct FanoutObserver {
+/// shard and worker attribution. Built only by [`ObserverSet::compose`].
+struct FanoutObserver {
     sinks: Vec<Arc<dyn PipelineObserver>>,
-}
-
-impl FanoutObserver {
-    /// An observer fanning out to `sinks`, in order.
-    pub fn new(sinks: Vec<Arc<dyn PipelineObserver>>) -> Self {
-        FanoutObserver { sinks }
-    }
-
-    /// How many sinks receive each event.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether no sinks are attached.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
 }
 
 impl PipelineObserver for FanoutObserver {
@@ -351,8 +334,8 @@ impl PipelineObserver for FanoutObserver {
 ///
 /// Runtimes accept an `ObserverSet` as *the* composition point for
 /// everything that wants to watch a run — caller stats, JSONL export,
-/// live metrics, entity clustering — instead of each driver hand-teeing
-/// sinks onto an [`Observer`]. Labels exist purely for humans: a driver
+/// live metrics, entity clustering — instead of each driver fanning
+/// sinks out by hand. Labels exist purely for humans: a driver
 /// or example can print which observers a pipeline was composed with.
 ///
 /// Composition rules ([`ObserverSet::compose`]):
@@ -361,8 +344,7 @@ impl PipelineObserver for FanoutObserver {
 ///   default, so "observation always on" costs nothing when nobody
 ///   listens;
 /// * a single sink is attached directly (no fan-out layer);
-/// * two or more sinks route through one flat [`FanoutObserver`],
-///   delivering every event to each sink in insertion order with shard
+/// * two or more sinks route through one flat fan-out, delivering every event to each sink in insertion order with shard
 ///   and worker attribution preserved.
 #[derive(Default, Clone)]
 pub struct ObserverSet {
@@ -412,9 +394,9 @@ impl ObserverSet {
         match self.sinks.len() {
             0 => Observer::disabled(),
             1 => Observer::new(Arc::clone(&self.sinks[0].1)),
-            _ => Observer::new(Arc::new(FanoutObserver::new(
-                self.sinks.iter().map(|(_, s)| Arc::clone(s)).collect(),
-            ))),
+            _ => Observer::new(Arc::new(FanoutObserver {
+                sinks: self.sinks.iter().map(|(_, s)| Arc::clone(s)).collect(),
+            })),
         }
     }
 }
@@ -515,24 +497,6 @@ impl Observer {
             sink: self.sink.clone(),
             shard: self.shard,
             worker: Some(worker),
-        }
-    }
-
-    /// A handle that delivers every event to both this handle's sink and
-    /// `extra`, keeping this handle's shard/worker tag.
-    ///
-    /// Teeing onto a disabled handle just enables `extra` directly (no
-    /// fan-out layer); otherwise events route through a
-    /// [`FanoutObserver`] holding both sinks.
-    pub fn tee(&self, extra: Arc<dyn PipelineObserver>) -> Observer {
-        let sink: Arc<dyn PipelineObserver> = match &self.sink {
-            None => extra,
-            Some(existing) => Arc::new(FanoutObserver::new(vec![Arc::clone(existing), extra])),
-        };
-        Observer {
-            sink: Some(sink),
-            shard: self.shard,
-            worker: self.worker,
         }
     }
 
@@ -781,64 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_delivers_to_both_sinks() {
-        let a = Arc::new(Counting(AtomicU64::new(0)));
-        let b = Arc::new(Counting(AtomicU64::new(0)));
-        let obs = Observer::new(a.clone()).tee(b.clone());
-        obs.emit(|| Event::BlockBuilt { block: 0 });
-        obs.emit(|| Event::BlockBuilt { block: 1 });
-        assert_eq!(a.0.load(Ordering::Relaxed), 2);
-        assert_eq!(b.0.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn tee_onto_disabled_just_enables_the_extra_sink() {
-        let b = Arc::new(Counting(AtomicU64::new(0)));
-        let obs = Observer::disabled().tee(b.clone());
-        assert!(obs.is_enabled());
-        obs.emit(|| Event::BlockBuilt { block: 0 });
-        assert_eq!(b.0.load(Ordering::Relaxed), 1);
-        // The extra sink is attached directly, without a fan-out layer.
-        assert!(Arc::ptr_eq(
-            obs.sink().unwrap(),
-            &(b as Arc<dyn PipelineObserver>)
-        ));
-    }
-
-    #[test]
-    fn tee_preserves_shard_and_worker_attribution() {
-        use parking_lot::Mutex;
-
-        #[derive(Default)]
-        struct Recording(Mutex<Vec<(Option<u16>, Option<u16>)>>);
-
-        impl PipelineObserver for Recording {
-            fn on_event(&self, _event: &Event) {
-                self.0.lock().push((None, None));
-            }
-            fn on_shard_event(&self, shard: u16, _event: &Event) {
-                self.0.lock().push((Some(shard), None));
-            }
-            fn on_worker_event(&self, worker: u16, _event: &Event) {
-                self.0.lock().push((None, Some(worker)));
-            }
-        }
-
-        let a = Arc::new(Recording::default());
-        let b = Arc::new(Recording::default());
-        let obs = Observer::new(a.clone()).tee(b.clone());
-        obs.for_shard(3).emit(|| Event::BlockBuilt { block: 0 });
-        obs.for_worker(1).emit(|| Event::BlockBuilt { block: 1 });
-        // A tagged handle built *before* the tee keeps its tag after.
-        let tagged = Observer::new(a.clone()).for_shard(7).tee(b.clone());
-        assert_eq!(tagged.shard(), Some(7));
-        tagged.emit(|| Event::BlockBuilt { block: 2 });
-        let want = vec![(Some(3), None), (None, Some(1)), (Some(7), None)];
-        assert_eq!(*a.0.lock(), want);
-        assert_eq!(*b.0.lock(), want);
-    }
-
-    #[test]
     fn observer_set_composes_by_size() {
         // Empty -> disabled.
         let empty = ObserverSet::new();
@@ -911,21 +817,20 @@ mod tests {
             .with("a", a.clone())
             .with("b", b.clone())
             .compose();
-        obs.for_shard(2).emit(|| Event::BlockBuilt { block: 0 });
-        obs.for_worker(5).emit(|| Event::BlockBuilt { block: 1 });
-        let want = vec![(Some(2), None), (None, Some(5))];
+        obs.emit(|| Event::BlockBuilt { block: 0 });
+        obs.for_shard(2).emit(|| Event::BlockBuilt { block: 1 });
+        obs.for_worker(5).emit(|| Event::BlockBuilt { block: 2 });
+        // A tag put on the composed handle sticks to its clones.
+        let tagged = obs.for_shard(7);
+        assert_eq!(tagged.clone().shard(), Some(7));
+        tagged.clone().emit(|| Event::BlockBuilt { block: 3 });
+        let want = vec![
+            (None, None),
+            (Some(2), None),
+            (None, Some(5)),
+            (Some(7), None),
+        ];
         assert_eq!(*a.0.lock(), want);
         assert_eq!(*b.0.lock(), want);
-    }
-
-    #[test]
-    fn fanout_observer_reports_its_size() {
-        let fanout = FanoutObserver::new(vec![]);
-        assert!(fanout.is_empty());
-        assert_eq!(fanout.len(), 0);
-        let fanout = FanoutObserver::new(vec![Arc::new(NoopObserver) as _]);
-        assert!(!fanout.is_empty());
-        assert_eq!(fanout.len(), 1);
-        fanout.on_event(&Event::BlockBuilt { block: 0 });
     }
 }

@@ -34,9 +34,9 @@ use pier_observe::{Event, Phase};
 use crate::pipeline::{Run, Shedder};
 use crate::stages::{pull_past_merger_fault, TokenizedIncrement, FILL};
 
-/// What the tokenizer hands the lane: an increment and the seconds spent
-/// tokenizing it, which the lane folds into the increment's one
-/// [`Phase::Block`] timing (0 when nothing observes).
+/// What a tokenizer hands stage A (the lane, or the sharded router): an
+/// increment and the seconds spent tokenizing it, which stage A folds into
+/// the increment's one [`Phase::Block`] timing (0 when nothing observes).
 pub(crate) type Tokenized = (TokenizedIncrement, f64);
 
 /// A stage-A machine and everything that must live on its thread: the

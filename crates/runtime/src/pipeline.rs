@@ -29,9 +29,10 @@
 //!
 //! Everything topology-independent — the source replay, stage B's
 //! classification loop with its budget and shutdown/poison sequence
-//! ([`crate::stages`]), match collection, and final report assembly
-//! ([`crate::report`]) — exists once; a topology contributes only its
-//! channel wiring and where stage B's batches come from. Stage A itself is
+//! ([`crate::stages`]), match collection, and the final report, built in
+//! [`Pipeline::run`] from what each thread returns when it is joined —
+//! exists once; a topology contributes only its channel wiring and where
+//! stage B's batches come from. Stage A itself is
 //! the [`pier_core::StageA`] step machine in both, and every machine has
 //! exactly one owner — no lock guards one anywhere. In the single topology
 //! the owner is the lane thread (`crate::lane`): increments reach it
@@ -46,10 +47,11 @@
 //! timings and supervision *around* the machine's steps and never
 //! sequences a blocker and an emitter by hand.
 
+use std::panic::resume_unwind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::Scope;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
@@ -69,10 +71,10 @@ use pier_types::{
 };
 
 use crate::lane::{Lane, Tokenized};
-use crate::report::{DictionaryStats, MatchEvent, RunTotals, RuntimeReport, StageAStats};
+use crate::report::{DictionaryStats, MatchEvent, RuntimeReport, StageAStats};
 use crate::stages::{
     collect_matches, pipeline_channel, spawn_source, tokenize_increment, StageB,
-    TokenizedIncrement, TokenizedProfile, AHEAD, FILL,
+    TokenizedIncrement, TokenizedProfile, AHEAD, CHANNEL_CAPACITY, FILL, JOURNAL_CAPACITY,
 };
 use crate::supervisor::{IngestJournal, JournalEntry, Supervisor};
 
@@ -123,21 +125,6 @@ pub struct RuntimeConfig {
     /// maintains `pier_entity_*` cluster-count/merge-rate gauges in the
     /// telemetry registry. `None` (the default) costs nothing.
     pub entities: Option<Arc<EntityIndex>>,
-    /// Capacity of the bounded pipeline channels (the match stream and the
-    /// per-shard command/reply channels). Bounded channels turn a stalled
-    /// downstream stage into backpressure instead of unbounded memory
-    /// growth; send paths retry under an [`crate::IdleBackoff`] ladder and
-    /// dead-letter a payload the receiver never accepts. Must be >= 1.
-    /// The single topology's batch channel (lane to classifier)
-    /// deliberately does not use it: what is published there was
-    /// prioritized before the next arrival, so its capacity is a small
-    /// constant (two batches), not a buffer to size.
-    pub channel_capacity: usize,
-    /// Profiles each shard's ingest journal retains for crash recovery.
-    /// A shard worker that panics is rebuilt by replaying its journal;
-    /// once the journal overflows, the oldest entries are evicted (counted,
-    /// so a lossy recovery is auditable). Must be >= 1.
-    pub journal_capacity: usize,
     /// Deterministic fault injection. When set, the pipeline arms a
     /// [`pier_chaos::ChaosInjector`] over the plan and threads the handle
     /// through every supervised stage; named fault points then panic,
@@ -193,8 +180,6 @@ impl Default for RuntimeConfig {
             match_workers: default_match_workers(),
             telemetry: None,
             entities: None,
-            channel_capacity: 4096,
-            journal_capacity: 65_536,
             fault_plan: None,
             shed: None,
         }
@@ -211,10 +196,6 @@ impl RuntimeConfig {
     ///   first comparison, so the run can never produce anything;
     /// * a broken adaptive-`K` triple (`min == 0`, `min > max`, or an
     ///   initial value outside `[min, max]`);
-    /// * `channel_capacity == 0` — a zero-capacity channel can never
-    ///   transfer anything;
-    /// * `journal_capacity == 0` — recovery needs at least one journaled
-    ///   profile;
     /// * a broken [`ShedPolicy`] (non-finite `min_weight`,
     ///   `trigger_full_pulls == 0`, or `max_pull == 0`).
     ///
@@ -246,18 +227,6 @@ impl RuntimeConfig {
             return invalid(
                 "k",
                 format!("initial K {init} outside its [{min}, {max}] bounds"),
-            );
-        }
-        if self.channel_capacity == 0 {
-            return invalid(
-                "channel_capacity",
-                "must be >= 1; a zero-capacity channel can never transfer anything".into(),
-            );
-        }
-        if self.journal_capacity == 0 {
-            return invalid(
-                "journal_capacity",
-                "must be >= 1; recovery needs at least one journaled profile".into(),
             );
         }
         if let Some(shed) = &self.shed {
@@ -582,14 +551,12 @@ impl Pipeline {
         let (match_tx, match_rx) = pipeline_channel::<MatchEvent>(
             registry.as_deref(),
             &[("queue", "matches")],
-            Some(config.channel_capacity),
+            Some(CHANNEL_CAPACITY),
         );
         let ingest_done = AtomicBool::new(false);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let executed_total = Arc::new(AtomicU64::new(0));
         let ingest_errors = Mutex::new(Vec::<String>::new());
         let match_workers = config.match_workers.max(1);
-        let worker_comparisons = Arc::new(Mutex::new(Vec::<u64>::new()));
         let adaptive = {
             let mut k = AdaptiveK::new(config.k.0, config.k.1, config.k.2);
             k.set_observer(observer.clone());
@@ -606,8 +573,6 @@ impl Pipeline {
             registry: registry.clone(),
             adaptive: Arc::clone(&adaptive),
             shutdown: Arc::clone(&shutdown),
-            executed_total: Arc::clone(&executed_total),
-            worker_comparisons: Arc::clone(&worker_comparisons),
             chaos: chaos.clone(),
             supervisor: Arc::clone(&supervisor),
             executed: 0,
@@ -627,46 +592,68 @@ impl Pipeline {
             ingest_done: &ingest_done,
             ingest_errors: &ingest_errors,
         };
-        let (source, finish, matches) = std::thread::scope(|scope| {
-            // Only the topology differs: channel wiring, stage-A threads, and
-            // where stage B's batches come from.
-            let (send, finish) = match topology {
+        let (
+            source,
+            (token_occurrences, stage_a_parts),
+            (comparisons, worker_comparisons),
+            matches,
+        ) = std::thread::scope(|scope| {
+            // Only the topology differs: channel wiring, stage-A threads,
+            // and where stage B's batches come from.
+            let (send, stage_a, stage_b) = match topology {
                 Topology::Single { emitter } => run.spawn_single(scope, emitter, stage_b),
                 Topology::Sharded { config: sharded } => run.spawn_sharded(scope, sharded, stage_b),
             };
-            // Source: replay increments at the configured rate. Collector
-            // (this thread): stream matches to the caller.
+            // Source: replay increments at the configured rate.
+            // Collector (this thread): stream matches to the caller.
             let source = spawn_source(increments, config.interarrival, Arc::clone(&shutdown), send);
             let matches = collect_matches(&match_rx, &mut on_match);
-            (source, finish, matches)
+            let stage_b = join(stage_b);
+            let stage_a = stage_a.into_iter().map(join).fold(
+                (0, StageAParts::new()),
+                |(occurrences, mut parts), (n, lane)| {
+                    parts.extend(lane);
+                    (occurrences + n, parts)
+                },
+            );
+            (source, stage_a, stage_b, matches)
         });
         if source.join().is_err() {
             ingest_errors
                 .lock()
                 .push(PierError::WorkerPanicked { worker: "source" }.to_string());
         }
-        let (token_occurrences, stage_a_parts) = finish();
 
-        let totals = RunTotals {
-            start,
-            profiles: total_profiles,
+        let report = RuntimeReport {
             matches,
-            comparisons: executed_total.load(Ordering::SeqCst),
-            dictionary: DictionaryStats {
+            comparisons,
+            elapsed: start.elapsed(),
+            profiles: total_profiles,
+            dictionary: Some(DictionaryStats {
                 distinct_tokens: dictionary.len(),
                 string_bytes: dictionary.string_bytes(),
                 token_occurrences,
-            },
+            }),
             ingest_errors: ingest_errors.into_inner(),
             match_workers,
-            worker_comparisons: std::mem::take(&mut *worker_comparisons.lock()),
+            worker_comparisons,
+            entity_summary: entities.map(|index| index.summary(total_profiles)),
             stage_a: aggregate_stage_a(&stage_a_parts),
             dead_letters: supervisor.dead_letters(),
             worker_restarts: supervisor.restarts(),
             comparisons_shed: supervisor.comparisons_shed(),
         };
-        totals.assemble(entities.as_ref(), telemetry.as_ref())
+        if let Some(t) = &telemetry {
+            report.publish_final(t);
+        }
+        report
     }
+}
+
+/// Waits for a scoped thread and returns what it counted, re-raising its
+/// panic on the caller's thread.
+fn join<T>(handle: ScopedJoinHandle<'_, T>) -> T {
+    handle.join().unwrap_or_else(|panic| resume_unwind(panic))
 }
 
 /// Per-lane stage-A occupancy: one slab + optional scratch reading per
@@ -857,9 +844,13 @@ fn channel_lanes<T>(
 /// pipeline has gone away).
 type SourceSend = Box<dyn FnMut(usize, Vec<EntityProfile>) -> bool + Send>;
 
-/// Reads a topology's token occurrences and per-lane occupancy once every
-/// one of its threads has finished.
-type Finish = Box<dyn FnOnce() -> (u64, StageAParts)>;
+/// A stage-A thread: it returns the token occurrences it ingested and the
+/// occupancy of the lanes it owned.
+type StageAThread<'scope> = ScopedJoinHandle<'scope, (u64, StageAParts)>;
+
+/// The stage-B thread: it returns the comparisons it executed, in total and
+/// per match worker.
+type StageBThread<'scope> = ScopedJoinHandle<'scope, (u64, Vec<u64>)>;
 
 /// What every thread of one run shares, by reference: the scoped threads
 /// of either topology copy this handle instead of cloning a dozen `Arc`s.
@@ -947,7 +938,7 @@ impl<'a> Run<'a> {
         scope: &'scope Scope<'scope, 'a>,
         emitter: Box<dyn ComparisonEmitter + Send>,
         stage_b: StageB,
-    ) -> (SourceSend, Finish) {
+    ) -> (SourceSend, Vec<StageAThread<'scope>>, StageBThread<'scope>) {
         let mut machine = StageA::new(
             IncrementalBlocker::with_shared_dictionary(
                 self.kind,
@@ -966,7 +957,7 @@ impl<'a> Run<'a> {
         let (tok_tx, tok_rx) =
             pipeline_channel::<Tokenized>(self.registry, &[("queue", "tokenized")], Some(64));
         // The lane's credit: see `AHEAD` for why this is not
-        // `channel_capacity`.
+        // `CHANNEL_CAPACITY`.
         let (batch_tx, batch_rx) = pipeline_channel::<Vec<PreparedPair>>(
             self.registry,
             &[("queue", "batches")],
@@ -990,12 +981,10 @@ impl<'a> Run<'a> {
             }
         });
 
-        // Stage A: the lane takes the machine with it and, like a shard
-        // worker, deposits its occupancy when it ends.
-        let occupancy = Arc::new(Mutex::new((0u64, StageAParts::new())));
-        let deposit = Arc::clone(&occupancy);
+        // Stage A: the lane takes the machine with it and, when it ends,
+        // returns what the machine holds.
         let lane = Lane::new(self, machine, Arc::clone(&stage_b.matcher));
-        scope.spawn(move || {
+        let stage_a = scope.spawn(move || {
             let machine = lane.run(&tok_rx, batch_tx);
             let blocker = machine.blocker();
             let token_occurrences = blocker
@@ -1003,19 +992,20 @@ impl<'a> Run<'a> {
                 .map(|p| blocker.tokens_of(p.id).len() as u64)
                 .sum();
             let slab = blocker.collection().slab_stats();
-            *deposit.lock() = (
+            (
                 token_occurrences,
                 vec![(slab, machine.emitter().scratch_stats())],
-            );
+            )
         });
 
         // Stage B: classify what the lane publishes, waiting no longer
         // than the deadline allows; the lane's hang-up means drained.
-        scope.spawn(move || stage_b.run(|left| batch_rx.recv_timeout(left).ok()));
+        let stage_b = scope.spawn(move || stage_b.run(|left| batch_rx.recv_timeout(left).ok()));
 
         (
             Box::new(move |_seq, inc| inc_tx.send(inc).is_ok()),
-            Box::new(move || std::mem::take(&mut *occupancy.lock())),
+            vec![stage_a],
+            stage_b,
         )
     }
 
@@ -1026,7 +1016,7 @@ impl<'a> Run<'a> {
         scope: &'scope Scope<'scope, 'a>,
         shard_config: ShardedConfig,
         stage_b: StageB,
-    ) -> (SourceSend, Finish) {
+    ) -> (SourceSend, Vec<StageAThread<'scope>>, StageBThread<'scope>) {
         let observer = self.observer;
         let shards = shard_config.shards as usize;
         let router = ShardRouter::with_dictionary(
@@ -1037,7 +1027,7 @@ impl<'a> Run<'a> {
         let store = Arc::new(RwLock::new(ProfileStore::new()));
 
         // Per-shard command + reply channels.
-        let capacity = Some(self.config.channel_capacity);
+        let capacity = Some(CHANNEL_CAPACITY);
         let (cmd_txs, cmd_rxs) =
             channel_lanes::<ShardMsg>(self.registry, "shard_cmd", "shard", shards, capacity);
         let (reply_txs, reply_rxs) =
@@ -1055,19 +1045,15 @@ impl<'a> Run<'a> {
             Some(64),
         );
         let (routed_txs, routed_rxs) =
-            channel_lanes::<TokenizedIncrement>(self.registry, "routed", "lane", pool, Some(64));
-
-        // Workers are consumed by their threads; each deposits its stage-A
-        // occupancy here when its command loop ends.
-        let stage_a_parts: Arc<Mutex<StageAParts>> =
-            Arc::new(Mutex::new(Vec::with_capacity(shards)));
+            channel_lanes::<Tokenized>(self.registry, "routed", "lane", pool, Some(64));
 
         // Shard workers: one supervised thread per shard, each owning its
-        // step machine, exiting when every command sender is dropped.
+        // step machine, exiting when every command sender is dropped and
+        // returning its occupancy.
+        let mut stage_a = Vec::with_capacity(shards + 1);
         for (shard, (cmd_rx, reply_tx)) in cmd_rxs.into_iter().zip(reply_txs).enumerate() {
             let shard = shard as u16;
-            let stage_a_parts = Arc::clone(&stage_a_parts);
-            scope.spawn(move || {
+            stage_a.push(scope.spawn(move || {
                 let make_worker = || {
                     let mut w = ShardWorker::new(
                         shard,
@@ -1084,7 +1070,7 @@ impl<'a> Run<'a> {
                 let mut lane = ShardLane {
                     shard,
                     worker: make_worker(),
-                    journal: IngestJournal::new(self.config.journal_capacity),
+                    journal: IngestJournal::new(JOURNAL_CAPACITY),
                     input_ended: false,
                     make_worker: &make_worker,
                     supervisor: self.supervisor,
@@ -1097,59 +1083,69 @@ impl<'a> Run<'a> {
                     }
                 }
                 let stats = (lane.worker.slab_stats(), lane.worker.scratch_stats());
-                stage_a_parts.lock().push(stats);
-            });
+                (0, vec![stats])
+            }));
         }
 
         // Tokenizer pool: tokenize + intern increments in parallel against
         // the one shared dictionary; the serial router downstream only
-        // hashes ids and touches the store.
+        // hashes ids and touches the store. Each increment travels with its
+        // tokenize seconds, for the router's one `Phase::Block` timing.
         for (tok_rx, routed_tx) in tok_rxs.into_iter().zip(routed_txs) {
             scope.spawn(move || {
                 let tokenizer = Tokenizer::default();
                 let mut scratch = String::new();
                 for (seq, inc) in tok_rx.iter() {
+                    let since = observer.is_enabled().then(Instant::now);
                     let tokenized =
                         tokenize_increment(self.dictionary, &tokenizer, seq, inc, &mut scratch);
-                    if routed_tx.send(tokenized).is_err() {
+                    let secs = since.map_or(0.0, |since| since.elapsed().as_secs_f64());
+                    if routed_tx.send((tokenized, secs)).is_err() {
                         break;
                     }
                 }
             });
         }
 
-        // Router/ingest: store globally, compute ghost floors, fan out.
+        // Router/ingest: store globally, compute ghost floors, fan out; it
+        // returns the token occurrences the store took in.
         let router_store = Arc::clone(&store);
         let router_txs = cmd_txs.clone();
-        scope.spawn(move || {
+        stage_a.push(scope.spawn(move || {
             let tokenizer = Tokenizer::default();
             let mut scratch = String::new();
             let mut seq = 0usize;
             // Round-robin collection mirrors dispatch: a disconnect on
             // channel `seq % T` means no increment >= seq was sent.
-            while let Ok(mut tokenized) = routed_rxs[seq % routed_rxs.len()].recv() {
+            while let Ok((mut tokenized, tokenize_secs)) = routed_rxs[seq % routed_rxs.len()].recv()
+            {
                 self.arrival();
                 self.trip_stage_a_ingest(&tokenizer, &mut scratch, &mut tokenized);
-                let accepted = observer.timed(Phase::Block, || {
-                    let arrivals = tokenized.profiles.into_iter();
-                    let fan = router_store.write().fan_out(
-                        &router,
-                        self.kind,
-                        arrivals.map(|tp| (tp.profile, tp.tokens)),
-                    );
-                    for e in fan.errors {
-                        self.ingest_error(e);
+                let since = observer.is_enabled().then(Instant::now);
+                let arrivals = tokenized.profiles.into_iter();
+                let fan = router_store.write().fan_out(
+                    &router,
+                    self.kind,
+                    arrivals.map(|tp| (tp.profile, tp.tokens)),
+                );
+                for e in fan.errors {
+                    self.ingest_error(e);
+                }
+                for (tx, batch) in router_txs.iter().zip(fan.per_shard) {
+                    if !batch.is_empty() {
+                        let _ = tx.send(ShardMsg::Ingest(batch));
                     }
-                    for (tx, batch) in router_txs.iter().zip(fan.per_shard) {
-                        if !batch.is_empty() {
-                            let _ = tx.send(ShardMsg::Ingest(batch));
-                        }
-                    }
-                    fan.accepted
-                });
+                }
+                // `Phase::Block` means tokenize + block, on whichever threads.
+                if let Some(since) = since {
+                    observer.emit(|| Event::PhaseTiming {
+                        phase: Phase::Block,
+                        secs: tokenize_secs + since.elapsed().as_secs_f64(),
+                    });
+                }
                 observer.emit(|| Event::IncrementIngested {
                     seq: seq as u64,
-                    profiles: accepted,
+                    profiles: fan.accepted,
                 });
                 seq += 1;
             }
@@ -1161,7 +1157,8 @@ impl<'a> Run<'a> {
                 let _ = tx.send(ShardMsg::InputEnded);
             }
             self.ingest_done.store(true, Ordering::SeqCst);
-        });
+            (router_store.read().token_occurrences(), StageAParts::new())
+        }));
 
         // Stage B: the shared loop over this topology's closures.
         let pull_store = Arc::clone(&store);
@@ -1169,7 +1166,7 @@ impl<'a> Run<'a> {
         let mut merger = ShardMerger::new(shards);
         merger.set_observer(observer.clone());
         let mut table = ProfileTable::new(Arc::clone(&stage_b.matcher));
-        scope.spawn(move || {
+        let stage_b = scope.spawn(move || {
             // Pull: k-way merge across the shards (each shard is asked for
             // its best `n` on demand), then materialize from the global
             // store.
@@ -1216,19 +1213,17 @@ impl<'a> Run<'a> {
                 }
                 made_work
             };
-            stage_b.run_polled(self.ingest_done, pull, tick);
             // Dropping this thread's `cmd_txs` (and the classifier's match
             // sender) lets the shard workers and the collector exit once
             // the router thread is done too.
+            stage_b.run_polled(self.ingest_done, pull, tick)
         });
 
         (
             // Round-robin over the tokenizer pool.
             Box::new(move |i, inc| tok_txs[i % tok_txs.len()].send((i as u64, inc)).is_ok()),
-            Box::new(move || {
-                let parts = std::mem::take(&mut *stage_a_parts.lock());
-                (store.read().token_occurrences(), parts)
-            }),
+            stage_a,
+            stage_b,
         )
     }
 }

@@ -1,9 +1,8 @@
 //! Results of a real-time pipeline run.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use pier_entity::{EntityIndex, EntitySummary};
+use pier_entity::EntitySummary;
 use pier_metrics::Telemetry;
 use pier_types::{Comparison, GroundTruth, MatchLedger, ProgressTrajectory};
 
@@ -173,7 +172,7 @@ impl RuntimeReport {
     /// [`pier_metrics::MetricsServer::shutdown`]) carries the totals the
     /// report holds: elapsed wall-clock, profiles, matches, throughput,
     /// and the match-latency percentiles on the progressive-recall axis.
-    /// The drivers call this automatically when
+    /// [`crate::Pipeline::run`] calls this automatically when
     /// [`crate::RuntimeConfig::telemetry`] is set.
     pub fn publish_final(&self, telemetry: &Telemetry) {
         let r = telemetry.registry();
@@ -238,54 +237,6 @@ impl RuntimeReport {
         }
         trajectory.finish(self.elapsed.as_secs_f64());
         trajectory
-    }
-}
-
-/// Everything the unified executor hands over for final report assembly.
-/// One shared implementation replaces the two per-driver copies: summarize
-/// the entity index (when clustering was on) and publish the final totals
-/// into the telemetry registry (when telemetry was on).
-pub(crate) struct RunTotals {
-    pub start: Instant,
-    pub profiles: usize,
-    pub matches: Vec<MatchEvent>,
-    pub comparisons: u64,
-    pub dictionary: DictionaryStats,
-    pub ingest_errors: Vec<String>,
-    pub match_workers: usize,
-    pub worker_comparisons: Vec<u64>,
-    pub stage_a: Option<StageAStats>,
-    pub dead_letters: Vec<DeadLetter>,
-    pub worker_restarts: u64,
-    pub comparisons_shed: u64,
-}
-
-impl RunTotals {
-    /// Builds (and, with telemetry, publishes) the final [`RuntimeReport`].
-    pub fn assemble(
-        self,
-        entities: Option<&Arc<EntityIndex>>,
-        telemetry: Option<&Telemetry>,
-    ) -> RuntimeReport {
-        let report = RuntimeReport {
-            matches: self.matches,
-            comparisons: self.comparisons,
-            elapsed: self.start.elapsed(),
-            profiles: self.profiles,
-            dictionary: Some(self.dictionary),
-            ingest_errors: self.ingest_errors,
-            match_workers: self.match_workers,
-            worker_comparisons: self.worker_comparisons,
-            entity_summary: entities.map(|i| i.summary(self.profiles)),
-            stage_a: self.stage_a,
-            dead_letters: self.dead_letters,
-            worker_restarts: self.worker_restarts,
-            comparisons_shed: self.comparisons_shed,
-        };
-        if let Some(t) = telemetry {
-            report.publish_final(t);
-        }
-        report
     }
 }
 

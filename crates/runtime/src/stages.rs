@@ -10,7 +10,7 @@
 //! contributes its wiring (one lane that owns its step machine and pushes
 //! batches, vs. router + shard workers that stage B has to ask).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,7 +158,7 @@ pub(crate) const SEND_TIMEOUT: Duration = Duration::from_secs(2);
 /// Batches the single topology's lane may publish ahead of the classifier:
 /// the capacity of its batch channel, whose blocking send is the lane's
 /// only throttle. Small on purpose, and deliberately not
-/// [`crate::RuntimeConfig::channel_capacity`]: whatever is published was
+/// [`CHANNEL_CAPACITY`]: whatever is published was
 /// prioritized before the next arrival, so with the batch in the
 /// classifier's hands at most `(AHEAD + 1) * FILL` pairs (about 1.5 ms of
 /// Jaccard or 4 ms of edit-distance work, against 50-60 ms between
@@ -182,6 +182,20 @@ pub(crate) const AHEAD: usize = 2;
 /// `K` makes 65 k-pair batches of the same backlog and `peak_rss_mb`
 /// rises 6 %.
 pub(crate) const FILL: usize = 1024;
+
+/// Capacity of the bounded pipeline channels: the match stream and each
+/// shard's command and reply channels. A bounded channel turns a stalled
+/// downstream stage into backpressure instead of unbounded memory growth;
+/// send paths retry under an [`IdleBackoff`] ladder and dead-letter a
+/// payload the receiver never accepts. The single topology's batch channel
+/// is sized by [`AHEAD`] instead.
+pub(crate) const CHANNEL_CAPACITY: usize = 4096;
+
+/// Profiles each shard's ingest journal retains for crash recovery. A
+/// shard worker that panics is rebuilt by replaying its journal; once the
+/// journal overflows, the oldest entries are evicted (counted, so a lossy
+/// recovery is auditable).
+pub(crate) const JOURNAL_CAPACITY: usize = 65_536;
 
 /// Sends `value` with bounded patience: one immediate `try_send`, then
 /// retries under an [`IdleBackoff`] ladder until `timeout`. Returns
@@ -224,7 +238,7 @@ pub(crate) fn send_with_backoff<T>(
 /// the sleep between unproductive ticks stretches.
 ///
 /// The same ladder paces retries of a blocked pipeline send (see the
-/// bounded-channel hardening in [`crate::RuntimeConfig::channel_capacity`]).
+/// bounded-channel hardening at `CHANNEL_CAPACITY`).
 #[derive(Debug)]
 pub struct IdleBackoff {
     delay: Duration,
@@ -338,8 +352,8 @@ pub(crate) fn pull_past_merger_fault<T>(
 /// by every pipeline configuration. Around a stream of materialized batches
 /// it runs the matcher (here or on a [`MatchPool`]), emits `MatchConfirmed`
 /// events and [`MatchEvent`]s, times the phase, feeds the adaptive-`K`
-/// controller, and owns the budget cutoff, worker accounting and the
-/// shutdown sequence. A topology contributes only where the batches come
+/// controller, and owns the budget cutoff and the shutdown sequence, and it
+/// returns what it executed. A topology contributes only where the batches come
 /// from: the single topology's lane pushes them into a channel
 /// ([`StageB::run`]), the sharded topology's workers have to be asked
 /// ([`StageB::run_polled`]).
@@ -356,8 +370,6 @@ pub(crate) struct StageB {
     pub registry: Option<Arc<MetricsRegistry>>,
     pub adaptive: Arc<Mutex<AdaptiveK>>,
     pub shutdown: Arc<AtomicBool>,
-    pub executed_total: Arc<AtomicU64>,
-    pub worker_comparisons: Arc<Mutex<Vec<u64>>>,
     pub chaos: ChaosHandle,
     pub supervisor: Arc<Supervisor>,
     /// Comparisons classified so far (0 when built).
@@ -367,7 +379,9 @@ pub(crate) struct StageB {
 }
 
 impl StageB {
-    /// Classifies batches to completion on the calling thread.
+    /// Classifies batches to completion on the calling thread and returns
+    /// the comparisons it executed, in total and per match worker (a
+    /// sequential run has the single entry `[total]`).
     ///
     /// `next_batch(left)` yields the next non-empty batch, waiting at most
     /// `left` — the time to the deadline, so that a stage B with nothing
@@ -380,7 +394,10 @@ impl StageB {
     /// channel sees the hang-up and ends; batches it had published or was
     /// holding are dropped unexecuted) and drops the classifier's match
     /// sender (letting the collector finish).
-    pub fn run(mut self, mut next_batch: impl FnMut(Duration) -> Option<Vec<PreparedPair>>) {
+    pub fn run(
+        mut self,
+        mut next_batch: impl FnMut(Duration) -> Option<Vec<PreparedPair>>,
+    ) -> (u64, Vec<u64>) {
         let _stop_source = ShutdownOnDrop::new(Arc::clone(&self.shutdown));
         let mut pool = (self.match_workers > 1).then(|| {
             MatchPool::new(
@@ -399,11 +416,11 @@ impl StageB {
         while let Some(batch) = self.time_left().and_then(&mut next_batch) {
             self.classify_batch(batch, pool.as_mut());
         }
-        self.executed_total.store(self.executed, Ordering::SeqCst);
-        *self.worker_comparisons.lock() = match &pool {
+        let per_worker = match &pool {
             Some(pool) => pool.executed_per_worker().to_vec(),
             None => vec![self.executed],
         };
+        (self.executed, per_worker)
     }
 
     /// [`StageB::run`] over a stage A that has to be asked: `pull`
@@ -425,7 +442,7 @@ impl StageB {
         ingest_done: &AtomicBool,
         mut pull: impl FnMut(usize) -> Vec<PreparedPair>,
         mut tick: impl FnMut() -> bool,
-    ) {
+    ) -> (u64, Vec<u64>) {
         let adaptive = Arc::clone(&self.adaptive);
         let (chaos, observer) = (self.chaos.clone(), self.observer.clone());
         let supervisor = Arc::clone(&self.supervisor);
@@ -451,7 +468,7 @@ impl StageB {
                     return None;
                 }
             }
-        });
+        })
     }
 
     /// Pairs classified between two looks at the wall clock. The comparison
@@ -718,8 +735,6 @@ mod tests {
             registry: None,
             adaptive: Arc::new(Mutex::new(adaptive)),
             shutdown: Arc::new(AtomicBool::new(false)),
-            executed_total: Arc::new(AtomicU64::new(0)),
-            worker_comparisons: Arc::new(Mutex::new(Vec::new())),
             chaos: ChaosHandle::disabled(),
             supervisor: Arc::new(Supervisor::new()),
             executed: 0,
@@ -734,12 +749,10 @@ mod tests {
             is_match: true,
             panics: false,
         });
-        let executed_total = Arc::clone(&stage.executed_total);
         let shutdown = Arc::clone(&stage.shutdown);
-        let worker_comparisons = Arc::clone(&stage.worker_comparisons);
         let mut batches = vec![vec![pair(0, 1), pair(2, 3)]];
         let mut ticks = 0;
-        stage.run_polled(
+        let executed = stage.run_polled(
             &AtomicBool::new(true),
             |_k| batches.pop().unwrap_or_default(),
             || {
@@ -749,10 +762,9 @@ mod tests {
         );
         // Both pairs classified, then one conclusive idle tick ended the
         // loop (ingest_done was set before the run).
-        assert_eq!(executed_total.load(Ordering::SeqCst), 2);
+        assert_eq!(executed, (2, vec![2]));
         assert_eq!(ticks, 1);
         assert!(shutdown.load(Ordering::SeqCst));
-        assert_eq!(*worker_comparisons.lock(), vec![2]);
         assert_eq!(match_rx.iter().count(), 2);
     }
 

@@ -39,7 +39,9 @@
 //! race-free.
 //!
 //! Pass `--trace-out FILE` to export a chrome-trace/Perfetto JSON of the
-//! run's phase timings (openable at <https://ui.perfetto.dev>).
+//! run's phase timings (openable at <https://ui.perfetto.dev>). The run is
+//! logged by a [`JsonlObserver`] (labelled `events`) to `FILE.events.jsonl`,
+//! and the trace is replayed from that log once the run is over.
 //!
 //! Pass `--entity-addr HOST:PORT` (port 0 for an OS-assigned port) to
 //! maintain a live [`EntityIndex`] over the confirmed-match stream and
@@ -184,8 +186,8 @@ fn main() {
         })
     };
 
-    // Live telemetry: a Prometheus endpoint over a shared registry, and a
-    // Perfetto trace of the phase timings, both optional.
+    // Live telemetry: a Prometheus endpoint over a shared registry,
+    // optional.
     let telemetry = metrics_addr
         .is_some()
         .then(|| Telemetry::new().with_ground_truth(dataset.ground_truth.clone()));
@@ -205,8 +207,12 @@ fn main() {
     // stream; `serve_entities` below exposes it over HTTP while the
     // pipeline runs.
     let entities = entity_addr.as_ref().map(|_| EntityIndex::shared());
-    let trace = trace_out
-        .map(|path| Arc::new(TraceObserver::create(&path).expect("--trace-out file is writable")));
+    // The Perfetto trace is a replay of the event log: log the run beside
+    // the trace file, and write the trace from the log after the run.
+    let events = trace_out.as_ref().map(|path| {
+        let log = format!("{path}.events.jsonl");
+        Arc::new(JsonlObserver::create(log).expect("--trace-out directory is writable"))
+    });
 
     let matcher = Arc::new(JaccardMatcher::default()) as Arc<dyn MatchFunction>;
     let mut runtime_config = RuntimeConfig {
@@ -228,8 +234,8 @@ fn main() {
     let mut builder = Pipeline::builder(dataset.kind)
         .config(runtime_config)
         .observe("stats", stats.clone());
-    if let Some(trace) = &trace {
-        builder = builder.observe("trace", Arc::clone(trace) as Arc<dyn PipelineObserver>);
+    if let Some(events) = &events {
+        builder = builder.observe("events", Arc::clone(events) as Arc<dyn PipelineObserver>);
     }
     builder = match shards {
         Some(n) => {
@@ -260,13 +266,16 @@ fn main() {
     done.store(true, Ordering::Relaxed);
     monitor.join().unwrap();
 
-    if let Some(trace) = &trace {
-        match trace.finalize() {
-            Ok(path) => println!(
-                "trace: {} events -> {} (open at https://ui.perfetto.dev)",
-                trace.events_recorded(),
-                path.display()
-            ),
+    if let (Some(path), Some(events)) = (&trace_out, &events) {
+        let replayed = events.flush().and_then(|()| {
+            let log = read_events(events.path())?;
+            write_chrome_trace(&log, std::fs::File::create(path)?)?;
+            Ok(log.len())
+        });
+        match replayed {
+            Ok(n) => {
+                println!("trace: {n} logged events -> {path} (open at https://ui.perfetto.dev)")
+            }
             Err(e) => eprintln!("trace export failed: {e}"),
         }
     }

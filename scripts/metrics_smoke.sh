@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 
 log=$(mktemp)
 trace=$(mktemp -u --suffix .json)
-trap 'kill "$pid" 2>/dev/null || true; rm -f "$log" "$trace"' EXIT
+trap 'kill "$pid" 2>/dev/null || true; rm -f "$log" "$trace" "$trace.events.jsonl"' EXIT
 
 cargo build --release --example observed_stream
 

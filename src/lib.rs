@@ -63,8 +63,8 @@
 //! | [`datagen`] | seeded generators for the paper's four corpora |
 //! | [`sim`] | virtual-clock pipeline simulator behind every figure |
 //! | [`runtime`] | real multi-threaded streaming runtime |
-//! | [`observe`] | zero-cost pipeline instrumentation, stats & JSONL export |
-//! | [`metrics`] | live telemetry: lock-free registry, queue gauges, Prometheus endpoint, Perfetto traces |
+//! | [`observe`] | zero-cost pipeline instrumentation, stats, JSONL export and its replays (PC, Perfetto trace) |
+//! | [`metrics`] | live telemetry: lock-free registry, queue gauges, Prometheus endpoint |
 //! | [`entity`] | incremental entity clustering: concurrent union-find index + live HTTP query endpoint |
 //! | [`chaos`] | deterministic fault injection: seeded serializable fault plans for chaos testing |
 
@@ -114,13 +114,13 @@ pub mod prelude {
     };
     pub use pier_metablocking::{iwnp, BlockingGraph, IwnpConfig, WeightingScheme};
     pub use pier_metrics::{
-        MetricsObserver, MetricsRegistry, MetricsServer, QueueGauges, Telemetry, TraceObserver,
+        MetricsObserver, MetricsRegistry, MetricsServer, QueueGauges, Telemetry,
     };
     pub use pier_observe::ObserverSet;
     pub use pier_observe::{
-        read_events, replay_match_count, replay_trajectory, Event, FanoutObserver, JsonlObserver,
-        NoopObserver, Observer, Phase, PipelineObserver, ShardSnapshot, StatsObserver,
-        StatsSnapshot, TimedEvent, WorkerSnapshot,
+        read_events, replay_match_count, replay_trajectory, write_chrome_trace, Event,
+        JsonlObserver, NoopObserver, Observer, Phase, PipelineObserver, ShardSnapshot,
+        StatsObserver, StatsSnapshot, TimedEvent, WorkerSnapshot,
     };
     pub use pier_runtime::{
         chunk_ranges, default_match_workers, tokenize_increment, DeadLetter, DictionaryStats,
