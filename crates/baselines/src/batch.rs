@@ -12,7 +12,7 @@ use std::collections::HashSet;
 
 use pier_blocking::{BlockId, IncrementalBlocker};
 use pier_core::ComparisonEmitter;
-use pier_types::{Comparison, ProfileId};
+use pier_types::{Comparison, ProfileId, WeightedComparison};
 
 /// The batch ER emitter.
 #[derive(Debug, Default)]
@@ -69,10 +69,19 @@ impl ComparisonEmitter for BatchEr {
         self.generate_all(blocker);
     }
 
-    fn next_batch(&mut self, _blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
+    /// Batch ER does not rank: every comparison carries weight 0.0, and
+    /// the batch is in generation (block-id) order.
+    fn next_weighted_batch(
+        &mut self,
+        _blocker: &IncrementalBlocker,
+        k: usize,
+    ) -> Vec<WeightedComparison> {
         let take = k.min(self.queue.len());
         self.ops += take as u64;
-        self.queue.drain(..take).collect()
+        self.queue
+            .drain(..take)
+            .map(|cmp| WeightedComparison::new(cmp, 0.0))
+            .collect()
     }
 
     fn drain_ops(&mut self) -> u64 {

@@ -18,12 +18,13 @@ use pier_blocking::IncrementalBlocker;
 use pier_collections::{ScalableBloomFilter, ScratchStats};
 use pier_core::{framework::generate_for_profile, ComparisonEmitter, PierConfig};
 use pier_metablocking::Iwnp;
-use pier_types::{Comparison, ProfileId};
+use pier_types::{ProfileId, WeightedComparison};
 
 /// The I-BASE emitter.
 pub struct IBase {
     config: PierConfig,
-    queue: VecDeque<Comparison>,
+    /// Retained comparisons in generation order, with their I-WNP weight.
+    queue: VecDeque<WeightedComparison>,
     enqueued: ScalableBloomFilter,
     iwnp: Iwnp,
     ops: u64,
@@ -55,14 +56,18 @@ impl ComparisonEmitter for IBase {
             self.ops += ops;
             for wc in list {
                 if self.enqueued.insert(wc.cmp.key()) {
-                    self.queue.push_back(wc.cmp);
+                    self.queue.push_back(wc);
                     self.ops += 1;
                 }
             }
         }
     }
 
-    fn next_batch(&mut self, _blocker: &IncrementalBlocker, _k: usize) -> Vec<Comparison> {
+    fn next_weighted_batch(
+        &mut self,
+        _blocker: &IncrementalBlocker,
+        _k: usize,
+    ) -> Vec<WeightedComparison> {
         // Non-adaptive: the whole backlog is handed over regardless of `k`.
         self.ops += self.queue.len() as u64;
         self.queue.drain(..).collect()
@@ -88,7 +93,7 @@ impl ComparisonEmitter for IBase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pier_types::{EntityProfile, ErKind, SourceId};
+    use pier_types::{Comparison, EntityProfile, ErKind, SourceId};
 
     fn blocker(texts: &[&str]) -> IncrementalBlocker {
         let mut b = IncrementalBlocker::new(ErKind::Dirty);

@@ -30,7 +30,7 @@ pub struct Pbs {
     /// re-initialization).
     block_queue: VecDeque<BlockId>,
     /// CBS-ordered comparisons of the block currently being drained.
-    buffer: VecDeque<Comparison>,
+    buffer: VecDeque<WeightedComparison>,
     /// Reusable block-stamp scratch of the CBS kernel.
     stamps: EpochStamps,
     rebuild_cost_multiplier: u64,
@@ -123,7 +123,7 @@ impl Pbs {
                 continue;
             }
             in_block.sort_unstable_by(|a, b| b.cmp(a));
-            self.buffer.extend(in_block.into_iter().map(|wc| wc.cmp));
+            self.buffer.extend(in_block);
             return true;
         }
         false
@@ -140,18 +140,23 @@ impl ComparisonEmitter for Pbs {
         }
     }
 
-    fn next_batch(&mut self, blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
+    /// Each comparison carries its in-block CBS weight.
+    fn next_weighted_batch(
+        &mut self,
+        blocker: &IncrementalBlocker,
+        k: usize,
+    ) -> Vec<WeightedComparison> {
         let mut batch = Vec::with_capacity(k);
         while batch.len() < k {
             if self.buffer.is_empty() && !self.fill_buffer(blocker) {
                 break;
             }
-            if let Some(cmp) = self.buffer.pop_front() {
+            if let Some(wc) = self.buffer.pop_front() {
                 // `emitted` marks the pair at hand-out time, which also
                 // dedups pairs appearing in several queued blocks.
-                if self.emitted.insert(cmp) {
+                if self.emitted.insert(wc.cmp) {
                     self.ops += 1;
-                    batch.push(cmp);
+                    batch.push(wc);
                 }
             }
         }

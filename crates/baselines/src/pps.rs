@@ -40,7 +40,8 @@ pub struct Pps {
     per_profile_k: usize,
     scheme: WeightingScheme,
     emitted: HashSet<Comparison>,
-    schedule: std::collections::VecDeque<Comparison>,
+    /// The emission schedule, each comparison with its edge weight.
+    schedule: std::collections::VecDeque<WeightedComparison>,
     rebuild_cost_multiplier: u64,
     ops: u64,
 }
@@ -120,7 +121,7 @@ impl Pps {
         let mut scheduled: HashSet<Comparison> = HashSet::new();
         for wc in top_list {
             if scheduled.insert(wc.cmp) {
-                self.schedule.push_back(wc.cmp);
+                self.schedule.push_back(wc);
                 self.ops += 1;
             }
         }
@@ -130,7 +131,7 @@ impl Pps {
             list.sort_unstable_by(|a, b| b.cmp(a));
             for wc in list.into_iter().take(self.per_profile_k) {
                 if scheduled.insert(wc.cmp) {
-                    self.schedule.push_back(wc.cmp);
+                    self.schedule.push_back(wc);
                     self.ops += 1;
                 }
             }
@@ -191,11 +192,15 @@ impl ComparisonEmitter for Pps {
         self.ops += (self.ops - before) * (self.rebuild_cost_multiplier - 1);
     }
 
-    fn next_batch(&mut self, _blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
+    fn next_weighted_batch(
+        &mut self,
+        _blocker: &IncrementalBlocker,
+        k: usize,
+    ) -> Vec<WeightedComparison> {
         let take = k.min(self.schedule.len());
-        let batch: Vec<Comparison> = self.schedule.drain(..take).collect();
-        for &c in &batch {
-            self.emitted.insert(c);
+        let batch: Vec<WeightedComparison> = self.schedule.drain(..take).collect();
+        for wc in &batch {
+            self.emitted.insert(wc.cmp);
         }
         self.ops += take as u64;
         batch

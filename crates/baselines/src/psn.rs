@@ -25,7 +25,7 @@ use std::collections::HashSet;
 
 use pier_blocking::IncrementalBlocker;
 use pier_core::ComparisonEmitter;
-use pier_types::{Comparison, ProfileId};
+use pier_types::{Comparison, ProfileId, TokenId, WeightedComparison};
 
 /// The LS-PSN emitter.
 #[derive(Debug)]
@@ -68,27 +68,7 @@ impl LsPsn {
 
     /// Rebuilds the sorted position array over all data.
     fn rebuild(&mut self, blocker: &IncrementalBlocker) {
-        let collection = blocker.collection();
-        // Tokens sorted lexicographically; the dictionary interns in
-        // first-seen order, so sort the strings.
-        let dict = blocker.dictionary();
-        let mut tokens: Vec<(&str, pier_types::TokenId)> = (0..dict.len() as u32)
-            .filter_map(|i| {
-                let id = pier_types::TokenId(i);
-                dict.resolve(id).map(|s| (s, id))
-            })
-            .collect();
-        tokens.sort_unstable();
-        self.positions.clear();
-        for (_, tid) in tokens {
-            if let Some(block) = collection.block(tid.into()) {
-                if block.is_purged() {
-                    continue;
-                }
-                self.positions.extend(block.members());
-                self.ops += block.len() as u64;
-            }
-        }
+        self.positions = build_positions(blocker, &mut self.ops);
         self.window = 1;
         self.cursor = 0;
     }
@@ -138,11 +118,20 @@ impl ComparisonEmitter for LsPsn {
         }
     }
 
-    fn next_batch(&mut self, blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
+    /// A pair first seen at window `w` weighs `max_window − w + 1`: GS-PSN's
+    /// term for that one window.
+    fn next_weighted_batch(
+        &mut self,
+        blocker: &IncrementalBlocker,
+        k: usize,
+    ) -> Vec<WeightedComparison> {
         let mut batch = Vec::with_capacity(k);
         while batch.len() < k {
             match self.next_pair(blocker) {
-                Some(c) => batch.push(c),
+                Some(c) => {
+                    let weight = (self.max_window - self.window + 1) as f64;
+                    batch.push(WeightedComparison::new(c, weight));
+                }
                 None => break,
             }
         }
@@ -165,12 +154,12 @@ impl ComparisonEmitter for LsPsn {
 /// Builds the token-sorted position array shared by both PSN variants.
 fn build_positions(blocker: &IncrementalBlocker, ops: &mut u64) -> Vec<ProfileId> {
     let collection = blocker.collection();
+    // Tokens sorted lexicographically; the dictionary interns in
+    // first-seen order, so sort the strings.
     let dict = blocker.dictionary();
-    let mut tokens: Vec<(&str, pier_types::TokenId)> = (0..dict.len() as u32)
-        .filter_map(|i| {
-            let id = pier_types::TokenId(i);
-            dict.resolve(id).map(|s| (s, id))
-        })
+    let mut tokens: Vec<(String, TokenId)> = (0..dict.len() as u32)
+        .map(TokenId)
+        .filter_map(|id| dict.resolve(id).map(|s| (s, id)))
         .collect();
     tokens.sort_unstable();
     let mut positions = Vec::new();
@@ -189,8 +178,9 @@ fn build_positions(blocker: &IncrementalBlocker, ops: &mut u64) -> Vec<ProfileId
 /// GS-PSN — the global variant: pair weights aggregated over all windows.
 #[derive(Debug)]
 pub struct GsPsn {
-    /// Descending-weight emission schedule built at (re-)initialization.
-    schedule: std::collections::VecDeque<Comparison>,
+    /// Descending-weight emission schedule built at (re-)initialization,
+    /// each comparison with its window sum.
+    schedule: std::collections::VecDeque<WeightedComparison>,
     /// Largest window considered.
     pub max_window: usize,
     emitted: HashSet<Comparison>,
@@ -248,7 +238,10 @@ impl GsPsn {
         // Descending weight, pair id as deterministic tie-break.
         ranked.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         self.ops += ranked.len() as u64;
-        self.schedule = ranked.into_iter().map(|(_, c)| c).collect();
+        self.schedule = ranked
+            .into_iter()
+            .map(|(w, c)| WeightedComparison::new(c, w as f64))
+            .collect();
     }
 }
 
@@ -267,15 +260,19 @@ impl ComparisonEmitter for GsPsn {
         }
     }
 
-    fn next_batch(&mut self, _blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
+    fn next_weighted_batch(
+        &mut self,
+        _blocker: &IncrementalBlocker,
+        k: usize,
+    ) -> Vec<WeightedComparison> {
         let mut batch = Vec::with_capacity(k);
         while batch.len() < k {
-            let Some(cmp) = self.schedule.pop_front() else {
+            let Some(wc) = self.schedule.pop_front() else {
                 break;
             };
-            if self.emitted.insert(cmp) {
+            if self.emitted.insert(wc.cmp) {
                 self.ops += 1;
-                batch.push(cmp);
+                batch.push(wc);
             }
         }
         batch

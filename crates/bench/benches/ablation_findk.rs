@@ -12,7 +12,6 @@ use pier_core::{AdaptiveK, PierConfig};
 use pier_datagen::StandardDataset;
 use pier_matching::EditDistanceMatcher;
 use pier_sim::experiment::{run_method, Method, StreamPlan};
-use pier_sim::pipeline::KPolicy;
 use pier_sim::SimConfig;
 
 fn main() {
@@ -26,17 +25,19 @@ fn main() {
             ds.name(),
             params.budget
         );
-        let policies: Vec<(String, KPolicy)> = vec![
-            ("adaptive".into(), KPolicy::Adaptive(AdaptiveK::default())),
-            ("fixed-8".into(), KPolicy::Fixed(8)),
-            ("fixed-512".into(), KPolicy::Fixed(512)),
-            ("fixed-32768".into(), KPolicy::Fixed(32_768)),
+        // A fixed `K` is a controller clamped to one value.
+        let fixed = |k| AdaptiveK::new(k, k, k);
+        let policies: Vec<(String, AdaptiveK)> = vec![
+            ("adaptive".into(), AdaptiveK::default()),
+            ("fixed-8".into(), fixed(8)),
+            ("fixed-512".into(), fixed(512)),
+            ("fixed-32768".into(), fixed(32_768)),
         ];
-        for (label, policy) in policies {
+        for (label, k) in policies {
             let sim = SimConfig {
                 time_budget: params.budget,
                 cost: experiment_cost(),
-                k_policy: policy,
+                k,
                 ..SimConfig::default()
             };
             let out = run_method(

@@ -9,22 +9,11 @@
 use std::sync::Arc;
 
 use pier_types::{
-    EntityProfile, ErKind, PierError, ProfileId, SharedTokenDictionary, TokenDictionary, TokenId,
-    Tokenizer,
+    EntityProfile, ErKind, PierError, ProfileId, SharedTokenDictionary, TokenId, Tokenizer,
 };
 
 use crate::collection::BlockCollection;
 use crate::purging::PurgePolicy;
-
-/// Where a blocker's token ids come from: its own private dictionary (the
-/// classic single-pipeline setup) or a [`SharedTokenDictionary`] owned by
-/// the surrounding pipeline (the streaming/sharded runtimes, where the
-/// tokenize stage interns once and every consumer speaks global ids).
-#[derive(Debug)]
-enum DictHandle {
-    Owned(TokenDictionary),
-    Shared(SharedTokenDictionary),
-}
 
 /// Incremental blocking state: tokenizer, token dictionary, block
 /// collection, and the profiles seen so far.
@@ -47,7 +36,10 @@ enum DictHandle {
 #[derive(Debug)]
 pub struct IncrementalBlocker {
     tokenizer: Tokenizer,
-    dictionary: DictHandle,
+    /// A fresh dictionary of its own, or one the surrounding pipeline
+    /// shares (the streaming/sharded runtimes, where the tokenize stage
+    /// interns once and every consumer speaks global ids).
+    dictionary: SharedTokenDictionary,
     collection: BlockCollection,
     /// Profiles and token sets live behind `Arc` so an executor can keep
     /// hold of them outside the blocker's lock without deep clones
@@ -70,14 +62,10 @@ impl IncrementalBlocker {
         Self::with_config(kind, Tokenizer::default(), PurgePolicy::default())
     }
 
-    /// Creates a blocker with explicit tokenizer and purge policy.
+    /// Creates a blocker with explicit tokenizer and purge policy, interning
+    /// into a fresh dictionary.
     pub fn with_config(kind: ErKind, tokenizer: Tokenizer, policy: PurgePolicy) -> Self {
-        Self::build(
-            kind,
-            tokenizer,
-            policy,
-            DictHandle::Owned(TokenDictionary::new()),
-        )
+        Self::with_shared_dictionary(kind, tokenizer, policy, SharedTokenDictionary::new())
     }
 
     /// Creates a blocker interning into an external shared dictionary.
@@ -91,15 +79,6 @@ impl IncrementalBlocker {
         tokenizer: Tokenizer,
         policy: PurgePolicy,
         dictionary: SharedTokenDictionary,
-    ) -> Self {
-        Self::build(kind, tokenizer, policy, DictHandle::Shared(dictionary))
-    }
-
-    fn build(
-        kind: ErKind,
-        tokenizer: Tokenizer,
-        policy: PurgePolicy,
-        dictionary: DictHandle,
     ) -> Self {
         IncrementalBlocker {
             tokenizer,
@@ -148,14 +127,9 @@ impl IncrementalBlocker {
     /// way.
     pub fn try_process_profile(&mut self, profile: EntityProfile) -> Result<ProfileId, PierError> {
         self.check_admissible(&profile)?;
-        let ids = match &mut self.dictionary {
-            DictHandle::Owned(d) => {
-                d.tokenize_and_intern(&self.tokenizer, &profile, &mut self.scratch)
-            }
-            DictHandle::Shared(d) => {
-                d.tokenize_and_intern(&self.tokenizer, &profile, &mut self.scratch)
-            }
-        };
+        let ids = self
+            .dictionary
+            .tokenize_and_intern(&self.tokenizer, &profile, &mut self.scratch);
         Ok(self.store(profile, ids))
     }
 
@@ -316,30 +290,11 @@ impl IncrementalBlocker {
         self.profile_count
     }
 
-    /// The token dictionary (grows monotonically across increments).
-    ///
-    /// # Panics
-    /// Panics for a blocker built with
-    /// [`IncrementalBlocker::with_shared_dictionary`]: a shared dictionary
-    /// lives behind a lock and cannot be borrowed plainly — use
-    /// [`IncrementalBlocker::shared_dictionary`] there instead.
-    pub fn dictionary(&self) -> &TokenDictionary {
-        match &self.dictionary {
-            DictHandle::Owned(d) => d,
-            DictHandle::Shared(_) => {
-                panic!("blocker uses a shared dictionary; call shared_dictionary()")
-            }
-        }
-    }
-
-    /// The shared dictionary, for blockers built with
-    /// [`IncrementalBlocker::with_shared_dictionary`]; `None` for blockers
-    /// owning a private dictionary.
-    pub fn shared_dictionary(&self) -> Option<&SharedTokenDictionary> {
-        match &self.dictionary {
-            DictHandle::Owned(_) => None,
-            DictHandle::Shared(d) => Some(d),
-        }
+    /// The token dictionary (grows monotonically across increments): the
+    /// handle passed to [`IncrementalBlocker::with_shared_dictionary`], or
+    /// the blocker's own.
+    pub fn dictionary(&self) -> &SharedTokenDictionary {
+        &self.dictionary
     }
 }
 
@@ -536,18 +491,20 @@ mod tests {
     }
 
     #[test]
-    fn shared_dictionary_accessor_roundtrips() {
+    fn a_shared_dictionary_is_the_one_the_blocker_answers_with() {
         let shared = SharedTokenDictionary::new();
-        let b = IncrementalBlocker::with_shared_dictionary(
+        let mut b = IncrementalBlocker::with_shared_dictionary(
             ErKind::Dirty,
             Tokenizer::default(),
             PurgePolicy::default(),
             shared.clone(),
         );
-        assert!(b.shared_dictionary().is_some());
-        let owned = IncrementalBlocker::new(ErKind::Dirty);
-        assert!(owned.shared_dictionary().is_none());
-        let _ = owned.dictionary(); // owned accessor still works
+        b.process_profile(p(0, 0, "alpha beta"));
+        // The caller's handle sees the blocker's interning and vice versa.
+        assert_eq!(shared.len(), 2);
+        let gamma = shared.intern("gamma");
+        assert_eq!(b.dictionary().get("gamma"), Some(gamma));
+        assert_eq!(b.dictionary().get("alpha"), shared.get("alpha"));
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! incremental baseline I-BASE, and the batch progressive algorithms in
 //! their GLOBAL/LOCAL adaptations — implements [`ComparisonEmitter`]: it is
 //! told about increments after blocking, and it is asked for batches of
-//! comparisons when the matcher is ready. The drivers (the discrete-event
-//! simulator and the threaded runtime) own timing, rates and the adaptive
-//! `K`; the emitters own *which comparisons come next*.
+//! weighted comparisons when the matcher is ready. That batch method,
+//! [`ComparisonEmitter::next_weighted_batch`], is the one an emitter
+//! writes: each comparison carries the weight the emitter orders by, and
+//! `next_batch` is the same batch with the weights dropped. The drivers
+//! (the discrete-event simulator and the threaded runtime) own timing,
+//! rates and the adaptive `K`; the emitters own *which comparisons come
+//! next*.
 
 use pier_blocking::{ghost_blocks, Block, BlockCollection, BlockId, IncrementalBlocker};
 use pier_collections::{EpochStamps, FxHashMap, FxHashSet, ScalableBloomFilter, ScratchStats};
@@ -52,25 +56,23 @@ pub trait ComparisonEmitter {
     /// `new_ids` (empty slice = the periodic empty-increment tick of §3.2).
     fn on_increment(&mut self, blocker: &IncrementalBlocker, new_ids: &[ProfileId]);
 
-    /// Returns the next batch of at most `k` comparisons, best first.
+    /// Returns the next batch of at most `k` comparisons, best first, each
+    /// with the weight it was scheduled under — what a k-way merger orders
+    /// several emitters' batches by and what weight-floor shedding reads.
     /// Non-adaptive emitters (e.g. I-BASE) may ignore `k`. An empty result
     /// means no comparison is currently available.
-    fn next_batch(&mut self, blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison>;
-
-    /// Like [`next_batch`], but each comparison keeps the weight it was
-    /// scheduled under, so a k-way merger can order batches from several
-    /// emitters globally. Returns `None` when the emitter has no
-    /// meaningful weights to expose (the default); the sharded pipeline
-    /// then falls back to [`next_batch`] plus recomputed local weights.
-    ///
-    /// [`next_batch`]: ComparisonEmitter::next_batch
     fn next_weighted_batch(
         &mut self,
         blocker: &IncrementalBlocker,
         k: usize,
-    ) -> Option<Vec<WeightedComparison>> {
-        let _ = (blocker, k);
-        None
+    ) -> Vec<WeightedComparison>;
+
+    /// [`ComparisonEmitter::next_weighted_batch`] without the weights.
+    fn next_batch(&mut self, blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
+        self.next_weighted_batch(blocker, k)
+            .into_iter()
+            .map(|wc| wc.cmp)
+            .collect()
     }
 
     /// Abstract work (ops) performed since the last call, for virtual-time

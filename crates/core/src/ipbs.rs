@@ -163,29 +163,11 @@ impl ComparisonEmitter for Ipbs {
         self.try_refill(blocker);
     }
 
-    fn next_batch(&mut self, blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
-        let mut batch = Vec::with_capacity(k.min(self.index.len()));
-        while batch.len() < k {
-            if self.index.is_empty() && !self.try_refill(blocker) {
-                break;
-            }
-            if let Some(entry) = self.index.pop() {
-                self.ops += 1;
-                self.observer.emit(|| Event::ComparisonEmitted {
-                    cmp: entry.cmp,
-                    weight: entry.weight,
-                });
-                batch.push(entry.cmp);
-            }
-        }
-        batch
-    }
-
     fn next_weighted_batch(
         &mut self,
         blocker: &IncrementalBlocker,
         k: usize,
-    ) -> Option<Vec<WeightedComparison>> {
+    ) -> Vec<WeightedComparison> {
         // The exposed weight is the entry's CBS tie-breaker: a global
         // merger then interleaves shards weight-ordered while each shard's
         // own block-centric (bsize-first) order decided *which* pairs were
@@ -204,7 +186,7 @@ impl ComparisonEmitter for Ipbs {
                 batch.push(WeightedComparison::new(entry.cmp, entry.weight));
             }
         }
-        Some(batch)
+        batch
     }
 
     fn drain_ops(&mut self) -> u64 {

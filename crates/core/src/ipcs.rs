@@ -95,7 +95,11 @@ impl ComparisonEmitter for Ipcs {
         }
     }
 
-    fn next_batch(&mut self, _blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
+    fn next_weighted_batch(
+        &mut self,
+        _blocker: &IncrementalBlocker,
+        k: usize,
+    ) -> Vec<WeightedComparison> {
         // Only the index is drained here; the `GetComparisons` fallback
         // runs exclusively on empty-increment ticks (Algorithm 2, lines
         // 10-11), i.e. when blocking signals that the input is idle —
@@ -110,29 +114,9 @@ impl ComparisonEmitter for Ipcs {
                 cmp: wc.cmp,
                 weight: wc.weight,
             });
-            batch.push(wc.cmp);
-        }
-        batch
-    }
-
-    fn next_weighted_batch(
-        &mut self,
-        _blocker: &IncrementalBlocker,
-        k: usize,
-    ) -> Option<Vec<WeightedComparison>> {
-        let mut batch = Vec::with_capacity(k.min(self.index.len()));
-        while batch.len() < k {
-            let Some(wc) = self.index.pop() else {
-                break;
-            };
-            self.ops += 1;
-            self.observer.emit(|| Event::ComparisonEmitted {
-                cmp: wc.cmp,
-                weight: wc.weight,
-            });
             batch.push(wc);
         }
-        Some(batch)
+        batch
     }
 
     fn drain_ops(&mut self) -> u64 {

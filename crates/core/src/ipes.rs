@@ -257,7 +257,11 @@ impl ComparisonEmitter for Ipes {
         }
     }
 
-    fn next_batch(&mut self, _blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
+    fn next_weighted_batch(
+        &mut self,
+        _blocker: &IncrementalBlocker,
+        k: usize,
+    ) -> Vec<WeightedComparison> {
         // The `GetComparisons` fallback runs exclusively on empty-increment
         // ticks (input idle), never mid-stream — see I-PCS.
         let mut batch = Vec::with_capacity(k);
@@ -267,7 +271,7 @@ impl ComparisonEmitter for Ipes {
                     cmp: wc.cmp,
                     weight: wc.weight,
                 });
-                batch.push(wc.cmp);
+                batch.push(wc);
                 continue;
             }
             // Entity structures dry: take the missing comparisons from PQ.
@@ -277,41 +281,12 @@ impl ComparisonEmitter for Ipes {
                     cmp: wc.cmp,
                     weight: wc.weight,
                 });
-                batch.push(wc.cmp);
+                batch.push(wc);
                 continue;
             }
             break;
         }
         batch
-    }
-
-    fn next_weighted_batch(
-        &mut self,
-        _blocker: &IncrementalBlocker,
-        k: usize,
-    ) -> Option<Vec<WeightedComparison>> {
-        let mut batch = Vec::with_capacity(k);
-        while batch.len() < k {
-            if let Some(wc) = self.dequeue_entity_path() {
-                self.observer.emit(|| Event::ComparisonEmitted {
-                    cmp: wc.cmp,
-                    weight: wc.weight,
-                });
-                batch.push(wc);
-                continue;
-            }
-            if let Some(wc) = self.pq.pop() {
-                self.ops += 1;
-                self.observer.emit(|| Event::ComparisonEmitted {
-                    cmp: wc.cmp,
-                    weight: wc.weight,
-                });
-                batch.push(wc);
-                continue;
-            }
-            break;
-        }
-        Some(batch)
     }
 
     fn drain_ops(&mut self) -> u64 {

@@ -165,26 +165,12 @@ where
     }
 
     /// [`StageA::pull`] keeping each comparison's scheduling weight, for
-    /// k-way merging and weight-floor shedding. Emitters without weighted
-    /// batches fall back to `next_batch` plus recomputed CBS weights
-    /// (exact per lane: every common block of a pair lives in one lane).
+    /// k-way merging and weight-floor shedding.
     pub fn pull_weighted(&mut self, k: usize) -> (Vec<WeightedComparison>, u64) {
         if k == 0 {
             return (Vec::new(), 0);
         }
-        let batch = match self.emitter.next_weighted_batch(&self.blocker, k) {
-            Some(batch) => batch,
-            None => {
-                let collection = self.blocker.collection();
-                self.emitter
-                    .next_batch(&self.blocker, k)
-                    .into_iter()
-                    .map(|cmp| {
-                        WeightedComparison::new(cmp, collection.common_blocks(cmp.a, cmp.b) as f64)
-                    })
-                    .collect()
-            }
-        };
+        let batch = self.emitter.next_weighted_batch(&self.blocker, k);
         (batch, self.emitter.drain_ops())
     }
 
@@ -349,54 +335,17 @@ mod tests {
     }
 
     /// The weighted pull is what `ShardWorker::pull` returned before the
-    /// machine existed: the emitter's own weights when it has them...
+    /// machine existed: the emitter's own weights.
     #[test]
     fn pull_weighted_prefers_the_emitters_weights() {
         let mut m = machine(Strategy::Pcs);
         m.ingest(&corpus());
         let mut reference = Ipcs::new(PierConfig::default());
         reference.on_increment(m.blocker(), &(0..5).map(ProfileId).collect::<Vec<_>>());
-        let want = reference.next_weighted_batch(m.blocker(), 8).unwrap();
+        let want = reference.next_weighted_batch(m.blocker(), 8);
         assert!(!want.is_empty());
         assert_eq!(m.pull_weighted(8).0, want);
         assert!(m.pull_weighted(0).0.is_empty());
-    }
-
-    /// ...and `next_batch` order with recomputed CBS weights when it does
-    /// not (here: an emitter hiding its weighted batches).
-    #[test]
-    fn pull_weighted_falls_back_to_recomputed_cbs() {
-        struct Unweighted(Ipcs);
-        impl ComparisonEmitter for Unweighted {
-            fn on_increment(&mut self, b: &IncrementalBlocker, ids: &[ProfileId]) {
-                self.0.on_increment(b, ids)
-            }
-            fn next_batch(&mut self, b: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
-                self.0.next_batch(b, k)
-            }
-            fn drain_ops(&mut self) -> u64 {
-                self.0.drain_ops()
-            }
-            fn has_pending(&self) -> bool {
-                self.0.has_pending()
-            }
-            fn name(&self) -> String {
-                self.0.name()
-            }
-        }
-        let blocker = || IncrementalBlocker::new(ErKind::Dirty);
-        let mut hidden = Unweighted(Ipcs::new(PierConfig::default()));
-        let mut m = StageA::new(blocker(), &mut hidden as &mut dyn ComparisonEmitter);
-        m.ingest(&corpus());
-        let mut plain = StageA::new(blocker(), Strategy::Pcs.build(PierConfig::default()));
-        plain.ingest(&corpus());
-        let (got, _) = m.pull_weighted(64);
-        let (want, _) = plain.pull(64);
-        assert_eq!(got.iter().map(|wc| wc.cmp).collect::<Vec<_>>(), want);
-        for wc in got {
-            let cbs = m.blocker().collection().common_blocks(wc.cmp.a, wc.cmp.b);
-            assert_eq!(wc.weight, cbs as f64);
-        }
     }
 
     #[test]

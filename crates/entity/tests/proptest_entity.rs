@@ -13,7 +13,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use pier_entity::EntityIndex;
 use pier_types::{Comparison, IncrementalClusters, ProfileId};
@@ -208,11 +208,15 @@ fn concurrent_readers_see_consistent_monotone_views() {
     let index = EntityIndex::shared();
     let pairs = stress_pairs(MATCHES, UNIVERSE);
     let done = Arc::new(AtomicBool::new(false));
+    // The writer starts only once every reader has taken a view, so no
+    // reader can find the run over before it was first scheduled.
+    let started = Arc::new(Barrier::new(READERS + 1));
 
     std::thread::scope(|scope| {
         for reader in 0..READERS {
             let index = Arc::clone(&index);
             let done = Arc::clone(&done);
+            let started = Arc::clone(&started);
             scope.spawn(move || {
                 let mut last_generation = 0u64;
                 let mut views = 0u64;
@@ -244,12 +248,16 @@ fn concurrent_readers_see_consistent_monotone_views() {
                         assert!(l.members.windows(2).all(|w| w[0] < w[1]));
                     }
                     views += 1;
+                    if views == 1 {
+                        started.wait();
+                    }
                 }
                 assert!(views > 0, "reader {reader} never got a view");
             });
         }
 
         // The writer: one thread, like the stage-B coordinator.
+        started.wait();
         for &cmp in &pairs {
             index.apply(cmp);
         }

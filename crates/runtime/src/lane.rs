@@ -202,6 +202,7 @@ pub(crate) mod tests {
     use pier_observe::Observer;
     use pier_types::{
         Comparison, EntityProfile, ErKind, ProfileId, SharedTokenDictionary, SourceId, Tokenizer,
+        WeightedComparison,
     };
 
     use crate::pipeline::RuntimeConfig;
@@ -215,14 +216,15 @@ pub(crate) mod tests {
         Ingest(usize),
         /// `on_increment(&[])`, and whether it made work.
         Tick { made_work: bool },
-        /// `next_batch(asked)`, and how many pairs came back.
+        /// `next_weighted_batch(asked)`, and how many pairs came back.
         Pull { asked: usize, got: usize },
     }
 
     /// A scripted emitter: an arrival puts every pair it forms with an
     /// older profile in reserve, a tick moves up to `per_tick` of them into
     /// the index (the `GetComparisons` fallback in miniature), a pull takes
-    /// from the index. Every call lands in `log`.
+    /// from the index, in order and unweighted (0.0). Every call lands in
+    /// `log`.
     pub(crate) struct Scripted {
         per_tick: usize,
         seen: Vec<ProfileId>,
@@ -266,10 +268,17 @@ pub(crate) mod tests {
             self.log.lock().push(Call::Ingest(new_ids.len()));
         }
 
-        fn next_batch(&mut self, _blocker: &IncrementalBlocker, k: usize) -> Vec<Comparison> {
+        fn next_weighted_batch(
+            &mut self,
+            _blocker: &IncrementalBlocker,
+            k: usize,
+        ) -> Vec<WeightedComparison> {
             let got = k.min(self.index.len());
             self.log.lock().push(Call::Pull { asked: k, got });
-            self.index.drain(..got).collect()
+            self.index
+                .drain(..got)
+                .map(|cmp| WeightedComparison::new(cmp, 0.0))
+                .collect()
         }
 
         fn drain_ops(&mut self) -> u64 {

@@ -112,8 +112,8 @@ impl ShardWorker {
         self.stage_a.tick().made_work
     }
 
-    /// Pulls up to `k` weighted comparisons, best first (see
-    /// [`StageA::pull_weighted`] for emitters without weighted batches).
+    /// Pulls up to `k` comparisons, best first, each with the weight the
+    /// shard's emitter scheduled it under ([`StageA::pull_weighted`]).
     pub fn pull(&mut self, k: usize) -> Vec<WeightedComparison> {
         self.stage_a.pull_weighted(k).0
     }

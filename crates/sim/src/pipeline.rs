@@ -22,42 +22,6 @@ pub enum MatcherMode {
     CostOnly,
 }
 
-/// How `K` (comparisons per prioritization round, Algorithm 1) is chosen.
-#[derive(Debug, Clone)]
-pub enum KPolicy {
-    /// The paper's adaptive `findK()`.
-    Adaptive(AdaptiveK),
-    /// A fixed `K` (ablation: `ablation_findk`).
-    Fixed(usize),
-}
-
-impl KPolicy {
-    fn k(&self) -> usize {
-        match self {
-            KPolicy::Adaptive(a) => a.k(),
-            KPolicy::Fixed(k) => *k,
-        }
-    }
-
-    fn record_arrival(&mut self, t: f64) {
-        if let KPolicy::Adaptive(a) = self {
-            a.record_arrival(t);
-        }
-    }
-
-    fn record_batch(&mut self, elapsed: f64) {
-        if let KPolicy::Adaptive(a) = self {
-            a.record_batch(elapsed);
-        }
-    }
-
-    fn set_observer(&mut self, observer: Observer) {
-        if let KPolicy::Adaptive(a) = self {
-            a.set_observer(observer);
-        }
-    }
-}
-
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -67,8 +31,9 @@ pub struct SimConfig {
     pub matcher_mode: MatcherMode,
     /// Ops → seconds calibration.
     pub cost: CostModel,
-    /// Batch-size policy (adaptive by default).
-    pub k_policy: KPolicy,
+    /// The batch-size controller `findK()` of Algorithm 1. A fixed `K` is
+    /// `AdaptiveK::new(k, k, k)`: the clamp holds it at `k`.
+    pub k: AdaptiveK,
     /// Block purging used by the shared incremental blocker.
     pub purge_policy: PurgePolicy,
     /// Hard cap on executed comparisons (event-count safety valve).
@@ -81,7 +46,7 @@ impl Default for SimConfig {
             time_budget: 300.0,
             matcher_mode: MatcherMode::CostOnly,
             cost: CostModel::default(),
-            k_policy: KPolicy::Adaptive(AdaptiveK::default()),
+            k: AdaptiveK::default(),
             purge_policy: PurgePolicy::default(),
             max_comparisons: 50_000_000,
         }
@@ -193,8 +158,8 @@ impl<'a> PipelineSim<'a> {
         let budget = self.config.time_budget;
         let cost = self.config.cost;
         let observer = self.observer.clone();
-        let mut k_policy = self.config.k_policy.clone();
-        k_policy.set_observer(observer.clone());
+        let mut adaptive = self.config.k.clone();
+        adaptive.set_observer(observer.clone());
         // The step machine on a virtual clock: every step returns the ops
         // it spent and the cost model turns them into seconds.
         let mut stage_a = StageA::new(
@@ -241,7 +206,7 @@ impl<'a> PipelineSim<'a> {
                     break 'sim;
                 }
                 let (arrival_time, increment) = &arrivals[arr_idx];
-                k_policy.record_arrival(*arrival_time);
+                adaptive.record_arrival(*arrival_time);
                 let blocking_ops: u64 = increment.iter().map(CostModel::blocking_ops).sum();
                 let ingested = stage_a.ingest(increment);
                 for &id in &ingested.ids {
@@ -283,7 +248,7 @@ impl<'a> PipelineSim<'a> {
                 end_time = budget;
                 break 'sim;
             }
-            let k = k_policy.k();
+            let k = adaptive.k();
             let (batch, pull_ops) = stage_a.pull(k);
             if !batch.is_empty() {
                 observer.emit(|| Event::PhaseTiming {
@@ -381,7 +346,7 @@ impl<'a> PipelineSim<'a> {
                 phase: Phase::Classify,
                 secs: classify_secs,
             });
-            k_policy.record_batch(t - t0);
+            adaptive.record_batch(t - t0);
             if consumed_at.is_none()
                 && arr_idx == arrivals.len()
                 && !stage_a.emitter().has_pending()

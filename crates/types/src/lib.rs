@@ -37,4 +37,4 @@ pub use dataset::{Dataset, ErKind, GroundTruth, Increment};
 pub use error::PierError;
 pub use metrics::{MatchLedger, ProgressPoint, ProgressTrajectory};
 pub use profile::{Attribute, EntityProfile, ProfileId, SourceId};
-pub use tokenizer::{SharedTokenDictionary, TokenDictionary, TokenId, Tokenizer};
+pub use tokenizer::{SharedTokenDictionary, TokenId, Tokenizer};

@@ -3,8 +3,9 @@
 //! Token blocking (the block-building technique used throughout the paper)
 //! places a profile into one block per *distinct token* appearing in any of
 //! its attribute values, ignoring attribute names entirely. This module
-//! provides the tokenizer and a token dictionary that interns token strings
-//! into dense [`TokenId`]s, so the blocking layer can work with integers.
+//! provides the tokenizer and the token dictionary,
+//! [`SharedTokenDictionary`], that interns token strings into dense
+//! [`TokenId`]s, so the blocking layer can work with integers.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
@@ -110,25 +111,17 @@ impl Tokenizer {
     }
 }
 
-/// Interns token strings into dense [`TokenId`]s.
-///
-/// The dictionary only ever grows: incremental blocking keeps it alive for
-/// the lifetime of a stream so token ids are stable across increments.
+/// The map and string table behind [`SharedTokenDictionary`]'s lock.
 #[derive(Debug, Default)]
-pub struct TokenDictionary {
+struct Interner {
     ids: HashMap<String, TokenId>,
     tokens: Vec<String>,
     string_bytes: usize,
 }
 
-impl TokenDictionary {
-    /// Creates an empty dictionary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl Interner {
     /// Returns the id for `token`, interning it if unseen.
-    pub fn intern(&mut self, token: &str) -> TokenId {
+    fn intern(&mut self, token: &str) -> TokenId {
         if let Some(&id) = self.ids.get(token) {
             return id;
         }
@@ -139,67 +132,15 @@ impl TokenDictionary {
         id
     }
 
-    /// Looks up an already-interned token.
-    pub fn get(&self, token: &str) -> Option<TokenId> {
+    fn get(&self, token: &str) -> Option<TokenId> {
         self.ids.get(token).copied()
-    }
-
-    /// The string for an interned id, if valid.
-    pub fn resolve(&self, id: TokenId) -> Option<&str> {
-        self.tokens.get(id.index()).map(String::as_str)
-    }
-
-    /// Number of distinct tokens interned so far.
-    pub fn len(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Whether no token has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
-    }
-
-    /// Total bytes of distinct token strings interned so far — the string
-    /// storage a consumer of dense [`TokenId`]s avoids duplicating.
-    pub fn string_bytes(&self) -> usize {
-        self.string_bytes
-    }
-
-    /// Tokenizes `profile` with `tokenizer` and interns every distinct
-    /// token, returning the sorted distinct [`TokenId`]s.
-    pub fn intern_profile(
-        &mut self,
-        tokenizer: &Tokenizer,
-        profile: &EntityProfile,
-    ) -> Vec<TokenId> {
-        let mut scratch = String::new();
-        self.tokenize_and_intern(tokenizer, profile, &mut scratch)
-    }
-
-    /// Allocation-free tokenize-and-intern: tokenizes `profile` through the
-    /// reusable `scratch` buffer (no per-token `String`), interning each
-    /// kept token and returning the sorted distinct [`TokenId`]s. A string
-    /// is allocated only on the first-ever intern of a token.
-    pub fn tokenize_and_intern(
-        &mut self,
-        tokenizer: &Tokenizer,
-        profile: &EntityProfile,
-        scratch: &mut String,
-    ) -> Vec<TokenId> {
-        let mut ids: Vec<TokenId> = Vec::new();
-        for value in profile.values() {
-            tokenizer.for_each_token(value, scratch, |tok| {
-                ids.push(self.intern(tok));
-            });
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        ids
     }
 }
 
-/// A [`TokenDictionary`] shared across threads.
+/// Interns token strings into dense [`TokenId`]s, shared across threads.
 ///
+/// The dictionary only ever grows: incremental blocking keeps it alive for
+/// the lifetime of a stream so token ids are stable across increments.
 /// Cloning is cheap (an `Arc` bump); all clones intern into the same
 /// underlying dictionary, so a token gets exactly one stable id no matter
 /// which thread first sees it. The dictionary is append-only, which keeps
@@ -209,7 +150,7 @@ impl TokenDictionary {
 /// since another thread may have interned the same token in between.
 #[derive(Debug, Default, Clone)]
 pub struct SharedTokenDictionary {
-    inner: Arc<RwLock<TokenDictionary>>,
+    inner: Arc<RwLock<Interner>>,
 }
 
 impl SharedTokenDictionary {
@@ -218,11 +159,11 @@ impl SharedTokenDictionary {
         Self::default()
     }
 
-    fn read(&self) -> std::sync::RwLockReadGuard<'_, TokenDictionary> {
+    fn read(&self) -> std::sync::RwLockReadGuard<'_, Interner> {
         self.inner.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn write(&self) -> std::sync::RwLockWriteGuard<'_, TokenDictionary> {
+    fn write(&self) -> std::sync::RwLockWriteGuard<'_, Interner> {
         self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -243,22 +184,23 @@ impl SharedTokenDictionary {
 
     /// The string for an interned id, if valid (cloned out of the lock).
     pub fn resolve(&self, id: TokenId) -> Option<String> {
-        self.read().resolve(id).map(str::to_string)
+        self.read().tokens.get(id.index()).cloned()
     }
 
     /// Number of distinct tokens interned so far.
     pub fn len(&self) -> usize {
-        self.read().len()
+        self.read().tokens.len()
     }
 
     /// Whether no token has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.read().is_empty()
+        self.read().tokens.is_empty()
     }
 
-    /// Total bytes of distinct token strings interned so far.
+    /// Total bytes of distinct token strings interned so far — the string
+    /// storage a consumer of dense [`TokenId`]s avoids duplicating.
     pub fn string_bytes(&self) -> usize {
-        self.read().string_bytes()
+        self.read().string_bytes
     }
 
     /// Tokenizes `profile` and interns every distinct token, returning the
@@ -358,34 +300,21 @@ mod tests {
 
     #[test]
     fn dictionary_interns_stably() {
-        let mut d = TokenDictionary::new();
+        let d = SharedTokenDictionary::new();
         let a = d.intern("alpha");
         let b = d.intern("beta");
         let a2 = d.intern("alpha");
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(d.len(), 2);
-        assert_eq!(d.resolve(a), Some("alpha"));
+        assert_eq!(d.resolve(a).as_deref(), Some("alpha"));
         assert_eq!(d.get("beta"), Some(b));
         assert_eq!(d.get("gamma"), None);
     }
 
     #[test]
-    fn intern_profile_returns_sorted_distinct_ids() {
-        let mut d = TokenDictionary::new();
-        let t = Tokenizer::default();
-        // Pre-intern so ids are not in lexicographic order.
-        d.intern("zebra");
-        let p = profile(&["zebra apple", "apple"]);
-        let ids = d.intern_profile(&t, &p);
-        assert_eq!(ids.len(), 2);
-        assert!(ids.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(d.len(), 2);
-    }
-
-    #[test]
     fn empty_dictionary_reports_empty() {
-        let d = TokenDictionary::new();
+        let d = SharedTokenDictionary::new();
         assert!(d.is_empty());
         assert_eq!(d.len(), 0);
         assert_eq!(d.resolve(TokenId(0)), None);
@@ -411,7 +340,7 @@ mod tests {
 
     #[test]
     fn string_bytes_counts_distinct_tokens_once() {
-        let mut d = TokenDictionary::new();
+        let d = SharedTokenDictionary::new();
         d.intern("alpha");
         d.intern("beta");
         d.intern("alpha");
@@ -419,32 +348,17 @@ mod tests {
     }
 
     #[test]
-    fn tokenize_and_intern_matches_intern_profile() {
+    fn tokenize_and_intern_matches_profile_tokens() {
         let t = Tokenizer::default();
         let p = profile(&["Zebra apple", "apple BETA"]);
-        let mut d1 = TokenDictionary::new();
-        let mut d2 = TokenDictionary::new();
-        let via_strings: Vec<TokenId> = {
-            // The historical string path: materialize sorted distinct token
-            // strings, then intern each.
-            let mut ids: Vec<TokenId> = t.profile_tokens(&p).iter().map(|s| d1.intern(s)).collect();
-            ids.sort_unstable();
-            ids.dedup();
-            ids
-        };
+        let d = SharedTokenDictionary::new();
         let mut scratch = String::new();
-        let direct = d2.tokenize_and_intern(&t, &p, &mut scratch);
-        // Id *assignment order* may differ (appearance vs. lexicographic),
-        // but the resolved token sets must be identical.
-        let resolve = |d: &TokenDictionary, ids: &[TokenId]| {
-            let mut v: Vec<String> = ids
-                .iter()
-                .map(|&i| d.resolve(i).unwrap().to_string())
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        assert_eq!(resolve(&d1, &via_strings), resolve(&d2, &direct));
+        let direct = d.tokenize_and_intern(&t, &p, &mut scratch);
+        // Ids are assigned in order of appearance, not lexicographically,
+        // but they resolve to exactly the string path's distinct tokens.
+        let mut resolved: Vec<String> = direct.iter().map(|&i| d.resolve(i).unwrap()).collect();
+        resolved.sort_unstable();
+        assert_eq!(resolved, t.profile_tokens(&p));
         assert!(direct.windows(2).all(|w| w[0] < w[1]));
     }
 

@@ -137,6 +137,6 @@ pub mod prelude {
     pub use pier_types::{
         Comparison, Dataset, EntityProfile, ErKind, GroundTruth, Increment, IncrementalClusters,
         MatchLedger, PierError, ProfileId, ProgressTrajectory, SharedTokenDictionary, SourceId,
-        TokenDictionary, TokenId, Tokenizer, WeightedComparison,
+        TokenId, Tokenizer, WeightedComparison,
     };
 }

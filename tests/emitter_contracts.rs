@@ -35,31 +35,45 @@ fn small_dataset(kind: ErKind) -> Dataset {
 }
 
 /// Feeds a dataset increment by increment and drains with idle ticks,
-/// returning every emitted comparison in order.
-fn drive(method: Method, dataset: &Dataset, n_increments: usize) -> Vec<Comparison> {
+/// taking batches out through `pull`; returns everything pulled, in order,
+/// and the total ops the emitter charged.
+fn drive_with<T>(
+    method: Method,
+    dataset: &Dataset,
+    n_increments: usize,
+    mut pull: impl FnMut(&mut dyn ComparisonEmitter, &IncrementalBlocker, usize) -> Vec<T>,
+) -> (Vec<T>, u64) {
     let mut blocker = IncrementalBlocker::new(dataset.kind);
     let mut emitter = method.build(PierConfig::default());
     let mut out = Vec::new();
+    let mut ops = 0;
     for inc in dataset.into_increments(n_increments).unwrap() {
         let ids = blocker.process_increment(&inc.profiles);
         emitter.on_increment(&blocker, &ids);
         // Interleave some pulls mid-stream like a real matcher would.
-        out.extend(emitter.next_batch(&blocker, 8));
+        out.extend(pull(&mut *emitter, &blocker, 8));
     }
     // Drain with idle ticks until the emitter is truly dry.
     loop {
-        let batch = emitter.next_batch(&blocker, 64);
+        let batch = pull(&mut *emitter, &blocker, 64);
         if !batch.is_empty() {
             out.extend(batch);
             continue;
         }
-        let _ = emitter.drain_ops();
+        ops += emitter.drain_ops();
         emitter.on_increment(&blocker, &[]);
-        if emitter.drain_ops() == 0 && !emitter.has_pending() {
+        let tick_ops = emitter.drain_ops();
+        ops += tick_ops;
+        if tick_ops == 0 && !emitter.has_pending() {
             break;
         }
     }
-    out
+    (out, ops)
+}
+
+/// [`drive_with`] through `next_batch`: every emitted comparison, in order.
+fn drive(method: Method, dataset: &Dataset, n_increments: usize) -> Vec<Comparison> {
+    drive_with(method, dataset, n_increments, |e, b, k| e.next_batch(b, k)).0
 }
 
 #[test]
@@ -160,5 +174,29 @@ fn emitters_respect_k_where_adaptive() {
             method.name(),
             batch.len()
         );
+    }
+}
+
+#[test]
+fn weighted_batches_carry_the_unweighted_schedule() {
+    // `next_batch` is `next_weighted_batch` minus the weights: two twins,
+    // one drained each way, emit the same pairs in the same order and
+    // charge the same ops, and every weight handed out is finite.
+    for kind in [ErKind::CleanClean, ErKind::Dirty] {
+        let dataset = small_dataset(kind);
+        for method in all_methods() {
+            let (weighted, weighted_ops) =
+                drive_with(method, &dataset, 6, |e, b, k| e.next_weighted_batch(b, k));
+            let (plain, plain_ops) = drive_with(method, &dataset, 6, |e, b, k| e.next_batch(b, k));
+            let name = method.name();
+            assert!(!plain.is_empty(), "{name} emitted nothing on {kind:?}");
+            assert!(
+                weighted.iter().all(|wc| wc.weight.is_finite()),
+                "{name}: a non-finite weight on {kind:?}"
+            );
+            let pairs: Vec<Comparison> = weighted.iter().map(|wc| wc.cmp).collect();
+            assert_eq!(pairs, plain, "{name}: weighted pairs differ on {kind:?}");
+            assert_eq!(weighted_ops, plain_ops, "{name}: ops differ on {kind:?}");
+        }
     }
 }

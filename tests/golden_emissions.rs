@@ -11,13 +11,19 @@
 //! ops model must re-capture them (`GOLDEN_PRINT=1 cargo test --test
 //! golden_emissions -- --nocapture` prints the table).
 //!
-//! A second table pins the dense I-WNP core below the step machine: the
+//! A second table pins the seven baselines the same way, over their
+//! ordered pairs, count and ops only: it was captured before every emitter
+//! handed out the weight it orders by, which changed their weights and
+//! nothing else.
+//!
+//! A third table pins the dense I-WNP core below the step machine: the
 //! scheduled list of every weighting scheme, unsharded and over 4 shards —
 //! the equivalence matrix the `stage_a_throughput` bench asserted against
 //! its reconstruction of the retired map-based stage A, until PR 20
 //! retired the bench.
 
 use pier::prelude::*;
+use pier::sim::Method;
 
 /// The pinned outcome of one cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +62,7 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 
 /// Pulls and ticks until a tick finds nothing, or for `rounds` pulls.
 fn drain(
-    machine: &mut StageA,
+    machine: &mut StageA<Box<dyn ComparisonEmitter>>,
     rounds: Option<usize>,
     out: &mut Vec<WeightedComparison>,
     ops: &mut u64,
@@ -81,14 +87,20 @@ fn drain(
 /// Drives one cell: `increments == 1` is the static setting; otherwise the
 /// corpus arrives in `increments` parts with a bounded pull/tick phase
 /// after each, so the block cursor consumes blocks that later grow and
-/// revisits them past their watermark.
-fn run(dataset: &Dataset, strategy: Strategy, increments: usize) -> Golden {
+/// revisits them past their watermark. `weights` says whether the digest
+/// covers each comparison's weight besides its pair.
+fn run(
+    dataset: &Dataset,
+    emitter: Box<dyn ComparisonEmitter>,
+    increments: usize,
+    weights: bool,
+) -> Golden {
     let blocker = IncrementalBlocker::with_config(
         dataset.kind,
         Tokenizer::default(),
         PurgePolicy::max_cardinality(POLICY_MAX_CARDINALITY),
     );
-    let mut machine = StageA::new(blocker, strategy.build(PierConfig::default()));
+    let mut machine = StageA::new(blocker, emitter);
     let mut out = Vec::new();
     let mut ops = 0u64;
     for inc in dataset.into_increments(increments).unwrap() {
@@ -108,7 +120,9 @@ fn run(dataset: &Dataset, strategy: Strategy, increments: usize) -> Golden {
     for wc in &out {
         fnv1a(&mut digest, &wc.cmp.a.0.to_le_bytes());
         fnv1a(&mut digest, &wc.cmp.b.0.to_le_bytes());
-        fnv1a(&mut digest, &wc.weight.to_bits().to_le_bytes());
+        if weights {
+            fnv1a(&mut digest, &wc.weight.to_bits().to_le_bytes());
+        }
     }
     Golden {
         digest,
@@ -201,26 +215,223 @@ const CELLS: &[(&str, Strategy, usize, Golden)] = &[
     ),
 ];
 
-#[test]
-fn emission_order_weights_and_ops_match_the_pinned_digests() {
+/// Runs every cell of one table, `build`ing each cell's emitter; prints the
+/// table's rows instead under `GOLDEN_PRINT` (`table` names their type).
+fn check<E: Copy + std::fmt::Debug>(
+    table: &str,
+    cells: &[(&str, E, usize, Golden)],
+    build: impl Fn(E) -> Box<dyn ComparisonEmitter>,
+    weights: bool,
+) {
     let corpora = [("dbpedia", dbpedia()), ("census", census())];
     let print = std::env::var_os("GOLDEN_PRINT").is_some();
     let mut mismatches = Vec::new();
-    for &(corpus, strategy, increments, want) in CELLS {
+    for &(corpus, emitter, increments, want) in cells {
         let dataset = &corpora.iter().find(|(name, _)| *name == corpus).unwrap().1;
-        let got = run(dataset, strategy, increments);
+        let got = run(dataset, build(emitter), increments, weights);
         if print {
             println!(
-                "    (\"{corpus}\", Strategy::{strategy:?}, {increments}, golden({:#018x}, {}, {})),",
+                "    (\"{corpus}\", {table}::{emitter:?}, {increments}, golden({:#018x}, {}, {})),",
                 got.digest, got.comparisons, got.ops
             );
         } else if got != want {
             mismatches.push(format!(
-                "{corpus} {strategy:?} x{increments}: got {got:?}, pinned {want:?}"
+                "{corpus} {emitter:?} x{increments}: got {got:?}, pinned {want:?}"
             ));
         }
     }
     assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
+}
+
+#[test]
+fn emission_order_weights_and_ops_match_the_pinned_digests() {
+    check("Strategy", CELLS, |s| s.build(PierConfig::default()), true);
+}
+
+/// `(corpus, baseline, increments, pinned outcome)`: the baselines' ordered
+/// pairs, count and ops, captured before every emitter handed out the
+/// weight it schedules by. Their weights are not pinned: the baselines
+/// rank by different quantities, and which weight each exposes is a
+/// design choice, not part of its schedule.
+const BASELINE_CELLS: &[(&str, Method, usize, Golden)] = &[
+    (
+        "dbpedia",
+        Method::Batch,
+        1,
+        golden(0x9ad924b44001dd3c, 20936, 139596),
+    ),
+    (
+        "dbpedia",
+        Method::Batch,
+        8,
+        golden(0x7dc3e7a79f394d0c, 1889, 14179),
+    ),
+    (
+        "dbpedia",
+        Method::Pbs,
+        1,
+        golden(0x462759e3ab3c10c0, 20936, 294972),
+    ),
+    (
+        "dbpedia",
+        Method::Pbs,
+        8,
+        golden(0x820048b95055c894, 22407, 979736),
+    ),
+    (
+        "dbpedia",
+        Method::PpsGlobal,
+        1,
+        golden(0x604fda58896493c9, 2622, 568310),
+    ),
+    (
+        "dbpedia",
+        Method::PpsGlobal,
+        8,
+        golden(0x8d9c45b858bb746c, 8199, 2249415),
+    ),
+    (
+        "dbpedia",
+        Method::PpsLocal,
+        1,
+        golden(0xfe8160a2217f60a3, 2753, 5256153),
+    ),
+    (
+        "dbpedia",
+        Method::PpsLocal,
+        8,
+        golden(0x0176d7e3b48dc02a, 2811, 664603),
+    ),
+    (
+        "dbpedia",
+        Method::IBase,
+        1,
+        golden(0xb8e18a03729fc025, 173, 19589),
+    ),
+    (
+        "dbpedia",
+        Method::IBase,
+        8,
+        golden(0x58c35707315e3ea0, 358, 22623),
+    ),
+    (
+        "dbpedia",
+        Method::LsPsn,
+        1,
+        golden(0xe1eeebbccd14d615, 25048, 237923),
+    ),
+    (
+        "dbpedia",
+        Method::LsPsn,
+        8,
+        golden(0x2e256f08449abff4, 26391, 822471),
+    ),
+    (
+        "dbpedia",
+        Method::GsPsn,
+        1,
+        golden(0xd02be1ad219000b9, 25048, 1388440),
+    ),
+    (
+        "dbpedia",
+        Method::GsPsn,
+        8,
+        golden(0x4cf0d457497ba08a, 26450, 6055274),
+    ),
+    (
+        "census",
+        Method::Batch,
+        1,
+        golden(0x9dfe50b5bc26e143, 13687, 30979),
+    ),
+    (
+        "census",
+        Method::Batch,
+        8,
+        golden(0x4a7144a273cc4b08, 1471, 4015),
+    ),
+    (
+        "census",
+        Method::Pbs,
+        1,
+        golden(0x5000db86798f1737, 13687, 89002),
+    ),
+    (
+        "census",
+        Method::Pbs,
+        8,
+        golden(0x9c250e80e1da387e, 15779, 306869),
+    ),
+    (
+        "census",
+        Method::PpsGlobal,
+        1,
+        golden(0x242f03a2a040c523, 1297, 171769),
+    ),
+    (
+        "census",
+        Method::PpsGlobal,
+        8,
+        golden(0x0c02fc04735da6f5, 2627, 662987),
+    ),
+    (
+        "census",
+        Method::PpsLocal,
+        1,
+        golden(0x649247eab5a8524b, 2790, 1227294),
+    ),
+    (
+        "census",
+        Method::PpsLocal,
+        8,
+        golden(0x94d9533388d2bd17, 2613, 171061),
+    ),
+    (
+        "census",
+        Method::IBase,
+        1,
+        golden(0xbb3c69f9999dd4c9, 253, 9016),
+    ),
+    (
+        "census",
+        Method::IBase,
+        8,
+        golden(0x230da03412111df1, 310, 9295),
+    ),
+    (
+        "census",
+        Method::LsPsn,
+        1,
+        golden(0x0f515079c10fd20e, 30609, 73313),
+    ),
+    (
+        "census",
+        Method::LsPsn,
+        8,
+        golden(0x426271f7cee72220, 32444, 239462),
+    ),
+    (
+        "census",
+        Method::GsPsn,
+        1,
+        golden(0x2bb4f33dec7d3592, 30609, 633729),
+    ),
+    (
+        "census",
+        Method::GsPsn,
+        8,
+        golden(0x864b5a7ca8de62e4, 32657, 2379537),
+    ),
+];
+
+#[test]
+fn baseline_pairs_and_ops_match_the_pinned_digests() {
+    check(
+        "Method",
+        BASELINE_CELLS,
+        |m| m.build(PierConfig::default()),
+        false,
+    );
 }
 
 /// The dense stage-A core's scheduled list — blocking, ghosting (β = 0.5,
