@@ -224,6 +224,9 @@ pub struct BlockCollection {
     profile_blocks: Vec<Option<Vec<BlockId>>>,
     /// Source of each profile, indexed by `ProfileId`.
     profile_sources: Vec<SourceId>,
+    /// Arrival ordinal of each profile, indexed by `ProfileId` (see
+    /// [`BlockCollection::arrival`]).
+    profile_arrivals: Vec<u32>,
     profile_count: usize,
     purge_policy: PurgePolicy,
     purged_count: usize,
@@ -245,6 +248,7 @@ impl BlockCollection {
             created: Vec::new(),
             profile_blocks: Vec::new(),
             profile_sources: Vec::new(),
+            profile_arrivals: Vec::new(),
             profile_count: 0,
             purge_policy,
             purged_count: 0,
@@ -278,6 +282,7 @@ impl BlockCollection {
         if self.profile_blocks.len() <= id.index() {
             self.profile_blocks.resize(id.index() + 1, None);
             self.profile_sources.resize(id.index() + 1, SourceId(0));
+            self.profile_arrivals.resize(id.index() + 1, 0);
         }
         assert!(
             self.profile_blocks[id.index()].is_none(),
@@ -309,6 +314,7 @@ impl BlockCollection {
         self.profile_blocks[id.index()] = Some(blocks);
         self.profile_sources[id.index()] = source;
         self.profile_count += 1;
+        self.profile_arrivals[id.index()] = self.profile_count as u32;
     }
 
     /// The blocks containing profile `p` (the paper's `B(p)`), including
@@ -334,6 +340,14 @@ impl BlockCollection {
     /// Source of a registered profile.
     pub fn source_of(&self, p: ProfileId) -> SourceId {
         self.profile_sources[p.index()]
+    }
+
+    /// Arrival ordinal of a registered profile: the profile count right
+    /// after its [`add_profile`](Self::add_profile), counting from 1. Every
+    /// block lists its members of each source in this order.
+    #[inline]
+    pub fn arrival(&self, p: ProfileId) -> usize {
+        self.profile_arrivals[p.index()] as usize
     }
 
     /// Iterates over all registered profile ids, ascending.
@@ -578,6 +592,25 @@ mod tests {
         assert_eq!(c.blocks_of(ProfileId(5)), &[BlockId(1)]);
         let ids: Vec<ProfileId> = c.profile_ids().collect();
         assert_eq!(ids, vec![ProfileId(1), ProfileId(5)]);
+    }
+
+    #[test]
+    fn arrival_counts_insertions_not_ids() {
+        let mut c = BlockCollection::new(ErKind::Dirty);
+        add(&mut c, 5, 0, &[1]);
+        add(&mut c, 1, 0, &[1, 2]);
+        add(&mut c, 3, 0, &[2]);
+        assert_eq!(c.arrival(ProfileId(5)), 1);
+        assert_eq!(c.arrival(ProfileId(1)), 2);
+        assert_eq!(c.arrival(ProfileId(3)), 3);
+        // Members are listed in arrival order.
+        let members: Vec<usize> = c
+            .block(BlockId(1))
+            .unwrap()
+            .members()
+            .map(|p| c.arrival(p))
+            .collect();
+        assert_eq!(members, vec![1, 2]);
     }
 
     #[test]

@@ -21,26 +21,29 @@
 
 use pier_types::ProfileId;
 
-/// A set over dense `usize` indices, emptied in O(1) by epoch stamping.
+/// A set over dense `usize` indices, emptied in O(1) by epoch stamping,
+/// where each member may carry a small `Copy` value `V` (none by default).
 ///
-/// One `u32` stamp per index; an index is in the set iff its stamp equals
-/// the current epoch. [`begin`](Self::begin) bumps the epoch instead of
-/// clearing, and zeroes the stamps once on the (astronomically rare) `u32`
-/// wrap-around so stamps of the previous cycle cannot alias the new epoch.
+/// One `u32` stamp per index, beside its value; an index is in the set iff
+/// its stamp equals the current epoch. [`begin`](Self::begin) bumps the
+/// epoch instead of clearing, and zeroes the stamps once on the
+/// (astronomically rare) `u32` wrap-around so stamps of the previous cycle
+/// cannot alias the new epoch.
 ///
 /// It is the reset mechanism of [`NeighborAccumulator`] (indices are
-/// profile ids) and, on its own, the block-stamp scratch of the fallback
-/// CBS kernel (indices are block ids: stamp a pivot's blocks once, then a
-/// partner's weight is a count of its block list against the stamps).
+/// profile ids) and, on its own, the block-stamp scratch of the CBS
+/// kernels (indices are block ids: stamp a pivot's blocks once, then a
+/// partner's weight is a count of its block list against the stamps; the
+/// `GetComparisons` fallback stamps each block with what it knows of it).
 #[derive(Debug, Clone)]
-pub struct EpochStamps {
+pub struct EpochStamps<V = ()> {
     /// Current generation, never 0: fresh stamps are 0, so an index that
     /// was never inserted is absent in every epoch.
     epoch: u32,
-    stamps: Vec<u32>,
+    stamps: Vec<(u32, V)>,
 }
 
-impl Default for EpochStamps {
+impl<V> Default for EpochStamps<V> {
     fn default() -> Self {
         EpochStamps {
             epoch: 1,
@@ -55,31 +58,49 @@ impl EpochStamps {
         Self::default()
     }
 
-    /// Empties the set. O(1), except for the one `fill` at the wrap.
-    pub fn begin(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamps.fill(0);
-            self.epoch = 1;
-        }
-    }
-
     /// Inserts `i`, growing the stamp vector to hold it. Returns whether
     /// `i` was absent.
     #[inline]
     pub fn insert(&mut self, i: usize) -> bool {
-        if self.stamps.len() <= i {
-            self.stamps.resize(i + 1, 0);
+        self.insert_with(i, ())
+    }
+}
+
+impl<V: Copy + Default> EpochStamps<V> {
+    /// Empties the set. O(1), except for the one `fill` at the wrap.
+    pub fn begin(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamps.fill((0, V::default()));
+            self.epoch = 1;
         }
-        let fresh = self.stamps[i] != self.epoch;
-        self.stamps[i] = self.epoch;
+    }
+
+    /// Inserts `i` carrying `value` (replacing the value of an `i` already
+    /// present), growing the stamp vector to hold it. Returns whether `i`
+    /// was absent.
+    #[inline]
+    pub fn insert_with(&mut self, i: usize, value: V) -> bool {
+        if self.stamps.len() <= i {
+            self.stamps.resize(i + 1, (0, V::default()));
+        }
+        let fresh = self.stamps[i].0 != self.epoch;
+        self.stamps[i] = (self.epoch, value);
         fresh
     }
 
     /// Whether `i` was inserted since the last [`begin`](Self::begin).
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        self.stamps.get(i) == Some(&self.epoch)
+        self.stamps.get(i).is_some_and(|s| s.0 == self.epoch)
+    }
+
+    /// The value `i` was inserted with since the last
+    /// [`begin`](Self::begin), if it was.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<V> {
+        let (stamp, value) = self.stamps.get(i).copied().unwrap_or_default();
+        (stamp == self.epoch).then_some(value)
     }
 
     /// How many of `indices` are in the set — a branch-free sum of stamp
@@ -89,7 +110,7 @@ impl EpochStamps {
     pub fn count_in(&self, indices: impl IntoIterator<Item = usize>) -> u32 {
         indices
             .into_iter()
-            .map(|i| u32::from(self.stamps.get(i).copied().unwrap_or(0) == self.epoch))
+            .map(|i| u32::from(self.stamps.get(i).map_or(0, |s| s.0) == self.epoch))
             .sum()
     }
 
@@ -261,6 +282,27 @@ mod tests {
         set.begin();
         assert!(!set.contains(4));
         assert_eq!(set.count_in([4, 9]), 0);
+    }
+
+    #[test]
+    fn stamps_carry_values_for_one_epoch() {
+        let mut marks: EpochStamps<u32> = EpochStamps::default();
+        marks.begin();
+        assert!(marks.insert_with(2, 7));
+        assert!(
+            !marks.insert_with(2, 9),
+            "a second insert replaces the value"
+        );
+        assert_eq!(marks.get(2), Some(9));
+        assert_eq!(marks.get(1), None);
+        assert_eq!(marks.get(1_000), None);
+        marks.begin();
+        assert_eq!(marks.get(2), None);
+        marks.fast_forward_to_wrap();
+        marks.insert_with(4, 1);
+        marks.begin();
+        marks.begin();
+        assert_eq!(marks.get(4), None, "the wrap clears values too");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! next*.
 
 use pier_blocking::{ghost_blocks, Block, BlockCollection, BlockId, IncrementalBlocker};
-use pier_collections::{EpochStamps, FxHashMap, FxHashSet, ScalableBloomFilter, ScratchStats};
+use pier_collections::{EpochStamps, FxHashSet, ScalableBloomFilter, ScratchStats};
 use pier_metablocking::{Iwnp, IwnpConfig, WeightingScheme};
 use pier_observe::{Event, Observer};
 use pier_types::{Comparison, ErKind, ProfileId, SourceId, WeightedComparison};
@@ -180,10 +180,10 @@ pub fn generate_for_profile_observed(
 /// member (the *pivot*): an iterator of `(pivot, partners)` where the pairs
 /// are `Comparison::new(pivot, partner)` for each partner in slice order.
 ///
-/// Grouping is what lets a caller weigh the block cheaply — one
-/// [`BlockCollection::cbs_from`] per pivot, then one pass per partner — and
-/// it borrows the block's member lists, so no pair is materialized before
-/// the comparison filter has seen it. Flattened, the groups enumerate
+/// Grouping is what lets a caller weigh the block cheaply — the pivot's
+/// blocks stamped once, then one pass per partner — and it borrows the
+/// block's member lists, so no pair is materialized before it is known not
+/// to be a repeat. Flattened, the groups enumerate
 /// exactly: Dirty ER old × new then new × new (member `i` against every
 /// member before it, from the watermark on); Clean-Clean ER new₀ × all₁,
 /// then old₀ × new₁.
@@ -251,10 +251,19 @@ impl<'a> Iterator for PivotGroups<'a> {
 /// grows later, it is revisited and only the pairs involving post-watermark
 /// members are handed out, so no in-block pair is ever lost to early
 /// consumption and none is handed out twice by the cursor.
+///
+/// Each visit also records the collection's profile count, which makes
+/// "did the cursor already hand out this pair?" exact for pairs offered by
+/// *other* blocks: every pair of a block's members that had both arrived
+/// by its last visit was handed out (DESIGN.md §14, "Fallback weighting").
 #[derive(Debug, Default)]
 pub struct BlockCursor {
-    /// Per-block member watermarks `(source 0, source 1)` at consumption.
-    watermarks: FxHashMap<BlockId, (usize, usize)>,
+    /// Visit record per block, indexed by [`BlockId`]; blocks past the end
+    /// were never visited.
+    visits: Vec<Visit>,
+    /// The profile count at the latest visit: no pair with a member that
+    /// arrived after it was handed out yet.
+    latest: u32,
     /// Cached size-ascending order of pending blocks, valid while the
     /// collection's profile count is unchanged (the fallback phase is
     /// exactly the no-new-input phase, so the cache almost always holds).
@@ -267,17 +276,31 @@ pub struct BlockCursor {
     consumptions: usize,
 }
 
+/// What the cursor remembers of one block.
+#[derive(Debug, Clone, Copy, Default)]
+struct Visit {
+    /// Members per source already paired up (the watermarks).
+    w0: u32,
+    w1: u32,
+    /// The collection's profile count at the last visit; 0 = never visited.
+    visited_at: u32,
+}
+
 impl BlockCursor {
     /// Creates a cursor with nothing consumed.
     pub fn new() -> Self {
         Self::default()
     }
 
+    fn visit(&self, bid: BlockId) -> Visit {
+        self.visits.get(bid.index()).copied().unwrap_or_default()
+    }
+
     /// Whether `block` still has unmaterialized pairs for this cursor.
     fn has_pending_work(&self, bid: BlockId, block: &Block, kind: ErKind) -> bool {
-        let (w0, w1) = self.watermarks.get(&bid).copied().unwrap_or((0, 0));
-        let n0 = block.members_of(SourceId(0)).len();
-        let n1 = block.members_of(SourceId(1)).len();
+        let Visit { w0, w1, .. } = self.visit(bid);
+        let n0 = block.members_of(SourceId(0)).len() as u32;
+        let n1 = block.members_of(SourceId(1)).len() as u32;
         if n0 == w0 && n1 == w1 {
             return false;
         }
@@ -294,6 +317,17 @@ impl BlockCursor {
         &mut self,
         collection: &'a BlockCollection,
     ) -> Option<(PivotGroups<'a>, u64)> {
+        let (bid, groups, ops) = self.take(collection)?;
+        self.mark_visited(bid, collection);
+        Some((groups, ops))
+    }
+
+    /// [`BlockCursor::next_block`], naming the block and leaving its visit
+    /// count at the previous visit's until [`BlockCursor::mark_visited`].
+    fn take<'a>(
+        &mut self,
+        collection: &'a BlockCollection,
+    ) -> Option<(BlockId, PivotGroups<'a>, u64)> {
         let kind = collection.kind();
         let mut scanned = 0u64;
         if self.order_profile_count != collection.profile_count() {
@@ -327,22 +361,37 @@ impl BlockCursor {
         // Cached order entries may have lost their pending work to an
         // interleaved arrival + re-snapshot; re-check cheaply.
         if !self.has_pending_work(bid, block, kind) {
-            return Some((PivotGroups::empty(kind), scanned + 1));
+            return Some((bid, PivotGroups::empty(kind), scanned + 1));
         }
-        let (w0, w1) = self.watermarks.get(&bid).copied().unwrap_or((0, 0));
+        let Visit { w0, w1, .. } = self.visit(bid);
         let groups = PivotGroups {
             kind,
             m0: block.members_of(SourceId(0)),
             m1: block.members_of(SourceId(1)),
-            w0,
-            w1,
+            w0: w0 as usize,
+            w1: w1 as usize,
             step: 0,
         };
-        self.watermarks
-            .insert(bid, (groups.m0.len(), groups.m1.len()));
+        if self.visits.len() <= bid.index() {
+            self.visits.resize(bid.index() + 1, Visit::default());
+        }
+        let visit = &mut self.visits[bid.index()];
+        visit.w0 = groups.m0.len() as u32;
+        visit.w1 = groups.m1.len() as u32;
         self.consumptions += 1;
         let ops = scanned + groups.pair_count() + 1;
-        Some((groups, ops))
+        Some((bid, groups, ops))
+    }
+
+    /// Records that `bid`'s pairs have been handed out at the collection's
+    /// current profile count. A block with no pending work may be marked
+    /// too: all pairs of its current members are already out.
+    fn mark_visited(&mut self, bid: BlockId, collection: &BlockCollection) {
+        let now = collection.profile_count() as u32;
+        if let Some(visit) = self.visits.get_mut(bid.index()) {
+            visit.visited_at = now;
+        }
+        self.latest = now;
     }
 
     /// Number of block consumptions performed (revisits count again).
@@ -357,12 +406,70 @@ impl BlockCursor {
 #[derive(Debug, Default)]
 pub(crate) struct Fallback {
     cursor: BlockCursor,
-    stamps: EpochStamps,
+    /// The pivot's blocks, each marked with its last visit's profile
+    /// count, plus [`LIVE`] if it is not purged.
+    stamps: EpochStamps<u32>,
 }
 
-/// The comparison filter step every PIER strategy runs before a pair may
-/// enter its index: records `cmp` in `seen` and returns whether it was new,
-/// reporting [`Event::CfFiltered`] for a repeat.
+/// The mark bit of a stamped block that counts towards the CBS weight.
+/// Visit counts stay below it: profile ids, and so profile counts, are
+/// bounded by `ProfileId::LIMIT` = 2²⁴.
+const LIVE: u32 = 1 << 31;
+
+impl Fallback {
+    /// Stamps all of `pivot`'s blocks, purged ones included, for
+    /// [`Fallback::weigh`].
+    fn stamp(&mut self, collection: &BlockCollection, pivot: ProfileId) {
+        self.stamps.begin();
+        for &bid in collection.blocks_of(pivot) {
+            let live = collection.block(bid).is_some_and(|b| !b.is_purged());
+            let mark = self.cursor.visit(bid).visited_at | if live { LIVE } else { 0 };
+            self.stamps.insert_with(bid.index(), mark);
+        }
+    }
+
+    /// One pass over `partner`'s blocks against the stamped pivot's, whose
+    /// arrival is `pivot_arrival`: the pair's exact CBS weight, or `None`
+    /// if the cursor already handed the pair out.
+    ///
+    /// It did iff some block `b` both share has `visited_at[b] ≥
+    /// max(arrival(pivot), arrival(partner))`: at that visit both were
+    /// members, and a visit hands out every pair of its members not handed
+    /// out before. Purged blocks count for this (a block consumed before it
+    /// was purged did hand its pairs out), not for the weight. Branch-free:
+    /// an unstamped block reads as mark 0.
+    fn weigh(
+        &self,
+        collection: &BlockCollection,
+        pivot_arrival: usize,
+        partner: ProfileId,
+    ) -> Option<u32> {
+        let since = pivot_arrival.max(collection.arrival(partner)) as u32;
+        let (mut cbs, mut last_visit) = (0, 0);
+        for &bid in collection.blocks_of(partner) {
+            let mark = self.stamps.get(bid.index()).unwrap_or(0);
+            cbs += mark >> 31; // the LIVE bit
+            last_visit = last_visit.max(mark & !LIVE);
+        }
+        (last_visit < since).then_some(cbs)
+    }
+
+    /// Whether the cursor already handed out `cmp` ([`Fallback::weigh`]'s
+    /// rule). Free unless the cursor visited a block since the later of
+    /// the two arrived — which only a caller that blocks, ticks and then
+    /// weighs can make happen.
+    fn covers(&mut self, collection: &BlockCollection, cmp: Comparison) -> bool {
+        let arrival = collection.arrival(cmp.a);
+        if arrival.max(collection.arrival(cmp.b)) > self.cursor.latest as usize {
+            return false;
+        }
+        self.stamp(collection, cmp.a);
+        self.weigh(collection, arrival, cmp.b).is_none()
+    }
+}
+
+/// The comparison filter step: records `cmp` in `seen` and returns whether
+/// it was new, reporting [`Event::CfFiltered`] for a repeat.
 pub(crate) fn admit(seen: &mut ScalableBloomFilter, observer: &Observer, cmp: Comparison) -> bool {
     let fresh = seen.insert(cmp.key());
     if !fresh {
@@ -377,29 +484,36 @@ pub(crate) trait FallbackSink {
     /// The lane's fallback state.
     fn fallback(&mut self) -> &mut Fallback;
 
-    /// The emitter's comparison filter ([`admit`] over its own state).
-    fn admit(&mut self, cmp: Comparison) -> bool;
+    /// The emitter's comparison filter — it holds the I-WNP pairs the
+    /// emitter enqueued — and the observer repeats are reported to.
+    fn filter(&mut self) -> (&mut ScalableBloomFilter, &Observer);
 
-    /// Schedules a comparison that passed [`FallbackSink::admit`].
+    /// Schedules a comparison that is not a repeat.
     fn accept(&mut self, wc: WeightedComparison);
 
-    /// Filter, then schedule — the order every path into the index takes.
-    fn offer(&mut self, wc: WeightedComparison) {
-        if self.admit(wc.cmp) {
+    /// The path of an I-WNP comparison into the index: dropped if the
+    /// fallback already handed it out, then filtered, then scheduled.
+    fn offer(&mut self, collection: &BlockCollection, wc: WeightedComparison) {
+        let covered = self.fallback().covers(collection, wc.cmp);
+        let (filter, observer) = self.filter();
+        if covered {
+            observer.emit(|| Event::CfFiltered { cmp: wc.cmp });
+        } else if admit(filter, observer, wc.cmp) {
             self.accept(wc);
         }
     }
 }
 
 /// `GetComparisons(B)` (Algorithm 2, lines 10–11): takes the smallest
-/// unconsumed block's new pairs, asks the comparison filter about each, and
-/// schedules the survivors under their exact CBS weight. Returns the ops to
-/// charge: the cursor's, plus one per pair — filtered or not — for the
-/// weighing step (what `accept` charges for scheduling is the sink's own).
+/// unconsumed block's new pairs and schedules each under its exact CBS
+/// weight, unless it is a repeat. Returns the ops to charge: the cursor's,
+/// plus one per pair — dropped or not — for the weighing step (what
+/// `accept` charges for scheduling is the sink's own).
 ///
-/// Filtering before weighing cannot change what is emitted: the filter sees
-/// the same pairs in the same order either way, and a filtered pair's
-/// weight was never used.
+/// A pair is a repeat if the cursor handed it out at an earlier visit of
+/// another block ([`Fallback::weigh`] decides that exactly, in the pass
+/// that weighs it) or if I-WNP enqueued it (the filter's `contains`). The
+/// filter is never inserted into here: it holds I-WNP pairs only.
 pub(crate) fn refill_from_blocks<S: FallbackSink>(
     sink: &mut S,
     blocker: &IncrementalBlocker,
@@ -408,20 +522,30 @@ pub(crate) fn refill_from_blocks<S: FallbackSink>(
     // Moved out for the duration so the sink stays borrowable.
     let mut fallback = std::mem::take(sink.fallback());
     let mut ops = 0;
-    if let Some((groups, cursor_ops)) = fallback.cursor.next_block(collection) {
+    if let Some((bid, groups, cursor_ops)) = fallback.cursor.take(collection) {
         ops = cursor_ops + groups.pair_count();
         for (pivot, partners) in groups {
             if partners.is_empty() {
                 continue;
             }
-            let cbs = collection.cbs_from(pivot, &mut fallback.stamps);
+            fallback.stamp(collection, pivot);
+            let pivot_arrival = collection.arrival(pivot);
             for &partner in partners {
                 let cmp = Comparison::new(pivot, partner);
-                if sink.admit(cmp) {
-                    sink.accept(WeightedComparison::new(cmp, cbs.with(partner) as f64));
+                let weight = fallback.weigh(collection, pivot_arrival, partner);
+                let (filter, observer) = sink.filter();
+                match weight {
+                    Some(cbs) if !filter.contains(cmp.key()) => {
+                        debug_assert_eq!(cbs, collection.common_blocks(pivot, partner));
+                        sink.accept(WeightedComparison::new(cmp, cbs as f64));
+                    }
+                    _ => observer.emit(|| Event::CfFiltered { cmp }),
                 }
             }
         }
+        // Stamped only now, so this visit's pairs were judged by the block's
+        // previous visit: a revisit hands out only pairs with a newer member.
+        fallback.cursor.mark_visited(bid, collection);
     }
     *sink.fallback() = fallback;
     ops
@@ -618,6 +742,39 @@ mod tests {
             );
         }
         assert_eq!(pairs(PivotGroups::empty(ErKind::Dirty)), vec![]);
+    }
+
+    /// The filter holds I-WNP pairs only: draining the fallback to the end
+    /// emits more pairs than I-WNP scheduled and inserts none of them.
+    #[test]
+    fn the_fallback_never_inserts_into_the_filter() {
+        fn check<E: ComparisonEmitter + FallbackSink>(mut e: E) {
+            let b = blocker_with(&[
+                ("tok aa1 aa2 aa3", 0),
+                ("tok aa1 aa2 aa3", 0),
+                ("tok bb1 bb2", 0),
+                ("bb1 bb2 cc1", 0),
+                ("cc1 aa3 tok", 0),
+            ]);
+            e.on_increment(&b, &(0..5).map(ProfileId).collect::<Vec<_>>());
+            let scheduled = e.filter().0.len();
+            let mut emitted = 0;
+            loop {
+                let batch = e.next_batch(&b, 4);
+                if batch.is_empty() {
+                    e.drain_ops();
+                    e.on_increment(&b, &[]);
+                    if e.drain_ops() == 0 && !e.has_pending() {
+                        break;
+                    }
+                }
+                emitted += batch.len();
+            }
+            assert!(scheduled > 0 && emitted > scheduled, "{}", e.name());
+            assert_eq!(e.filter().0.len(), scheduled, "{}", e.name());
+        }
+        check(crate::Ipcs::new(PierConfig::default()));
+        check(crate::Ipes::new(PierConfig::default()));
     }
 
     #[test]

@@ -17,19 +17,21 @@ use pier_blocking::IncrementalBlocker;
 use pier_collections::{BoundedMaxHeap, ScalableBloomFilter, ScratchStats};
 use pier_metablocking::Iwnp;
 use pier_observe::{Event, Observer};
-use pier_types::{Comparison, ProfileId, WeightedComparison};
+use pier_types::{ProfileId, WeightedComparison};
 
 use crate::framework::{
-    admit, generate_for_profile_observed, refill_from_blocks, ComparisonEmitter, Fallback,
-    FallbackSink, PierConfig,
+    generate_for_profile_observed, refill_from_blocks, ComparisonEmitter, Fallback, FallbackSink,
+    PierConfig,
 };
 
 /// The I-PCS emitter.
 pub struct Ipcs {
     config: PierConfig,
     index: BoundedMaxHeap<WeightedComparison>,
-    /// Pairs ever enqueued (and therefore eventually emitted): the Bloom
-    /// filter guard that keeps the index free of redundant comparisons.
+    /// The I-WNP pairs ever enqueued: the Bloom filter guard against a pair
+    /// that arrivals generate twice, and what the `GetComparisons` fallback
+    /// asks (never inserts into) to skip a pair I-WNP already scheduled.
+    /// The fallback's own repeats are dropped exactly, by visit order.
     enqueued: ScalableBloomFilter,
     fallback: Fallback,
     /// Reusable I-WNP executor (warm scratch across arrivals).
@@ -63,8 +65,8 @@ impl FallbackSink for Ipcs {
         &mut self.fallback
     }
 
-    fn admit(&mut self, cmp: Comparison) -> bool {
-        admit(&mut self.enqueued, &self.observer, cmp)
+    fn filter(&mut self) -> (&mut ScalableBloomFilter, &Observer) {
+        (&mut self.enqueued, &self.observer)
     }
 
     fn accept(&mut self, wc: WeightedComparison) {
@@ -85,7 +87,7 @@ impl ComparisonEmitter for Ipcs {
             );
             self.ops += ops;
             for wc in list {
-                self.offer(wc);
+                self.offer(blocker.collection(), wc);
             }
         }
         // Algorithm 2, lines 10-11: empty increment and empty index —
@@ -144,7 +146,7 @@ impl ComparisonEmitter for Ipcs {
 mod tests {
     use super::*;
     use crate::framework::drain_all_unique;
-    use pier_types::{EntityProfile, ErKind, SourceId};
+    use pier_types::{Comparison, EntityProfile, ErKind, SourceId};
 
     fn blocker(texts: &[&str]) -> IncrementalBlocker {
         let mut b = IncrementalBlocker::new(ErKind::Dirty);

@@ -27,11 +27,11 @@ use pier_blocking::IncrementalBlocker;
 use pier_collections::{BoundedMaxHeap, FxHashMap, ScalableBloomFilter, ScratchStats};
 use pier_metablocking::Iwnp;
 use pier_observe::{Event, Observer};
-use pier_types::{Comparison, ProfileId, WeightedComparison};
+use pier_types::{ProfileId, WeightedComparison};
 
 use crate::framework::{
-    admit, generate_for_profile_observed, refill_from_blocks, ComparisonEmitter, Fallback,
-    FallbackSink, PierConfig,
+    generate_for_profile_observed, refill_from_blocks, ComparisonEmitter, Fallback, FallbackSink,
+    PierConfig,
 };
 
 /// An `EntityQueue` entry: `⟨profile, weight⟩`, max-ordered by weight.
@@ -85,6 +85,10 @@ pub struct Ipes {
     /// Global running sum/count of all distributed comparison weights.
     total: f64,
     count: u64,
+    /// The I-WNP pairs ever enqueued: the Bloom filter guard against a pair
+    /// that arrivals generate twice, and what the `GetComparisons` fallback
+    /// asks (never inserts into) to skip a pair I-WNP already scheduled.
+    /// The fallback's own repeats are dropped exactly, by visit order.
     enqueued: ScalableBloomFilter,
     fallback: Fallback,
     /// Reusable I-WNP executor (warm scratch across arrivals).
@@ -126,8 +130,8 @@ impl Ipes {
     }
 
     /// Distributes one weighted comparison per Algorithm 4, lines 1–14.
-    /// The comparison filter has already let it through
-    /// ([`FallbackSink::offer`]).
+    /// It is known not to be a repeat ([`FallbackSink::offer`] for I-WNP
+    /// pairs, `refill_from_blocks` for the fallback's).
     fn distribute(&mut self, wc: WeightedComparison) {
         let (p_x, p_y) = (wc.cmp.a, wc.cmp.b);
         let w = wc.weight;
@@ -225,8 +229,8 @@ impl FallbackSink for Ipes {
         &mut self.fallback
     }
 
-    fn admit(&mut self, cmp: Comparison) -> bool {
-        admit(&mut self.enqueued, &self.observer, cmp)
+    fn filter(&mut self) -> (&mut ScalableBloomFilter, &Observer) {
+        (&mut self.enqueued, &self.observer)
     }
 
     fn accept(&mut self, wc: WeightedComparison) {
@@ -248,7 +252,7 @@ impl ComparisonEmitter for Ipes {
             self.ops += ops;
             // ...then Algorithm 4's distribution instead of a flat enqueue.
             for wc in list {
-                self.offer(wc);
+                self.offer(blocker.collection(), wc);
             }
         }
         // Algorithm 2 lines 10–11: block-cursor fallback when idle.
@@ -314,7 +318,7 @@ impl ComparisonEmitter for Ipes {
 mod tests {
     use super::*;
     use crate::framework::drain_all_unique;
-    use pier_types::{EntityProfile, ErKind, SourceId};
+    use pier_types::{Comparison, EntityProfile, ErKind, SourceId};
 
     fn blocker(texts: &[&str]) -> IncrementalBlocker {
         let mut b = IncrementalBlocker::new(ErKind::Dirty);

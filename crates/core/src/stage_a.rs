@@ -364,6 +364,36 @@ mod tests {
         assert!(refill.ops > 0 && refill.made_work);
     }
 
+    /// A caller may block, tick and only then weigh (a shard worker's tick
+    /// runs between its commands). The tick's fallback hands `(0, 1)` out
+    /// first, and it is pulled; the weighing after it must drop the pair,
+    /// not schedule it again.
+    #[test]
+    fn block_then_tick_then_weigh_emits_once() {
+        for strategy in [Strategy::Pcs, Strategy::Pes] {
+            let mut m = machine(strategy);
+            let ids = [
+                m.block(p(0, "alpha beta")).unwrap(),
+                m.block(p(1, "alpha beta")).unwrap(),
+            ];
+            assert!(m.tick().made_work);
+            let mut emitted = m.pull(8).0;
+            m.weigh(&ids);
+            loop {
+                let batch = m.pull_idle(8);
+                if batch.is_empty() {
+                    break;
+                }
+                emitted.extend(batch);
+            }
+            assert_eq!(
+                emitted,
+                vec![Comparison::new(ProfileId(0), ProfileId(1))],
+                "{strategy:?}"
+            );
+        }
+    }
+
     #[test]
     fn pull_idle_ends_only_when_a_tick_finds_nothing() {
         for strategy in [Strategy::Pcs, Strategy::Pbs, Strategy::Pes] {
