@@ -9,9 +9,10 @@
 //! verdict on one pair; [`StageB::confirm`] records it in the ledger.
 //! `PierPipeline` takes all three steps and the simulator the first two.
 //! The threaded runtime spreads them over its threads: its stage-A lane
-//! owns a [`ProfileTable`], its match workers call
-//! [`PreparedPair::compare`], and its classifier thread keeps the run's
-//! ledger (match events, metrics, the entity index).
+//! owns a [`ProfileTable`] (and classifies through it while it waits for
+//! the classifier), its match workers call [`PreparedPair::compare`], and
+//! its classifier thread keeps the run's ledger (match events, metrics,
+//! the entity index).
 
 use std::collections::HashSet;
 use std::ops::Deref;
@@ -112,6 +113,11 @@ impl<M: Deref<Target: MatchFunction>> ProfileTable<M> {
             })
             .collect()
     }
+
+    /// The verdict of the table's matcher on a pair it materialized.
+    pub fn classify(&self, pair: &PreparedPair) -> MatchOutcome {
+        pair.compare(&*self.matcher)
+    }
 }
 
 /// A confirmed duplicate with its similarity.
@@ -169,7 +175,7 @@ impl<M: Deref<Target: MatchFunction>> StageB<M> {
 
     /// Step 2: the matcher's verdict on one materialized pair.
     pub fn classify(&self, pair: &PreparedPair) -> MatchOutcome {
-        pair.compare(&*self.table.matcher)
+        self.table.classify(pair)
     }
 
     /// Step 3: records a classified pair; a match also becomes a duplicate,

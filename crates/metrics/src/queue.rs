@@ -5,7 +5,10 @@
 //! atomic gauge after each successful send and [`GaugedReceiver`]
 //! decrements it on each receive. Backpressure is detected the same way —
 //! a send issued while `depth >= capacity` is counted as a stall and the
-//! time spent blocked inside `send` is recorded in a latency histogram.
+//! time spent blocked inside `send` is recorded in a latency histogram. A
+//! sender that works while the channel is full
+//! ([`GaugedSender::send_helping`]) counts one stall per refused value and
+//! times only the send it finally blocks in.
 //!
 //! The wrappers are transparent when no gauges are attached
 //! ([`GaugedSender::plain`]): the cost is one `Option` branch per
@@ -150,6 +153,48 @@ impl<T> GaugedSender<T> {
         };
         if result.is_ok() {
             g.depth.inc();
+        }
+        result
+    }
+
+    /// Sends `value` for a sender that has other work to do while the
+    /// channel is full: each time a send is refused, `help` may work on the
+    /// value it holds and returns whether it did; once it has nothing left
+    /// to do, the send blocks. One value that found the channel full counts
+    /// as one stall however often it was refused, and only the blocked
+    /// send is timed: time spent helping is work, not queue wait.
+    pub fn send_helping(
+        &self,
+        mut value: T,
+        mut help: impl FnMut(&mut T) -> bool,
+    ) -> Result<(), SendError<T>> {
+        let mut refused = false;
+        let mut blocked = None;
+        let result = loop {
+            value = match self.tx.try_send(value) {
+                Ok(()) => break Ok(()),
+                Err(TrySendError::Disconnected(v)) => break Err(SendError(v)),
+                Err(TrySendError::Full(v)) => v,
+            };
+            refused = true;
+            if !help(&mut value) {
+                let since = self.gauges.is_some().then(Instant::now);
+                let result = self.tx.send(value);
+                blocked = since.map(|since| since.elapsed());
+                break result;
+            }
+        };
+        if let Some(g) = &self.gauges {
+            g.sends.inc();
+            if refused {
+                g.stalls.inc();
+            }
+            if let Some(blocked) = blocked {
+                g.stall_seconds.record_secs(blocked.as_secs_f64());
+            }
+            if result.is_ok() {
+                g.depth.inc();
+            }
         }
         result
     }
@@ -316,6 +361,69 @@ mod tests {
         assert_eq!(stall_metrics.count(), 1);
         assert!(stall_metrics.sum_secs() > 0.0);
         assert_eq!(g.depth(), 0);
+    }
+
+    #[test]
+    fn a_helping_send_counts_one_stall_and_times_only_its_block() {
+        let registry = MetricsRegistry::new();
+        let g = QueueGauges::register(&registry, &[("queue", "t")], Some(1));
+        let stall_seconds =
+            registry.histogram("pier_queue_send_stall_seconds", "", &[("queue", "t")]);
+        let (tx, rx) = gauged(channel::bounded::<u32>(1), Some(Arc::clone(&g)));
+
+        // Room in the channel: delivered at once, and `help` never runs.
+        tx.send_helping(1, |_| unreachable!("nothing refused"))
+            .unwrap();
+        assert_eq!((g.sends(), g.stalls(), g.depth()), (1, 0, 1));
+
+        // Refused three times, helping each time; the third help makes room,
+        // so the value goes without a blocking send: one stall, no time.
+        let mut helped = 0;
+        tx.send_helping(10, |value| {
+            *value += 1;
+            helped += 1;
+            if helped == 3 {
+                assert_eq!(rx.recv(), Ok(1));
+            }
+            true
+        })
+        .unwrap();
+        assert_eq!(helped, 3);
+        assert_eq!((g.sends(), g.stalls(), g.depth()), (2, 1, 1));
+        assert_eq!(stall_seconds.count(), 0);
+
+        // Refused with nothing left to do: the send blocks until the drainer
+        // makes room, which it does only once told that `help` gave up, and
+        // only that wait is timed.
+        let (gave_up, give_up) = channel::bounded::<()>(1);
+        let drainer = std::thread::spawn(move || {
+            give_up.recv().unwrap();
+            std::thread::sleep(Duration::from_millis(20));
+            rx.iter().collect::<Vec<u32>>()
+        });
+        tx.send_helping(20, |value| {
+            let more = *value < 22;
+            *value += u32::from(more);
+            if !more {
+                gave_up.send(()).unwrap();
+            }
+            more
+        })
+        .unwrap();
+        drop(tx);
+        // Each value arrives with the work done on it while it waited.
+        assert_eq!(drainer.join().unwrap(), [13, 22]);
+        assert_eq!((g.sends(), g.stalls(), g.depth()), (3, 2, 0));
+        assert_eq!(stall_seconds.count(), 1);
+        assert!(stall_seconds.sum_secs() > 0.0);
+    }
+
+    #[test]
+    fn a_helping_send_to_a_hung_up_channel_returns_the_value() {
+        let (tx, rx) = gauged(channel::bounded::<u32>(1), None);
+        drop(rx);
+        let refused = tx.send_helping(5, |_| unreachable!("not full, gone"));
+        assert_eq!(refused.unwrap_err().0, 5);
     }
 
     #[test]

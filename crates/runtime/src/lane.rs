@@ -16,11 +16,23 @@
 //!    work.
 //!
 //! A non-empty batch goes into the batch channel, whose capacity
-//! ([`AHEAD`](crate::stages::AHEAD)) is the credit the classifier extends and whose blocking
-//! send is the only throttle. An idle turn that comes back empty means
-//! stage A is drained: the lane then sleeps in `recv()` on its inbox (no
-//! polling) and ends when the inbox has hung up — which in turn hangs up
-//! the batch channel and ends the classifier.
+//! ([`AHEAD`](crate::stages::AHEAD)) is the credit the classifier extends
+//! and the only throttle. A lane out of credit does not sleep: it
+//! classifies the batch it holds, [`HELP_CHUNK`] pairs at a time through
+//! the matcher its [`ProfileTable`] owns, and offers the batch again after
+//! each chunk. The moment credit returns the batch goes, with the verdicts
+//! of the prefix classified so far; the classifier records those as given
+//! and computes the rest, so the match events, their order and the
+//! comparison count are what they would be had it computed every verdict.
+//! Only a batch with nothing left to classify waits in a blocking send.
+//! With a match pool the lane waits as before: the pool's workers already
+//! take a thread per core, and a lane beside them would only take a core
+//! from them.
+//!
+//! An idle turn that comes back empty means stage A is drained: the lane
+//! then sleeps in `recv()` on its inbox (no polling) and ends when the
+//! inbox has hung up — which in turn hangs up the batch channel and ends
+//! the classifier.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -32,21 +44,42 @@ use pier_metrics::{GaugedReceiver, GaugedSender};
 use pier_observe::{Event, Phase};
 
 use crate::pipeline::{Run, Shedder};
-use crate::stages::{pull_past_merger_fault, TokenizedIncrement, FILL};
+use crate::stages::{pull_past_merger_fault, Batch, TokenizedIncrement, FILL};
 
 /// What a tokenizer hands stage A (the lane, or the sharded router): an
 /// increment and the seconds spent tokenizing it, which stage A folds into
 /// the increment's one [`Phase::Block`] timing (0 when nothing observes).
 pub(crate) type Tokenized = (TokenizedIncrement, f64);
 
+/// Pairs a lane out of credit classifies between two offers of the batch
+/// it holds: about 40-60 µs of Jaccard or edit distance on the benchmark
+/// VM, so that a batch waits no longer than that once credit returns, and
+/// a hang-up wastes no more.
+const HELP_CHUNK: usize = 64;
+
+/// What a lane handed the classifier, for the report.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Handed {
+    /// Pairs of every batch the lane published, and of the one it held
+    /// when the classifier hung up.
+    pub pairs: u64,
+    /// Verdicts the lane computed while it was out of credit.
+    pub classified: u64,
+}
+
 /// A stage-A machine and everything that must live on its thread: the
-/// per-profile table that materializes its pulls and the overload detector
-/// that sheds from them.
+/// per-profile table that materializes its pulls (and classifies them
+/// while the lane has no credit) and the overload detector that sheds
+/// from them.
 pub(crate) struct Lane<'a> {
     run: Run<'a>,
     machine: StageA,
     table: ProfileTable<Arc<dyn MatchFunction>>,
     shedder: Option<Shedder>,
+    /// Whether the lane classifies while out of credit: only when the
+    /// classifier has no match pool (see the module docs).
+    helps: bool,
+    handed: Handed,
 }
 
 impl<'a> Lane<'a> {
@@ -56,25 +89,27 @@ impl<'a> Lane<'a> {
             machine,
             table: ProfileTable::new(matcher),
             shedder: run.config.shed.map(Shedder::new),
+            helps: run.config.match_workers == 1,
+            handed: Handed::default(),
         }
     }
 
     /// Takes turns until the inbox has hung up and the machine is drained,
     /// or until the classifier has gone away; returns the machine for its
-    /// occupancy. `batches` is dropped on return, which is what tells the
-    /// classifier that no batch will follow.
+    /// occupancy and what it handed over. `batches` is dropped on return,
+    /// which is what tells the classifier that no batch will follow.
     pub fn run(
         mut self,
         inbox: &GaugedReceiver<Tokenized>,
-        batches: GaugedSender<Vec<PreparedPair>>,
-    ) -> StageA {
+        batches: GaugedSender<Batch>,
+    ) -> (StageA, Handed) {
         let mut arrived = None;
         loop {
             let queued = arrived.take().or_else(|| inbox.try_recv());
             let idle = queued.is_none();
-            let batch = self.turn(queued);
-            if !batch.is_empty() {
-                if batches.send(batch).is_err() {
+            let pairs = self.turn(queued);
+            if !pairs.is_empty() {
+                if !self.publish(&batches, pairs) {
                     break;
                 }
             } else if idle {
@@ -88,7 +123,30 @@ impl<'a> Lane<'a> {
                 }
             }
         }
-        self.machine
+        (self.machine, self.handed)
+    }
+
+    /// Hands `pairs` to the classifier, classifying them while it has no
+    /// credit (see the module docs); `false` once it has hung up, which
+    /// drops the batch and any verdicts computed for it.
+    fn publish(&mut self, batches: &GaugedSender<Batch>, pairs: Vec<PreparedPair>) -> bool {
+        self.handed.pairs += pairs.len() as u64;
+        let sent = batches.send_helping(Batch::new(pairs), |batch| {
+            let done = batch.outcomes.len();
+            let end = batch.pairs.len().min(done + HELP_CHUNK);
+            if !self.helps || done == end {
+                return false;
+            }
+            let since = Instant::now();
+            let chunk = batch.pairs[done..end].iter();
+            batch
+                .outcomes
+                .extend(chunk.map(|pair| self.table.classify(pair)));
+            batch.secs += since.elapsed().as_secs_f64();
+            self.handed.classified += (end - done) as u64;
+            true
+        });
+        sent.is_ok()
     }
 
     /// One turn (see the module docs); an empty batch from a turn that had
@@ -104,6 +162,7 @@ impl<'a> Lane<'a> {
             machine,
             table,
             shedder,
+            ..
         } = self;
         let mut pull = |machine: &mut StageA, n| pull(*run, machine, table, shedder, n);
         let mut batch = pull(machine, k);
@@ -190,7 +249,8 @@ fn pull(
 pub(crate) mod tests {
     use super::*;
     use std::collections::{BTreeSet, VecDeque};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc;
     use std::time::Instant;
 
     use parking_lot::Mutex;
@@ -198,11 +258,11 @@ pub(crate) mod tests {
     use pier_blocking::{IncrementalBlocker, PurgePolicy};
     use pier_chaos::ChaosHandle;
     use pier_core::{AdaptiveK, ComparisonEmitter};
-    use pier_matching::JaccardMatcher;
+    use pier_matching::{JaccardMatcher, MatchOutcome, PreparedProfile};
     use pier_observe::Observer;
     use pier_types::{
-        Comparison, EntityProfile, ErKind, ProfileId, SharedTokenDictionary, SourceId, Tokenizer,
-        WeightedComparison,
+        Comparison, EntityProfile, ErKind, ProfileId, SharedTokenDictionary, SourceId, TokenId,
+        Tokenizer, WeightedComparison,
     };
 
     use crate::pipeline::RuntimeConfig;
@@ -311,7 +371,10 @@ pub(crate) mod tests {
         /// `k` is pinned: no arrival spacing or batch time is ever fed in.
         fn new(k: usize) -> Fixture {
             Fixture {
-                config: RuntimeConfig::default(),
+                config: RuntimeConfig {
+                    match_workers: 1,
+                    ..RuntimeConfig::default()
+                },
                 observer: Observer::disabled(),
                 chaos: ChaosHandle::disabled(),
                 supervisor: Supervisor::new(),
@@ -324,6 +387,10 @@ pub(crate) mod tests {
         }
 
         fn lane(&self, per_tick: usize) -> Lane<'_> {
+            self.lane_with(per_tick, Arc::new(JaccardMatcher::default()))
+        }
+
+        fn lane_with(&self, per_tick: usize, matcher: Arc<dyn MatchFunction>) -> Lane<'_> {
             let run = Run {
                 kind: ErKind::Dirty,
                 start: Instant::now(),
@@ -344,7 +411,7 @@ pub(crate) mod tests {
                 self.dictionary.clone(),
             );
             let machine = StageA::new(blocker, Scripted::boxed(per_tick, Arc::clone(&self.log)));
-            Lane::new(run, machine, Arc::new(JaccardMatcher::default()))
+            Lane::new(run, machine, matcher)
         }
 
         /// Increment `seq`: `size` profiles with consecutive ids.
@@ -370,10 +437,10 @@ pub(crate) mod tests {
         }
     }
 
-    fn pairs(batches: impl IntoIterator<Item = Vec<PreparedPair>>) -> Vec<Comparison> {
+    fn pairs(batches: impl IntoIterator<Item = Batch>) -> Vec<Comparison> {
         let batches = batches.into_iter();
         batches
-            .flat_map(|b| b.into_iter().map(|p| p.comparison()))
+            .flat_map(|b| b.pairs.into_iter().map(|p| p.comparison()))
             .collect()
     }
 
@@ -492,5 +559,96 @@ pub(crate) mod tests {
             assert_eq!(got.iter().collect::<BTreeSet<_>>().len(), 28);
         });
         assert_eq!(fixture.log().last(), Some(&Call::Tick { made_work: false }));
+    }
+
+    /// The Jaccard matcher, saying so once it has made `after` comparisons.
+    struct Telling {
+        after: usize,
+        calls: AtomicUsize,
+        told: Mutex<mpsc::Sender<()>>,
+    }
+
+    impl MatchFunction for Telling {
+        fn compare(
+            &self,
+            a: &PreparedProfile,
+            tokens_a: &[TokenId],
+            b: &PreparedProfile,
+            tokens_b: &[TokenId],
+        ) -> MatchOutcome {
+            if self.calls.fetch_add(1, Ordering::Relaxed) + 1 == self.after {
+                self.told.lock().send(()).unwrap();
+            }
+            JaccardMatcher::default().compare(a, tokens_a, b, tokens_b)
+        }
+
+        fn profile_size(&self, profile: &EntityProfile, tokens: &[TokenId]) -> u64 {
+            JaccardMatcher::default().profile_size(profile, tokens)
+        }
+
+        fn pair_ops(&self, size_a: u64, size_b: u64) -> u64 {
+            JaccardMatcher::default().pair_ops(size_a, size_b)
+        }
+
+        fn name(&self) -> &'static str {
+            "telling"
+        }
+    }
+
+    /// A lane with no credit classifies the batch it holds, a chunk at a
+    /// time, and hands it over with the verdicts of the prefix it reached —
+    /// all of them here, the one slot being freed only once the matcher has
+    /// made the first batch's comparisons. A lane beside a match pool waits.
+    #[test]
+    fn a_lane_out_of_credit_classifies_the_batch_it_holds() {
+        for match_workers in [1, 2] {
+            // 30 profiles hold 435 pairs: batches of 200, 200 and 35.
+            let mut fixture = Fixture::new(200);
+            fixture.config.match_workers = match_workers;
+            let (inbox_tx, inbox_rx) = pipeline_channel::<Tokenized>(None, &[], None);
+            let (batch_tx, batch_rx) = pipeline_channel(None, &[], Some(1));
+            batch_tx.send(Batch::new(Vec::new())).unwrap();
+            inbox_tx.send(fixture.increment(0, 30)).unwrap();
+            drop(inbox_tx);
+            let (told, first_batch_classified) = mpsc::channel();
+            let matcher = Arc::new(Telling {
+                after: 200,
+                calls: AtomicUsize::new(0),
+                told: Mutex::new(told),
+            });
+            let (handed, batches) = std::thread::scope(|scope| {
+                let lane = fixture.lane_with(1_000, matcher);
+                let lane = scope.spawn(move || lane.run(&inbox_rx, batch_tx));
+                if match_workers == 1 {
+                    first_batch_classified.recv().unwrap();
+                }
+                assert!(batch_rx.recv().unwrap().pairs.is_empty());
+                let batches: Vec<Batch> = batch_rx.iter().collect();
+                (lane.join().unwrap().1, batches)
+            });
+            let label = format!("x{match_workers}");
+            let sizes: Vec<usize> = batches.iter().map(|b| b.pairs.len()).collect();
+            assert_eq!(sizes, [200, 200, 35], "{label}");
+            assert_eq!(handed.pairs, 435, "{label}");
+            let prefixes: Vec<usize> = batches.iter().map(|b| b.outcomes.len()).collect();
+            assert_eq!(handed.classified, prefixes.iter().sum::<usize>() as u64);
+            if match_workers > 1 {
+                assert_eq!(prefixes, [0, 0, 0], "{label}");
+                continue;
+            }
+            assert_eq!(prefixes[0], 200, "{label}");
+            assert!(batches[0].secs > 0.0, "{label}");
+            for batch in &batches {
+                let n = batch.outcomes.len();
+                assert!(
+                    n == batch.pairs.len() || n % HELP_CHUNK == 0,
+                    "{label}: {n}"
+                );
+                let want = batch.pairs[..n]
+                    .iter()
+                    .map(|pair| pair.compare(&JaccardMatcher::default()));
+                assert!(batch.outcomes.iter().copied().eq(want), "{label}");
+            }
+        }
     }
 }

@@ -39,13 +39,14 @@
 //! through a channel and it *pushes* materialized batches, one or two
 //! ahead of the classifier, through another (`══▶`), so prioritizing and
 //! matching overlap as the paper's concurrent components do (§3.2,
-//! Fig. 3). In the sharded topology each shard worker owns one and stage
-//! B's thread *asks* them (`◀─▶`: the `Pull`/`Tick` round trips behind the
-//! k-way merger); once the router has told a shard, in-band, that its
-//! input has ended, the shard answers a `Pull` as an idle lane would,
-//! topped up from its own idle ticks. This module adds clocks, phase
-//! timings and supervision *around* the machine's steps and never
-//! sequences a blocker and an emitter by hand.
+//! Fig. 3); out of credit, it classifies the batch it holds until the
+//! classifier takes it. In the sharded topology each shard worker owns
+//! one and stage B's thread *asks* them (`◀─▶`: the `Pull`/`Tick` round
+//! trips behind the k-way merger); once the router has told a shard,
+//! in-band, that its input has ended, the shard answers a `Pull` as an
+//! idle lane would, topped up from its own idle ticks. This module adds
+//! clocks, phase timings and supervision *around* the machine's steps and
+//! never sequences a blocker and an emitter by hand.
 
 use std::panic::resume_unwind;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,10 +71,10 @@ use pier_types::{
     Tokenizer, WeightedComparison,
 };
 
-use crate::lane::{Lane, Tokenized};
+use crate::lane::{Handed, Lane, Tokenized};
 use crate::report::{DictionaryStats, MatchEvent, RuntimeReport, StageAStats};
 use crate::stages::{
-    collect_matches, pipeline_channel, spawn_source, tokenize_increment, StageB,
+    collect_matches, pipeline_channel, spawn_source, tokenize_increment, Batch, StageB,
     TokenizedIncrement, TokenizedProfile, AHEAD, CHANNEL_CAPACITY, FILL, JOURNAL_CAPACITY,
 };
 use crate::supervisor::{IngestJournal, JournalEntry, Supervisor};
@@ -594,7 +595,7 @@ impl Pipeline {
         };
         let (
             source,
-            (token_occurrences, stage_a_parts),
+            (token_occurrences, stage_a_parts, lane),
             (comparisons, worker_comparisons),
             matches,
         ) = std::thread::scope(|scope| {
@@ -610,10 +611,10 @@ impl Pipeline {
             let matches = collect_matches(&match_rx, &mut on_match);
             let stage_b = join(stage_b);
             let stage_a = stage_a.into_iter().map(join).fold(
-                (0, StageAParts::new()),
-                |(occurrences, mut parts), (n, lane)| {
-                    parts.extend(lane);
-                    (occurrences + n, parts)
+                (0, StageAParts::new(), None),
+                |(occurrences, mut parts, lane), (n, more, handed)| {
+                    parts.extend(more);
+                    (occurrences + n, parts, lane.or(handed))
                 },
             );
             (source, stage_a, stage_b, matches)
@@ -642,6 +643,9 @@ impl Pipeline {
             dead_letters: supervisor.dead_letters(),
             worker_restarts: supervisor.restarts(),
             comparisons_shed: supervisor.comparisons_shed(),
+            // The classifier records only pairs the lane handed it.
+            comparisons_dropped: lane.map_or(0, |handed| handed.pairs - comparisons),
+            lane_classified: lane.map_or(0, |handed| handed.classified),
         };
         if let Some(t) = &telemetry {
             report.publish_final(t);
@@ -844,9 +848,10 @@ fn channel_lanes<T>(
 /// pipeline has gone away).
 type SourceSend = Box<dyn FnMut(usize, Vec<EntityProfile>) -> bool + Send>;
 
-/// A stage-A thread: it returns the token occurrences it ingested and the
-/// occupancy of the lanes it owned.
-type StageAThread<'scope> = ScopedJoinHandle<'scope, (u64, StageAParts)>;
+/// A stage-A thread: it returns the token occurrences it ingested, the
+/// occupancy of the lanes it owned and, the single topology's lane only,
+/// what it handed the classifier.
+type StageAThread<'scope> = ScopedJoinHandle<'scope, (u64, StageAParts, Option<Handed>)>;
 
 /// The stage-B thread: it returns the comparisons it executed, in total and
 /// per match worker.
@@ -958,11 +963,8 @@ impl<'a> Run<'a> {
             pipeline_channel::<Tokenized>(self.registry, &[("queue", "tokenized")], Some(64));
         // The lane's credit: see `AHEAD` for why this is not
         // `CHANNEL_CAPACITY`.
-        let (batch_tx, batch_rx) = pipeline_channel::<Vec<PreparedPair>>(
-            self.registry,
-            &[("queue", "batches")],
-            Some(AHEAD),
-        );
+        let (batch_tx, batch_rx) =
+            pipeline_channel::<Batch>(self.registry, &[("queue", "batches")], Some(AHEAD));
 
         // Tokenizer: token strings are hashed/allocated exactly once for
         // the whole pipeline, off the thread that blocks and prioritizes.
@@ -985,7 +987,7 @@ impl<'a> Run<'a> {
         // returns what the machine holds.
         let lane = Lane::new(self, machine, Arc::clone(&stage_b.matcher));
         let stage_a = scope.spawn(move || {
-            let machine = lane.run(&tok_rx, batch_tx);
+            let (machine, handed) = lane.run(&tok_rx, batch_tx);
             let blocker = machine.blocker();
             let token_occurrences = blocker
                 .profiles()
@@ -995,6 +997,7 @@ impl<'a> Run<'a> {
             (
                 token_occurrences,
                 vec![(slab, machine.emitter().scratch_stats())],
+                Some(handed),
             )
         });
 
@@ -1083,7 +1086,7 @@ impl<'a> Run<'a> {
                     }
                 }
                 let stats = (lane.worker.slab_stats(), lane.worker.scratch_stats());
-                (0, vec![stats])
+                (0, vec![stats], None)
             }));
         }
 
@@ -1157,7 +1160,11 @@ impl<'a> Run<'a> {
                 let _ = tx.send(ShardMsg::InputEnded);
             }
             self.ingest_done.store(true, Ordering::SeqCst);
-            (router_store.read().token_occurrences(), StageAParts::new())
+            (
+                router_store.read().token_occurrences(),
+                StageAParts::new(),
+                None,
+            )
         }));
 
         // Stage B: the shared loop over this topology's closures.

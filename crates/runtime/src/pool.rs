@@ -244,14 +244,18 @@ impl MatchPool {
         }
     }
 
-    /// Evaluates one batch across the pool and returns the outcomes in the
-    /// batch's original order, each tagged with the worker that ran it.
+    /// Evaluates `batch[from..]` across the pool and returns the outcomes
+    /// in the batch's original order, each tagged with the worker that ran
+    /// it. (`batch[..from]` came classified from the lane.)
     ///
-    /// Blocks until every chunk is back. The whole batch is always
+    /// Blocks until every chunk is back. The whole suffix is always
     /// evaluated — budget enforcement happens afterwards, on the
     /// coordinator, exactly as in the sequential path.
-    pub fn evaluate(&mut self, batch: &Arc<Vec<PreparedPair>>) -> Vec<Evaluated> {
-        let ranges = chunk_ranges(batch.len(), self.workers());
+    pub fn evaluate(&mut self, batch: &Arc<Vec<PreparedPair>>, from: usize) -> Vec<Evaluated> {
+        let ranges: Vec<(usize, usize)> = chunk_ranges(batch.len() - from, self.workers())
+            .into_iter()
+            .map(|(start, end)| (from + start, from + end))
+            .collect();
         let mut slots: Vec<Option<Reply>> = (0..ranges.len()).map(|_| None).collect();
         let mut outstanding = 0usize;
         for (chunk, &(start, end)) in ranges.iter().enumerate() {
@@ -320,7 +324,7 @@ impl MatchPool {
             });
             self.restart_worker(reply.worker, died_at);
         }
-        let mut out = Vec::with_capacity(batch.len());
+        let mut out = Vec::with_capacity(batch.len() - from);
         for reply in slots.into_iter().flatten() {
             let worker = reply.worker as u16;
             out.extend(
@@ -456,7 +460,7 @@ mod tests {
             .map(|i| pair(2 * i, 2 * i + 1, i % 2 == 0))
             .collect();
         let batch = Arc::new(batch);
-        let evaluated = pool.evaluate(&batch);
+        let evaluated = pool.evaluate(&batch, 0);
         assert_eq!(evaluated.len(), 20);
         for (i, ev) in evaluated.iter().enumerate() {
             assert_eq!(ev.outcome.is_match, i % 2 == 0, "pair {i}");
@@ -465,8 +469,17 @@ mod tests {
         // Chunk i went to worker i: 7 + 7 + 6 with the larger chunks first.
         assert_eq!(pool.executed_per_worker(), &[7, 7, 6]);
         // A second batch accumulates.
-        pool.evaluate(&Arc::new(vec![pair(100, 101, true)]));
+        pool.evaluate(&Arc::new(vec![pair(100, 101, true)]), 0);
         assert_eq!(pool.executed_per_worker(), &[8, 7, 6]);
+        // A batch whose prefix the lane classified: only the suffix is
+        // evaluated, split 2 + 2 + 1, and it comes back in order.
+        let suffix: Vec<bool> = pool
+            .evaluate(&batch, 15)
+            .iter()
+            .map(|ev| ev.outcome.is_match)
+            .collect();
+        assert_eq!(suffix, [false, true, false, true, false]);
+        assert_eq!(pool.executed_per_worker(), &[10, 9, 7]);
     }
 
     #[test]
@@ -480,7 +493,7 @@ mod tests {
             ChaosHandle::disabled(),
             Arc::new(Supervisor::new()),
         );
-        assert!(pool.evaluate(&Arc::new(Vec::new())).is_empty());
+        assert!(pool.evaluate(&Arc::new(Vec::new()), 0).is_empty());
         assert_eq!(pool.executed_per_worker(), &[0, 0]);
     }
 
@@ -497,7 +510,7 @@ mod tests {
             Arc::new(Supervisor::new()),
         );
         let batch: Vec<PreparedPair> = (0..9u32).map(|i| pair(2 * i, 2 * i + 1, true)).collect();
-        pool.evaluate(&Arc::new(batch));
+        pool.evaluate(&Arc::new(batch), 0);
         for (worker, &executed) in pool.executed_per_worker().iter().enumerate() {
             let label = worker.to_string();
             let counter = registry.counter(

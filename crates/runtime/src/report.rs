@@ -98,6 +98,21 @@ pub struct RuntimeReport {
     /// because workers always evaluate their whole chunk while the budget
     /// cutoff happens at the coordinator.
     pub worker_comparisons: Vec<u64>,
+    /// Verdicts the single topology's stage-A lane computed while it had
+    /// no credit to publish the batch it held (sequential runs only: the
+    /// lane does not help a match pool). Recorded ones are part of
+    /// [`RuntimeReport::comparisons`]; a sequential run's
+    /// [`RuntimeReport::worker_comparisons`] counts every recorded
+    /// comparison, wherever its verdict was computed.
+    pub lane_classified: u64,
+    /// Pairs stage A published or held that were never recorded because
+    /// the comparison cap or the deadline ended the run first — verdicts
+    /// the lane had computed for them included. At most the rest of the
+    /// batch in the classifier's hands, the `AHEAD` published batches and
+    /// the one the lane held; 0 for a drained run. Counted for the single
+    /// topology only: what a sharded run's shards and merger hold at an
+    /// early end is not, so there it is always 0.
+    pub comparisons_dropped: u64,
     /// End-of-run entity clustering summary, present when the run was
     /// configured with [`crate::RuntimeConfig::entities`]: the transitive
     /// closure of [`RuntimeReport::matches`] folded incrementally into an
@@ -273,6 +288,8 @@ mod tests {
             dead_letters: Vec::new(),
             worker_restarts: 0,
             comparisons_shed: 0,
+            lane_classified: 0,
+            comparisons_dropped: 0,
         };
         assert_eq!(report.matches_within(Duration::from_millis(10)), 1);
         assert_eq!(report.matches_within(Duration::from_millis(100)), 2);
@@ -293,6 +310,8 @@ mod tests {
             dead_letters: Vec::new(),
             worker_restarts: 0,
             comparisons_shed: 0,
+            lane_classified: 0,
+            comparisons_dropped: 0,
         }
     }
 

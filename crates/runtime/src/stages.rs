@@ -30,6 +30,31 @@ use crate::pool::MatchPool;
 use crate::report::MatchEvent;
 use crate::supervisor::Supervisor;
 
+/// A batch on its way from stage A to the classifier: pairs in the order
+/// the classifier records them, and the verdicts of a prefix of them that
+/// the single topology's lane computed while it had no credit to publish
+/// the batch (`crate::lane`). The prefix may be empty — always, from the
+/// sharded topology — or complete.
+#[derive(Debug)]
+pub(crate) struct Batch {
+    pub pairs: Vec<PreparedPair>,
+    /// The verdicts of `pairs[..outcomes.len()]`, in order.
+    pub outcomes: Vec<MatchOutcome>,
+    /// Seconds the lane spent computing `outcomes`.
+    pub secs: f64,
+}
+
+impl Batch {
+    /// A batch none of whose pairs has a verdict yet.
+    pub fn new(pairs: Vec<PreparedPair>) -> Batch {
+        Batch {
+            pairs,
+            outcomes: Vec::new(),
+            secs: 0.0,
+        }
+    }
+}
+
 /// A profile together with its interned sorted-distinct token ids.
 #[derive(Debug, Clone)]
 pub struct TokenizedProfile {
@@ -156,14 +181,20 @@ impl ClassifierMetrics {
 pub(crate) const SEND_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Batches the single topology's lane may publish ahead of the classifier:
-/// the capacity of its batch channel, whose blocking send is the lane's
-/// only throttle. Small on purpose, and deliberately not
-/// [`CHANNEL_CAPACITY`]: whatever is published was
-/// prioritized before the next arrival, so with the batch in the
-/// classifier's hands at most `(AHEAD + 1) * FILL` pairs (about 1.5 ms of
-/// Jaccard or 4 ms of edit-distance work, against 50-60 ms between
-/// arrivals on the stream workloads) are executed in a stale order, where
-/// 4 096 batches would freeze the order of half a run.
+/// the capacity of its batch channel, the credit the classifier extends
+/// and the lane's only throttle. A lane out of credit does not sleep: it
+/// classifies the batch it holds, a chunk at a time, and publishes it with
+/// the verdicts computed so far the moment a slot frees (`crate::lane`);
+/// only a fully classified batch waits in a blocking send (beside a match
+/// pool, where the lane does not help, every refused batch does). Small on
+/// purpose, and deliberately not [`CHANNEL_CAPACITY`]: whatever is
+/// published was prioritized before the next arrival, so with the batch
+/// in the classifier's hands and the one the lane holds at most
+/// `(AHEAD + 2) * FILL` pairs (about 2 ms of Jaccard or 5 ms of
+/// edit-distance work, against 50-60 ms between arrivals on the stream
+/// workloads) are executed in a stale order, where 4 096 batches would
+/// freeze the order of half a run. The same pairs are what an early end
+/// can drop ([`crate::RuntimeReport::comparisons_dropped`]).
 pub(crate) const AHEAD: usize = 2;
 
 /// Pairs an idle lane gathers from idle ticks before it hands a batch
@@ -350,10 +381,11 @@ pub(crate) fn pull_past_merger_fault<T>(
 
 /// The classifier thread: the topology-independent half of stage B, shared
 /// by every pipeline configuration. Around a stream of materialized batches
-/// it runs the matcher (here or on a [`MatchPool`]), emits `MatchConfirmed`
-/// events and [`MatchEvent`]s, times the phase, feeds the adaptive-`K`
-/// controller, and owns the budget cutoff and the shutdown sequence, and it
-/// returns what it executed. A topology contributes only where the batches come
+/// it runs the matcher here, on a [`MatchPool`], or, for the prefix the
+/// lane computed, not at all; it emits `MatchConfirmed` events and
+/// [`MatchEvent`]s, times the phase, feeds the adaptive-`K` controller,
+/// and owns the budget cutoff and the shutdown sequence, and it returns
+/// what it executed. A topology contributes only where the batches come
 /// from: the single topology's lane pushes them into a channel
 /// ([`StageB::run`]), the sharded topology's workers have to be asked
 /// ([`StageB::run_polled`]).
@@ -390,14 +422,12 @@ impl StageB {
     /// clock read; within one, see [`StageB::CLOCK_EVERY`].
     ///
     /// Exiting — cleanly or by panic — sets `shutdown` (stopping the
-    /// source), drops `next_batch` (a lane blocked on its full batch
-    /// channel sees the hang-up and ends; batches it had published or was
-    /// holding are dropped unexecuted) and drops the classifier's match
-    /// sender (letting the collector finish).
-    pub fn run(
-        mut self,
-        mut next_batch: impl FnMut(Duration) -> Option<Vec<PreparedPair>>,
-    ) -> (u64, Vec<u64>) {
+    /// source), drops `next_batch` (a lane blocked on, or classifying
+    /// against, its full batch channel sees the hang-up and ends; batches
+    /// it had published or was holding are dropped unrecorded, counted in
+    /// [`crate::RuntimeReport::comparisons_dropped`]) and drops the
+    /// classifier's match sender (letting the collector finish).
+    pub fn run(mut self, mut next_batch: impl FnMut(Duration) -> Option<Batch>) -> (u64, Vec<u64>) {
         let _stop_source = ShutdownOnDrop::new(Arc::clone(&self.shutdown));
         let mut pool = (self.match_workers > 1).then(|| {
             MatchPool::new(
@@ -454,7 +484,7 @@ impl StageB {
                 let batch = pull_past_merger_fault(&chaos, &supervisor, &observer, || pull(k));
                 if !batch.is_empty() {
                     backoff.reset();
-                    return Some(batch);
+                    return Some(Batch::new(batch));
                 }
                 let done_before_tick = ingest_done.load(Ordering::SeqCst);
                 if tick() {
@@ -495,45 +525,51 @@ impl StageB {
             || (done.is_multiple_of(Self::CLOCK_EVERY) && self.start.elapsed() >= self.deadline)
     }
 
-    /// Classifies one batch (stopping early if the budget runs out mid-way)
-    /// and records the batch time with the adaptive-`K` controller.
+    /// Records one batch in order (stopping early if the budget runs out
+    /// mid-way) and its time with the adaptive-`K` controller.
     ///
-    /// With a pool the matcher evaluations fan out across its workers, but
-    /// every externally visible effect — comparison accounting,
-    /// `MatchConfirmed` events, [`MatchEvent`] delivery, the budget cutoff —
-    /// happens here on the coordinator, over the re-sequenced outcomes, in
-    /// exactly the order the sequential path produces. The one intentional
-    /// difference: the pool always evaluates the whole batch, so a budget
-    /// cutoff discards already-computed tail outcomes instead of skipping
-    /// their evaluation (the counted comparisons are identical).
+    /// A pair's verdict is the lane's when the batch came with one for it,
+    /// and is computed otherwise: inline, pair by pair, so that a budget
+    /// cutoff skips the rest, or with a pool by fanning the whole
+    /// unclassified suffix out across its workers. Either way every
+    /// externally visible effect — comparison accounting, `MatchConfirmed`
+    /// events, [`MatchEvent`] delivery, the budget cutoff — happens here,
+    /// over the outcomes in batch order, exactly as if this thread had
+    /// computed them all. The one intentional difference is waste: a cutoff
+    /// discards the pool's (or the lane's) already-computed tail outcomes
+    /// instead of skipping their evaluation; the counted comparisons are
+    /// identical.
     ///
-    /// The batch timing fed to the adaptive-`K` controller is wall-clock
-    /// in both modes; with `N` workers it reflects the slowest chunk, so
-    /// the controller sizes `K` against the pool's aggregate throughput.
-    fn classify_batch(&mut self, batch: Vec<PreparedPair>, pool: Option<&mut MatchPool>) {
+    /// The batch time fed to the adaptive-`K` controller, and timed as the
+    /// batch's one `Phase::Classify`, is the lane's seconds on the batch
+    /// plus this thread's wall clock over it; with `N` workers the latter
+    /// reflects the slowest chunk, so the controller sizes `K` against the
+    /// pool's aggregate throughput.
+    fn classify_batch(&mut self, batch: Batch, pool: Option<&mut MatchPool>) {
         let t0 = self.start.elapsed().as_secs_f64();
-        match pool {
-            Some(pool) => {
-                let batch = Arc::new(batch);
-                let evaluated = pool.evaluate(&batch);
-                for (done, (pair, ev)) in batch.iter().zip(evaluated).enumerate() {
-                    self.record(pair, &ev.outcome, Some(ev.worker));
-                    if self.stops_after(done + 1) {
-                        break;
-                    }
+        let Batch {
+            pairs,
+            outcomes,
+            secs: lane_secs,
+        } = batch;
+        let pairs = Arc::new(pairs);
+        let mut pooled = pool.map(|pool| pool.evaluate(&pairs, outcomes.len()).into_iter());
+        let matcher = Arc::clone(&self.matcher);
+        for (done, pair) in pairs.iter().enumerate() {
+            let (outcome, worker) = match (outcomes.get(done), pooled.as_mut()) {
+                (Some(&outcome), _) => (outcome, None),
+                (None, Some(pooled)) => {
+                    let ev = pooled.next().expect("the pool evaluates the whole suffix");
+                    (ev.outcome, Some(ev.worker))
                 }
-            }
-            None => {
-                for (done, pair) in batch.iter().enumerate() {
-                    let outcome = pair.compare(&*self.matcher);
-                    self.record(pair, &outcome, None);
-                    if self.stops_after(done + 1) {
-                        break;
-                    }
-                }
+                (None, None) => (pair.compare(&*matcher), None),
+            };
+            self.record(pair, &outcome, worker);
+            if self.stops_after(done + 1) {
+                break;
             }
         }
-        let batch_secs = self.start.elapsed().as_secs_f64() - t0;
+        let batch_secs = lane_secs + self.start.elapsed().as_secs_f64() - t0;
         self.observer.emit(|| Event::PhaseTiming {
             phase: Phase::Classify,
             secs: batch_secs,
@@ -543,8 +579,8 @@ impl StageB {
 
     /// Accounts one evaluated pair and emits its match events if confirmed.
     /// `worker` attributes the confirmation to the match worker that
-    /// evaluated the pair (parallel mode only; the sequential path stays
-    /// untagged, preserving its exact event stream).
+    /// evaluated the pair (parallel mode only; the sequential path and the
+    /// lane's verdicts stay untagged, preserving the exact event stream).
     fn record(&mut self, pair: &PreparedPair, outcome: &MatchOutcome, worker: Option<u16>) {
         self.executed += 1;
         if let Some(m) = &self.metrics {
@@ -721,6 +757,13 @@ mod tests {
     }
 
     fn stage_b(matcher: ConstMatcher) -> (StageB, GaugedReceiver<MatchEvent>) {
+        stage_b_with(matcher, 1)
+    }
+
+    fn stage_b_with(
+        matcher: ConstMatcher,
+        match_workers: usize,
+    ) -> (StageB, GaugedReceiver<MatchEvent>) {
         let (match_tx, match_rx) = pipeline_channel::<MatchEvent>(None, &[], None);
         let mut adaptive = AdaptiveK::new(4, 1, 16);
         adaptive.set_observer(Observer::disabled());
@@ -728,7 +771,7 @@ mod tests {
             start: Instant::now(),
             deadline: Duration::from_secs(10),
             max_comparisons: 1_000,
-            match_workers: 1,
+            match_workers,
             matcher: Arc::new(matcher),
             observer: Observer::disabled(),
             match_tx,
@@ -776,7 +819,7 @@ mod tests {
         });
         let shutdown = Arc::clone(&stage.shutdown);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            stage.run(|_left| Some(vec![pair(0, 1)]));
+            stage.run(|_left| Some(Batch::new(vec![pair(0, 1)])));
         }));
         assert!(result.is_err());
         // The drop guard flipped the flag mid-unwind and the classifier's
@@ -784,6 +827,52 @@ mod tests {
         // collector drains instead of hanging.
         assert!(shutdown.load(Ordering::SeqCst));
         assert_eq!(match_rx.iter().count(), 0);
+    }
+
+    /// The verdicts a batch brings are recorded as given, and only the rest
+    /// is computed — inline or on a pool — in batch order either way; the
+    /// cap stops inside the prefix as it would anywhere else.
+    #[test]
+    fn a_classified_prefix_is_recorded_as_given() {
+        let verdict = |is_match| MatchOutcome {
+            is_match,
+            similarity: 0.5,
+            ops: 1,
+        };
+        let batch = || Batch {
+            pairs: (0..6).map(|i| pair(2 * i, 2 * i + 1)).collect(),
+            outcomes: vec![verdict(true), verdict(false), verdict(true)],
+            secs: 0.25,
+        };
+        let matched = |match_rx: GaugedReceiver<MatchEvent>| -> Vec<(u32, f64)> {
+            let events = match_rx.iter();
+            events.map(|m| (m.pair.a.0, m.similarity)).collect()
+        };
+        for match_workers in [1, 3] {
+            // Whatever the matcher says, the prefix's two matches stand; the
+            // suffix's three come from the matcher, at its similarity 1.0.
+            let (stage, match_rx) = stage_b_with(
+                ConstMatcher {
+                    is_match: true,
+                    panics: false,
+                },
+                match_workers,
+            );
+            let mut batches = vec![batch()];
+            let executed = stage.run(|_| batches.pop());
+            assert_eq!(executed.0, 6, "x{match_workers}");
+            let want = [(0, 0.5), (4, 0.5), (6, 1.0), (8, 1.0), (10, 1.0)];
+            assert_eq!(matched(match_rx), want, "x{match_workers}");
+        }
+        // A cap inside the prefix: the matcher is never asked.
+        let (mut stage, match_rx) = stage_b(ConstMatcher {
+            is_match: false,
+            panics: true,
+        });
+        stage.max_comparisons = 2;
+        let mut batches = vec![batch()];
+        assert_eq!(stage.run(|_| batches.pop()), (2, vec![2]));
+        assert_eq!(matched(match_rx), [(0, 0.5)]);
     }
 
     #[test]

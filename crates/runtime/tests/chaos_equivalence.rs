@@ -188,6 +188,7 @@ fn chaos_matrix_recovers_to_fault_free_outcomes() {
                 let report = run_cell(&dataset, increments(&dataset), shards, workers, Some(plan));
                 let got = outcome(&dataset, &report);
                 assert_eq!(got, baseline, "{label} diverged from fault-free run");
+                assert_eq!(report.comparisons_dropped, 0, "{label}: a drained run");
 
                 // The fault must actually have been survived, not skipped.
                 match scenario {

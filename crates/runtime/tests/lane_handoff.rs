@@ -2,22 +2,24 @@
 //! and the two ways a run ends early.
 //!
 //! The lane owns the stage-A machine and runs ahead of the classifier by
-//! up to `AHEAD` published batches, so three things can go wrong that no
-//! other test would see: a batch lost between the lane's hang-up and the
-//! classifier's last receive, a lane that ends with an increment still
-//! queued, and a classifier that waits for a batch past its deadline
-//! because nothing polls any more. The first two are raced here over many
-//! schedules against the synchronous `PierPipeline`; the deadline and the
-//! comparison cap are pinned for both topologies, which no threaded test
-//! did before.
+//! up to `AHEAD` published batches, and out of that credit it classifies
+//! the batch it holds, so four things can go wrong that no other test
+//! would see: a batch lost between the lane's hang-up and the classifier's
+//! last receive, a lane that ends with an increment still queued, a pair
+//! classified twice (or not at all) across the hand-over, and a classifier
+//! that waits for a batch past its deadline because nothing polls any
+//! more. The first three are raced here over many schedules against the
+//! synchronous `PierPipeline`; the deadline and the comparison cap are
+//! pinned for both topologies.
 //!
 //! Determinism setup as in `pipeline_equivalence.rs`: CBS weights and
 //! purging disabled, so a drained run executes one comparison set whatever
 //! the schedule.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
 use pier_blocking::PurgePolicy;
@@ -73,6 +75,18 @@ fn threaded_run(
     shards: Option<u16>,
     config: RuntimeConfig,
 ) -> (RuntimeReport, Arc<StatsObserver>) {
+    let matcher = Arc::new(JaccardMatcher::default());
+    threaded_run_with(dataset, strategy, shards, config, matcher)
+}
+
+/// [`threaded_run`] with another matcher.
+fn threaded_run_with(
+    dataset: &Dataset,
+    strategy: Strategy,
+    shards: Option<u16>,
+    config: RuntimeConfig,
+    matcher: Arc<dyn MatchFunction>,
+) -> (RuntimeReport, Arc<StatsObserver>) {
     let stats = Arc::new(StatsObserver::new());
     let builder = Pipeline::builder(dataset.kind)
         .config(RuntimeConfig {
@@ -89,7 +103,6 @@ fn threaded_run(
         }),
         None => builder.emitter(strategy.build(PierConfig::default())),
     };
-    let matcher: Arc<dyn MatchFunction> = Arc::new(JaccardMatcher::default());
     let report = builder
         .build()
         .unwrap()
@@ -140,6 +153,10 @@ fn every_schedule_executes_the_sync_pipelines_comparisons() {
                     assert_eq!(unique_pairs(&report, &label), want_pairs, "{label}");
                     assert!(report.ingest_errors.is_empty(), "{label}");
                     assert!(report.dead_letters.is_empty(), "{label}");
+                    assert_eq!(report.comparisons_dropped, 0, "{label}");
+                    if match_workers > 1 {
+                        assert_eq!(report.lane_classified, 0, "{label}");
+                    }
                 }
             }
         }
@@ -196,6 +213,13 @@ fn a_deadline_is_honoured_while_nothing_arrives() {
 /// The comparison cap is exact — the classifier stops inside a batch —
 /// and ends the run although stage A still has work: the batches the lane
 /// had published or was holding are dropped unexecuted.
+///
+/// A classifier slower than stage A keeps the lane out of credit, holding
+/// a batch it has classified in part or in whole, and the cap still lands
+/// on the pair. What such an early end drops is bounded by how far stage A
+/// may run ahead: the rest of the batch in the classifier's hands, the
+/// `AHEAD` published batches and the one the lane holds — fewer than
+/// `(AHEAD + 2) * K` pairs, with `K` pinned.
 #[test]
 fn the_comparison_cap_is_exact_and_ends_the_run() {
     let dataset = corpus();
@@ -222,45 +246,141 @@ fn the_comparison_cap_is_exact_and_ends_the_run() {
             unique_pairs(&report, &label);
         }
     }
+    const K: usize = 256;
+    for match_workers in [1, 2] {
+        let label = format!("slow x{match_workers}");
+        let slow = Slow::new(Duration::from_micros(20));
+        let (report, _) = threaded_run_with(
+            &dataset,
+            Strategy::Pcs,
+            None,
+            RuntimeConfig {
+                interarrival: Duration::ZERO,
+                max_comparisons: cap,
+                match_workers,
+                k: (K, K, K),
+                ..RuntimeConfig::default()
+            },
+            slow,
+        );
+        assert_eq!(report.comparisons, cap, "{label}");
+        assert_eq!(report.profiles, dataset.len(), "{label}");
+        assert!(report.dead_letters.is_empty(), "{label}");
+        unique_pairs(&report, &label);
+        let dropped = report.comparisons_dropped;
+        assert!(dropped > 0, "{label}: stage A ran no batch ahead");
+        assert!(dropped < ((AHEAD + 2) * K) as u64, "{label}: {dropped}");
+        if match_workers == 1 {
+            assert!(report.lane_classified > 0, "{label}: the lane never helped");
+        }
+    }
 }
+
+/// The lane's credit, `AHEAD` (`runtime/src/stages.rs`): batches it may
+/// publish ahead of the classifier.
+const AHEAD: usize = 2;
 
 /// The idle lane's `FILL` (`runtime/src/stages.rs`): what a shard whose
 /// input has ended tops a pull up to, and what stage B then asks for.
 const FILL: usize = 1024;
 
-/// Counts its comparisons and takes `pause` over each; nothing matches.
+/// The Jaccard matcher, sleeping at least `pause` over each comparison; it
+/// counts its comparisons and notes every thread that made one.
 struct Slow {
     pause: Duration,
+    inner: JaccardMatcher,
     evaluated: AtomicU64,
+    threads: Mutex<HashSet<ThreadId>>,
+}
+
+impl Slow {
+    fn new(pause: Duration) -> Arc<Slow> {
+        Arc::new(Slow {
+            pause,
+            inner: JaccardMatcher::default(),
+            evaluated: AtomicU64::new(0),
+            threads: Mutex::default(),
+        })
+    }
+
+    fn evaluated(&self) -> u64 {
+        self.evaluated.load(Ordering::Relaxed)
+    }
+
+    fn threads(&self) -> usize {
+        self.threads.lock().unwrap().len()
+    }
 }
 
 impl MatchFunction for Slow {
+    fn prepare(&self, profile: &EntityProfile, tokens: &[TokenId]) -> PreparedProfile {
+        self.inner.prepare(profile, tokens)
+    }
+
     fn compare(
         &self,
-        _a: &PreparedProfile,
-        _tokens_a: &[TokenId],
-        _b: &PreparedProfile,
-        _tokens_b: &[TokenId],
+        a: &PreparedProfile,
+        tokens_a: &[TokenId],
+        b: &PreparedProfile,
+        tokens_b: &[TokenId],
     ) -> MatchOutcome {
         self.evaluated.fetch_add(1, Ordering::Relaxed);
+        self.threads
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
         std::thread::sleep(self.pause);
-        MatchOutcome {
-            is_match: false,
-            similarity: 0.0,
-            ops: 1,
-        }
+        self.inner.compare(a, tokens_a, b, tokens_b)
     }
 
-    fn profile_size(&self, _profile: &EntityProfile, tokens: &[TokenId]) -> u64 {
-        tokens.len() as u64
+    fn profile_size(&self, profile: &EntityProfile, tokens: &[TokenId]) -> u64 {
+        self.inner.profile_size(profile, tokens)
     }
 
-    fn pair_ops(&self, _size_a: u64, _size_b: u64) -> u64 {
-        1
+    fn pair_ops(&self, size_a: u64, size_b: u64) -> u64 {
+        self.inner.pair_ops(size_a, size_b)
     }
 
     fn name(&self) -> &'static str {
         "slow"
+    }
+}
+
+/// A classifier slower than stage A keeps the lane out of credit, and the
+/// lane classifies instead of waiting: `compare` runs on the lane's thread
+/// as well as the classifier's. Every pair is still classified exactly
+/// once — the matcher's calls are the run's comparisons — and the drained
+/// run reaches the sync pipeline's match set and count. Beside a match
+/// pool the lane waits, and the same holds.
+#[test]
+fn a_lane_out_of_credit_helps_and_each_pair_is_classified_once() {
+    let dataset = corpus();
+    let (want_pairs, want_comparisons) = sync_run(&dataset, Strategy::Pcs);
+    for match_workers in [1, 2] {
+        let label = format!("x{match_workers}");
+        let slow = Slow::new(Duration::from_micros(20));
+        let (report, _) = threaded_run_with(
+            &dataset,
+            Strategy::Pcs,
+            None,
+            RuntimeConfig {
+                interarrival: Duration::ZERO,
+                match_workers,
+                ..RuntimeConfig::default()
+            },
+            slow.clone(),
+        );
+        assert_eq!(slow.evaluated(), report.comparisons, "{label}");
+        assert_eq!(report.comparisons, want_comparisons, "{label}");
+        assert_eq!(unique_pairs(&report, &label), want_pairs, "{label}");
+        assert_eq!(report.comparisons_dropped, 0, "{label}");
+        if match_workers == 1 {
+            assert!(slow.threads() >= 2, "{label}: the lane never helped");
+            assert!(report.lane_classified > 0, "{label}");
+            assert!(report.lane_classified < report.comparisons, "{label}");
+        } else {
+            assert_eq!(report.lane_classified, 0, "{label}");
+        }
     }
 }
 
@@ -310,10 +430,7 @@ fn a_cap_or_deadline_in_the_sharded_drain_tail_is_honoured() {
 
         // 100 µs a pair and more: the comparisons take several times the
         // 150 ms the deadline leaves them.
-        let slow = Arc::new(Slow {
-            pause: Duration::from_micros(100),
-            evaluated: AtomicU64::new(0),
-        });
+        let slow = Slow::new(Duration::from_micros(100));
         let report = Pipeline::builder(dataset.kind)
             .config(RuntimeConfig {
                 deadline: Duration::from_millis(250),
@@ -338,7 +455,7 @@ fn a_cap_or_deadline_in_the_sharded_drain_tail_is_honoured() {
             report.comparisons < total,
             "{label}: the deadline never bit"
         );
-        let wasted = slow.evaluated.load(Ordering::Relaxed) - report.comparisons;
+        let wasted = slow.evaluated() - report.comparisons;
         assert!(wasted <= FILL as u64, "{label}: {wasted} pairs thrown away");
     }
 }

@@ -78,6 +78,7 @@ fn four_workers_report_the_sequential_results_exactly() {
     // Identical executed-comparison count: both runs fully drain the same
     // CF-deduplicated candidate set.
     assert_eq!(seq.comparisons, par.comparisons);
+    assert_eq!((seq.comparisons_dropped, par.comparisons_dropped), (0, 0));
 
     // The report exposes the executor configuration and its per-worker
     // split. A sequential run has the single aggregate entry; a pooled

@@ -118,6 +118,7 @@ fn topology_workers_and_observation_matrix_is_equivalent() {
                     if observed { "+observed" } else { "" }
                 );
                 let (report, stats) = run_cell(&dataset, shards, workers, observed);
+                assert_eq!(report.comparisons_dropped, 0, "{label}: a drained run");
                 let got = outcome(&dataset, &report);
                 assert!(
                     got.pairs.len() > 10,
