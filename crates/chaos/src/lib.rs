@@ -26,7 +26,9 @@ pub enum FaultPoint {
     ShardWorker,
     /// The stage-B merger pulling the next comparison batch.
     Merger,
-    /// A match-pool worker (or the sequential classifier) evaluating pairs.
+    /// A stage-B chunk entering evaluation, whichever thread claimed it:
+    /// a match helper (lane = its index), or the classifier or the lane
+    /// (lane 0).
     MatchWorker,
     /// Applying a confirmed match: observer emit + match delivery.
     EntityApply,

@@ -28,8 +28,9 @@ pub struct MatchInput<'a> {
     pub tokens_b: &'a [TokenId],
 }
 
-/// The result of evaluating one comparison.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// The result of evaluating one comparison (by default a non-match at
+/// similarity 0).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MatchOutcome {
     /// Classification: do the two profiles refer to the same entity?
     pub is_match: bool,

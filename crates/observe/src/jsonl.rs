@@ -305,9 +305,6 @@ fn write_line(
                 b.0
             );
         }
-        Event::ComparisonsShed { count } => {
-            let _ = write!(buf, ",\"event\":\"ComparisonsShed\",\"count\":{count}");
-        }
     }
     buf.push('}');
     buf
@@ -580,9 +577,6 @@ fn parse_line(line: &str) -> Option<TimedEvent> {
             a: ProfileId(num("a")? as u32),
             b: ProfileId(num("b")? as u32),
         },
-        "ComparisonsShed" => Event::ComparisonsShed {
-            count: num("count")? as usize,
-        },
         _ => return None,
     };
     Some(TimedEvent {
@@ -709,7 +703,6 @@ mod tests {
                 a: ProfileId(4),
                 b: ProfileId(4),
             },
-            Event::ComparisonsShed { count: 17 },
         ]
     }
 

@@ -253,11 +253,6 @@ pub enum Event {
         /// Second profile of the pair (equal to `a` for profile letters).
         b: ProfileId,
     },
-    /// Load shedding dropped below-threshold-weight comparisons.
-    ComparisonsShed {
-        /// How many comparisons were dropped in this batch.
-        count: usize,
-    },
 }
 
 /// A sink for pipeline events. Implementations must be cheap and

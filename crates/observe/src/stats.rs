@@ -127,7 +127,6 @@ pub struct StatsObserver {
     k_changes: Arc<Counter>,
     /// Latest `K` reported by `AdaptiveKChanged` (0 = never reported).
     adaptive_k: Arc<Gauge>,
-    comparisons_shed: Arc<Counter>,
     phases: [Arc<Histogram>; 4],
     // Supervision totals are never handed out: a scrape breaks them down
     // by role / reason instead (see `pier_metrics::MetricsObserver`).
@@ -198,10 +197,6 @@ impl StatsObserver {
                 "Current adaptive batch size K (0 = never adjusted).",
                 &[],
             ),
-            comparisons_shed: counter(
-                "pier_comparisons_shed_total",
-                "Comparisons dropped by load shedding.",
-            ),
             phases: Phase::ALL.map(|p| {
                 source.histogram(
                     "pier_phase_seconds",
@@ -255,7 +250,6 @@ impl StatsObserver {
             pc_matches,
             dead_letters: self.dead_letters.get(),
             worker_restarts: self.worker_restarts.get(),
-            comparisons_shed: self.comparisons_shed.get(),
             phases: Phase::ALL.map(|phase| {
                 let h = &self.phases[phase.index()];
                 PhaseSnapshot {
@@ -357,7 +351,6 @@ impl PipelineObserver for StatsObserver {
             Event::PhaseTiming { phase, secs } => self.phases[phase.index()].record_secs(secs),
             Event::WorkerRestarted { .. } => self.worker_restarts.inc(),
             Event::DeadLettered { .. } => self.dead_letters.inc(),
-            Event::ComparisonsShed { count } => self.comparisons_shed.add(count as u64),
         }
     }
 
@@ -451,8 +444,6 @@ pub struct StatsSnapshot {
     pub dead_letters: u64,
     /// Supervisor worker restarts.
     pub worker_restarts: u64,
-    /// Comparisons dropped by load shedding.
-    pub comparisons_shed: u64,
     /// Per-phase latency summaries, in [`Phase::ALL`] order.
     pub phases: [PhaseSnapshot; 4],
     /// Per-shard work breakdown, indexed by shard id. Empty unless events

@@ -17,17 +17,12 @@
 //!
 //! A non-empty batch goes into the batch channel, whose capacity
 //! ([`AHEAD`](crate::stages::AHEAD)) is the credit the classifier extends
-//! and the only throttle. A lane out of credit does not sleep: it
-//! classifies the batch it holds, [`HELP_CHUNK`] pairs at a time through
-//! the matcher its [`ProfileTable`] owns, and offers the batch again after
-//! each chunk. The moment credit returns the batch goes, with the verdicts
-//! of the prefix classified so far; the classifier records those as given
-//! and computes the rest, so the match events, their order and the
-//! comparison count are what they would be had it computed every verdict.
-//! Only a batch with nothing left to classify waits in a blocking send.
-//! With a match pool the lane waits as before: the pool's workers already
-//! take a thread per core, and a lane beside them would only take a core
-//! from them.
+//! and the only throttle. A lane out of credit does not sleep: as any
+//! thread of stage B's work pool does (`crate::pool`), it claims the next
+//! chunk of the batch it holds, classifies it through the matcher its
+//! [`ProfileTable`] owns, and offers the batch again. The classifier
+//! records the chunks it brings as given. Only a batch with nothing left to
+//! claim waits in a blocking send.
 //!
 //! An idle turn that comes back empty means stage A is drained: the lane
 //! then sleeps in `recv()` on its inbox (no polling) and ends when the
@@ -43,19 +38,14 @@ use pier_matching::{MatchFunction, PreparedPair, ProfileTable};
 use pier_metrics::{GaugedReceiver, GaugedSender};
 use pier_observe::{Event, Phase};
 
-use crate::pipeline::{Run, Shedder};
-use crate::stages::{pull_past_merger_fault, Batch, TokenizedIncrement, FILL};
+use crate::pipeline::Run;
+use crate::pool::Batch;
+use crate::stages::{pull_past_merger_fault, TokenizedIncrement, FILL};
 
 /// What a tokenizer hands stage A (the lane, or the sharded router): an
 /// increment and the seconds spent tokenizing it, which stage A folds into
 /// the increment's one [`Phase::Block`] timing (0 when nothing observes).
 pub(crate) type Tokenized = (TokenizedIncrement, f64);
-
-/// Pairs a lane out of credit classifies between two offers of the batch
-/// it holds: about 40-60 µs of Jaccard or edit distance on the benchmark
-/// VM, so that a batch waits no longer than that once credit returns, and
-/// a hang-up wastes no more.
-const HELP_CHUNK: usize = 64;
 
 /// What a lane handed the classifier, for the report.
 #[derive(Debug, Clone, Copy, Default)]
@@ -69,16 +59,11 @@ pub(crate) struct Handed {
 
 /// A stage-A machine and everything that must live on its thread: the
 /// per-profile table that materializes its pulls (and classifies them
-/// while the lane has no credit) and the overload detector that sheds
-/// from them.
+/// while the lane has no credit).
 pub(crate) struct Lane<'a> {
     run: Run<'a>,
     machine: StageA,
     table: ProfileTable<Arc<dyn MatchFunction>>,
-    shedder: Option<Shedder>,
-    /// Whether the lane classifies while out of credit: only when the
-    /// classifier has no match pool (see the module docs).
-    helps: bool,
     handed: Handed,
 }
 
@@ -88,8 +73,6 @@ impl<'a> Lane<'a> {
             run,
             machine,
             table: ProfileTable::new(matcher),
-            shedder: run.config.shed.map(Shedder::new),
-            helps: run.config.match_workers == 1,
             handed: Handed::default(),
         }
     }
@@ -132,18 +115,15 @@ impl<'a> Lane<'a> {
     fn publish(&mut self, batches: &GaugedSender<Batch>, pairs: Vec<PreparedPair>) -> bool {
         self.handed.pairs += pairs.len() as u64;
         let sent = batches.send_helping(Batch::new(pairs), |batch| {
-            let done = batch.outcomes.len();
-            let end = batch.pairs.len().min(done + HELP_CHUNK);
-            if !self.helps || done == end {
+            let Some(chunk) = batch.claim() else {
                 return false;
-            }
+            };
             let since = Instant::now();
-            let chunk = batch.pairs[done..end].iter();
-            batch
-                .outcomes
-                .extend(chunk.map(|pair| self.table.classify(pair)));
+            // A panic poisons the chunk: the classifier evaluates it again.
+            let table = &self.table;
+            let classified = batch.evaluate(chunk, 0, self.run.chaos, |pair| table.classify(pair));
             batch.secs += since.elapsed().as_secs_f64();
-            self.handed.classified += (end - done) as u64;
+            self.handed.classified += classified.unwrap_or(0) as u64;
             true
         });
         sent.is_ok()
@@ -157,17 +137,20 @@ impl<'a> Lane<'a> {
             self.ingest(increment, tokenize_secs);
         }
         let k = self.run.adaptive.lock().k();
-        let Lane {
-            run,
-            machine,
-            table,
-            shedder,
-            ..
-        } = self;
-        let mut pull = |machine: &mut StageA, n| pull(*run, machine, table, shedder, n);
-        let mut batch = pull(machine, k);
+        // Pulls up to `k` best pairs and materializes them, so that
+        // classification needs nothing from this thread: two refcount bumps
+        // per pair, not a deep clone.
+        let (run, table) = (self.run, &mut self.table);
+        let mut pull = |machine: &mut StageA, k| {
+            pull_past_merger_fault(run.chaos, run.supervisor, run.observer, || {
+                let cmps = run.observer.timed(Phase::Prune, || machine.pull(k).0);
+                let blocker = machine.blocker();
+                table.materialize(cmps, |id| (blocker.profile(id), blocker.tokens_handle(id)))
+            })
+        };
+        let mut batch = pull(&mut self.machine, k);
         if idle {
-            machine.top_up(&mut batch, k.min(FILL), pull);
+            self.machine.top_up(&mut batch, k.min(FILL), pull);
         }
         batch
     }
@@ -219,32 +202,6 @@ impl<'a> Lane<'a> {
     }
 }
 
-/// Pulls up to `k` best pairs out of the lane's `machine` and materializes
-/// them, so classification needs nothing from the lane's thread.
-/// Materializing is two refcount bumps per pair, not a deep clone.
-fn pull(
-    run: Run<'_>,
-    machine: &mut StageA,
-    table: &mut ProfileTable<Arc<dyn MatchFunction>>,
-    shedder: &mut Option<Shedder>,
-    k: usize,
-) -> Vec<PreparedPair> {
-    pull_past_merger_fault(run.chaos, run.supervisor, run.observer, || {
-        let cmps = run.observer.timed(Phase::Prune, || match shedder {
-            None => machine.pull(k).0,
-            // Shedding needs weights.
-            Some(shedder) => shedder.pull(
-                k,
-                |k| machine.pull_weighted(k).0,
-                run.supervisor,
-                run.observer,
-            ),
-        });
-        let blocker = machine.blocker();
-        table.materialize(cmps, |id| (blocker.profile(id), blocker.tokens_handle(id)))
-    })
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -266,6 +223,7 @@ pub(crate) mod tests {
     };
 
     use crate::pipeline::RuntimeConfig;
+    use crate::pool::{tests::verdicts, HELP_CHUNK};
     use crate::stages::{pipeline_channel, tokenize_increment};
     use crate::supervisor::Supervisor;
 
@@ -596,59 +554,47 @@ pub(crate) mod tests {
     }
 
     /// A lane with no credit classifies the batch it holds, a chunk at a
-    /// time, and hands it over with the verdicts of the prefix it reached —
-    /// all of them here, the one slot being freed only once the matcher has
-    /// made the first batch's comparisons. A lane beside a match pool waits.
+    /// time, and hands it over with the chunks it reached — all of them
+    /// here, the one slot being freed only once the matcher has made the
+    /// first batch's comparisons.
     #[test]
     fn a_lane_out_of_credit_classifies_the_batch_it_holds() {
-        for match_workers in [1, 2] {
-            // 30 profiles hold 435 pairs: batches of 200, 200 and 35.
-            let mut fixture = Fixture::new(200);
-            fixture.config.match_workers = match_workers;
-            let (inbox_tx, inbox_rx) = pipeline_channel::<Tokenized>(None, &[], None);
-            let (batch_tx, batch_rx) = pipeline_channel(None, &[], Some(1));
-            batch_tx.send(Batch::new(Vec::new())).unwrap();
-            inbox_tx.send(fixture.increment(0, 30)).unwrap();
-            drop(inbox_tx);
-            let (told, first_batch_classified) = mpsc::channel();
-            let matcher = Arc::new(Telling {
-                after: 200,
-                calls: AtomicUsize::new(0),
-                told: Mutex::new(told),
-            });
-            let (handed, batches) = std::thread::scope(|scope| {
-                let lane = fixture.lane_with(1_000, matcher);
-                let lane = scope.spawn(move || lane.run(&inbox_rx, batch_tx));
-                if match_workers == 1 {
-                    first_batch_classified.recv().unwrap();
-                }
-                assert!(batch_rx.recv().unwrap().pairs.is_empty());
-                let batches: Vec<Batch> = batch_rx.iter().collect();
-                (lane.join().unwrap().1, batches)
-            });
-            let label = format!("x{match_workers}");
-            let sizes: Vec<usize> = batches.iter().map(|b| b.pairs.len()).collect();
-            assert_eq!(sizes, [200, 200, 35], "{label}");
-            assert_eq!(handed.pairs, 435, "{label}");
-            let prefixes: Vec<usize> = batches.iter().map(|b| b.outcomes.len()).collect();
-            assert_eq!(handed.classified, prefixes.iter().sum::<usize>() as u64);
-            if match_workers > 1 {
-                assert_eq!(prefixes, [0, 0, 0], "{label}");
-                continue;
-            }
-            assert_eq!(prefixes[0], 200, "{label}");
-            assert!(batches[0].secs > 0.0, "{label}");
-            for batch in &batches {
-                let n = batch.outcomes.len();
-                assert!(
-                    n == batch.pairs.len() || n % HELP_CHUNK == 0,
-                    "{label}: {n}"
-                );
-                let want = batch.pairs[..n]
-                    .iter()
-                    .map(|pair| pair.compare(&JaccardMatcher::default()));
-                assert!(batch.outcomes.iter().copied().eq(want), "{label}");
-            }
+        // 30 profiles hold 435 pairs: batches of 200, 200 and 35.
+        let fixture = Fixture::new(200);
+        let (inbox_tx, inbox_rx) = pipeline_channel::<Tokenized>(None, &[], None);
+        let (batch_tx, batch_rx) = pipeline_channel(None, &[], Some(1));
+        batch_tx.send(Batch::new(Vec::new())).unwrap();
+        inbox_tx.send(fixture.increment(0, 30)).unwrap();
+        drop(inbox_tx);
+        let (told, first_batch_classified) = mpsc::channel();
+        let matcher = Arc::new(Telling {
+            after: 200,
+            calls: AtomicUsize::new(0),
+            told: Mutex::new(told),
+        });
+        let (handed, batches) = std::thread::scope(|scope| {
+            let lane = fixture.lane_with(1_000, matcher);
+            let lane = scope.spawn(move || lane.run(&inbox_rx, batch_tx));
+            first_batch_classified.recv().unwrap();
+            assert!(batch_rx.recv().unwrap().pairs.is_empty());
+            let batches: Vec<Batch> = batch_rx.iter().collect();
+            (lane.join().unwrap().1, batches)
+        });
+        let sizes: Vec<usize> = batches.iter().map(|b| b.pairs.len()).collect();
+        assert_eq!(sizes, [200, 200, 35]);
+        assert_eq!(handed.pairs, 435);
+        let prefixes: Vec<Vec<MatchOutcome>> = batches.iter().map(verdicts).collect();
+        let classified: usize = prefixes.iter().map(Vec::len).sum();
+        assert_eq!(handed.classified, classified as u64);
+        assert_eq!(prefixes[0].len(), 200);
+        assert!(batches[0].secs > 0.0);
+        for (batch, prefix) in batches.iter().zip(&prefixes) {
+            let n = prefix.len();
+            assert!(n == batch.pairs.len() || n % HELP_CHUNK == 0, "{n}");
+            let want = batch.pairs[..n]
+                .iter()
+                .map(|pair| pair.compare(&JaccardMatcher::default()));
+            assert!(prefix.iter().copied().eq(want));
         }
     }
 }

@@ -12,9 +12,10 @@
 //!   ([`PipelineBuilder::emitter`]) or a hash-partitioned tokenizer pool →
 //!   router → shard workers → merger ([`PipelineBuilder::sharded`]);
 //! * a **matching** thread (stage B) classifies batches of the
-//!   adaptively-sized `K` best comparisons, fanning the matcher
-//!   evaluations out over a pool of [`RuntimeConfig::match_workers`]
-//!   workers while keeping every emitted event in sequential order;
+//!   adaptively-sized `K` best comparisons, sharing the matcher
+//!   evaluations with `match_workers - 1` helper threads
+//!   ([`RuntimeConfig::match_workers`]) and the lane, which claim chunks
+//!   of one shared batch, while it records every event in batch order;
 //! * match events flow to the caller as they are found, with real
 //!   timestamps.
 //!
@@ -36,7 +37,7 @@
 
 mod lane;
 pub mod pipeline;
-pub mod pool;
+mod pool;
 pub mod report;
 pub mod stages;
 pub mod supervisor;
@@ -44,8 +45,8 @@ pub mod supervisor;
 pub use pier_entity::{EntityIndex, EntityServer, EntitySummary};
 pub use pier_metrics::{MetricsServer, Telemetry};
 pub use pier_observe::ObserverSet;
-pub use pipeline::{default_match_workers, Pipeline, PipelineBuilder, RuntimeConfig, ShedPolicy};
-pub use pool::chunk_ranges;
+pub use pipeline::{default_match_workers, Pipeline, PipelineBuilder, RuntimeConfig};
+pub use pool::HELP_CHUNK;
 pub use report::{DictionaryStats, MatchEvent, RuntimeReport};
 pub use stages::{tokenize_increment, IdleBackoff, TokenizedIncrement, TokenizedProfile};
 pub use supervisor::{DeadLetter, IngestJournal, JournalEntry, Supervisor};

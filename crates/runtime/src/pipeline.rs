@@ -67,14 +67,15 @@ use pier_metrics::{GaugedReceiver, GaugedSender, MetricsRegistry, Telemetry};
 use pier_observe::{Event, Observer, ObserverSet, Phase, PipelineObserver, WorkerRole};
 use pier_shard::{ProfileStore, ShardMerger, ShardRouter, ShardWorker, ShardedConfig};
 use pier_types::{
-    Comparison, EntityProfile, ErKind, PierError, ProfileId, SharedTokenDictionary, SourceId,
-    Tokenizer, WeightedComparison,
+    EntityProfile, ErKind, PierError, ProfileId, SharedTokenDictionary, SourceId, Tokenizer,
+    WeightedComparison,
 };
 
 use crate::lane::{Handed, Lane, Tokenized};
+use crate::pool::Batch;
 use crate::report::{DictionaryStats, MatchEvent, RuntimeReport, StageAStats};
 use crate::stages::{
-    collect_matches, pipeline_channel, spawn_source, tokenize_increment, Batch, StageB,
+    collect_matches, pipeline_channel, spawn_source, tokenize_increment, StageB,
     TokenizedIncrement, TokenizedProfile, AHEAD, CHANNEL_CAPACITY, FILL, JOURNAL_CAPACITY,
 };
 use crate::supervisor::{IngestJournal, JournalEntry, Supervisor};
@@ -94,13 +95,15 @@ pub struct RuntimeConfig {
     pub max_comparisons: u64,
     /// Hard wall-clock deadline; the pipeline winds down when it passes.
     /// Honoured to within 256 comparisons: the classifier looks at the
-    /// clock between batches, every 256 pairs inside one, and while it
-    /// waits for a batch it waits no longer than the deadline allows.
+    /// clock between batches, every 256 pairs inside one (it records as
+    /// the verdicts come in, with or without helpers), and while it waits
+    /// for a batch it waits no longer than the deadline allows.
     pub deadline: Duration,
-    /// Stage-B match workers evaluating comparisons in parallel. Defaults
-    /// to the machine's available parallelism; `1` keeps the
-    /// classification loop on the stage-B thread itself, reproducing the
-    /// single-threaded executor exactly. Any value emits the identical
+    /// Stage-B match workers evaluating comparisons in parallel: the
+    /// classifier and `match_workers - 1` helper threads, all claiming
+    /// chunks of the batch being recorded (`crate::pool`). Defaults to the
+    /// machine's available parallelism; `1` runs no helper, reproducing
+    /// the single-threaded executor exactly. Any value emits the identical
     /// match set, event order, and comparison count — only wall-clock
     /// throughput changes.
     pub match_workers: usize,
@@ -133,41 +136,6 @@ pub struct RuntimeConfig {
     /// counts. `None` (the default) reduces every fault check to a single
     /// branch on an unarmed handle.
     pub fault_plan: Option<FaultPlan>,
-    /// Load shedding under sustained overload. When set, a pull streak of
-    /// [`ShedPolicy::trigger_full_pulls`] consecutive full-`K` batches
-    /// switches the pull path to weighted mode and drops comparisons below
-    /// [`ShedPolicy::min_weight`] (counted in the report and observable as
-    /// `ComparisonsShed`). `None` (the default) never sheds and keeps the
-    /// unweighted pull path untouched.
-    pub shed: Option<ShedPolicy>,
-}
-
-/// Load-shedding policy: under sustained overload, drop only the
-/// comparisons whose priority weight says they were least likely to match
-/// anyway — the progressive analogue of tail-dropping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ShedPolicy {
-    /// Comparisons with a merge weight strictly below this are dropped
-    /// while overloaded. Must be finite.
-    pub min_weight: f64,
-    /// Consecutive full pulls that count as sustained overload. Must be
-    /// >= 1; higher values shed later.
-    pub trigger_full_pulls: u32,
-    /// Pull-size ceiling while shedding is armed. The adaptive `K`
-    /// otherwise grows until a single pull swallows any backlog, which
-    /// would make "full pull" — the overload signal — unobservable. Must
-    /// be >= 1.
-    pub max_pull: usize,
-}
-
-impl Default for ShedPolicy {
-    fn default() -> Self {
-        ShedPolicy {
-            min_weight: 2.0,
-            trigger_full_pulls: 8,
-            max_pull: 1024,
-        }
-    }
 }
 
 impl Default for RuntimeConfig {
@@ -182,7 +150,6 @@ impl Default for RuntimeConfig {
             telemetry: None,
             entities: None,
             fault_plan: None,
-            shed: None,
         }
     }
 }
@@ -196,9 +163,7 @@ impl RuntimeConfig {
     /// * `max_comparisons == 0` — the budget is exhausted before the
     ///   first comparison, so the run can never produce anything;
     /// * a broken adaptive-`K` triple (`min == 0`, `min > max`, or an
-    ///   initial value outside `[min, max]`);
-    /// * a broken [`ShedPolicy`] (non-finite `min_weight`,
-    ///   `trigger_full_pulls == 0`, or `max_pull == 0`).
+    ///   initial value outside `[min, max]`).
     ///
     /// [`PipelineBuilder::build`] calls this automatically.
     pub fn validate(&self) -> Result<(), PierError> {
@@ -230,68 +195,7 @@ impl RuntimeConfig {
                 format!("initial K {init} outside its [{min}, {max}] bounds"),
             );
         }
-        if let Some(shed) = &self.shed {
-            if !shed.min_weight.is_finite() {
-                return invalid("shed", "min_weight must be finite".into());
-            }
-            if shed.trigger_full_pulls == 0 {
-                return invalid(
-                    "shed",
-                    "trigger_full_pulls must be >= 1; zero would shed from the first pull".into(),
-                );
-            }
-            if shed.max_pull == 0 {
-                return invalid("shed", "max_pull must be >= 1".into());
-            }
-        }
         Ok(())
-    }
-}
-
-/// The pull-side overload detector + filter behind [`ShedPolicy`]: counts
-/// consecutive full-`K` pulls and, past the trigger, drops below-threshold
-/// weights (counting each drop through the supervisor).
-pub(crate) struct Shedder {
-    policy: ShedPolicy,
-    full_pulls: u32,
-}
-
-impl Shedder {
-    pub fn new(policy: ShedPolicy) -> Shedder {
-        Shedder {
-            policy,
-            full_pulls: 0,
-        }
-    }
-
-    /// Pulls up to `k` weighted comparisons through `pull_weighted` —
-    /// bounded by [`ShedPolicy::max_pull`] so overload stays observable —
-    /// and sheds the below-threshold ones while overloaded.
-    pub fn pull(
-        &mut self,
-        k: usize,
-        pull_weighted: impl FnOnce(usize) -> Vec<WeightedComparison>,
-        supervisor: &Supervisor,
-        observer: &Observer,
-    ) -> Vec<Comparison> {
-        let k = k.min(self.policy.max_pull);
-        let batch = pull_weighted(k);
-        if batch.len() >= k {
-            self.full_pulls = self.full_pulls.saturating_add(1);
-        } else {
-            self.full_pulls = 0;
-        }
-        if self.full_pulls < self.policy.trigger_full_pulls {
-            return batch.into_iter().map(|wc| wc.cmp).collect();
-        }
-        let before = batch.len();
-        let kept: Vec<Comparison> = batch
-            .into_iter()
-            .filter(|wc| wc.weight >= self.policy.min_weight)
-            .map(|wc| wc.cmp)
-            .collect();
-        supervisor.shed_comparisons(before - kept.len(), observer);
-        kept
     }
 }
 
@@ -642,7 +546,7 @@ impl Pipeline {
             stage_a: aggregate_stage_a(&stage_a_parts),
             dead_letters: supervisor.dead_letters(),
             worker_restarts: supervisor.restarts(),
-            comparisons_shed: supervisor.comparisons_shed(),
+            comparisons_shed: 0,
             // The classifier records only pairs the lane handed it.
             comparisons_dropped: lane.map_or(0, |handed| handed.pairs - comparisons),
             lane_classified: lane.map_or(0, |handed| handed.classified),
@@ -1169,7 +1073,6 @@ impl<'a> Run<'a> {
 
         // Stage B: the shared loop over this topology's closures.
         let pull_store = Arc::clone(&store);
-        let mut shedder = self.config.shed.map(Shedder::new);
         let mut merger = ShardMerger::new(shards);
         merger.set_observer(observer.clone());
         let mut table = ProfileTable::new(Arc::clone(&stage_b.matcher));
@@ -1192,15 +1095,7 @@ impl<'a> Run<'a> {
                         _ => Vec::new(),
                     }
                 };
-                let cmps = observer.timed(Phase::Prune, || match &mut shedder {
-                    None => merger.next_batch_with(k, &mut refill),
-                    Some(shedder) => shedder.pull(
-                        k,
-                        |k| merger.next_weighted_batch_with(k, &mut refill),
-                        self.supervisor,
-                        observer,
-                    ),
-                });
+                let cmps = observer.timed(Phase::Prune, || merger.next_batch_with(k, &mut refill));
                 if cmps.is_empty() {
                     return Vec::new();
                 }

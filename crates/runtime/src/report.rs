@@ -89,21 +89,24 @@ pub struct RuntimeReport {
     /// continues, and the error is reported here instead of panicking a
     /// pipeline thread.
     pub ingest_errors: Vec<String>,
-    /// Stage-B match workers the run was configured with (1 = the
-    /// classification loop ran on the stage-B thread itself).
+    /// Stage-B match workers the run was configured with: the classifier
+    /// and `match_workers - 1` helper threads (1 = no helper).
     pub match_workers: usize,
-    /// Comparisons evaluated by each match worker, indexed by worker. A
-    /// sequential run has the single entry `[comparisons]`; a pooled run
-    /// may sum to slightly more than [`RuntimeReport::comparisons`]
-    /// because workers always evaluate their whole chunk while the budget
-    /// cutoff happens at the coordinator.
+    /// Comparisons evaluated by each match worker, indexed by worker, each
+    /// counted once as it is computed: a helper's in its own entry, the
+    /// classifier's in entry 0, and the lane's in entry 0 when the
+    /// classifier takes its batch over. A drained run's entries sum to
+    /// [`RuntimeReport::comparisons`]. A run the deadline ended may sum to
+    /// more, by the chunks computed past the stop that were never recorded:
+    /// those helpers had in hand, those the classifier filled ahead while
+    /// it waited for them, and the lane's in the batch being recorded.
+    /// Nobody claims a pair past the comparison cap.
     pub worker_comparisons: Vec<u64>,
     /// Verdicts the single topology's stage-A lane computed while it had
-    /// no credit to publish the batch it held (sequential runs only: the
-    /// lane does not help a match pool). Recorded ones are part of
-    /// [`RuntimeReport::comparisons`]; a sequential run's
-    /// [`RuntimeReport::worker_comparisons`] counts every recorded
-    /// comparison, wherever its verdict was computed.
+    /// no credit to publish the batch it held. Those of a batch the
+    /// classifier took over, up to the comparison cap, are also counted in
+    /// entry 0 of [`RuntimeReport::worker_comparisons`]; those of the
+    /// batches an early end dropped are counted only here.
     pub lane_classified: u64,
     /// Pairs stage A published or held that were never recorded because
     /// the comparison cap or the deadline ended the run first — verdicts
@@ -128,8 +131,9 @@ pub struct RuntimeReport {
     /// Workers (stage-A lanes, shard workers, the merger, match workers)
     /// rebuilt after a panic.
     pub worker_restarts: u64,
-    /// Below-threshold comparisons dropped by load shedding
-    /// ([`crate::RuntimeConfig::shed`]); always 0 when shedding is off.
+    /// Always 0: load shedding is gone. The field stays until the
+    /// benchmark PR (ROADMAP item 1), because the e2e benchmark's
+    /// failed-operations count still reads it.
     pub comparisons_shed: u64,
 }
 

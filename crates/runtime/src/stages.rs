@@ -26,34 +26,9 @@ use pier_metrics::{
 use pier_observe::{Event, Observer, Phase, WorkerRole};
 use pier_types::{EntityProfile, PierError, SharedTokenDictionary, TokenId, Tokenizer};
 
-use crate::pool::MatchPool;
+use crate::pool::{Batch, MatchPool};
 use crate::report::MatchEvent;
 use crate::supervisor::Supervisor;
-
-/// A batch on its way from stage A to the classifier: pairs in the order
-/// the classifier records them, and the verdicts of a prefix of them that
-/// the single topology's lane computed while it had no credit to publish
-/// the batch (`crate::lane`). The prefix may be empty — always, from the
-/// sharded topology — or complete.
-#[derive(Debug)]
-pub(crate) struct Batch {
-    pub pairs: Vec<PreparedPair>,
-    /// The verdicts of `pairs[..outcomes.len()]`, in order.
-    pub outcomes: Vec<MatchOutcome>,
-    /// Seconds the lane spent computing `outcomes`.
-    pub secs: f64,
-}
-
-impl Batch {
-    /// A batch none of whose pairs has a verdict yet.
-    pub fn new(pairs: Vec<PreparedPair>) -> Batch {
-        Batch {
-            pairs,
-            outcomes: Vec::new(),
-            secs: 0.0,
-        }
-    }
-}
 
 /// A profile together with its interned sorted-distinct token ids.
 #[derive(Debug, Clone)]
@@ -130,71 +105,21 @@ pub(crate) fn spawn_source(
     })
 }
 
-/// Shared `# HELP` text for `pier_worker_comparisons_total`, registered by
-/// both the pool (one counter per worker) and the sequential classifier
-/// (`worker="0"` only).
-pub(crate) const WORKER_COMPARISONS_HELP: &str =
-    "Comparisons evaluated per match worker (the report's worker_comparisons).";
-
-/// Live classifier metrics: the scraped totals that must equal the final
-/// [`crate::RuntimeReport`] exactly (`pier_comparisons_total` ==
-/// `report.comparisons`, and in sequential mode
-/// `pier_worker_comparisons_total{worker="0"}` == its single
-/// `worker_comparisons` entry).
-pub(crate) struct ClassifierMetrics {
-    comparisons: Arc<Counter>,
-    budget_remaining: Arc<Gauge>,
-    /// Sequential mode only; pooled runs count per worker in the pool.
-    sequential_worker: Option<Arc<Counter>>,
-}
-
-impl ClassifierMetrics {
-    /// Registers the classifier's live families, seeding the budget gauge
-    /// with the run's full comparison cap.
-    pub fn register(registry: &MetricsRegistry, max_comparisons: u64, sequential: bool) -> Self {
-        let budget_remaining = registry.gauge(
-            "pier_budget_remaining",
-            "Comparisons left before the run's safety cap.",
-            &[],
-        );
-        budget_remaining.set(max_comparisons.min(i64::MAX as u64) as i64);
-        ClassifierMetrics {
-            comparisons: registry.counter(
-                "pier_comparisons_total",
-                "Comparisons executed by the classifier (the report's total).",
-                &[],
-            ),
-            budget_remaining,
-            sequential_worker: sequential.then(|| {
-                registry.counter(
-                    "pier_worker_comparisons_total",
-                    WORKER_COMPARISONS_HELP,
-                    &[("worker", "0")],
-                )
-            }),
-        }
-    }
-}
-
 /// How long a pipeline send keeps retrying against a full bounded channel
 /// before declaring the receiver unresponsive.
 pub(crate) const SEND_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Batches the single topology's lane may publish ahead of the classifier:
 /// the capacity of its batch channel, the credit the classifier extends
-/// and the lane's only throttle. A lane out of credit does not sleep: it
-/// classifies the batch it holds, a chunk at a time, and publishes it with
-/// the verdicts computed so far the moment a slot frees (`crate::lane`);
-/// only a fully classified batch waits in a blocking send (beside a match
-/// pool, where the lane does not help, every refused batch does). Small on
-/// purpose, and deliberately not [`CHANNEL_CAPACITY`]: whatever is
-/// published was prioritized before the next arrival, so with the batch
-/// in the classifier's hands and the one the lane holds at most
-/// `(AHEAD + 2) * FILL` pairs (about 2 ms of Jaccard or 5 ms of
-/// edit-distance work, against 50-60 ms between arrivals on the stream
-/// workloads) are executed in a stale order, where 4 096 batches would
-/// freeze the order of half a run. The same pairs are what an early end
-/// can drop ([`crate::RuntimeReport::comparisons_dropped`]).
+/// and the lane's only throttle (out of it, the lane classifies the batch
+/// it holds: `crate::lane`). Small on purpose, and deliberately not
+/// [`CHANNEL_CAPACITY`]: whatever is published was prioritized before the
+/// next arrival, so with the batch in the classifier's hands and the one
+/// the lane holds at most `(AHEAD + 2) * FILL` pairs (about 2 ms of Jaccard
+/// or 5 ms of edit-distance work, against 50-60 ms between arrivals on the
+/// stream workloads) are executed in a stale order, where 4 096 batches
+/// would freeze the order of half a run. The same pairs are what an early
+/// end can drop ([`crate::RuntimeReport::comparisons_dropped`]).
 pub(crate) const AHEAD: usize = 2;
 
 /// Pairs an idle lane gathers from idle ticks before it hands a batch
@@ -240,23 +165,15 @@ pub(crate) fn send_with_backoff<T>(
     timeout: Duration,
     channel: &'static str,
 ) -> Result<(), PierError> {
-    let mut value = match tx.try_send(value) {
-        Ok(()) => return Ok(()),
-        Err(TrySendError::Disconnected(_)) => return Err(PierError::ChannelClosed { channel }),
-        Err(TrySendError::Full(v)) => v,
-    };
-    let mut backoff = IdleBackoff::new();
+    let (mut value, mut backoff) = (value, IdleBackoff::new());
     let deadline = Instant::now() + timeout;
     loop {
-        backoff.sleep();
         value = match tx.try_send(value) {
             Ok(()) => return Ok(()),
-            Err(TrySendError::Disconnected(_)) => return Err(PierError::ChannelClosed { channel }),
-            Err(TrySendError::Full(v)) => v,
+            Err(TrySendError::Full(v)) if Instant::now() < deadline => v,
+            Err(_) => return Err(PierError::ChannelClosed { channel }),
         };
-        if Instant::now() >= deadline {
-            return Err(PierError::ChannelClosed { channel });
-        }
+        backoff.sleep();
     }
 }
 
@@ -380,21 +297,20 @@ pub(crate) fn pull_past_merger_fault<T>(
 }
 
 /// The classifier thread: the topology-independent half of stage B, shared
-/// by every pipeline configuration. Around a stream of materialized batches
-/// it runs the matcher here, on a [`MatchPool`], or, for the prefix the
-/// lane computed, not at all; it emits `MatchConfirmed` events and
-/// [`MatchEvent`]s, times the phase, feeds the adaptive-`K` controller,
-/// and owns the budget cutoff and the shutdown sequence, and it returns
-/// what it executed. A topology contributes only where the batches come
-/// from: the single topology's lane pushes them into a channel
-/// ([`StageB::run`]), the sharded topology's workers have to be asked
-/// ([`StageB::run_polled`]).
+/// by every pipeline configuration. It records a stream of batches in
+/// order, computing what nobody else has on its [`MatchPool`] (of which it
+/// is worker 0); it emits `MatchConfirmed` events and [`MatchEvent`]s,
+/// times the phase, feeds the adaptive-`K` controller, and owns the budget
+/// cutoff and the shutdown sequence, and it returns what was executed. A
+/// topology contributes only where the batches come from: the single
+/// topology's lane pushes them into a channel ([`StageB::run`]), the
+/// sharded topology's workers have to be asked ([`StageB::run_polled`]).
 pub(crate) struct StageB {
     pub start: Instant,
     pub deadline: Duration,
     pub max_comparisons: u64,
-    /// Effective worker count (>= 1); `1` keeps classification on the
-    /// stage-B thread itself.
+    /// Effective worker count (>= 1): the classifier and `match_workers - 1`
+    /// helpers.
     pub match_workers: usize,
     pub matcher: Arc<dyn MatchFunction>,
     pub observer: Observer,
@@ -406,14 +322,15 @@ pub(crate) struct StageB {
     pub supervisor: Arc<Supervisor>,
     /// Comparisons classified so far (0 when built).
     pub executed: u64,
-    /// The live classifier families; `run` registers them with `registry`.
-    pub metrics: Option<ClassifierMetrics>,
+    /// The live `pier_comparisons_total` and `pier_budget_remaining`,
+    /// which must equal the final report exactly; `run` registers them
+    /// with `registry` (the per-worker counters live in the [`MatchPool`]).
+    pub metrics: Option<(Arc<Counter>, Arc<Gauge>)>,
 }
 
 impl StageB {
     /// Classifies batches to completion on the calling thread and returns
-    /// the comparisons it executed, in total and per match worker (a
-    /// sequential run has the single entry `[total]`).
+    /// the comparisons it executed, in total and per match worker.
     ///
     /// `next_batch(left)` yields the next non-empty batch, waiting at most
     /// `left` — the time to the deadline, so that a stage B with nothing
@@ -429,28 +346,18 @@ impl StageB {
     /// classifier's match sender (letting the collector finish).
     pub fn run(mut self, mut next_batch: impl FnMut(Duration) -> Option<Batch>) -> (u64, Vec<u64>) {
         let _stop_source = ShutdownOnDrop::new(Arc::clone(&self.shutdown));
-        let mut pool = (self.match_workers > 1).then(|| {
-            MatchPool::new(
-                self.match_workers,
-                Arc::clone(&self.matcher),
-                &self.observer,
-                self.registry.clone(),
-                self.chaos.clone(),
-                Arc::clone(&self.supervisor),
-            )
+        let mut pool = MatchPool::new(&self);
+        self.metrics = self.registry.as_deref().map(|r| {
+            let help = "Comparisons left before the run's safety cap.";
+            let budget = r.gauge("pier_budget_remaining", help, &[]);
+            budget.set(self.max_comparisons.min(i64::MAX as u64) as i64);
+            let help = "Comparisons executed by the classifier (the report's total).";
+            (r.counter("pier_comparisons_total", help, &[]), budget)
         });
-        self.metrics = self
-            .registry
-            .as_deref()
-            .map(|r| ClassifierMetrics::register(r, self.max_comparisons, self.match_workers <= 1));
         while let Some(batch) = self.time_left().and_then(&mut next_batch) {
-            self.classify_batch(batch, pool.as_mut());
+            self.classify_batch(batch, &mut pool);
         }
-        let per_worker = match &pool {
-            Some(pool) => pool.executed_per_worker().to_vec(),
-            None => vec![self.executed],
-        };
-        (self.executed, per_worker)
+        (self.executed, pool.finish())
     }
 
     /// [`StageB::run`] over a stage A that has to be asked: `pull`
@@ -525,51 +432,32 @@ impl StageB {
             || (done.is_multiple_of(Self::CLOCK_EVERY) && self.start.elapsed() >= self.deadline)
     }
 
-    /// Records one batch in order (stopping early if the budget runs out
-    /// mid-way) and its time with the adaptive-`K` controller.
-    ///
-    /// A pair's verdict is the lane's when the batch came with one for it,
-    /// and is computed otherwise: inline, pair by pair, so that a budget
-    /// cutoff skips the rest, or with a pool by fanning the whole
-    /// unclassified suffix out across its workers. Either way every
-    /// externally visible effect — comparison accounting, `MatchConfirmed`
-    /// events, [`MatchEvent`] delivery, the budget cutoff — happens here,
-    /// over the outcomes in batch order, exactly as if this thread had
-    /// computed them all. The one intentional difference is waste: a cutoff
-    /// discards the pool's (or the lane's) already-computed tail outcomes
-    /// instead of skipping their evaluation; the counted comparisons are
-    /// identical.
-    ///
-    /// The batch time fed to the adaptive-`K` controller, and timed as the
-    /// batch's one `Phase::Classify`, is the lane's seconds on the batch
-    /// plus this thread's wall clock over it; with `N` workers the latter
-    /// reflects the slowest chunk, so the controller sizes `K` against the
-    /// pool's aggregate throughput.
-    fn classify_batch(&mut self, batch: Batch, pool: Option<&mut MatchPool>) {
+    /// Records one batch in order, chunk by chunk as [`MatchPool::next_chunk`]
+    /// hands them over, stopping early if the budget runs out: nobody
+    /// claims a pair past the cap, and after a stop nobody claims another
+    /// chunk. The batch time fed to the adaptive-`K` controller, and timed
+    /// as the batch's one `Phase::Classify`, is the lane's seconds on it
+    /// plus this thread's wall clock over it: the pool's throughput.
+    fn classify_batch(&mut self, mut batch: Batch, pool: &mut MatchPool) {
         let t0 = self.start.elapsed().as_secs_f64();
-        let Batch {
-            pairs,
-            outcomes,
-            secs: lane_secs,
-        } = batch;
-        let pairs = Arc::new(pairs);
-        let mut pooled = pool.map(|pool| pool.evaluate(&pairs, outcomes.len()).into_iter());
-        let matcher = Arc::clone(&self.matcher);
-        for (done, pair) in pairs.iter().enumerate() {
-            let (outcome, worker) = match (outcomes.get(done), pooled.as_mut()) {
-                (Some(&outcome), _) => (outcome, None),
-                (None, Some(pooled)) => {
-                    let ev = pooled.next().expect("the pool evaluates the whole suffix");
-                    (ev.outcome, Some(ev.worker))
+        batch.cap(self.max_comparisons - self.executed);
+        let batch = Arc::new(batch);
+        pool.post(&batch);
+        let pooled = self.match_workers > 1;
+        'chunks: for chunk in 0..batch.chunks() {
+            let (outcomes, worker) = pool.next_chunk(&batch, chunk);
+            let range = batch.range(chunk);
+            // A chunk the lane filled before the cap may run past it.
+            let verdicts = batch.pairs[range.clone()].iter().zip(&outcomes);
+            for (done, (pair, outcome)) in (range.start + 1..).zip(verdicts) {
+                self.record(pair, outcome, pooled.then_some(worker));
+                if self.stops_after(done) {
+                    batch.stop();
+                    break 'chunks;
                 }
-                (None, None) => (pair.compare(&*matcher), None),
-            };
-            self.record(pair, &outcome, worker);
-            if self.stops_after(done + 1) {
-                break;
             }
         }
-        let batch_secs = lane_secs + self.start.elapsed().as_secs_f64() - t0;
+        let batch_secs = batch.secs + self.start.elapsed().as_secs_f64() - t0;
         self.observer.emit(|| Event::PhaseTiming {
             phase: Phase::Classify,
             secs: batch_secs,
@@ -579,16 +467,13 @@ impl StageB {
 
     /// Accounts one evaluated pair and emits its match events if confirmed.
     /// `worker` attributes the confirmation to the match worker that
-    /// evaluated the pair (parallel mode only; the sequential path and the
-    /// lane's verdicts stay untagged, preserving the exact event stream).
+    /// evaluated the pair (runs with helpers only; a run without one stays
+    /// untagged, emitting the sequential event stream exactly).
     fn record(&mut self, pair: &PreparedPair, outcome: &MatchOutcome, worker: Option<u16>) {
         self.executed += 1;
-        if let Some(m) = &self.metrics {
-            m.comparisons.inc();
-            m.budget_remaining.dec();
-            if let Some(w) = &m.sequential_worker {
-                w.inc();
-            }
+        if let Some((comparisons, budget)) = &self.metrics {
+            comparisons.inc();
+            budget.dec();
         }
         if outcome.is_match {
             let at = self.start.elapsed();
@@ -661,6 +546,8 @@ pub(crate) fn collect_matches(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::HELP_CHUNK;
+    use crate::supervisor::DeadLetter;
     use pier_matching::{PreparedProfile, ProfileEntry};
     use pier_types::{ProfileId, SourceId};
 
@@ -709,20 +596,22 @@ mod tests {
         assert!(poisoned.load(Ordering::SeqCst));
     }
 
+    /// Says `is_match` to every pair, and panics on those whose first
+    /// profile `panics` names.
     struct ConstMatcher {
         is_match: bool,
-        panics: bool,
+        panics: fn(u32) -> bool,
     }
 
     impl MatchFunction for ConstMatcher {
         fn compare(
             &self,
-            _a: &PreparedProfile,
+            a: &PreparedProfile,
             _tokens_a: &[TokenId],
             _b: &PreparedProfile,
             _tokens_b: &[TokenId],
         ) -> MatchOutcome {
-            assert!(!self.panics, "injected matcher panic");
+            assert!(!(self.panics)(a.id().0), "injected matcher panic");
             MatchOutcome {
                 is_match: self.is_match,
                 similarity: 1.0,
@@ -790,7 +679,7 @@ mod tests {
     fn stage_b_loop_classifies_then_winds_down() {
         let (stage, match_rx) = stage_b(ConstMatcher {
             is_match: true,
-            panics: false,
+            panics: |_| false,
         });
         let shutdown = Arc::clone(&stage.shutdown);
         let mut batches = vec![vec![pair(0, 1), pair(2, 3)]];
@@ -814,65 +703,107 @@ mod tests {
     #[test]
     fn stage_b_panic_propagates_shutdown_and_closes_the_match_stream() {
         let (stage, match_rx) = stage_b(ConstMatcher {
-            is_match: false,
-            panics: true,
+            is_match: true,
+            panics: |_| false,
         });
         let shutdown = Arc::clone(&stage.shutdown);
+        let mut batches = vec![Batch::new(vec![pair(0, 1)])];
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            stage.run(|_left| Some(Batch::new(vec![pair(0, 1)])));
+            stage.run(|_left| Some(batches.pop().expect("injected stage-B panic")));
         }));
         assert!(result.is_err());
         // The drop guard flipped the flag mid-unwind and the classifier's
         // sender died with the stack frame: the source stops and the
-        // collector drains instead of hanging.
+        // collector drains the one match instead of hanging.
         assert!(shutdown.load(Ordering::SeqCst));
-        assert_eq!(match_rx.iter().count(), 0);
+        assert_eq!(match_rx.iter().count(), 1);
     }
 
-    /// The verdicts a batch brings are recorded as given, and only the rest
-    /// is computed — inline or on a pool — in batch order either way; the
-    /// cap stops inside the prefix as it would anywhere else.
+    /// A matcher that panics on one pair costs that pair alone, quarantined
+    /// as a dead letter, whichever thread claimed its chunk: every chunk is
+    /// evaluated under the same unwind guard, the classifier's own too.
     #[test]
-    fn a_classified_prefix_is_recorded_as_given() {
+    fn a_matcher_panic_quarantines_its_pair_at_any_worker_count() {
+        for match_workers in [1, 4] {
+            let (stage, match_rx) = stage_b_with(
+                ConstMatcher {
+                    is_match: true,
+                    panics: |a| a == 2 * 70,
+                },
+                match_workers,
+            );
+            let supervisor = Arc::clone(&stage.supervisor);
+            let pairs = (0..300).map(|i| pair(2 * i, 2 * i + 1)).collect();
+            let mut batches = vec![Batch::new(pairs)];
+            let (executed, per_worker) = stage.run(|_| batches.pop());
+            assert_eq!(executed, 300, "x{match_workers}");
+            assert_eq!(per_worker.iter().sum::<u64>(), 300, "x{match_workers}");
+            let quarantined = DeadLetter::QuarantinedPair {
+                pair: pair(140, 141).comparison(),
+            };
+            assert_eq!(supervisor.dead_letters(), [quarantined], "x{match_workers}");
+            assert_eq!(supervisor.restarts(), 1, "x{match_workers}");
+            assert_eq!(match_rx.iter().count(), 299, "x{match_workers}");
+        }
+    }
+
+    /// The chunks a batch brings classified are recorded as given, and only
+    /// the rest is computed — inline or with helpers — in batch order
+    /// either way; the cap stops inside a classified chunk as it would
+    /// anywhere else.
+    #[test]
+    fn classified_chunks_are_recorded_as_given() {
         let verdict = |is_match| MatchOutcome {
             is_match,
             similarity: 0.5,
             ops: 1,
         };
-        let batch = || Batch {
-            pairs: (0..6).map(|i| pair(2 * i, 2 * i + 1)).collect(),
-            outcomes: vec![verdict(true), verdict(false), verdict(true)],
-            secs: 0.25,
+        // 70 pairs, the first chunk classified: pair `i` a match iff even.
+        let batch = || {
+            let pairs = (0..70).map(|i| pair(2 * i, 2 * i + 1)).collect();
+            let mut batch = Batch::new(pairs);
+            let chunk = batch.claim().unwrap();
+            let classified = batch.evaluate(chunk, 0, &ChaosHandle::disabled(), |pair| {
+                verdict(pair.comparison().a.0 % 4 == 0)
+            });
+            assert_eq!(classified.ok(), Some(HELP_CHUNK));
+            batch.secs = 0.25;
+            batch
         };
         let matched = |match_rx: GaugedReceiver<MatchEvent>| -> Vec<(u32, f64)> {
             let events = match_rx.iter();
             events.map(|m| (m.pair.a.0, m.similarity)).collect()
         };
         for match_workers in [1, 3] {
-            // Whatever the matcher says, the prefix's two matches stand; the
-            // suffix's three come from the matcher, at its similarity 1.0.
+            // Whatever the matcher says, the first chunk's 32 matches stand;
+            // the rest's six come from the matcher, at its similarity 1.0.
             let (stage, match_rx) = stage_b_with(
                 ConstMatcher {
                     is_match: true,
-                    panics: false,
+                    panics: |_| false,
                 },
                 match_workers,
             );
             let mut batches = vec![batch()];
-            let executed = stage.run(|_| batches.pop());
-            assert_eq!(executed.0, 6, "x{match_workers}");
-            let want = [(0, 0.5), (4, 0.5), (6, 1.0), (8, 1.0), (10, 1.0)];
+            let (executed, per_worker) = stage.run(|_| batches.pop());
+            assert_eq!(executed, 70, "x{match_workers}");
+            assert_eq!(per_worker.iter().sum::<u64>(), 70, "x{match_workers}");
+            let given = (0..32).map(|i| (4 * i, 0.5));
+            let computed = (64..70).map(|i| (2 * i, 1.0));
+            let want: Vec<(u32, f64)> = given.chain(computed).collect();
             assert_eq!(matched(match_rx), want, "x{match_workers}");
         }
-        // A cap inside the prefix: the matcher is never asked.
+        // A cap inside the classified chunk: the matcher is never asked.
         let (mut stage, match_rx) = stage_b(ConstMatcher {
             is_match: false,
-            panics: true,
+            panics: |_| true,
         });
         stage.max_comparisons = 2;
+        let supervisor = Arc::clone(&stage.supervisor);
         let mut batches = vec![batch()];
         assert_eq!(stage.run(|_| batches.pop()), (2, vec![2]));
         assert_eq!(matched(match_rx), [(0, 0.5)]);
+        assert_eq!(supervisor.restarts(), 0);
     }
 
     #[test]

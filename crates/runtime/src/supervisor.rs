@@ -6,8 +6,8 @@
 //!
 //! * [`Supervisor`] — the run-wide fault ledger: the dead-letter queue
 //!   (surfaced as `RuntimeReport::dead_letters`), the quarantine set of
-//!   profiles proven to panic ingest, and the restart / load-shed
-//!   counters. All of its methods take the run's observer so each fault
+//!   profiles proven to panic ingest, and the restart counter. All of its
+//!   methods take the run's observer so each fault
 //!   also flows through `ObserverSet` into `pier-metrics`.
 //! * [`IngestJournal`] — a bounded ring buffer of successfully ingested
 //!   profile batches for one stage-A lane. When a shard worker dies, a
@@ -113,7 +113,6 @@ pub struct Supervisor {
     /// asks "is anything quarantined at all?" without taking the lock.
     quarantined_count: AtomicU64,
     restarts: AtomicU64,
-    shed: AtomicU64,
 }
 
 impl Supervisor {
@@ -199,23 +198,9 @@ impl Supervisor {
         });
     }
 
-    /// Records `count` comparisons dropped by load shedding.
-    pub fn shed_comparisons(&self, count: usize, observer: &Observer) {
-        if count == 0 {
-            return;
-        }
-        self.shed.fetch_add(count as u64, Ordering::Relaxed);
-        observer.emit(|| Event::ComparisonsShed { count });
-    }
-
     /// Worker restarts so far.
     pub fn restarts(&self) -> u64 {
         self.restarts.load(Ordering::Relaxed)
-    }
-
-    /// Comparisons dropped by load shedding so far.
-    pub fn comparisons_shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
     }
 
     /// A snapshot of the dead-letter queue in arrival order.
@@ -324,15 +309,12 @@ mod tests {
     }
 
     #[test]
-    fn ledger_counts_restarts_and_shed() {
+    fn ledger_counts_restarts() {
         let sup = Supervisor::new();
         let obs = Observer::disabled();
         sup.worker_restarted(WorkerRole::Shard, 1, 0.01, &obs);
         sup.worker_restarted(WorkerRole::Match, 0, 0.002, &obs);
-        sup.shed_comparisons(0, &obs);
-        sup.shed_comparisons(25, &obs);
         assert_eq!(sup.restarts(), 2);
-        assert_eq!(sup.comparisons_shed(), 25);
     }
 
     #[test]

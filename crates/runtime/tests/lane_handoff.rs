@@ -28,7 +28,7 @@ use pier_core::{PierConfig, PierPipeline, Strategy};
 use pier_datagen::{generate_bibliographic, BibliographicConfig};
 use pier_matching::{JaccardMatcher, MatchFunction, MatchOutcome, PreparedProfile};
 use pier_observe::StatsObserver;
-use pier_runtime::{Pipeline, RuntimeConfig, RuntimeReport};
+use pier_runtime::{Pipeline, RuntimeConfig, RuntimeReport, HELP_CHUNK};
 use pier_shard::ShardedConfig;
 use pier_types::{Comparison, Dataset, EntityProfile, TokenId};
 
@@ -154,9 +154,6 @@ fn every_schedule_executes_the_sync_pipelines_comparisons() {
                     assert!(report.ingest_errors.is_empty(), "{label}");
                     assert!(report.dead_letters.is_empty(), "{label}");
                     assert_eq!(report.comparisons_dropped, 0, "{label}");
-                    if match_workers > 1 {
-                        assert_eq!(report.lane_classified, 0, "{label}");
-                    }
                 }
             }
         }
@@ -276,6 +273,47 @@ fn the_comparison_cap_is_exact_and_ends_the_run() {
     }
 }
 
+/// A run the comparison cap ends wastes no more verdicts than its helpers
+/// have chunks in hand: nobody claims a pair past the cap, and the
+/// classifier records as the verdicts come in instead of waiting for a
+/// whole batch. A verdict computed is counted once: a helper's or the
+/// classifier's in `worker_comparisons` as it is computed, the lane's in
+/// `lane_classified`, and there too once the classifier takes its batch
+/// over (up to the cap).
+#[test]
+fn a_capped_pooled_run_wastes_at_most_a_chunk_per_helper() {
+    let dataset = corpus();
+    let (_, total) = sync_run(&dataset, Strategy::Pcs);
+    let cap = total / 3;
+    const K: usize = 1024;
+    for (shards, match_workers) in [(None, 2), (None, 4), (Some(2), 2)] {
+        let label = format!("shards={shards:?} x{match_workers}");
+        let slow = Slow::new(Duration::from_micros(20));
+        let (report, _) = threaded_run_with(
+            &dataset,
+            Strategy::Pcs,
+            shards,
+            RuntimeConfig {
+                interarrival: Duration::ZERO,
+                max_comparisons: cap,
+                match_workers,
+                k: (K, K, K),
+                ..RuntimeConfig::default()
+            },
+            slow.clone(),
+        );
+        assert_eq!(report.comparisons, cap, "{label}");
+        let counted: u64 = report.worker_comparisons.iter().sum();
+        assert!(counted >= cap, "{label}: {counted}");
+        let wasted = counted - cap;
+        let bound = ((match_workers - 1) * HELP_CHUNK) as u64;
+        assert!(wasted <= bound, "{label}: {wasted} verdicts thrown away");
+        let evaluated = slow.evaluated();
+        assert!(counted <= evaluated, "{label}");
+        assert!(evaluated <= counted + report.lane_classified, "{label}");
+    }
+}
+
 /// The lane's credit, `AHEAD` (`runtime/src/stages.rs`): batches it may
 /// publish ahead of the classifier.
 const AHEAD: usize = 2;
@@ -348,14 +386,17 @@ impl MatchFunction for Slow {
 
 /// A classifier slower than stage A keeps the lane out of credit, and the
 /// lane classifies instead of waiting: `compare` runs on the lane's thread
-/// as well as the classifier's. Every pair is still classified exactly
-/// once — the matcher's calls are the run's comparisons — and the drained
-/// run reaches the sync pipeline's match set and count. Beside a match
-/// pool the lane waits, and the same holds.
+/// as well as the classifier's — and, beside a match pool, its helper's.
+/// Every pair is still classified exactly once — the matcher's calls are
+/// the run's comparisons — and the drained run reaches the sync
+/// pipeline's match set and count. `K` is pinned at four chunks: a batch
+/// of one chunk is classified on one thread, so under a slow matcher,
+/// which keeps an adaptive `K` small, a helper would have nothing to claim.
 #[test]
 fn a_lane_out_of_credit_helps_and_each_pair_is_classified_once() {
     let dataset = corpus();
     let (want_pairs, want_comparisons) = sync_run(&dataset, Strategy::Pcs);
+    const K: usize = 4 * HELP_CHUNK;
     for match_workers in [1, 2] {
         let label = format!("x{match_workers}");
         let slow = Slow::new(Duration::from_micros(20));
@@ -366,6 +407,7 @@ fn a_lane_out_of_credit_helps_and_each_pair_is_classified_once() {
             RuntimeConfig {
                 interarrival: Duration::ZERO,
                 match_workers,
+                k: (K, K, K),
                 ..RuntimeConfig::default()
             },
             slow.clone(),
@@ -374,25 +416,27 @@ fn a_lane_out_of_credit_helps_and_each_pair_is_classified_once() {
         assert_eq!(report.comparisons, want_comparisons, "{label}");
         assert_eq!(unique_pairs(&report, &label), want_pairs, "{label}");
         assert_eq!(report.comparisons_dropped, 0, "{label}");
-        if match_workers == 1 {
-            assert!(slow.threads() >= 2, "{label}: the lane never helped");
-            assert!(report.lane_classified > 0, "{label}");
-            assert!(report.lane_classified < report.comparisons, "{label}");
-        } else {
-            assert_eq!(report.lane_classified, 0, "{label}");
-        }
+        assert!(
+            slow.threads() > match_workers,
+            "{label}: the lane or a helper never helped"
+        );
+        assert!(report.lane_classified > 0, "{label}");
+        assert!(report.lane_classified < report.comparisons, "{label}");
     }
 }
 
 /// The sharded drain tail — every increment in, shards topping their pulls
 /// up — ends early the way the arrival phase does. A cap that leaves all
 /// but a handful of the run's comparisons is met to the pair. A deadline
-/// stops the run within one `FILL` batch: a pool evaluates the whole batch
-/// in hand before the clock is looked at again and the outcomes past the
-/// deadline are thrown away, so it is stage B asking an ended stream for
-/// no more than `FILL` at a time (here against an adaptive `K` pinned at
-/// 4 096) that bounds the waste. A merger delay holds stage B's first pull
-/// back until the input, 8 increments back to back, has ended.
+/// stops the run within 256 recorded pairs; the classifier records as the
+/// verdicts come in, so what the stop throws away is what was computed
+/// ahead of it (by its helper, or by itself while it waited for the
+/// helper), no more than the one batch in hand — and stage B asks an ended
+/// stream for no more than `FILL` at a time (here against an adaptive `K`
+/// pinned at 4 096). With no lane, every verdict computed counts in
+/// `worker_comparisons`, thrown away or not. A merger delay holds stage
+/// B's first pull back until the input, 8 increments back to back, has
+/// ended.
 #[test]
 fn a_cap_or_deadline_in_the_sharded_drain_tail_is_honoured() {
     let dataset = corpus();
@@ -457,5 +501,8 @@ fn a_cap_or_deadline_in_the_sharded_drain_tail_is_honoured() {
         );
         let wasted = slow.evaluated() - report.comparisons;
         assert!(wasted <= FILL as u64, "{label}: {wasted} pairs thrown away");
+        let counted: u64 = report.worker_comparisons.iter().sum();
+        assert!(report.comparisons <= counted, "{label}: {counted}");
+        assert_eq!(counted, slow.evaluated(), "{label}");
     }
 }

@@ -1,16 +1,18 @@
 //! Determinism contract of the parallel stage-B executor: a pooled run
 //! (`match_workers = 4`) must report the identical match set, pair
 //! completeness, and executed-comparison count as the sequential executor
-//! (`match_workers = 1`) on the same seeded stream. The pool fans matcher
-//! evaluations out, but every externally visible effect is re-sequenced on
-//! the coordinator, so parallelism may only change wall-clock throughput.
+//! (`match_workers = 1`) on the same seeded stream. The classifier's helpers
+//! compute verdicts, but every externally visible effect happens on the
+//! classifier, in batch order, so parallelism may only change wall-clock
+//! throughput.
 //!
 //! The edit-distance kernel keeps its last pattern's `Peq` table per thread,
-//! and I-PES emits an entity's comparisons one after another, so where the
-//! pool cuts a batch into chunks decides which thread has seen which string
-//! before. The second half of this file pins that this moves time only:
-//! every pair's `is_match` and `similarity` bits are the same on 1–4
-//! workers, on batches whose entity runs the chunk boundaries cut through.
+//! and I-PES emits an entity's comparisons one after another, so which
+//! thread claims which `HELP_CHUNK` chunk of a batch decides which thread
+//! has seen which string before. The second half of this file pins that
+//! this moves time only: every pair's `is_match` and `similarity` bits are
+//! the same on 1–4 workers, on batches whose entity runs the chunk
+//! boundaries cut through.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,7 +21,7 @@ use pier_blocking::{IncrementalBlocker, PurgePolicy};
 use pier_core::{Ipes, PierConfig, StageA};
 use pier_datagen::{generate_bibliographic, BibliographicConfig};
 use pier_matching::{EditDistanceMatcher, MatchFunction, MatchOutcome, PreparedProfile};
-use pier_runtime::{chunk_ranges, Pipeline, RuntimeConfig, RuntimeReport};
+use pier_runtime::{Pipeline, RuntimeConfig, RuntimeReport, HELP_CHUNK};
 use pier_types::{Comparison, Dataset, Tokenizer};
 
 fn seeded_dataset() -> Dataset {
@@ -81,20 +83,22 @@ fn four_workers_report_the_sequential_results_exactly() {
     assert_eq!((seq.comparisons_dropped, par.comparisons_dropped), (0, 0));
 
     // The report exposes the executor configuration and its per-worker
-    // split. A sequential run has the single aggregate entry; a pooled
-    // run's per-worker counts cover at least every coordinator-counted
-    // comparison (workers always finish their chunk, the budget cutoff
-    // happens at the coordinator).
+    // split. A sequential run has the single aggregate entry; a drained
+    // pooled run counts every comparison once, on the worker that
+    // computed it.
     assert_eq!(seq.match_workers, 1);
     assert_eq!(seq.worker_comparisons, vec![seq.comparisons]);
     assert_eq!(par.match_workers, 4);
     assert_eq!(par.worker_comparisons.len(), 4);
     let per_worker_total: u64 = par.worker_comparisons.iter().sum();
-    assert!(per_worker_total >= par.comparisons);
+    assert_eq!(per_worker_total, par.comparisons);
     // The fan-out actually spread work across workers.
     let busy_workers = par.worker_comparisons.iter().filter(|&&c| c > 0).count();
     assert!(busy_workers >= 2, "got {:?}", par.worker_comparisons);
 }
+
+/// One chunk's `bits`, in order.
+type Chunk = Vec<(bool, u64)>;
 
 /// `(is_match, similarity bits)`: what must not depend on the executor.
 fn bits(outcome: &MatchOutcome) -> (bool, u64) {
@@ -135,9 +139,11 @@ fn entity_runs_cut_by_chunk_boundaries_compare_alike_on_one_to_four_workers() {
     assert!(sequential.iter().flatten().any(|&(is_match, _)| is_match));
 
     for workers in 1..=4usize {
-        // The pool's layout: chunk `i` of every batch goes to worker `i`, a
-        // long-lived thread that keeps its kernel state between batches.
-        let per_worker: Vec<Vec<Vec<(bool, u64)>>> = std::thread::scope(|scope| {
+        // One layout the pool can take: chunk `j` of every batch claimed by
+        // worker `j % workers`, a long-lived thread that keeps its kernel
+        // state between chunks and batches.
+        // Per worker, per batch, the chunks it claimed.
+        let per_worker: Vec<Vec<Vec<Chunk>>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|worker| {
                     let (batches, compare) = (&batches, &compare);
@@ -145,10 +151,11 @@ fn entity_runs_cut_by_chunk_boundaries_compare_alike_on_one_to_four_workers() {
                         batches
                             .iter()
                             .map(|batch| {
-                                let (start, end) = chunk_ranges(batch.len(), workers)[worker];
-                                batch[start..end]
-                                    .iter()
-                                    .map(|c| bits(&compare(c)))
+                                let chunks = batch.chunks(HELP_CHUNK);
+                                chunks
+                                    .skip(worker)
+                                    .step_by(workers)
+                                    .map(|chunk| chunk.iter().map(|c| bits(&compare(c))).collect())
                                     .collect()
                             })
                             .collect()
@@ -161,25 +168,22 @@ fn entity_runs_cut_by_chunk_boundaries_compare_alike_on_one_to_four_workers() {
                 .collect()
         });
         for (b, want) in sequential.iter().enumerate() {
-            let pooled: Vec<(bool, u64)> = per_worker
-                .iter()
-                .flat_map(|chunks| chunks[b].iter().copied())
+            let chunks = want.len().div_ceil(HELP_CHUNK);
+            let pooled: Vec<(bool, u64)> = (0..chunks)
+                .flat_map(|j| per_worker[j % workers][b][j / workers].iter().copied())
                 .collect();
             assert_eq!(&pooled, want, "batch {b} on {workers} workers");
         }
-        // The boundaries do cut through runs: some chunk of some batch
-        // starts with a pair that shares a profile with the pair before it.
-        let cuts_a_run = batches.iter().any(|batch| {
-            chunk_ranges(batch.len(), workers)
-                .into_iter()
-                .filter(|&(start, end)| 0 < start && start < end)
-                .any(|(start, _)| {
-                    let (before, first) = (batch[start - 1], batch[start]);
-                    before.involves(first.a) || before.involves(first.b)
-                })
-        });
-        assert!(workers == 1 || cuts_a_run, "{workers} workers cut no run");
     }
+    // The boundaries do cut through runs: some chunk of some batch starts
+    // with a pair that shares a profile with the pair before it.
+    let cuts_a_run = batches.iter().any(|batch| {
+        (HELP_CHUNK..batch.len()).step_by(HELP_CHUNK).any(|start| {
+            let (before, first) = (batch[start - 1], batch[start]);
+            before.involves(first.a) || before.involves(first.b)
+        })
+    });
+    assert!(cuts_a_run, "the chunk boundaries cut no run");
 }
 
 #[test]

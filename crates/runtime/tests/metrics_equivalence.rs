@@ -111,10 +111,18 @@ fn streaming_scrape_equals_report() {
 
     let samples = scrape(addr);
     assert_scrape_equals_report(&samples, &report);
-    // Pooled run: worker counters can over-count the coordinator's budget-
-    // capped total, never under-count.
+    // Pooled run, drained: each comparison counts once, on the worker
+    // that computed it.
     let worker_sum: u64 = report.worker_comparisons.iter().sum();
-    assert!(worker_sum >= report.comparisons);
+    assert_eq!(worker_sum, report.comparisons);
+    // Worker 0's chunks, the classifier's and the lane's, are timed per
+    // worker as a helper's are.
+    let chunks = samples[r#"pier_worker_classify_seconds_count{worker="0"}"#];
+    let secs = samples[r#"pier_worker_classify_seconds_sum{worker="0"}"#];
+    assert!(
+        chunks > 0.0 && secs > 0.0,
+        "worker 0: {chunks} chunks, {secs} s"
+    );
     // Ground-truth recall was estimated and is a valid fraction.
     let recall = samples["pier_recall_estimate"];
     assert!(recall > 0.0 && recall <= 1.0, "recall {recall}");

@@ -54,8 +54,8 @@
 //! JSON [`FaultPlan`] (see `FaultPlan::to_json` for the format), and/or
 //! `--chaos-seed N` to override the plan's seed (alone, it arms an
 //! empty plan — every chaos check taken, no fault fired). The final
-//! report then prints the supervision ledger: dead letters, worker
-//! restarts, and shed comparisons.
+//! report then prints the supervision ledger: dead letters and worker
+//! restarts.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -441,11 +441,9 @@ fn main() {
             println!("{label}       {:.1} ms", d.as_secs_f64() * 1e3);
         }
     }
-    if !report.dead_letters.is_empty() || report.worker_restarts > 0 || report.comparisons_shed > 0
-    {
+    if !report.dead_letters.is_empty() || report.worker_restarts > 0 {
         println!("\n=== supervision ledger ===");
         println!("worker restarts   {}", report.worker_restarts);
-        println!("comparisons shed  {}", report.comparisons_shed);
         for letter in &report.dead_letters {
             println!("dead letter       {letter:?}");
         }

@@ -123,9 +123,9 @@ pub mod prelude {
         StatsObserver, StatsSnapshot, TimedEvent, WorkerSnapshot,
     };
     pub use pier_runtime::{
-        chunk_ranges, default_match_workers, tokenize_increment, DeadLetter, DictionaryStats,
-        IdleBackoff, MatchEvent, Pipeline, PipelineBuilder, RuntimeConfig, RuntimeReport,
-        ShedPolicy, TokenizedIncrement, TokenizedProfile,
+        default_match_workers, tokenize_increment, DeadLetter, DictionaryStats, IdleBackoff,
+        MatchEvent, Pipeline, PipelineBuilder, RuntimeConfig, RuntimeReport, TokenizedIncrement,
+        TokenizedProfile,
     };
     pub use pier_shard::{
         FanOut, ProfileStore, ShardMerger, ShardRouter, ShardWorker, ShardedConfig, ShardedStageA,
