@@ -11,21 +11,25 @@
 //!    is fixed by blocking/cleaning alone, "independently of the input rate
 //!    or the system's response" (§7.3.1). With an expensive matcher the
 //!    FIFO backlog grows without bound and stream consumption stalls.
+//!
+//! Only two profiles of one increment can both retain a pair, so an exact
+//! set of the increment's pairs drops I-WNP's repeats (DESIGN.md §14).
 
 use std::collections::VecDeque;
 
 use pier_blocking::IncrementalBlocker;
-use pier_collections::{ScalableBloomFilter, ScratchStats};
+use pier_collections::{FxHashSet, ScratchStats};
 use pier_core::{framework::generate_for_profile, ComparisonEmitter, PierConfig};
 use pier_metablocking::Iwnp;
-use pier_types::{ProfileId, WeightedComparison};
+use pier_types::{Comparison, ProfileId, WeightedComparison};
 
 /// The I-BASE emitter.
 pub struct IBase {
     config: PierConfig,
     /// Retained comparisons in generation order, with their I-WNP weight.
     queue: VecDeque<WeightedComparison>,
-    enqueued: ScalableBloomFilter,
+    /// The pairs enqueued during the current increment.
+    enqueued: FxHashSet<Comparison>,
     iwnp: Iwnp,
     ops: u64,
 }
@@ -37,7 +41,7 @@ impl IBase {
         IBase {
             config,
             queue: VecDeque::new(),
-            enqueued: ScalableBloomFilter::for_comparisons(),
+            enqueued: FxHashSet::default(),
             iwnp: Iwnp::new(),
             ops: 0,
         }
@@ -51,11 +55,12 @@ impl IBase {
 
 impl ComparisonEmitter for IBase {
     fn on_increment(&mut self, blocker: &IncrementalBlocker, new_ids: &[ProfileId]) {
+        self.enqueued.clear();
         for &p in new_ids {
             let (list, ops) = generate_for_profile(blocker, p, &self.config, &mut self.iwnp);
             self.ops += ops;
             for wc in list {
-                if self.enqueued.insert(wc.cmp.key()) {
+                if self.enqueued.insert(wc.cmp) {
                     self.queue.push_back(wc);
                     self.ops += 1;
                 }

@@ -1,7 +1,9 @@
 //! Scalable Bloom filter.
 //!
-//! The comparison filter `CF` of I-PBS (Algorithm 3) checks whether a
-//! comparison was already emitted. Streams are unbounded, so a fixed-size
+//! The paper's comparison filter `CF` (Algorithm 3) checks whether a
+//! comparison was already emitted; here only the shard merger's
+//! cross-shard dedup uses it, as the single-lane emitters decide repeats
+//! exactly. Streams are unbounded, so a fixed-size
 //! Bloom filter would saturate; following the paper's reference \[16\]
 //! (Gazzarri & Herschel, EDBT 2020) we use a *scalable* Bloom filter
 //! (Almeida et al., 2007): a sequence of plain Bloom slices with

@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 /// let mut heap = BoundedMaxHeap::new(2);
 /// heap.push(3);
 /// heap.push(9);
-/// heap.push(5); // full: evicts 3 (the minimum)
+/// assert_eq!(heap.push(5), Some(3)); // full: evicts 3 (the minimum)
 /// assert_eq!(heap.pop(), Some(9));
 /// assert_eq!(heap.pop(), Some(5));
 /// assert_eq!(heap.pop(), None);
@@ -57,23 +57,23 @@ impl<T: Ord> BoundedMaxHeap<T> {
     /// Inserts `item`, evicting the current minimum if the queue is full and
     /// `item` ranks above it.
     ///
-    /// Returns `true` if the item resides in the queue afterwards, `false`
-    /// if it was rejected (full queue and `item` ranks at or below the
-    /// current minimum, or an equal element is already present).
-    pub fn push(&mut self, item: T) -> bool {
-        if self.set.len() < self.capacity {
-            return self.set.insert(item);
+    /// Returns what the push left out: `None` if `item` was stored and
+    /// nothing was evicted, the evicted minimum if `item` displaced it, or
+    /// `item` itself if it was rejected (full queue and `item` ranks at or
+    /// below the current minimum; of an equal element already present, one
+    /// of the two equals comes back).
+    pub fn push(&mut self, item: T) -> Option<T> {
+        if self.is_full() && self.set.first().is_some_and(|min| item <= *min) {
+            return Some(item);
         }
-        // Full: compare against the current minimum.
-        let evict = matches!(self.set.first(), Some(min) if item > *min);
-        if !evict {
-            return false;
+        if let Some(equal) = self.set.replace(item) {
+            return Some(equal);
         }
-        if !self.set.insert(item) {
-            return false; // duplicate of an existing element
+        if self.set.len() > self.capacity {
+            self.set.pop_first()
+        } else {
+            None
         }
-        self.set.pop_first();
-        true
     }
 
     /// Removes and returns the maximum element.
@@ -144,16 +144,16 @@ mod tests {
     #[test]
     fn capacity_evicts_minimum() {
         let mut h = BoundedMaxHeap::new(3);
-        assert!(h.push(5));
-        assert!(h.push(7));
-        assert!(h.push(3));
+        assert_eq!(h.push(5), None);
+        assert_eq!(h.push(7), None);
+        assert_eq!(h.push(3), None);
         assert!(h.is_full());
         // 6 > min(3): inserted, 3 evicted.
-        assert!(h.push(6));
+        assert_eq!(h.push(6), Some(3));
         assert_eq!(h.len(), 3);
         assert_eq!(h.peek_min(), Some(&5));
         // 2 < min(5): rejected.
-        assert!(!h.push(2));
+        assert_eq!(h.push(2), Some(2));
         assert_eq!(h.len(), 3);
         assert_eq!(h.into_sorted_vec_desc(), vec![7, 6, 5]);
     }
@@ -161,8 +161,8 @@ mod tests {
     #[test]
     fn duplicate_push_is_rejected() {
         let mut h = BoundedMaxHeap::new(4);
-        assert!(h.push(1));
-        assert!(!h.push(1));
+        assert_eq!(h.push(1), None);
+        assert_eq!(h.push(1), Some(1));
         assert_eq!(h.len(), 1);
     }
 
@@ -171,7 +171,7 @@ mod tests {
         let mut h = BoundedMaxHeap::new(2);
         h.push(1);
         h.push(5);
-        assert!(!h.push(5));
+        assert_eq!(h.push(5), Some(5));
         assert_eq!(h.len(), 2);
         assert_eq!(h.peek(), Some(&5));
         assert_eq!(h.peek_min(), Some(&1));
@@ -196,7 +196,7 @@ mod tests {
     fn unbounded_never_evicts() {
         let mut h = BoundedMaxHeap::unbounded();
         for v in 0..1000 {
-            assert!(h.push(v));
+            assert_eq!(h.push(v), None);
         }
         assert_eq!(h.len(), 1000);
         assert!(!h.is_full());

@@ -43,14 +43,18 @@ proptest! {
         let mut heap = BoundedMaxHeap::new(capacity);
         let mut model: BTreeSet<i64> = BTreeSet::new();
         for &item in &items {
-            let accepted = heap.push(item);
+            let left_out = heap.push(item);
             let inserted = model.insert(item);
-            if model.len() > capacity {
-                model.pop_first();
-            }
-            // `push` reports residency: true iff the item is newly stored
-            // and survived the overflow eviction.
-            prop_assert_eq!(accepted, inserted && model.contains(&item));
+            let evicted = if model.len() > capacity {
+                model.pop_first()
+            } else {
+                None
+            };
+            // `push` hands back what it left out: the item itself if it was
+            // a duplicate or lost the overflow eviction, else the evicted
+            // minimum, if any.
+            let want = if inserted { evicted } else { Some(item) };
+            prop_assert_eq!(left_out, want);
             prop_assert_eq!(heap.len(), model.len());
             prop_assert_eq!(heap.peek(), model.last());
             prop_assert_eq!(heap.peek_min(), model.first());

@@ -13,10 +13,11 @@
 //! next*.
 
 use pier_blocking::{ghost_blocks, Block, BlockCollection, BlockId, IncrementalBlocker};
-use pier_collections::{EpochStamps, FxHashSet, ScalableBloomFilter, ScratchStats};
+use pier_collections::{EpochStamps, FxHashSet, ScratchStats};
 use pier_metablocking::{Iwnp, IwnpConfig, WeightingScheme};
 use pier_observe::{Event, Observer};
 use pier_types::{Comparison, ErKind, ProfileId, SourceId, WeightedComparison};
+use std::collections::BinaryHeap;
 
 /// Configuration shared by the PIER strategies.
 #[derive(Debug, Clone, Copy)]
@@ -101,7 +102,7 @@ pub trait ComparisonEmitter {
 
 /// Drains `emitter` to exhaustion in batches of `k` and returns everything
 /// it emitted, in emission order, while checking the no-duplicate contract
-/// every emitter shares (the Bloom/`seen` guard).
+/// every emitter shares.
 ///
 /// # Panics
 /// Panics if the emitter emits any comparison twice — this is the shared
@@ -241,6 +242,74 @@ impl<'a> Iterator for PivotGroups<'a> {
     }
 }
 
+/// The visit-order kernel: per block, the profile count by which every
+/// pair of its members has been handed out, and the warm block-stamp
+/// scratch that weighs a pair against those marks and judges it a repeat
+/// (DESIGN.md §14, "Fallback weighting").
+#[derive(Debug, Default)]
+pub(crate) struct Visits {
+    /// Per block, indexed by [`BlockId`]: every pair of its members that
+    /// had both arrived by this profile count is out; 0 = none.
+    marks: Vec<u32>,
+    /// The pivot's blocks, each with its mark, plus [`LIVE`] if it is not
+    /// purged.
+    stamps: EpochStamps<u32>,
+}
+
+/// The mark bit of a stamped block that counts towards the CBS weight.
+/// Visit counts stay below it: profile ids, and so profile counts, are
+/// bounded by `ProfileId::LIMIT` = 2²⁴.
+const LIVE: u32 = 1 << 31;
+
+impl Visits {
+    /// Records that every pair of `bid`'s members that arrived by the
+    /// `at`-th arrival has been handed out.
+    pub(crate) fn mark(&mut self, bid: BlockId, at: u32) {
+        if self.marks.len() <= bid.index() {
+            self.marks.resize(bid.index() + 1, 0);
+        }
+        self.marks[bid.index()] = at;
+    }
+
+    /// Stamps all of `pivot`'s blocks, purged ones included, for
+    /// [`Visits::weigh`].
+    pub(crate) fn stamp(&mut self, collection: &BlockCollection, pivot: ProfileId) {
+        self.stamps.begin();
+        for &bid in collection.blocks_of(pivot) {
+            let live = collection.block(bid).is_some_and(|b| !b.is_purged());
+            let mark = self.marks.get(bid.index()).copied().unwrap_or(0);
+            self.stamps
+                .insert_with(bid.index(), mark | if live { LIVE } else { 0 });
+        }
+    }
+
+    /// One pass over `partner`'s blocks against the stamped pivot's, whose
+    /// arrival is `pivot_arrival`: the pair's exact CBS weight, or `None`
+    /// if the pair was handed out before.
+    ///
+    /// It was iff some block `b` both share has `mark[b] ≥
+    /// max(arrival(pivot), arrival(partner))`: by then both were members,
+    /// and a mark means every pair of those members is out. Purged blocks
+    /// count for this (a block consumed before it was purged did hand its
+    /// pairs out), not for the weight. Branch-free: an unstamped block
+    /// reads as mark 0.
+    pub(crate) fn weigh(
+        &self,
+        collection: &BlockCollection,
+        pivot_arrival: usize,
+        partner: ProfileId,
+    ) -> Option<u32> {
+        let since = pivot_arrival.max(collection.arrival(partner)) as u32;
+        let (mut cbs, mut last_visit) = (0, 0);
+        for &bid in collection.blocks_of(partner) {
+            let mark = self.stamps.get(bid.index()).unwrap_or(0);
+            cbs += mark >> 31; // the LIVE bit
+            last_visit = last_visit.max(mark & !LIVE);
+        }
+        (last_visit < since).then_some(cbs)
+    }
+}
+
 /// Stateful cursor over the blocks of a collection from smallest to largest
 /// — the `GetComparisons(B)` fallback of Algorithm 2 that keeps the pipeline
 /// busy while the input is idle.
@@ -252,15 +321,18 @@ impl<'a> Iterator for PivotGroups<'a> {
 /// members are handed out, so no in-block pair is ever lost to early
 /// consumption and none is handed out twice by the cursor.
 ///
-/// Each visit also records the collection's profile count, which makes
-/// "did the cursor already hand out this pair?" exact for pairs offered by
-/// *other* blocks: every pair of a block's members that had both arrived
-/// by its last visit was handed out (DESIGN.md §14, "Fallback weighting").
+/// Each visit also marks the block with the collection's profile count,
+/// which makes "did the cursor already hand out this pair?" exact for
+/// pairs offered by *other* blocks: every pair of a block's members that
+/// had both arrived by its last visit was handed out (DESIGN.md §14,
+/// "Fallback weighting").
 #[derive(Debug, Default)]
 pub struct BlockCursor {
-    /// Visit record per block, indexed by [`BlockId`]; blocks past the end
-    /// were never visited.
-    visits: Vec<Visit>,
+    /// The visit marks, and the scratch that weighs against them.
+    visits: Visits,
+    /// Members per source already paired up, per block (the watermarks);
+    /// blocks past the end were never visited.
+    watermarks: Vec<(u32, u32)>,
     /// The profile count at the latest visit: no pair with a member that
     /// arrived after it was handed out yet.
     latest: u32,
@@ -276,29 +348,22 @@ pub struct BlockCursor {
     consumptions: usize,
 }
 
-/// What the cursor remembers of one block.
-#[derive(Debug, Clone, Copy, Default)]
-struct Visit {
-    /// Members per source already paired up (the watermarks).
-    w0: u32,
-    w1: u32,
-    /// The collection's profile count at the last visit; 0 = never visited.
-    visited_at: u32,
-}
-
 impl BlockCursor {
     /// Creates a cursor with nothing consumed.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn visit(&self, bid: BlockId) -> Visit {
-        self.visits.get(bid.index()).copied().unwrap_or_default()
+    fn watermark(&self, bid: BlockId) -> (u32, u32) {
+        self.watermarks
+            .get(bid.index())
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Whether `block` still has unmaterialized pairs for this cursor.
     fn has_pending_work(&self, bid: BlockId, block: &Block, kind: ErKind) -> bool {
-        let Visit { w0, w1, .. } = self.visit(bid);
+        let (w0, w1) = self.watermark(bid);
         let n0 = block.members_of(SourceId(0)).len() as u32;
         let n1 = block.members_of(SourceId(1)).len() as u32;
         if n0 == w0 && n1 == w1 {
@@ -323,7 +388,7 @@ impl BlockCursor {
     }
 
     /// [`BlockCursor::next_block`], naming the block and leaving its visit
-    /// count at the previous visit's until [`BlockCursor::mark_visited`].
+    /// mark at the previous visit's until [`BlockCursor::mark_visited`].
     fn take<'a>(
         &mut self,
         collection: &'a BlockCollection,
@@ -363,7 +428,7 @@ impl BlockCursor {
         if !self.has_pending_work(bid, block, kind) {
             return Some((bid, PivotGroups::empty(kind), scanned + 1));
         }
-        let Visit { w0, w1, .. } = self.visit(bid);
+        let (w0, w1) = self.watermark(bid);
         let groups = PivotGroups {
             kind,
             m0: block.members_of(SourceId(0)),
@@ -372,12 +437,10 @@ impl BlockCursor {
             w1: w1 as usize,
             step: 0,
         };
-        if self.visits.len() <= bid.index() {
-            self.visits.resize(bid.index() + 1, Visit::default());
+        if self.watermarks.len() <= bid.index() {
+            self.watermarks.resize(bid.index() + 1, (0, 0));
         }
-        let visit = &mut self.visits[bid.index()];
-        visit.w0 = groups.m0.len() as u32;
-        visit.w1 = groups.m1.len() as u32;
+        self.watermarks[bid.index()] = (groups.m0.len() as u32, groups.m1.len() as u32);
         self.consumptions += 1;
         let ops = scanned + groups.pair_count() + 1;
         Some((bid, groups, ops))
@@ -387,11 +450,21 @@ impl BlockCursor {
     /// current profile count. A block with no pending work may be marked
     /// too: all pairs of its current members are already out.
     fn mark_visited(&mut self, bid: BlockId, collection: &BlockCollection) {
-        let now = collection.profile_count() as u32;
-        if let Some(visit) = self.visits.get_mut(bid.index()) {
-            visit.visited_at = now;
+        self.latest = collection.profile_count() as u32;
+        self.visits.mark(bid, self.latest);
+    }
+
+    /// Whether the cursor already handed out `cmp` ([`Visits::weigh`]'s
+    /// rule). Free unless the cursor visited a block since the later of
+    /// the two arrived — which only a caller that blocks, ticks and then
+    /// weighs can make happen.
+    fn covers(&mut self, collection: &BlockCollection, cmp: Comparison) -> bool {
+        let arrival = collection.arrival(cmp.a);
+        if arrival.max(collection.arrival(cmp.b)) > self.latest as usize {
+            return false;
         }
-        self.latest = now;
+        self.visits.stamp(collection, cmp.a);
+        self.visits.weigh(collection, arrival, cmp.b).is_none()
     }
 
     /// Number of block consumptions performed (revisits count again).
@@ -400,106 +473,53 @@ impl BlockCursor {
     }
 }
 
-/// The `GetComparisons(B)` state of one emitter lane: the block cursor and
-/// the warm block-stamp scratch its CBS kernel reuses across ticks (the
-/// fallback's counterpart of the lane's [`Iwnp`]).
+/// The exact repeat state of an I-PCS or I-PES lane.
 #[derive(Debug, Default)]
 pub(crate) struct Fallback {
     cursor: BlockCursor,
-    /// The pivot's blocks, each marked with its last visit's profile
-    /// count, plus [`LIVE`] if it is not purged.
-    stamps: EpochStamps<u32>,
+    /// The I-WNP pairs the index kept (held or since emitted).
+    scheduled: FxHashSet<Comparison>,
+    /// Pairs the cursor handed out that the bounded index then displaced;
+    /// the next refill hands them back before it visits another block.
+    owed: BinaryHeap<WeightedComparison>,
 }
-
-/// The mark bit of a stamped block that counts towards the CBS weight.
-/// Visit counts stay below it: profile ids, and so profile counts, are
-/// bounded by `ProfileId::LIMIT` = 2²⁴.
-const LIVE: u32 = 1 << 31;
 
 impl Fallback {
-    /// Stamps all of `pivot`'s blocks, purged ones included, for
-    /// [`Fallback::weigh`].
-    fn stamp(&mut self, collection: &BlockCollection, pivot: ProfileId) {
-        self.stamps.begin();
-        for &bid in collection.blocks_of(pivot) {
-            let live = collection.block(bid).is_some_and(|b| !b.is_purged());
-            let mark = self.cursor.visit(bid).visited_at | if live { LIVE } else { 0 };
-            self.stamps.insert_with(bid.index(), mark);
+    /// Files a pair the bounded index left out: an I-WNP pair leaves
+    /// `scheduled` (the fallback refills only an empty index, so no block
+    /// visit has covered it since it was kept, and a later one hands it
+    /// out); a pair the cursor handed out is owed.
+    fn displaced(&mut self, wc: WeightedComparison) {
+        if !self.scheduled.remove(&wc.cmp) {
+            self.owed.push(wc);
         }
     }
-
-    /// One pass over `partner`'s blocks against the stamped pivot's, whose
-    /// arrival is `pivot_arrival`: the pair's exact CBS weight, or `None`
-    /// if the cursor already handed the pair out.
-    ///
-    /// It did iff some block `b` both share has `visited_at[b] ≥
-    /// max(arrival(pivot), arrival(partner))`: at that visit both were
-    /// members, and a visit hands out every pair of its members not handed
-    /// out before. Purged blocks count for this (a block consumed before it
-    /// was purged did hand its pairs out), not for the weight. Branch-free:
-    /// an unstamped block reads as mark 0.
-    fn weigh(
-        &self,
-        collection: &BlockCollection,
-        pivot_arrival: usize,
-        partner: ProfileId,
-    ) -> Option<u32> {
-        let since = pivot_arrival.max(collection.arrival(partner)) as u32;
-        let (mut cbs, mut last_visit) = (0, 0);
-        for &bid in collection.blocks_of(partner) {
-            let mark = self.stamps.get(bid.index()).unwrap_or(0);
-            cbs += mark >> 31; // the LIVE bit
-            last_visit = last_visit.max(mark & !LIVE);
-        }
-        (last_visit < since).then_some(cbs)
-    }
-
-    /// Whether the cursor already handed out `cmp` ([`Fallback::weigh`]'s
-    /// rule). Free unless the cursor visited a block since the later of
-    /// the two arrived — which only a caller that blocks, ticks and then
-    /// weighs can make happen.
-    fn covers(&mut self, collection: &BlockCollection, cmp: Comparison) -> bool {
-        let arrival = collection.arrival(cmp.a);
-        if arrival.max(collection.arrival(cmp.b)) > self.cursor.latest as usize {
-            return false;
-        }
-        self.stamp(collection, cmp.a);
-        self.weigh(collection, arrival, cmp.b).is_none()
-    }
-}
-
-/// The comparison filter step: records `cmp` in `seen` and returns whether
-/// it was new, reporting [`Event::CfFiltered`] for a repeat.
-pub(crate) fn admit(seen: &mut ScalableBloomFilter, observer: &Observer, cmp: Comparison) -> bool {
-    let fresh = seen.insert(cmp.key());
-    if !fresh {
-        observer.emit(|| Event::CfFiltered { cmp });
-    }
-    fresh
 }
 
 /// What [`refill_from_blocks`] needs from the emitter it refills. I-PCS and
 /// I-PES differ only in how a surviving comparison is scheduled.
 pub(crate) trait FallbackSink {
-    /// The lane's fallback state.
+    /// The lane's repeat state.
     fn fallback(&mut self) -> &mut Fallback;
 
-    /// The emitter's comparison filter — it holds the I-WNP pairs the
-    /// emitter enqueued — and the observer repeats are reported to.
-    fn filter(&mut self) -> (&mut ScalableBloomFilter, &Observer);
+    /// The observer repeats are reported to.
+    fn observer(&self) -> &Observer;
 
-    /// Schedules a comparison that is not a repeat.
-    fn accept(&mut self, wc: WeightedComparison);
+    /// Schedules a comparison that is not a repeat, and returns the one its
+    /// bounded index left out, if any: this one, or a displaced one.
+    fn accept(&mut self, wc: WeightedComparison) -> Option<WeightedComparison>;
 
     /// The path of an I-WNP comparison into the index: dropped if the
-    /// fallback already handed it out, then filtered, then scheduled.
+    /// fallback already handed it out or the index already kept it, else
+    /// scheduled and recorded as long as the index keeps it.
     fn offer(&mut self, collection: &BlockCollection, wc: WeightedComparison) {
-        let covered = self.fallback().covers(collection, wc.cmp);
-        let (filter, observer) = self.filter();
-        if covered {
-            observer.emit(|| Event::CfFiltered { cmp: wc.cmp });
-        } else if admit(filter, observer, wc.cmp) {
-            self.accept(wc);
+        let fallback = self.fallback();
+        if fallback.cursor.covers(collection, wc.cmp) || !fallback.scheduled.insert(wc.cmp) {
+            self.observer().emit(|| Event::CfFiltered { cmp: wc.cmp });
+            return;
+        }
+        if let Some(lost) = self.accept(wc) {
+            self.fallback().displaced(lost);
         }
     }
 }
@@ -511,9 +531,10 @@ pub(crate) trait FallbackSink {
 /// `accept` charges for scheduling is the sink's own).
 ///
 /// A pair is a repeat if the cursor handed it out at an earlier visit of
-/// another block ([`Fallback::weigh`] decides that exactly, in the pass
-/// that weighs it) or if I-WNP enqueued it (the filter's `contains`). The
-/// filter is never inserted into here: it holds I-WNP pairs only.
+/// another block ([`Visits::weigh`] decides that exactly, in the pass that
+/// weighs it) or if the index kept it from I-WNP (a lookup in `scheduled`).
+/// Pairs owed from earlier visits go back into the index first, one per
+/// op, and the refill visits no block while any are left.
 pub(crate) fn refill_from_blocks<S: FallbackSink>(
     sink: &mut S,
     blocker: &IncrementalBlocker,
@@ -522,24 +543,36 @@ pub(crate) fn refill_from_blocks<S: FallbackSink>(
     // Moved out for the duration so the sink stays borrowable.
     let mut fallback = std::mem::take(sink.fallback());
     let mut ops = 0;
-    if let Some((bid, groups, cursor_ops)) = fallback.cursor.take(collection) {
+    if !fallback.owed.is_empty() {
+        while let Some(wc) = fallback.owed.pop() {
+            ops += 1;
+            if let Some(lost) = sink.accept(wc) {
+                fallback.owed.push(lost);
+                break;
+            }
+        }
+    } else if let Some((bid, groups, cursor_ops)) = fallback.cursor.take(collection) {
         ops = cursor_ops + groups.pair_count();
         for (pivot, partners) in groups {
             if partners.is_empty() {
                 continue;
             }
-            fallback.stamp(collection, pivot);
+            fallback.cursor.visits.stamp(collection, pivot);
             let pivot_arrival = collection.arrival(pivot);
             for &partner in partners {
                 let cmp = Comparison::new(pivot, partner);
-                let weight = fallback.weigh(collection, pivot_arrival, partner);
-                let (filter, observer) = sink.filter();
-                match weight {
-                    Some(cbs) if !filter.contains(cmp.key()) => {
+                match fallback
+                    .cursor
+                    .visits
+                    .weigh(collection, pivot_arrival, partner)
+                {
+                    Some(cbs) if !fallback.scheduled.contains(&cmp) => {
                         debug_assert_eq!(cbs, collection.common_blocks(pivot, partner));
-                        sink.accept(WeightedComparison::new(cmp, cbs as f64));
+                        if let Some(lost) = sink.accept(WeightedComparison::new(cmp, cbs as f64)) {
+                            fallback.displaced(lost);
+                        }
                     }
-                    _ => observer.emit(|| Event::CfFiltered { cmp }),
+                    _ => sink.observer().emit(|| Event::CfFiltered { cmp }),
                 }
             }
         }
@@ -744,10 +777,10 @@ mod tests {
         assert_eq!(pairs(PivotGroups::empty(ErKind::Dirty)), vec![]);
     }
 
-    /// The filter holds I-WNP pairs only: draining the fallback to the end
-    /// emits more pairs than I-WNP scheduled and inserts none of them.
+    /// The record holds I-WNP pairs only: draining the fallback to the end
+    /// emits more pairs than I-WNP scheduled and records none of them.
     #[test]
-    fn the_fallback_never_inserts_into_the_filter() {
+    fn the_fallback_never_records_its_own_pairs() {
         fn check<E: ComparisonEmitter + FallbackSink>(mut e: E) {
             let b = blocker_with(&[
                 ("tok aa1 aa2 aa3", 0),
@@ -757,7 +790,7 @@ mod tests {
                 ("cc1 aa3 tok", 0),
             ]);
             e.on_increment(&b, &(0..5).map(ProfileId).collect::<Vec<_>>());
-            let scheduled = e.filter().0.len();
+            let scheduled = e.fallback().scheduled.len();
             let mut emitted = 0;
             loop {
                 let batch = e.next_batch(&b, 4);
@@ -771,7 +804,7 @@ mod tests {
                 emitted += batch.len();
             }
             assert!(scheduled > 0 && emitted > scheduled, "{}", e.name());
-            assert_eq!(e.filter().0.len(), scheduled, "{}", e.name());
+            assert_eq!(e.fallback().scheduled.len(), scheduled, "{}", e.name());
         }
         check(crate::Ipcs::new(PierConfig::default()));
         check(crate::Ipes::new(PierConfig::default()));

@@ -8,8 +8,8 @@
 //! `CI(b)` is materialized into the comparison index when the index is
 //! empty or when the index's top comparison originates from a block smaller
 //! than `b_min` (the paper's literal line-9 condition; see DESIGN.md §3).
-//! Comparison redundancy is filtered with a scalable Bloom filter `CF`
-//! (reference \[16\]).
+//! Repeats are decided exactly by visit order (DESIGN.md §14), not with the
+//! paper's scalable Bloom filter `CF` (reference \[16\]).
 //!
 //! The comparison index orders by `(bsize, weight)`: smaller generating
 //! block first, then higher CBS weight.
@@ -17,11 +17,11 @@
 use std::cmp::Ordering;
 
 use pier_blocking::{BlockId, IncrementalBlocker};
-use pier_collections::{BoundedMaxHeap, EpochStamps, FxHashMap, LazyMinHeap, ScalableBloomFilter};
+use pier_collections::{BoundedMaxHeap, FxHashMap, FxHashSet, LazyMinHeap};
 use pier_observe::{Event, Observer};
 use pier_types::{Comparison, ProfileId, WeightedComparison};
 
-use crate::framework::{admit, ComparisonEmitter, PierConfig};
+use crate::framework::{ComparisonEmitter, PierConfig, Visits};
 
 /// An entry of the I-PBS comparison index. The paper's weight is the pair
 /// `⟨bsize, weight⟩`: comparisons from smaller blocks rank higher, CBS
@@ -64,10 +64,11 @@ pub struct Ipbs {
     ci: LazyMinHeap<u64, BlockId>,
     /// `PI`: unexecuted profiles per block.
     pi: FxHashMap<BlockId, Vec<ProfileId>>,
-    /// `CF`: the scalable Bloom comparison filter.
-    cf: ScalableBloomFilter,
-    /// Reusable block-stamp scratch of the CBS kernel (warm across refills).
-    stamps: EpochStamps,
+    /// Each block's mark: every pair of its members up to it is out.
+    visits: Visits,
+    /// Pairs handed out with a member past their block's unexecuted ones
+    /// (not yet weighed, or joined after a purge): no visit mark covers them.
+    beyond: FxHashSet<Comparison>,
     ops: u64,
     observer: Observer,
 }
@@ -79,8 +80,8 @@ impl Ipbs {
             index: BoundedMaxHeap::new(config.index_capacity),
             ci: LazyMinHeap::new(),
             pi: FxHashMap::default(),
-            cf: ScalableBloomFilter::for_comparisons(),
-            stamps: EpochStamps::new(),
+            visits: Visits::default(),
+            beyond: FxHashSet::default(),
             ops: 0,
             observer: Observer::disabled(),
         }
@@ -93,7 +94,8 @@ impl Ipbs {
 
     /// Algorithm 3 lines 6–16: if the refresh condition holds, materialize
     /// the comparisons of `b_min` into the index and reset its `CI`/`PI`
-    /// entries. Returns whether anything was materialized.
+    /// entries. Returns whether a block with unexecuted profiles was
+    /// materialized.
     fn try_refill(&mut self, blocker: &IncrementalBlocker) -> bool {
         let collection = blocker.collection();
         let Some((b_min, _count)) = self.ci.peek_min() else {
@@ -115,31 +117,46 @@ impl Ipbs {
         }
         self.ci.remove(&b_min);
         let unexecuted = self.pi.remove(&b_min).unwrap_or_default();
+        // The unexecuted profiles are the block's members from the first
+        // to the last of them in arrival order.
+        let Some(last) = unexecuted.iter().map(|&p| collection.arrival(p)).max() else {
+            return false;
+        };
         let kind = collection.kind();
-        let mut added = false;
         for &p_x in &unexecuted {
             let source = collection.source_of(p_x);
-            let cbs = collection.cbs_from(p_x, &mut self.stamps);
+            self.visits.stamp(collection, p_x);
+            let x_arrival = collection.arrival(p_x);
             for p_y in block.partners_of(p_x, source, kind) {
                 self.ops += 1;
                 let cmp = Comparison::new(p_x, p_y);
-                if !admit(&mut self.cf, &self.observer, cmp) {
-                    continue; // redundant (line 11)
+                let y_arrival = collection.arrival(p_y);
+                // Two unexecuted profiles meet twice: the later one takes
+                // the pair.
+                let twice = x_arrival < y_arrival && y_arrival <= last;
+                let weight = match self.visits.weigh(collection, x_arrival, p_y) {
+                    Some(cbs) if !twice && !self.beyond.contains(&cmp) => cbs,
+                    _ => {
+                        self.observer.emit(|| Event::CfFiltered { cmp });
+                        continue; // redundant (line 11)
+                    }
+                };
+                if y_arrival > last {
+                    self.beyond.insert(cmp);
                 }
-                let weight = cbs.with(p_y) as f64;
                 self.ops += collection
                     .blocks_of(cmp.a)
                     .len()
                     .min(collection.blocks_of(cmp.b).len()) as u64;
                 self.index.push(PbsEntry {
                     bsize: b_min_size,
-                    weight,
+                    weight: weight as f64,
                     cmp,
                 });
-                added = true;
             }
         }
-        added || !unexecuted.is_empty()
+        self.visits.mark(b_min, last as u32);
+        true
     }
 }
 

@@ -7,14 +7,17 @@
 //! ghosting → I-WNP) and enqueued; the best `K` are dequeued per round.
 //! When both the stream and the index are exhausted, `GetComparisons`
 //! (the [`crate::BlockCursor`] fallback) feeds comparisons from the smallest
-//! remaining blocks so the time budget keeps being used.
+//! remaining blocks so the time budget keeps being used. Repeats are
+//! dropped exactly, with no comparison filter (DESIGN.md §14): by block
+//! visit order, and by a set of the I-WNP pairs the index kept; an evicted
+//! I-WNP pair leaves that set, so the fallback hands it out later.
 //!
 //! Its strength is simplicity; its weakness (§4, §7) is total dependence on
 //! the weighting scheme: CBS over-ranks verbose non-matches, which gets
 //! expensive with the ED matcher.
 
 use pier_blocking::IncrementalBlocker;
-use pier_collections::{BoundedMaxHeap, ScalableBloomFilter, ScratchStats};
+use pier_collections::{BoundedMaxHeap, ScratchStats};
 use pier_metablocking::Iwnp;
 use pier_observe::{Event, Observer};
 use pier_types::{ProfileId, WeightedComparison};
@@ -28,11 +31,8 @@ use crate::framework::{
 pub struct Ipcs {
     config: PierConfig,
     index: BoundedMaxHeap<WeightedComparison>,
-    /// The I-WNP pairs ever enqueued: the Bloom filter guard against a pair
-    /// that arrivals generate twice, and what the `GetComparisons` fallback
-    /// asks (never inserts into) to skip a pair I-WNP already scheduled.
-    /// The fallback's own repeats are dropped exactly, by visit order.
-    enqueued: ScalableBloomFilter,
+    /// The exact repeat record: the fallback's block visits, and the I-WNP
+    /// pairs the index kept.
     fallback: Fallback,
     /// Reusable I-WNP executor (warm scratch across arrivals).
     iwnp: Iwnp,
@@ -45,7 +45,6 @@ impl Ipcs {
     pub fn new(config: PierConfig) -> Self {
         Ipcs {
             index: BoundedMaxHeap::new(config.index_capacity),
-            enqueued: ScalableBloomFilter::for_comparisons(),
             fallback: Fallback::default(),
             iwnp: Iwnp::new(),
             config,
@@ -65,13 +64,13 @@ impl FallbackSink for Ipcs {
         &mut self.fallback
     }
 
-    fn filter(&mut self) -> (&mut ScalableBloomFilter, &Observer) {
-        (&mut self.enqueued, &self.observer)
+    fn observer(&self) -> &Observer {
+        &self.observer
     }
 
-    fn accept(&mut self, wc: WeightedComparison) {
-        self.index.push(wc);
+    fn accept(&mut self, wc: WeightedComparison) -> Option<WeightedComparison> {
         self.ops += 1;
+        self.index.push(wc)
     }
 }
 

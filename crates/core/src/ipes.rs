@@ -19,12 +19,14 @@
 //! running average (`insert()`); everything else falls into `PQ`. This
 //! bounds memory and sheds superfluous comparisons without a meta-blocking
 //! graph, which is what makes the approach incrementally maintainable (§6).
+//! What `PQ` evicts is not lost: repeats are decided exactly as in I-PCS
+//! (DESIGN.md §14), so the `GetComparisons` fallback hands it out later.
 
 use std::collections::hash_map::Entry;
 use std::collections::BinaryHeap;
 
 use pier_blocking::IncrementalBlocker;
-use pier_collections::{BoundedMaxHeap, FxHashMap, ScalableBloomFilter, ScratchStats};
+use pier_collections::{BoundedMaxHeap, FxHashMap, ScratchStats};
 use pier_metablocking::Iwnp;
 use pier_observe::{Event, Observer};
 use pier_types::{ProfileId, WeightedComparison};
@@ -85,11 +87,8 @@ pub struct Ipes {
     /// Global running sum/count of all distributed comparison weights.
     total: f64,
     count: u64,
-    /// The I-WNP pairs ever enqueued: the Bloom filter guard against a pair
-    /// that arrivals generate twice, and what the `GetComparisons` fallback
-    /// asks (never inserts into) to skip a pair I-WNP already scheduled.
-    /// The fallback's own repeats are dropped exactly, by visit order.
-    enqueued: ScalableBloomFilter,
+    /// The exact repeat record: the fallback's block visits, and the I-WNP
+    /// pairs `E_PQ` and `PQ` kept.
     fallback: Fallback,
     /// Reusable I-WNP executor (warm scratch across arrivals).
     iwnp: Iwnp,
@@ -107,7 +106,6 @@ impl Ipes {
             pq: BoundedMaxHeap::new(config.index_capacity),
             total: 0.0,
             count: 0,
-            enqueued: ScalableBloomFilter::for_comparisons(),
             fallback: Fallback::default(),
             iwnp: Iwnp::new(),
             config,
@@ -129,10 +127,11 @@ impl Ipes {
         self.ops += 1;
     }
 
-    /// Distributes one weighted comparison per Algorithm 4, lines 1–14.
-    /// It is known not to be a repeat ([`FallbackSink::offer`] for I-WNP
-    /// pairs, `refill_from_blocks` for the fallback's).
-    fn distribute(&mut self, wc: WeightedComparison) {
+    /// Distributes one weighted comparison per Algorithm 4, lines 1–14,
+    /// and returns the one the bounded `PQ` left out, if any. It is known
+    /// not to be a repeat ([`FallbackSink::offer`] for I-WNP pairs,
+    /// `refill_from_blocks` for the fallback's).
+    fn distribute(&mut self, wc: WeightedComparison) -> Option<WeightedComparison> {
         let (p_x, p_y) = (wc.cmp.a, wc.cmp.b);
         let w = wc.weight;
         self.total += w;
@@ -147,18 +146,20 @@ impl Ipes {
             .get(&p_y)
             .and_then(|h| h.peek())
             .map_or(f64::NEG_INFINITY, |t| t.weight);
-        if top_x < w {
+        let lost = if top_x < w {
             self.push_epq(p_x, wc);
             self.entity_queue.push(EntityEntry {
                 weight: w,
                 profile: p_x,
             });
+            None
         } else if top_y < w {
             self.push_epq(p_y, wc);
             self.entity_queue.push(EntityEntry {
                 weight: w,
                 profile: p_y,
             });
+            None
         } else if w > self.total / self.count as f64 {
             // Route to the endpoint with the smaller queue...
             let len_x = self.epq.get(&p_x).map_or(0, BinaryHeap::len);
@@ -174,13 +175,15 @@ impl Ipes {
                 .average();
             if w > avg {
                 self.push_epq(owner, wc);
+                None
             } else {
-                self.pq.push(wc);
+                self.pq.push(wc)
             }
         } else {
-            self.pq.push(wc);
-        }
+            self.pq.push(wc)
+        };
         self.ops += 1;
+        lost
     }
 
     /// `CmpIndex.dequeue()`: pop the best entity, then its best comparison.
@@ -229,12 +232,12 @@ impl FallbackSink for Ipes {
         &mut self.fallback
     }
 
-    fn filter(&mut self) -> (&mut ScalableBloomFilter, &Observer) {
-        (&mut self.enqueued, &self.observer)
+    fn observer(&self) -> &Observer {
+        &self.observer
     }
 
-    fn accept(&mut self, wc: WeightedComparison) {
-        self.distribute(wc);
+    fn accept(&mut self, wc: WeightedComparison) -> Option<WeightedComparison> {
+        self.distribute(wc)
     }
 }
 

@@ -14,8 +14,7 @@
 //! * [`ipcs`] — **I-PCS**, comparison-centric (Algorithm 2): one bounded
 //!   priority queue over CBS-weighted comparisons.
 //! * [`ipbs`] — **I-PBS**, block-centric (Algorithm 3): processes blocks
-//!   smallest-first via cardinality/profile indexes and a Bloom-filter
-//!   comparison filter.
+//!   smallest-first via cardinality/profile indexes.
 //! * [`ipes`] — **I-PES**, entity-centric (Algorithm 4): per-entity priority
 //!   queues plus an entity queue, with double pruning against the running
 //!   average weight. The paper's method of choice.

@@ -205,7 +205,9 @@ pub enum Event {
         /// The weight it was scheduled under (scheme-dependent).
         weight: f64,
     },
-    /// The comparison filter (Bloom) rejected an already-routed pair.
+    /// A repeat was dropped: a pair already handed out was offered again
+    /// (an emitter decides that exactly; the shard merger with its Bloom
+    /// comparison filter). The name is the paper's `CF` step.
     CfFiltered {
         /// The redundant pair.
         cmp: Comparison,

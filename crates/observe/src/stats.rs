@@ -428,7 +428,7 @@ pub struct StatsSnapshot {
     pub ghost_dropped: u64,
     /// Comparisons handed to the matcher.
     pub comparisons_emitted: u64,
-    /// Pairs rejected by the redundancy (Bloom) filter.
+    /// Repeats dropped ([`Event::CfFiltered`]).
     pub cf_filtered: u64,
     /// Duplicates confirmed by the classifier.
     pub matches_confirmed: u64,
@@ -469,7 +469,7 @@ pub struct ShardSnapshot {
     pub blocks_purged: u64,
     /// Comparisons this shard handed to the merger.
     pub comparisons_emitted: u64,
-    /// Pairs this shard's (or the merger's) Bloom filter rejected.
+    /// Repeats this shard's emitter (or the merger) dropped.
     pub cf_filtered: u64,
 }
 

@@ -1,19 +1,27 @@
-//! With purging off, I-PCS and I-PES drained to exhaustion emit every
-//! co-blocked pair exactly once: the `GetComparisons` fallback drops its
-//! own repeats by visit order, not by asking a Bloom filter, so no pair is
-//! lost to a false positive.
+//! With purging off, I-PCS, I-PES and I-PBS drained to exhaustion emit
+//! every co-blocked pair exactly once: each decides its repeats exactly
+//! (by visit order, and a record of the pairs no visit covers), not by
+//! asking a Bloom filter, so no pair is lost to a false positive. With an
+//! index bound small enough to evict, I-PCS and I-PES still lose no pair:
+//! an evicted I-WNP pair leaves the record, and an evicted fallback pair
+//! is handed back.
 //!
-//! The corpora are sized so that a comparison filter holding every
-//! fallback pair does reject some pairs that were never emitted (its
-//! first slice fills past half its capacity); at a few thousand pairs the
-//! filter never errs and the check would pass either way.
+//! I-BASE has no fallback: it emits each pair I-WNP retains exactly once,
+//! and only two profiles of one increment can both retain a pair.
+//!
+//! The corpora are sized so that a comparison filter holding every pair
+//! does reject some pairs that were never emitted (its first slice fills
+//! past half its capacity); at a few thousand pairs the filter never errs
+//! and the check would pass either way.
 
 use std::collections::HashSet;
 
+use pier::core::framework::generate_for_profile;
+use pier::metablocking::Iwnp;
 use pier::prelude::{
-    generate_census, generate_dbpedia, CensusConfig, Comparison, Dataset, DbpediaConfig,
-    EntityProfile, ErKind, IncrementalBlocker, PierConfig, PurgePolicy, SourceId, StageA, Strategy,
-    Tokenizer,
+    generate_census, generate_dbpedia, CensusConfig, Comparison, ComparisonEmitter, Dataset,
+    DbpediaConfig, EntityProfile, ErKind, IBase, IncrementalBlocker, PierConfig, PurgePolicy,
+    SourceId, StageA, Strategy, Tokenizer,
 };
 
 /// Every pair sharing a block: all member pairs for Dirty ER,
@@ -47,6 +55,7 @@ fn co_blocked(blocker: &IncrementalBlocker) -> HashSet<Comparison> {
 /// returns everything emitted, in order, with the co-blocked set.
 fn drain(
     strategy: Strategy,
+    config: PierConfig,
     dataset: &Dataset,
     increments: usize,
 ) -> (Vec<Comparison>, HashSet<Comparison>) {
@@ -55,7 +64,7 @@ fn drain(
         Tokenizer::default(),
         PurgePolicy::disabled(),
     );
-    let mut machine = StageA::new(blocker, strategy.build(PierConfig::default()));
+    let mut machine = StageA::new(blocker, strategy.build(config));
     let profiles: &[EntityProfile] = &dataset.profiles;
     let mut emitted = Vec::new();
     for increment in profiles.chunks(profiles.len().div_ceil(increments)) {
@@ -72,19 +81,23 @@ fn drain(
     (emitted, expected)
 }
 
-fn check(name: &str, dataset: &Dataset) {
+const ALL: [Strategy; 3] = [Strategy::Pcs, Strategy::Pes, Strategy::Pbs];
+
+fn check(name: &str, dataset: &Dataset, strategies: &[Strategy], config: PierConfig) {
     let mut failures = Vec::new();
-    for strategy in [Strategy::Pcs, Strategy::Pes] {
+    for &strategy in strategies {
         for increments in [1, 8] {
-            let (emitted, expected) = drain(strategy, dataset, increments);
+            let (emitted, expected) = drain(strategy, config, dataset, increments);
             let mut seen = HashSet::with_capacity(emitted.len());
             let repeats = emitted.iter().filter(|&&c| !seen.insert(c)).count();
             let missing = expected.difference(&seen).count();
             let foreign = seen.difference(&expected).count();
             if repeats + missing + foreign > 0 {
                 failures.push(format!(
-                    "{name} {strategy:?} in {increments} increment(s): {} co-blocked pairs, \
-                     {repeats} emitted twice, {missing} never emitted, {foreign} not co-blocked",
+                    "{name} {strategy:?} (index {}) in {increments} increment(s): {} co-blocked \
+                     pairs, {repeats} emitted twice, {missing} never emitted, {foreign} not \
+                     co-blocked",
+                    config.index_capacity,
                     expected.len()
                 ));
             }
@@ -101,7 +114,7 @@ fn clean_clean_drain_emits_every_co_blocked_pair_once() {
         source1_size: 220,
         matches: 112,
     });
-    check("dbpedia", &dataset);
+    check("dbpedia", &dataset, &ALL, PierConfig::default());
 }
 
 #[test]
@@ -110,5 +123,56 @@ fn dirty_drain_emits_every_co_blocked_pair_once() {
         seed: 7,
         target_profiles: 400,
     });
-    check("census", &dataset);
+    check("census", &dataset, &ALL, PierConfig::default());
+}
+
+/// An index of 64 comparisons evicts in every cell: an increment's I-WNP
+/// pairs overflow it, and so do the larger blocks' fallback pairs.
+#[test]
+fn an_evicting_index_loses_no_co_blocked_pair() {
+    let dataset = generate_census(&CensusConfig {
+        seed: 7,
+        target_profiles: 400,
+    });
+    let config = PierConfig {
+        index_capacity: 64,
+        ..PierConfig::default()
+    };
+    check("census", &dataset, &[Strategy::Pcs, Strategy::Pes], config);
+}
+
+/// I-BASE drained after every increment emits exactly the pairs I-WNP
+/// retains, each once, and the corpus has pairs that both of their
+/// profiles retain within one increment.
+#[test]
+fn ibase_emits_every_retained_pair_once() {
+    let dataset = generate_census(&CensusConfig {
+        seed: 7,
+        target_profiles: 400,
+    });
+    let config = PierConfig::default();
+    for increments in [1, 8] {
+        let mut blocker = IncrementalBlocker::new(dataset.kind);
+        let mut emitter = IBase::new(config);
+        let mut iwnp = Iwnp::new();
+        let (mut retained, mut mutual) = (HashSet::new(), 0);
+        let mut emitted = Vec::new();
+        for increment in dataset.profiles.chunks(dataset.len().div_ceil(increments)) {
+            let ids = blocker.process_increment(increment);
+            for &p in &ids {
+                let (list, _) = generate_for_profile(&blocker, p, &config, &mut iwnp);
+                mutual += list.iter().filter(|wc| !retained.insert(wc.cmp)).count();
+            }
+            emitter.on_increment(&blocker, &ids);
+            emitted.extend(emitter.next_batch(&blocker, usize::MAX));
+        }
+        let mut seen = HashSet::with_capacity(emitted.len());
+        let repeats = emitted.iter().filter(|&&c| !seen.insert(c)).count();
+        assert_eq!(repeats, 0, "{increments} increment(s): pairs emitted twice");
+        assert_eq!(seen, retained, "{increments} increment(s)");
+        assert!(
+            mutual > 0,
+            "{increments} increment(s): no pair retained twice"
+        );
+    }
 }

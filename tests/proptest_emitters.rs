@@ -143,7 +143,7 @@ proptest! {
     #[test]
     fn pier_methods_cover_the_blocked_pair_space(stream in random_stream()) {
         // The union of generation + fallback must cover every pair sharing
-        // a block (modulo Bloom false positives, negligible at this size).
+        // a block: repeats are decided exactly, so none is lost.
         let mut blocker = IncrementalBlocker::new(stream.kind);
         for p in &stream.profiles {
             blocker.process_profile(p.clone());

@@ -1,12 +1,13 @@
 //! Stage A's step calls in any order a caller may make them: over random
-//! small corpora, increment splits, tick placements, purge bounds, both
-//! fallback-driven strategies and both ER kinds, no pair is emitted twice,
-//! and with purging off the drain emits exactly the co-blocked pairs.
+//! small corpora, increment splits, tick placements, purge bounds, the
+//! three PIER strategies and both ER kinds, no pair is emitted twice, and
+//! with purging off the drain emits exactly the co-blocked pairs.
 //!
-//! The placement "between block and weigh" is the one a shard worker can
-//! produce (its tick runs between commands): the fallback hands out pairs
-//! of profiles whose I-WNP generation has not run yet, and that generation
-//! must then drop them.
+//! The placement "between block and weigh" hands out pairs of profiles
+//! that are blocked but not yet weighed: I-PCS and I-PES's fallback hands
+//! them out before their I-WNP generation runs, which must then drop
+//! them; I-PBS materializes them beside the weighed profiles they share a
+//! block with, and must not hand them out again once they are weighed.
 
 use std::collections::HashSet;
 
@@ -130,7 +131,7 @@ proptest! {
 
     #[test]
     fn no_interleaving_emits_a_pair_twice(case in case()) {
-        for strategy in [Pier::Pcs, Pier::Pes] {
+        for strategy in [Pier::Pcs, Pier::Pes, Pier::Pbs] {
             for ticks in [Ticks::None, Ticks::BetweenIncrements, Ticks::BetweenBlockAndWeigh] {
                 for purge in [PurgePolicy::disabled(), PurgePolicy::max_size(3)] {
                     let (emitted, machine) = run(&case, strategy, ticks, purge);

@@ -6,8 +6,10 @@
 //! to the unsharded pipeline and even the emission *sequence* is
 //! identical.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+use std::sync::{Arc, Mutex};
 
+use pier::observe::{Event, PipelineObserver};
 use pier::prelude::*;
 
 fn corpus() -> Dataset {
@@ -59,7 +61,17 @@ fn run_unsharded(dataset: &Dataset, n_inc: usize) -> Vec<Comparison> {
 
 /// Drains a sharded stage A to exhaustion over the same increment schedule.
 fn run_sharded(dataset: &Dataset, n_inc: usize, shards: u16) -> Vec<Comparison> {
-    let mut stage = ShardedStageA::new(
+    run_observed(dataset, n_inc, shards, Observer::disabled())
+}
+
+/// [`run_sharded`], reporting through `observer`.
+fn run_observed(
+    dataset: &Dataset,
+    n_inc: usize,
+    shards: u16,
+    observer: Observer,
+) -> Vec<Comparison> {
+    let mut stage = ShardedStageA::with_observer(
         dataset.kind,
         ShardedConfig {
             shards,
@@ -67,6 +79,7 @@ fn run_sharded(dataset: &Dataset, n_inc: usize, shards: u16) -> Vec<Comparison> 
             pier: pier_config(),
             purge_policy: PurgePolicy::disabled(),
         },
+        observer,
     );
     let mut out = Vec::new();
     for inc in dataset.clone().into_increments(n_inc).unwrap() {
@@ -124,4 +137,57 @@ fn one_shard_reproduces_the_unsharded_sequence_exactly() {
     // N = 1 routes every token to shard 0, so the shard-local pipeline is
     // bit-identical to the unsharded one: same order, not just same set.
     assert_eq!(sharded, unsharded);
+}
+
+/// The merger's repeats: the pairs its untagged `CfFiltered` events name
+/// (the shards' own emitters report theirs tagged with the shard).
+#[derive(Default)]
+struct MergerRepeats(Mutex<Vec<Comparison>>);
+
+impl PipelineObserver for MergerRepeats {
+    fn on_event(&self, event: &Event) {
+        if let Event::CfFiltered { cmp } = event {
+            self.0.lock().unwrap().push(*cmp);
+        }
+    }
+
+    fn on_shard_event(&self, _shard: u16, _event: &Event) {}
+}
+
+/// The shard merger is the last Bloom comparison filter in stage A, and it
+/// states its loss here: each pair it drops as a cross-shard repeat is
+/// checked against the exact set of pairs it merged. A pair it drops but
+/// never merged is a false positive, and the filter never merges it later
+/// either (a false positive is not inserted, so every later copy hits it
+/// too). The census corpus of 400 profiles puts ≈ 62 k pairs through the
+/// filter, past half its first 2¹⁶-key slice; it loses one pair at 2
+/// shards and one at 4 (DESIGN.md §8), pinned here: a change that moves
+/// the counts changes which pairs the sharded path loses.
+#[test]
+fn the_merger_filter_states_its_false_drops() {
+    let dataset = generate_census(&CensusConfig {
+        seed: 7,
+        target_profiles: 400,
+    });
+    let unsharded = run_unsharded(&dataset, 8).len();
+    for (shards, pinned) in [(2, 1), (4, 1)] {
+        let repeats = Arc::new(MergerRepeats::default());
+        let merged = run_observed(&dataset, 8, shards, Observer::new(repeats.clone()));
+        let exact: HashSet<Comparison> = merged.iter().copied().collect();
+        assert_eq!(
+            exact.len(),
+            merged.len(),
+            "{shards} shards: merged a pair twice"
+        );
+        let dropped = repeats.0.lock().unwrap();
+        let false_drops = dropped.iter().filter(|c| !exact.contains(c)).count();
+        assert!(
+            !dropped.is_empty(),
+            "{shards} shards: no cross-shard repeat"
+        );
+        assert_eq!(false_drops, pinned, "{shards} shards: false drops moved");
+        // The shards hand out every pair the unsharded lane does; the
+        // merger loses exactly its false drops.
+        assert_eq!(merged.len() + false_drops, unsharded, "{shards} shards");
+    }
 }
