@@ -13,14 +13,16 @@
 //!   per-ingest `HashMap`s of the stage-A gather loop (I-WNP, CBS counts,
 //!   graph building), and the [`EpochStamps`] set it resets with — on its
 //!   own the block-stamp scratch of the fallback CBS kernel.
-//! * [`hash`] — a vendored Fx-style integer hasher ([`FxHashMap`],
-//!   [`FxHashSet`]) for the internal maps that must remain maps.
+//! * [`hash`] — the vendored Fx-style hasher ([`FxHashMap`],
+//!   [`FxHashSet`]) for the internal maps that must remain maps,
+//!   re-exported from `pier-types`, whose token dictionary hashes with it
+//!   too.
 
 #![warn(missing_docs)]
 
 pub mod bloom;
 pub mod bounded_heap;
-pub mod hash;
+pub use pier_types::hash;
 pub mod lazy_heap;
 pub mod scratch;
 

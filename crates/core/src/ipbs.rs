@@ -15,6 +15,7 @@
 //! block first, then higher CBS weight.
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use pier_blocking::{BlockId, IncrementalBlocker};
 use pier_collections::{BoundedMaxHeap, FxHashMap, FxHashSet, LazyMinHeap};
@@ -69,6 +70,9 @@ pub struct Ipbs {
     /// Pairs handed out with a member past their block's unexecuted ones
     /// (not yet weighed, or joined after a purge): no visit mark covers them.
     beyond: FxHashSet<Comparison>,
+    /// Materialized pairs the bounded index displaced or refused; the next
+    /// refill hands them back before it materializes another block.
+    owed: BinaryHeap<PbsEntry>,
     ops: u64,
     observer: Observer,
 }
@@ -82,6 +86,7 @@ impl Ipbs {
             pi: FxHashMap::default(),
             visits: Visits::default(),
             beyond: FxHashSet::default(),
+            owed: BinaryHeap::new(),
             ops: 0,
             observer: Observer::disabled(),
         }
@@ -94,9 +99,21 @@ impl Ipbs {
 
     /// Algorithm 3 lines 6–16: if the refresh condition holds, materialize
     /// the comparisons of `b_min` into the index and reset its `CI`/`PI`
-    /// entries. Returns whether a block with unexecuted profiles was
+    /// entries. Pairs the index left out earlier go back first, one per op,
+    /// and no block is materialized while any are left. Returns whether
+    /// owed pairs were handed back or a block with unexecuted profiles was
     /// materialized.
     fn try_refill(&mut self, blocker: &IncrementalBlocker) -> bool {
+        if !self.owed.is_empty() {
+            while let Some(entry) = self.owed.pop() {
+                self.ops += 1;
+                if let Some(lost) = self.index.push(entry) {
+                    self.owed.push(lost);
+                    break;
+                }
+            }
+            return true;
+        }
         let collection = blocker.collection();
         let Some((b_min, _count)) = self.ci.peek_min() else {
             return false;
@@ -148,11 +165,14 @@ impl Ipbs {
                     .blocks_of(cmp.a)
                     .len()
                     .min(collection.blocks_of(cmp.b).len()) as u64;
-                self.index.push(PbsEntry {
+                let entry = PbsEntry {
                     bsize: b_min_size,
                     weight: weight as f64,
                     cmp,
-                });
+                };
+                if let Some(lost) = self.index.push(entry) {
+                    self.owed.push(lost);
+                }
             }
         }
         self.visits.mark(b_min, last as u32);
@@ -211,7 +231,7 @@ impl ComparisonEmitter for Ipbs {
     }
 
     fn has_pending(&self) -> bool {
-        !self.index.is_empty() || !self.ci.is_empty()
+        !self.index.is_empty() || !self.owed.is_empty() || !self.ci.is_empty()
     }
 
     fn name(&self) -> String {

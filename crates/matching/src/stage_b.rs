@@ -134,9 +134,11 @@ pub struct ClassifiedMatch {
 pub struct StageB<M> {
     table: ProfileTable<M>,
     /// Every pair confirmed so far, so that none is counted twice. Nothing
-    /// repeats today: stage A's comparison filter emits a pair once, and
-    /// `PierPipeline` cannot restore a checkpoint. The guard goes once a
-    /// restore replays stage A exactly (ROADMAP item 12(c)).
+    /// repeats today: each single-lane emitter's exact repeat rule emits a
+    /// pair once (DESIGN.md §14), the shard merger's Bloom filter can drop
+    /// a pair but never passes one twice, and `PierPipeline` cannot restore
+    /// a checkpoint. The guard goes once a restore replays stage A exactly
+    /// (ROADMAP item 12(c)).
     evaluated: HashSet<Comparison>,
     duplicates: Vec<ClassifiedMatch>,
     clusters: IncrementalClusters,

@@ -82,9 +82,12 @@ pub fn tokenize_increment(
     TokenizedIncrement { seq, profiles }
 }
 
-/// Spawns the source thread: replays `increments` with `interarrival`
-/// pauses, dispatching each through `send` (which returns `false` when the
-/// pipeline has gone away). A set `shutdown` flag stops the replay early.
+/// Spawns the source thread: replays `increments` open-loop, increment `i`
+/// due `i * interarrival` after the replay starts, dispatching each through
+/// `send` (which returns `false` when the pipeline has gone away). The time
+/// a send takes and any oversleep do not push later arrivals back: a source
+/// that is behind its schedule sends at once. A set `shutdown` flag stops
+/// the replay early.
 pub(crate) fn spawn_source(
     increments: Vec<Vec<EntityProfile>>,
     interarrival: Duration,
@@ -92,9 +95,12 @@ pub(crate) fn spawn_source(
     mut send: impl FnMut(usize, Vec<EntityProfile>) -> bool + Send + 'static,
 ) -> std::thread::JoinHandle<()> {
     std::thread::spawn(move || {
+        let start = Instant::now();
         for (i, inc) in increments.into_iter().enumerate() {
-            if i > 0 {
-                std::thread::sleep(interarrival);
+            let due = start + interarrival * i as u32;
+            let now = Instant::now();
+            if due > now {
+                std::thread::sleep(due - now);
             }
             if shutdown.load(Ordering::SeqCst) || !send(i, inc) {
                 break;
@@ -572,6 +578,42 @@ mod tests {
         for tp in &tokenized.profiles {
             assert!(tp.tokens.windows(2).all(|w| w[0] < w[1]));
         }
+    }
+
+    /// A send that takes 3 ms does not delay the schedule: at 10 ms
+    /// inter-arrival increment 9 leaves at about 90 ms, where a source that
+    /// slept after each send would let it go at about 117 ms.
+    #[test]
+    fn source_sends_on_an_open_loop_schedule() {
+        let start = Instant::now();
+        let departures = Arc::new(Mutex::new(Vec::new()));
+        let source = spawn_source(
+            vec![Vec::new(); 10],
+            Duration::from_millis(10),
+            Arc::default(),
+            {
+                let departures = Arc::clone(&departures);
+                move |i, _| {
+                    departures.lock().push((i, start.elapsed()));
+                    std::thread::sleep(Duration::from_millis(3));
+                    true
+                }
+            },
+        );
+        source.join().unwrap();
+        let departures = departures.lock();
+        assert_eq!(departures.len(), 10);
+        for &(i, at) in departures.iter() {
+            assert!(
+                at >= Duration::from_millis(10 * i as u64),
+                "increment {i} left early at {at:?}"
+            );
+        }
+        let (_, last) = departures[9];
+        assert!(
+            last < Duration::from_millis(110),
+            "increment 9 left at {last:?}"
+        );
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!   fixed schema, plus profile/source identifiers.
 //! * [`tokenizer`] — schema-agnostic tokenization of profile values into the
 //!   token sets used by token blocking and Jaccard matching.
+//! * [`hash`] — the vendored Fx hasher behind the token dictionary and
+//!   every internal id-keyed map of the workspace.
 //! * [`comparison`] — canonical unordered profile pairs ("comparisons") and
 //!   weighted comparisons.
 //! * [`clusters`] — incremental entity clustering (online transitive
@@ -27,6 +29,7 @@ pub mod comparison;
 pub mod csv;
 pub mod dataset;
 pub mod error;
+pub mod hash;
 pub mod metrics;
 pub mod profile;
 pub mod tokenizer;

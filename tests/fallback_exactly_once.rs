@@ -2,9 +2,9 @@
 //! every co-blocked pair exactly once: each decides its repeats exactly
 //! (by visit order, and a record of the pairs no visit covers), not by
 //! asking a Bloom filter, so no pair is lost to a false positive. With an
-//! index bound small enough to evict, I-PCS and I-PES still lose no pair:
-//! an evicted I-WNP pair leaves the record, and an evicted fallback pair
-//! is handed back.
+//! index bound small enough to evict, they still lose no pair: an evicted
+//! I-WNP pair leaves the record, and an evicted fallback or materialized
+//! I-PBS pair is handed back.
 //!
 //! I-BASE has no fallback: it emits each pair I-WNP retains exactly once,
 //! and only two profiles of one increment can both retain a pair.
@@ -127,7 +127,8 @@ fn dirty_drain_emits_every_co_blocked_pair_once() {
 }
 
 /// An index of 64 comparisons evicts in every cell: an increment's I-WNP
-/// pairs overflow it, and so do the larger blocks' fallback pairs.
+/// pairs overflow it, and so do the larger blocks' fallback pairs and the
+/// larger blocks I-PBS materializes.
 #[test]
 fn an_evicting_index_loses_no_co_blocked_pair() {
     let dataset = generate_census(&CensusConfig {
@@ -138,7 +139,7 @@ fn an_evicting_index_loses_no_co_blocked_pair() {
         index_capacity: 64,
         ..PierConfig::default()
     };
-    check("census", &dataset, &[Strategy::Pcs, Strategy::Pes], config);
+    check("census", &dataset, &ALL, config);
 }
 
 /// I-BASE drained after every increment emits exactly the pairs I-WNP
