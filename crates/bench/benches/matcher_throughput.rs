@@ -221,7 +221,7 @@ fn ipes_emission_order(dataset: &Dataset) -> Vec<Comparison> {
     assert!(ingested.errors.is_empty(), "the corpus blocks cleanly");
     let mut order = Vec::new();
     loop {
-        let batch = machine.pull_idle(1024);
+        let batch = machine.turn(true, 1024, 1024, |m, k| m.pull(k).0);
         if batch.is_empty() {
             return order;
         }

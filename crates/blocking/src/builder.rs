@@ -130,7 +130,7 @@ impl IncrementalBlocker {
         let ids = self
             .dictionary
             .tokenize_and_intern(&self.tokenizer, &profile, &mut self.scratch);
-        Ok(self.store(profile, ids))
+        Ok(self.store(profile, Arc::from(ids)))
     }
 
     /// Ingests a profile under externally interned token ids instead of
@@ -138,8 +138,10 @@ impl IncrementalBlocker {
     /// pipeline, where the tokenize stage interns each profile exactly once
     /// against the shared dictionary and fans dense per-shard id subsets
     /// out to per-shard blockers. The ids must come from this blocker's
-    /// (shared) dictionary; duplicates are collapsed and the stored token
-    /// set is sorted by id.
+    /// (shared) dictionary, sorted and distinct, as every producer hands
+    /// them out: `SharedTokenDictionary::tokenize_and_intern`, and any
+    /// order-keeping subset of its output (a shard router's per-shard ids);
+    /// debug builds assert it.
     ///
     /// # Errors
     /// As [`IncrementalBlocker::try_process_profile`].
@@ -148,11 +150,12 @@ impl IncrementalBlocker {
         profile: EntityProfile,
         tokens: &[TokenId],
     ) -> Result<ProfileId, PierError> {
+        debug_assert!(
+            tokens.windows(2).all(|w| w[0] < w[1]),
+            "token ids must be sorted and distinct"
+        );
         self.check_admissible(&profile)?;
-        let mut ids = tokens.to_vec();
-        ids.sort_unstable();
-        ids.dedup();
-        Ok(self.store(profile, ids))
+        Ok(self.store(profile, Arc::from(tokens)))
     }
 
     /// Panicking wrapper around
@@ -184,14 +187,14 @@ impl IncrementalBlocker {
 
     /// Shared tail of the ingest entry points: stores an admissible profile
     /// and its sorted distinct token ids, updating the block collection.
-    fn store(&mut self, profile: EntityProfile, ids: Vec<TokenId>) -> ProfileId {
+    fn store(&mut self, profile: EntityProfile, ids: Arc<[TokenId]>) -> ProfileId {
         let id = profile.id;
         if self.profiles.len() <= id.index() {
             self.profiles.resize(id.index() + 1, None);
             self.token_sets.resize(id.index() + 1, None);
         }
         self.collection.add_profile(id, profile.source, &ids);
-        self.token_sets[id.index()] = Some(Arc::from(ids));
+        self.token_sets[id.index()] = Some(ids);
         self.profiles[id.index()] = Some(Arc::new(profile));
         self.arrival_order.push(id);
         self.profile_count += 1;

@@ -181,6 +181,7 @@ impl ScalableBloomFilter {
     }
 
     /// Number of underlying slices (grows logarithmically with insertions).
+    #[cfg(test)]
     pub fn slice_count(&self) -> usize {
         self.slices.len()
     }

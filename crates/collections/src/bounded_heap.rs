@@ -117,6 +117,7 @@ impl<T: Ord> BoundedMaxHeap<T> {
     }
 
     /// Iterates from best (max) to worst without consuming.
+    #[cfg(test)]
     pub fn iter_desc(&self) -> impl Iterator<Item = &T> {
         self.set.iter().rev()
     }

@@ -30,7 +30,7 @@
 use pier_blocking::{IncrementalBlocker, PurgePolicy};
 use pier_matching::{ClassifiedMatch, MatchFunction, StageB};
 use pier_observe::{Observer, Phase};
-use pier_types::{Comparison, EntityProfile, ErKind, IncrementalClusters, Tokenizer};
+use pier_types::{EntityProfile, ErKind, IncrementalClusters, Tokenizer};
 
 use crate::framework::PierConfig;
 use crate::selector::Strategy;
@@ -99,22 +99,19 @@ impl<M: MatchFunction> PierPipeline<M> {
     }
 
     /// The shared body of [`PierPipeline::drain`] and
-    /// [`PierPipeline::drain_idle`]: pull with `pull` in rounds of at most
-    /// [`PierPipeline::batch_size`] until it comes up empty or
+    /// [`PierPipeline::drain_idle`]: [`StageA::turn`]s of at most
+    /// [`PierPipeline::batch_size`] until one comes up empty or
     /// `max_comparisons` were executed, stepping stage B over each batch;
     /// returns the new duplicates.
-    fn drain_with(
-        &mut self,
-        max_comparisons: usize,
-        pull: impl Fn(&mut StageA, usize) -> Vec<Comparison>,
-    ) -> Vec<ClassifiedMatch> {
+    fn drain_turns(&mut self, max_comparisons: usize, idle: bool) -> Vec<ClassifiedMatch> {
         let before = self.stage_b.duplicates().len();
         let mut executed = 0usize;
         while executed < max_comparisons {
             let want = self.batch_size.min(max_comparisons - executed);
-            let batch = self
-                .observer
-                .timed(Phase::Prune, || pull(&mut self.stage_a, want));
+            let batch = self.observer.timed(Phase::Prune, || {
+                self.stage_a
+                    .turn(idle, want, want, |stage_a, k| stage_a.pull(k).0)
+            });
             if batch.is_empty() {
                 break;
             }
@@ -135,15 +132,16 @@ impl<M: MatchFunction> PierPipeline<M> {
     /// and returns the *new* duplicates found. Call between increments —
     /// this is the progressive work loop.
     pub fn drain(&mut self, max_comparisons: usize) -> Vec<ClassifiedMatch> {
-        self.drain_with(max_comparisons, |stage_a, k| stage_a.pull(k).0)
+        self.drain_turns(max_comparisons, false)
     }
 
-    /// Like [`PierPipeline::drain`] but keeps sending idle ticks (the
-    /// empty increments of §3.2) so the `GetComparisons` fallback can
-    /// contribute — use when the input is known to be idle or finished.
-    /// Stops early only when stage A is fully drained.
+    /// Like [`PierPipeline::drain`] but in idle turns: each batch is topped
+    /// up from idle ticks (the empty increments of §3.2) so the
+    /// `GetComparisons` fallback can contribute — use when the input is
+    /// known to be idle or finished. Stops early only when stage A is
+    /// fully drained.
     pub fn drain_idle(&mut self, max_comparisons: usize) -> Vec<ClassifiedMatch> {
-        self.drain_with(max_comparisons, StageA::pull_idle)
+        self.drain_turns(max_comparisons, true)
     }
 
     /// All duplicates found so far (`M_D`).

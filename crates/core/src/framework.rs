@@ -345,7 +345,6 @@ pub struct BlockCursor {
     /// Set when a snapshot came up empty; repeated calls are then free
     /// until new profiles arrive.
     exhausted: bool,
-    consumptions: usize,
 }
 
 impl BlockCursor {
@@ -441,7 +440,6 @@ impl BlockCursor {
             self.watermarks.resize(bid.index() + 1, (0, 0));
         }
         self.watermarks[bid.index()] = (groups.m0.len() as u32, groups.m1.len() as u32);
-        self.consumptions += 1;
         let ops = scanned + groups.pair_count() + 1;
         Some((bid, groups, ops))
     }
@@ -465,11 +463,6 @@ impl BlockCursor {
         }
         self.visits.stamp(collection, cmp.a);
         self.visits.weigh(collection, arrival, cmp.b).is_none()
-    }
-
-    /// Number of block consumptions performed (revisits count again).
-    pub fn consumed_count(&self) -> usize {
-        self.consumptions
     }
 }
 
@@ -649,7 +642,6 @@ mod tests {
         assert_eq!(pairs(second).len(), 3); // size-3 block: three pairs
         assert_eq!(ops, 3 + 1);
         assert!(cur.next_block(b.collection()).is_none());
-        assert_eq!(cur.consumed_count(), 2);
     }
 
     #[test]

@@ -92,11 +92,6 @@ impl Ipbs {
         }
     }
 
-    /// Current number of comparisons held in the comparison index.
-    pub fn index_len(&self) -> usize {
-        self.index.len()
-    }
-
     /// Algorithm 3 lines 6–16: if the refresh condition holds, materialize
     /// the comparisons of `b_min` into the index and reset its `CI`/`PI`
     /// entries. Pairs the index left out earlier go back first, one per op,
@@ -324,7 +319,7 @@ mod tests {
         b.process_profile(EntityProfile::new(ProfileId(1), SourceId(0)).with("t", "tiny"));
         let mut e = Ipbs::new(PierConfig::default());
         e.on_increment(&b, &[ProfileId(0), ProfileId(1)]);
-        assert_eq!(e.index_len(), 1); // (0,1) materialized, bsize 2
+        assert_eq!(e.index.len(), 1); // (0,1) materialized, bsize 2
                                       // Second increment: three profiles in a bigger block.
         for i in 2..5u32 {
             b.process_profile(EntityProfile::new(ProfileId(i), SourceId(0)).with("t", "big"));
@@ -332,7 +327,7 @@ mod tests {
         e.on_increment(&b, &[ProfileId(2), ProfileId(3), ProfileId(4)]);
         // Top bsize (2) < |b_min| (3) -> the paper's condition *does*
         // materialize the bigger block behind the top.
-        assert!(e.index_len() > 1);
+        assert!(e.index.len() > 1);
         // And the small-block pair is still emitted first.
         let first = e.next_batch(&b, 1);
         assert_eq!(first, vec![Comparison::new(ProfileId(0), ProfileId(1))]);

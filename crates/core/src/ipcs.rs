@@ -52,11 +52,6 @@ impl Ipcs {
             observer: Observer::disabled(),
         }
     }
-
-    /// Current number of comparisons held in the global index.
-    pub fn index_len(&self) -> usize {
-        self.index.len()
-    }
 }
 
 impl FallbackSink for Ipcs {
@@ -230,7 +225,7 @@ mod tests {
                 ProfileId(4),
             ],
         );
-        assert!(e.index_len() <= 2);
+        assert!(e.index.len() <= 2);
         // The strongest pair must have survived the evictions.
         let batch = e.next_batch(&b, 1);
         assert_eq!(batch, vec![Comparison::new(ProfileId(0), ProfileId(1))]);

@@ -114,11 +114,6 @@ impl Ipes {
         }
     }
 
-    /// Number of comparisons currently stored across `E_PQ` and `PQ`.
-    pub fn stored_comparisons(&self) -> usize {
-        self.epq.values().map(BinaryHeap::len).sum::<usize>() + self.pq.len()
-    }
-
     fn push_epq(&mut self, owner: ProfileId, wc: WeightedComparison) {
         let stat = self.stats.entry(owner).or_default();
         stat.sum += wc.weight;
@@ -414,14 +409,19 @@ mod tests {
         assert_eq!(e.next_batch(&b, 4).len(), 1);
     }
 
+    /// Number of comparisons stored across `E_PQ` and `PQ`.
+    fn stored_comparisons(e: &Ipes) -> usize {
+        e.epq.values().map(BinaryHeap::len).sum::<usize>() + e.pq.len()
+    }
+
     #[test]
     fn stored_comparisons_reflects_structures() {
         let b = blocker(&["aa bb cc", "aa bb cc", "aa bb dd"]);
         let mut e = Ipes::new(PierConfig::default());
         feed(&mut e, &b, 3);
-        assert!(e.stored_comparisons() > 0);
+        assert!(stored_comparisons(&e) > 0);
         while !e.next_batch(&b, 8).is_empty() {}
-        assert_eq!(e.stored_comparisons(), 0);
+        assert_eq!(stored_comparisons(&e), 0);
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //!
 //! Every executor in the workspace runs the same steps — block the
 //! arriving profiles, update the prioritizer, pull the best `K`, send the
-//! empty-increment tick of §3.2 when the input is idle — and differs only
-//! in *when* it runs them: the synchronous [`crate::PierPipeline`] steps on
-//! the caller's clock, the simulator on a virtual clock that charges the
-//! ops each step returns, a shard worker on its command channel, and the
-//! threaded runtime's lane on its inbox. [`StageA`] owns the blocker and the
-//! emitter together and is the only code that sequences them, so the
-//! executors cannot drift apart. It is single-threaded and knows nothing
-//! about wall time, channels or fault injection; those stay in the callers,
-//! wrapped around the step calls.
+//! empty-increment tick of §3.2 when the input is idle — and the same rule
+//! for combining the last two: [`StageA::turn`] pulls `K` and, only when
+//! no arrival is waiting, tops the batch up from idle ticks. The executors
+//! differ only in *when* they ingest and take a turn: the synchronous
+//! [`crate::PierPipeline`] on the caller's clock, a shard worker on its
+//! command channel, and the threaded runtime's lane on its inbox. (The
+//! simulator steps on a virtual clock that charges the ops each step
+//! returns, and still keeps its own pull-and-tick rule.) [`StageA`] owns
+//! the blocker and the emitter together and is the only code that
+//! sequences them, so the executors cannot drift apart. It is
+//! single-threaded and knows nothing about wall time, channels or fault
+//! injection; those stay in the callers, wrapped around the step calls.
 
 use std::ops::DerefMut;
 
@@ -185,34 +188,35 @@ where
         }
     }
 
-    /// The rule of an idle lane (DESIGN §3 note 6), once: while `batch` is
-    /// short of `fill` and an idle tick makes work, appends what
-    /// `pull(self, missing)` yields, and stops at the first tick that makes
-    /// none. `pull` is how the caller takes comparisons out of the machine
+    /// One turn of stage A, the rule every executor runs (DESIGN §3
+    /// note 6): pulls `k` through `pull` and, when `idle` — no arrival is
+    /// waiting — tops the batch up from idle ticks to `min(k, fill)`,
+    /// asking each pull only for what is still missing and stopping at the
+    /// first tick that makes no work. A busy turn never ticks. An empty
+    /// batch from an idle turn (`k` and `fill` above zero) means stage A is
+    /// fully drained.
+    ///
+    /// `pull` is how the caller takes comparisons out of the machine
     /// (weighted for a shard's merger, materialized for the runtime's
-    /// lane); a caller runs this only when no arrival is waiting — its
-    /// inbox was empty, or its input has ended.
-    pub fn top_up<T>(
+    /// lane); ingesting is the caller's, before the turn. Outside tests
+    /// `fill` has one value other than `k`: the threaded runtime's `FILL`
+    /// (1024), which its lane and shard lane pass; [`crate::PierPipeline`]
+    /// passes `k`, so its idle turns fill to `k`. Each tick's
+    /// refill is appended best first; the batch is not re-sorted, exactly
+    /// as consecutive pulls are not.
+    pub fn turn<T>(
         &mut self,
-        batch: &mut Vec<T>,
+        idle: bool,
+        k: usize,
         fill: usize,
         mut pull: impl FnMut(&mut Self, usize) -> Vec<T>,
-    ) {
+    ) -> Vec<T> {
+        let mut batch = pull(self, k);
+        let fill = if idle { k.min(fill) } else { 0 };
         while batch.len() < fill && self.tick().made_work {
             batch.extend(pull(self, fill - batch.len()));
         }
-    }
-
-    /// [`StageA::pull`] for an idle input: ticks while pulls come up empty
-    /// and returns an empty batch only once a tick finds nothing — stage A
-    /// is then fully drained.
-    pub fn pull_idle(&mut self, k: usize) -> Vec<Comparison> {
-        loop {
-            let (batch, _) = self.pull(k);
-            if !batch.is_empty() || !self.tick().made_work {
-                return batch;
-            }
-        }
+        batch
     }
 }
 
@@ -222,6 +226,8 @@ mod tests {
     use crate::{Ipcs, PierConfig, Strategy};
     use pier_observe::StatsObserver;
     use pier_types::{ErKind, SourceId};
+    use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn p(id: u32, text: &str) -> EntityProfile {
@@ -379,13 +385,7 @@ mod tests {
             assert!(m.tick().made_work);
             let mut emitted = m.pull(8).0;
             m.weigh(&ids);
-            loop {
-                let batch = m.pull_idle(8);
-                if batch.is_empty() {
-                    break;
-                }
-                emitted.extend(batch);
-            }
+            emitted.extend(drain(&mut m, 8));
             assert_eq!(
                 emitted,
                 vec![Comparison::new(ProfileId(0), ProfileId(1))],
@@ -394,36 +394,158 @@ mod tests {
         }
     }
 
+    /// Takes comparisons out of the machine, unweighted.
+    fn take(m: &mut StageA, k: usize) -> Vec<Comparison> {
+        m.pull(k).0
+    }
+
+    /// Idle turns of `k` until one comes back empty.
+    fn drain(m: &mut StageA, k: usize) -> Vec<Comparison> {
+        std::iter::from_fn(|| Some(m.turn(true, k, k, take)).filter(|b| !b.is_empty()))
+            .flatten()
+            .collect()
+    }
+
+    /// A strategy's emitter that counts the idle ticks it is sent.
+    struct Counted {
+        inner: Box<dyn ComparisonEmitter + Send>,
+        ticks: Arc<AtomicUsize>,
+    }
+
+    impl ComparisonEmitter for Counted {
+        fn on_increment(&mut self, blocker: &IncrementalBlocker, new_ids: &[ProfileId]) {
+            if new_ids.is_empty() {
+                self.ticks.fetch_add(1, Ordering::Relaxed);
+            }
+            self.inner.on_increment(blocker, new_ids);
+        }
+
+        fn next_weighted_batch(
+            &mut self,
+            blocker: &IncrementalBlocker,
+            k: usize,
+        ) -> Vec<WeightedComparison> {
+            self.inner.next_weighted_batch(blocker, k)
+        }
+
+        fn drain_ops(&mut self) -> u64 {
+            self.inner.drain_ops()
+        }
+
+        fn has_pending(&self) -> bool {
+            self.inner.has_pending()
+        }
+
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+    }
+
+    /// `profiles` in a machine whose emitter counts its ticks.
+    fn counted(strategy: Strategy, profiles: &[EntityProfile]) -> (StageA, Arc<AtomicUsize>) {
+        let ticks = Arc::new(AtomicUsize::new(0));
+        let emitter: Box<dyn ComparisonEmitter + Send> = Box::new(Counted {
+            inner: strategy.build(PierConfig::default()),
+            ticks: Arc::clone(&ticks),
+        });
+        let mut m = StageA::new(IncrementalBlocker::new(ErKind::Dirty), emitter);
+        m.ingest(profiles);
+        (m, ticks)
+    }
+
+    /// Every pair of the machine's profiles that shares a block.
+    fn co_blocked(m: &StageA) -> BTreeSet<Comparison> {
+        let collection = m.blocker().collection();
+        let n = m.blocker().profile_count() as u32;
+        (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| Comparison::new(ProfileId(a), ProfileId(b))))
+            .filter(|c| collection.common_blocks(c.a, c.b) > 0)
+            .collect()
+    }
+
+    /// A busy turn is one pull, even with work only a tick would find.
+    /// (I-PBS is left out here and below: on these corpora its pulls
+    /// materialize every block, so its ticks never find anything.)
     #[test]
-    fn pull_idle_ends_only_when_a_tick_finds_nothing() {
-        for strategy in [Strategy::Pcs, Strategy::Pbs, Strategy::Pes] {
-            let mut m = machine(strategy);
-            m.ingest(&corpus());
-            let mut seen = std::collections::BTreeSet::new();
+    fn a_busy_turn_never_ticks() {
+        for strategy in [Strategy::Pcs, Strategy::Pes] {
+            let (mut m, ticks) = counted(strategy, &corpus());
+            let mut emitted = 0;
             loop {
-                let batch = m.pull_idle(2);
+                let batch = m.turn(false, 2, 64, take);
                 if batch.is_empty() {
                     break;
                 }
+                emitted += batch.len();
+            }
+            assert_eq!(ticks.load(Ordering::Relaxed), 0, "{strategy:?}");
+            assert!(emitted < co_blocked(&m).len(), "{strategy:?}");
+            assert!(m.tick().made_work, "{strategy:?}");
+        }
+    }
+
+    /// With the index dry, an idle turn gathers exactly `min(k, fill)`
+    /// pairs from the ticks, or everything that is left; the first empty
+    /// one leaves stage A drained, with every co-blocked pair emitted once.
+    #[test]
+    fn an_idle_turn_tops_up_to_min_k_fill_and_empty_means_drained() {
+        let sizes = [(3, 1), (1, 3), (2, 2), (4, 3), (2, 5)];
+        // Six twins sharing two tokens, chained by one-token links that
+        // generation prunes: a tick finds one link at a time.
+        let chain: Vec<EntityProfile> = (0..12)
+            .map(|i| p(i, &format!("pa{} pb{} link{}", i / 2, i / 2, i.div_ceil(2))))
+            .collect();
+        for strategy in [Strategy::Pcs, Strategy::Pes] {
+            let (mut m, _) = counted(strategy, &chain);
+            let want = co_blocked(&m);
+            let mut seen = BTreeSet::new();
+            let mut full = 0;
+            for &(k, fill) in sizes.iter().cycle() {
+                loop {
+                    let batch = m.pull(64).0;
+                    if batch.is_empty() {
+                        break;
+                    }
+                    for cmp in batch {
+                        assert!(seen.insert(cmp), "{strategy:?}: {cmp} emitted twice");
+                    }
+                }
+                let left = want.len() - seen.len();
+                let batch = m.turn(true, k, fill, take);
+                assert_eq!(batch.len(), left.min(k.min(fill)), "{strategy:?}");
+                if batch.is_empty() {
+                    break;
+                }
+                full += usize::from(batch.len() == k.min(fill) && batch.len() > 1);
                 for cmp in batch {
                     assert!(seen.insert(cmp), "{strategy:?}: {cmp} emitted twice");
                 }
             }
-            // Drained means drained: nothing pending, ticks are no-ops, and
-            // every pair sharing a block was emitted.
+            assert!(
+                full > 0,
+                "{strategy:?}: no turn was topped up past one pair"
+            );
+            assert_eq!(seen, want, "{strategy:?}");
             assert!(!m.emitter().has_pending());
             assert!(!m.tick().made_work);
-            let collection = m.blocker().collection();
-            for a in 0..5 {
-                for b in a + 1..5 {
-                    let cmp = Comparison::new(ProfileId(a), ProfileId(b));
-                    assert_eq!(
-                        seen.contains(&cmp),
-                        collection.common_blocks(cmp.a, cmp.b) > 0,
-                        "{strategy:?}: {cmp}"
-                    );
-                }
-            }
+        }
+    }
+
+    /// A tick that makes no work ends the turn: on a drained machine an
+    /// idle turn ticks once, however far short of `fill` it is. Drained
+    /// means drained: every pair sharing a block was emitted, once.
+    #[test]
+    fn an_idle_turn_stops_at_the_first_dry_tick() {
+        for strategy in [Strategy::Pcs, Strategy::Pbs, Strategy::Pes] {
+            let (mut m, ticks) = counted(strategy, &corpus());
+            let emitted = drain(&mut m, 2);
+            let seen: BTreeSet<Comparison> = emitted.iter().copied().collect();
+            assert_eq!(seen.len(), emitted.len(), "{strategy:?}: a pair twice");
+            assert_eq!(seen, co_blocked(&m), "{strategy:?}");
+            assert!(!m.emitter().has_pending());
+            ticks.store(0, Ordering::Relaxed);
+            assert!(m.turn(true, 8, 8, take).is_empty());
+            assert_eq!(ticks.load(Ordering::Relaxed), 1, "{strategy:?}");
         }
     }
 }

@@ -14,7 +14,6 @@
 //! its classifier thread keeps the run's ledger (match events, metrics,
 //! the entity index).
 
-use std::collections::HashSet;
 use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
@@ -133,13 +132,15 @@ pub struct ClassifiedMatch {
 /// plus the confirmed-match ledger (see the module docs).
 pub struct StageB<M> {
     table: ProfileTable<M>,
-    /// Every pair confirmed so far, so that none is counted twice. Nothing
-    /// repeats today: each single-lane emitter's exact repeat rule emits a
-    /// pair once (DESIGN.md §14), the shard merger's Bloom filter can drop
-    /// a pair but never passes one twice, and `PierPipeline` cannot restore
-    /// a checkpoint. The guard goes once a restore replays stage A exactly
-    /// (ROADMAP item 12(c)).
-    evaluated: HashSet<Comparison>,
+    /// Pairs confirmed, matching or not.
+    comparisons: u64,
+    /// Every pair confirmed so far, in debug builds only: nothing repeats.
+    /// Each single-lane emitter's exact repeat rule emits a pair once
+    /// (DESIGN.md §14), the shard merger's Bloom filter can drop a pair but
+    /// never passes one twice, and `PierPipeline` cannot restore a
+    /// checkpoint.
+    #[cfg(debug_assertions)]
+    confirmed: std::collections::HashSet<Comparison>,
     duplicates: Vec<ClassifiedMatch>,
     clusters: IncrementalClusters,
     observer: Observer,
@@ -152,7 +153,9 @@ impl<M: Deref<Target: MatchFunction>> StageB<M> {
     pub fn new(matcher: M) -> Self {
         StageB {
             table: ProfileTable::new(matcher),
-            evaluated: HashSet::new(),
+            comparisons: 0,
+            #[cfg(debug_assertions)]
+            confirmed: Default::default(),
             duplicates: Vec::new(),
             clusters: IncrementalClusters::new(),
             observer: Observer::disabled(),
@@ -181,10 +184,13 @@ impl<M: Deref<Target: MatchFunction>> StageB<M> {
     }
 
     /// Step 3: records a classified pair; a match also becomes a duplicate,
-    /// a cluster merge and an [`Event::MatchConfirmed`]. A pair recorded
-    /// before is ignored.
+    /// a cluster merge and an [`Event::MatchConfirmed`]. Each pair is
+    /// confirmed once (debug builds assert it).
     pub fn confirm(&mut self, pair: Comparison, outcome: &MatchOutcome) {
-        if !self.evaluated.insert(pair) || !outcome.is_match {
+        #[cfg(debug_assertions)]
+        assert!(self.confirmed.insert(pair), "{pair} confirmed twice");
+        self.comparisons += 1;
+        if !outcome.is_match {
             return;
         }
         self.duplicates.push(ClassifiedMatch {
@@ -211,7 +217,7 @@ impl<M: Deref<Target: MatchFunction>> StageB<M> {
 
     /// Pairs confirmed, matching or not.
     pub fn comparisons(&self) -> u64 {
-        self.evaluated.len() as u64
+        self.comparisons
     }
 }
 
@@ -278,12 +284,12 @@ mod tests {
     }
 
     #[test]
-    fn repeated_pairs_are_absorbed() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "confirmed twice")]
+    fn a_pair_confirmed_twice_is_a_bug() {
         let store = Store::new(&["", ""], &[&[1, 2], &[1, 2]]);
         let mut stage = StageB::new(Box::new(JaccardMatcher::default()));
         step(&mut stage, &store, vec![cmp(0, 1), cmp(0, 1)]);
-        assert_eq!(stage.comparisons(), 1);
-        assert_eq!(stage.duplicates().len(), 1, "duplicate reported once");
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! owner. One turn of the lane
 //!
 //! 1. ingests at most one queued increment (block each profile, weigh);
-//! 2. reads the adaptive `K`, pulls once and materializes the batch;
-//! 3. only when no increment was queued — DESIGN §3 note 6's "the blocking
-//!    stage is idle", taken literally — tops the batch up from idle ticks
-//!    to `min(K, FILL)` pairs, stopping at the first tick that makes no
-//!    work.
+//! 2. reads the adaptive `K` and runs [`StageA::turn`], which pulls once
+//!    and materializes the batch and, only when no increment was queued —
+//!    DESIGN §3 note 6's "the blocking stage is idle", taken literally —
+//!    tops it up from idle ticks to `min(K, FILL)` pairs, stopping at the
+//!    first tick that makes no work.
 //!
 //! A non-empty batch goes into the batch channel, whose capacity
 //! ([`AHEAD`](crate::stages::AHEAD)) is the credit the classifier extends
@@ -129,30 +129,26 @@ impl<'a> Lane<'a> {
         sent.is_ok()
     }
 
-    /// One turn (see the module docs); an empty batch from a turn that had
-    /// nothing queued means the machine is drained.
+    /// One turn (see the module docs): ingests what was queued, then runs
+    /// stage A's one turn rule, [`StageA::turn`]; an empty batch from a
+    /// turn that had nothing queued means the machine is drained.
     fn turn(&mut self, queued: Option<Tokenized>) -> Vec<PreparedPair> {
         let idle = queued.is_none();
         if let Some((increment, tokenize_secs)) = queued {
             self.ingest(increment, tokenize_secs);
         }
         let k = self.run.adaptive.lock().k();
-        // Pulls up to `k` best pairs and materializes them, so that
-        // classification needs nothing from this thread: two refcount bumps
-        // per pair, not a deep clone.
+        // Pulls best pairs and materializes them, so that classification
+        // needs nothing from this thread: two refcount bumps per pair, not
+        // a deep clone.
         let (run, table) = (self.run, &mut self.table);
-        let mut pull = |machine: &mut StageA, k| {
+        self.machine.turn(idle, k, FILL, |machine, k| {
             pull_past_merger_fault(run.chaos, run.supervisor, run.observer, || {
                 let cmps = run.observer.timed(Phase::Prune, || machine.pull(k).0);
                 let blocker = machine.blocker();
                 table.materialize(cmps, |id| (blocker.profile(id), blocker.tokens_handle(id)))
             })
-        };
-        let mut batch = pull(&mut self.machine, k);
-        if idle {
-            self.machine.top_up(&mut batch, k.min(FILL), pull);
-        }
-        batch
+        })
     }
 
     /// Blocks one increment and tells the prioritizer about it. The

@@ -224,9 +224,9 @@ enum ShardMsg {
     /// learns it only after its last increment — a flag could be read by a
     /// `Pull` queued ahead of one.
     InputEnded,
-    /// Request for up to `k` weighted comparisons, best first. From a shard
-    /// whose input has ended the batch comes topped up, as from an idle
-    /// lane ([`ShardWorker::pull_topped_up`]).
+    /// Request for up to `k` weighted comparisons, best first: one
+    /// [`ShardWorker::turn`], idle once the shard's input has ended, as an
+    /// idle lane's turn is.
     Pull { k: usize },
     /// The idle tick of §3.2; replies whether the shard did/has work.
     Tick,
@@ -631,11 +631,8 @@ impl ShardLane<'_> {
                 None
             }
             ShardMsg::Pull { k } => {
-                let batch = if self.input_ended {
-                    self.supervised(|w| w.pull_topped_up(k, FILL), |_| {})
-                } else {
-                    self.supervised(|w| w.pull(k), |_| {})
-                };
+                let idle = self.input_ended;
+                let batch = self.supervised(|w| w.turn(idle, k, FILL), |_| {});
                 Some(ShardReply::Batch(batch.unwrap_or_default()))
             }
             ShardMsg::Tick => {

@@ -118,7 +118,7 @@ fn entity_runs_cut_by_chunk_boundaries_compare_alike_on_one_to_four_workers() {
     let mut machine = StageA::new(blocker, Box::new(Ipes::new(PierConfig::default())));
     assert!(machine.ingest(&dataset.profiles).errors.is_empty());
     let batches: Vec<Vec<Comparison>> = std::iter::from_fn(|| {
-        let batch = machine.pull_idle(256);
+        let batch = machine.turn(true, 256, 256, |m, k| m.pull(k).0);
         (!batch.is_empty()).then_some(batch)
     })
     .collect();

@@ -382,10 +382,11 @@ mod tests {
             Strategy::Pcs.build(PierConfig::default()),
         );
         reference.ingest(&data);
-        let want: BTreeSet<Comparison> =
-            std::iter::from_fn(|| Some(reference.pull_idle(64)).filter(|b| !b.is_empty()))
-                .flatten()
-                .collect();
+        let want: BTreeSet<Comparison> = std::iter::from_fn(|| {
+            Some(reference.turn(true, 64, 64, |m, k| m.pull(k).0)).filter(|b| !b.is_empty())
+        })
+        .flatten()
+        .collect();
         assert!(!want.is_empty());
 
         for shards in [1u16, 2, 4] {

@@ -118,20 +118,13 @@ impl ShardWorker {
         self.stage_a.pull_weighted(k).0
     }
 
-    /// [`ShardWorker::pull`] for a shard whose input has ended — no arrival
-    /// can be waiting, so the shard is idle in the sense of DESIGN §3
-    /// note 6: pulls once and tops the batch up from idle ticks to
-    /// `min(k, fill)` comparisons, stopping at the first tick that makes no
-    /// work ([`StageA::top_up`], the rule the runtime's single lane runs
-    /// when its inbox is empty). A batch shorter than that means the shard
-    /// is drained. Each tick's refill is appended best first; the whole
-    /// batch is not re-sorted, exactly as consecutive `pull`s are not.
-    pub fn pull_topped_up(&mut self, k: usize, fill: usize) -> Vec<WeightedComparison> {
-        let mut batch = self.pull(k);
-        self.stage_a.top_up(&mut batch, k.min(fill), |stage_a, n| {
-            stage_a.pull_weighted(n).0
-        });
-        batch
+    /// One [`StageA::turn`] over [`ShardWorker::pull`]: pulls `k` and, when
+    /// `idle` — the shard's input has ended, so no arrival can be waiting —
+    /// tops the batch up from idle ticks to `min(k, fill)`. An empty batch
+    /// from an idle turn means the shard is drained.
+    pub fn turn(&mut self, idle: bool, k: usize, fill: usize) -> Vec<WeightedComparison> {
+        self.stage_a
+            .turn(idle, k, fill, |stage_a, n| stage_a.pull_weighted(n).0)
     }
 
     /// Whether the emitter still holds schedulable comparisons.
@@ -249,7 +242,7 @@ mod tests {
             let mut topped_up = BTreeSet::new();
             let mut w = ingested();
             loop {
-                let batch = w.pull_topped_up(16, 8);
+                let batch = w.turn(true, 16, 8);
                 if batch.len() < 8 {
                     assert!(!w.tick(), "{strategy:?}: a short batch means drained");
                 }

@@ -32,7 +32,7 @@ fn consume(
     }
     let mut found = std::collections::HashSet::new();
     loop {
-        let batch = machine.pull_idle(64);
+        let batch = machine.turn(true, 64, 64, |m, k| m.pull(k).0);
         if batch.is_empty() {
             return (machine, found);
         }

@@ -65,9 +65,11 @@ fn reimported_dataset_yields_identical_er_results() {
         for inc in data.into_increments(5).unwrap() {
             stage_a.ingest(&inc.profiles);
         }
-        std::iter::from_fn(|| Some(stage_a.pull_idle(32)).filter(|b| !b.is_empty()))
-            .flatten()
-            .collect()
+        std::iter::from_fn(|| {
+            Some(stage_a.turn(true, 32, 32, |m, k| m.pull(k).0)).filter(|b| !b.is_empty())
+        })
+        .flatten()
+        .collect()
     };
     assert_eq!(run(&d), run(&d2));
 }

@@ -70,7 +70,7 @@ fn drain(
     for increment in profiles.chunks(profiles.len().div_ceil(increments)) {
         assert!(machine.ingest(increment).errors.is_empty());
         loop {
-            let batch = machine.pull_idle(256);
+            let batch = machine.turn(true, 256, 256, |m, k| m.pull(k).0);
             if batch.is_empty() {
                 break;
             }

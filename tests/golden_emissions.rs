@@ -61,6 +61,9 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 /// Pulls and ticks until a tick finds nothing, or for `rounds` pulls.
+/// Not a loop of `StageA::turn`: the digests cover the ops of every pull
+/// and tick, which a turn does not hand back, and were pinned on this
+/// schedule of one tick per empty pull and `rounds` pulls per increment.
 fn drain(
     machine: &mut StageA<Box<dyn ComparisonEmitter>>,
     rounds: Option<usize>,

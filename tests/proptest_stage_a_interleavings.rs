@@ -1,6 +1,7 @@
 //! Stage A's step calls in any order a caller may make them: over random
 //! small corpora, increment splits, tick placements, purge bounds, the
-//! three PIER strategies and both ER kinds, no pair is emitted twice, and
+//! three PIER strategies, both ER kinds and a final drain of random busy
+//! and idle turns of random `k` and `fill`, no pair is emitted twice, and
 //! with purging off the drain emits exactly the co-blocked pairs.
 //!
 //! The placement "between block and weigh" hands out pairs of profiles
@@ -68,9 +69,31 @@ fn case() -> impl proptest::strategy::Strategy<Value = Case> {
     })
 }
 
+/// One `StageA::turn` of the final drain: whether it is idle, its `k` and
+/// its `fill`.
+type Turn = (bool, usize, usize);
+
+/// The final drain's turns, taken in a cycle. The last one is idle, so the
+/// cycle ends: an idle turn that comes back empty means stage A is drained.
+fn turns() -> impl proptest::strategy::Strategy<Value = Vec<Turn>> {
+    let turn = (any::<bool>(), 1usize..6, 1usize..6);
+    (prop::collection::vec(turn, 0..6), (1usize..6, 1usize..6)).prop_map(
+        |(mut turns, (k, fill))| {
+            turns.push((true, k, fill));
+            turns
+        },
+    )
+}
+
 /// Runs one case to exhaustion and returns everything emitted, in order,
 /// with the drained machine.
-fn run(case: &Case, strategy: Pier, ticks: Ticks, purge: PurgePolicy) -> (Vec<Comparison>, StageA) {
+fn run(
+    case: &Case,
+    strategy: Pier,
+    ticks: Ticks,
+    purge: PurgePolicy,
+    turns: &[Turn],
+) -> (Vec<Comparison>, StageA) {
     let blocker = IncrementalBlocker::with_config(case.kind, Tokenizer::default(), purge);
     let mut machine = StageA::new(blocker, strategy.build(PierConfig::default()));
     let mut out = Vec::new();
@@ -98,9 +121,9 @@ fn run(case: &Case, strategy: Pier, ticks: Ticks, purge: PurgePolicy) -> (Vec<Co
         }
         out.extend(machine.pull(2).0);
     }
-    for _ in 0..10_000 {
-        let batch = machine.pull_idle(4);
-        if batch.is_empty() {
+    for &(idle, k, fill) in turns.iter().cycle().take(10_000) {
+        let batch = machine.turn(idle, k, fill, |m, k| m.pull(k).0);
+        if idle && batch.is_empty() {
             return (out, machine);
         }
         out.extend(batch);
@@ -130,11 +153,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn no_interleaving_emits_a_pair_twice(case in case()) {
+    fn no_interleaving_emits_a_pair_twice(case in case(), turns in turns()) {
         for strategy in [Pier::Pcs, Pier::Pes, Pier::Pbs] {
             for ticks in [Ticks::None, Ticks::BetweenIncrements, Ticks::BetweenBlockAndWeigh] {
                 for purge in [PurgePolicy::disabled(), PurgePolicy::max_size(3)] {
-                    let (emitted, machine) = run(&case, strategy, ticks, purge);
+                    let (emitted, machine) = run(&case, strategy, ticks, purge, &turns);
                     let mut seen = HashSet::new();
                     for &c in &emitted {
                         prop_assert!(
